@@ -8,16 +8,17 @@ chunked row mean) so paired runs agree to rounding.
 """
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .core import (NumericalError, ProblemSpec, ResidualReport, SolverState,
-                   _require_finite, chunked_row_mean, objective, residual_map)
+from .core import (NumericalError, ProblemSpec, SolverState, _require_finite,
+                   chunked_row_mean, initial_state)
 from .io import MetricsLog
-from .ppg import RunResult, SolveOptions, resolve_alpha
+from .ppg import (RunResult, SolveOptions, _sampled_loop, _sweep_loop,
+                  resolve_alpha)
+from .sppg import _probe
 
 __all__ = ["DiminishingStep", "proximal_gradient_run", "consensus_admm_run",
            "stochastic_prox_iteration_run", "finito_run"]
@@ -52,13 +53,10 @@ def proximal_gradient_run(problem: ProblemSpec, opts: SolveOptions,
     alpha = resolve_alpha(problem, opts.alpha)
     x = problem.r.prox(np.zeros(problem.dim), alpha) if x0 is None \
         else np.array(x0, dtype=float, copy=True)
-    rec = opts.record_every if opts.record_every else 1
     rows_buf = np.empty((problem.n, problem.dim))
-    rows = []
-    converged = opts.tol <= 0
-    scale = math.sqrt(problem.dim)
-    t0 = time.perf_counter()
-    for k in range(opts.max_iters):
+
+    def step():
+        nonlocal x
         for i, fi in enumerate(problem.f):
             if fi.is_zero:
                 rows_buf[i] = x
@@ -69,20 +67,13 @@ def proximal_gradient_run(problem: ProblemSpec, opts: SolveOptions,
         x_next = problem.r.prox(
             chunked_row_mean(rows_buf, problem.reduce_chunks), alpha)
         _require_finite(x_next, "prox of r")
-        resid = float(np.linalg.norm(x - x_next)) / alpha
-        stopping = opts.tol > 0 and resid / scale <= opts.tol
-        if k % rec == 0 or stopping or k == opts.max_iters - 1:
-            rows.append(ResidualReport(
-                k=k, residual_norm=resid, objective=objective(x, problem),
-                dist_to_ref=None if x_ref is None else float(
-                    np.linalg.norm(x - x_ref)),
-                wall_time_s=time.perf_counter() - t0, epoch=float(k)))
-        x = x_next
-        if stopping:
-            converged = True
-            break
+        point, x = x, x_next
+        return float(np.linalg.norm(point - x)) / alpha, point
+
+    rows, converged, iters = _sweep_loop(
+        problem, opts, step, math.sqrt(problem.dim), x_ref)
     state = SolverState(z=x[None, :].copy(), zbar=x.copy(), alpha=alpha,
-                        k=opts.max_iters)
+                        k=iters)
     log = MetricsLog(rows=rows, metadata={
         "solver": "prox-grad", "alpha": alpha, "problem_kind": problem.kind})
     return RunResult(x=x, log=log, converged=converged, state=state)
@@ -107,12 +98,9 @@ def consensus_admm_run(problem: ProblemSpec, opts: SolveOptions,
     x_blocks = np.zeros((n, d))
     u = np.zeros((n, d))
     zc = problem.r.prox(np.zeros(d), alpha)
-    rec = opts.record_every if opts.record_every else 1
-    rows = []
-    converged = opts.tol <= 0
-    scale = math.sqrt(n * d)
-    t0 = time.perf_counter()
-    for k in range(opts.max_iters):
+
+    def step():
+        nonlocal zc, u
         for i, gi in enumerate(problem.g):
             v = zc - u[i]
             x_blocks[i] = v if gi.is_zero else gi.prox(v, alpha)
@@ -121,18 +109,11 @@ def consensus_admm_run(problem: ProblemSpec, opts: SolveOptions,
             chunked_row_mean(x_blocks + u, problem.reduce_chunks), alpha)
         _require_finite(zc, "prox of r")
         u += x_blocks - zc
-        resid = float(np.linalg.norm(x_blocks - zc[None, :])) / alpha
-        stopping = opts.tol > 0 and resid / scale <= opts.tol
-        if k % rec == 0 or stopping or k == opts.max_iters - 1:
-            rows.append(ResidualReport(
-                k=k, residual_norm=resid, objective=objective(zc, problem),
-                dist_to_ref=None if x_ref is None else float(
-                    np.linalg.norm(zc - x_ref)),
-                wall_time_s=time.perf_counter() - t0, epoch=float(k)))
-        if stopping:
-            converged = True
-            break
-    state = SolverState(z=x_blocks + u, zbar=zc.copy(), alpha=alpha, k=opts.max_iters)
+        return float(np.linalg.norm(x_blocks - zc[None, :])) / alpha, zc
+
+    rows, converged, iters = _sweep_loop(problem, opts, step,
+                                         math.sqrt(n * d), x_ref)
+    state = SolverState(z=x_blocks + u, zbar=zc.copy(), alpha=alpha, k=iters)
     log = MetricsLog(rows=rows, metadata={
         "solver": "admm", "alpha": alpha, "problem_kind": problem.kind})
     return RunResult(x=zc, log=log, converged=converged, state=state)
@@ -160,27 +141,11 @@ def stochastic_prox_iteration_run(problem: ProblemSpec, step: DiminishingStep,
                          "global term to be zero")
     x = np.zeros(problem.dim) if x0 is None else np.array(x0, dtype=float,
                                                           copy=True)
-    rec = opts.record_every if opts.record_every else problem.n
-    total = opts.max_iters
-    indices = sampler.take(total)
     s = problem.structure
     fast = isinstance(s, kernels.HingeStructure) and s.folded
-    rows = []
-    t0 = time.perf_counter()
-    k = 0
-    while True:
-        if k % rec == 0 or k == total:
-            ak = step.at(max(k, 1))
-            rows.append(ResidualReport(
-                k=k, residual_norm=_spi_residual(x, problem, ak),
-                objective=objective(x, problem),
-                dist_to_ref=None if x_ref is None else float(
-                    np.linalg.norm(x - x_ref)),
-                wall_time_s=time.perf_counter() - t0, epoch=k / problem.n))
-        if k == total:
-            break
-        nxt = min(k + (rec - k % rec), total)
-        block = indices[k:nxt]
+
+    def advance(k, block):
+        nonlocal x
         if fast:
             bad = kernels.hinge_spi_block(x, s, step.c, k, block)
             if bad >= 0:
@@ -188,15 +153,20 @@ def stochastic_prox_iteration_run(problem: ProblemSpec, step: DiminishingStep,
                     f"non-finite values from prox of g (term {bad})")
         else:
             for t, i in enumerate(block):
-                ak = step.at(k + t + 1)
-                x = problem.g[int(i)].prox(x, ak)
+                x = problem.g[int(i)].prox(x, step.at(k + t + 1))
                 _require_finite(x, "prox of g", int(i))
-        k = nxt
-    state = SolverState(z=x[None, :].copy(), zbar=x.copy(), alpha=step.c, k=total)
+
+    # _spi_residual is already a mean over terms; sqrt(d) makes it per entry
+    rows, converged, steps = _sampled_loop(
+        problem, opts, sampler,
+        lambda k: (_spi_residual(x, problem, step.at(max(k, 1))), x),
+        advance, math.sqrt(problem.dim), x_ref)
+    state = SolverState(z=x[None, :].copy(), zbar=x.copy(), alpha=step.c,
+                        k=steps)
     log = MetricsLog(rows=rows, metadata={
         "solver": "spi", "c": step.c, "seed": getattr(sampler, "seed", None),
         "problem_kind": problem.kind})
-    return RunResult(x=x, log=log, converged=True, state=state)
+    return RunResult(x=x, log=log, converged=converged, state=state)
 
 
 def _spi_residual(x, problem, ak) -> float:
@@ -233,35 +203,25 @@ def finito_run(problem: ProblemSpec, sampler, opts: SolveOptions,
         raise ValueError("finito requires the global term to be zero")
     alpha = resolve_alpha(problem, opts.alpha)
     n = problem.n
-    z = np.zeros((n, problem.dim))
-    w = chunked_row_mean(z, problem.reduce_chunks)
-    rec = opts.record_every if opts.record_every else n
-    total = opts.max_iters
-    indices = sampler.take(total)
-    rows = []
-    t0 = time.perf_counter()
-    for k in range(total + 1):
-        if k % rec == 0 or k == total:
-            state = SolverState(z=z, zbar=w, alpha=alpha, k=k)
-            p, x_half, _ = residual_map(state, problem)
-            rows.append(ResidualReport(
-                k=k, residual_norm=float(np.linalg.norm(p)),
-                objective=objective(x_half, problem),
-                dist_to_ref=None if x_ref is None else float(
-                    np.linalg.norm(x_half - x_ref)),
-                wall_time_s=time.perf_counter() - t0, epoch=k / n))
-        if k == total:
-            break
-        i = int(indices[k])
-        phi = w.copy()
-        grad = problem.f[i].gradient(phi)
-        _require_finite(grad, "gradient of f", i)
-        z_new = phi - alpha * grad
-        w += (z_new - z[i]) * (1.0 / n)
-        z[i] = z_new
-    state = SolverState(z=z, zbar=w, alpha=alpha, k=total)
+    state = initial_state(problem, alpha)
+
+    def advance(k, block):
+        z, w = state.z, state.zbar
+        for i in block:
+            i = int(i)
+            phi = w.copy()
+            grad = problem.f[i].gradient(phi)
+            _require_finite(grad, "gradient of f", i)
+            z_new = phi - alpha * grad
+            w += (z_new - z[i]) * (1.0 / n)
+            z[i] = z_new
+
+    rows, converged, state.k = _sampled_loop(
+        problem, opts, sampler, lambda k: _probe(state, problem), advance,
+        math.sqrt(n * problem.dim), x_ref)
     log = MetricsLog(rows=rows, metadata={
         "solver": "finito", "alpha": alpha,
         "seed": getattr(sampler, "seed", None),
         "problem_kind": problem.kind})
-    return RunResult(x=w.copy(), log=log, converged=True, state=state)
+    return RunResult(x=state.zbar.copy(), log=log, converged=converged,
+                     state=state)

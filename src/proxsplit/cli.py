@@ -10,7 +10,9 @@ A problem description is a JSON object ``{"kind", "dim", "params", "files"}``
 with data file paths relative to the JSON's directory.  A run configuration
 is a JSON object with the same field names as the solve flags; flags given
 on the command line override the file.  Exit codes: 0 success, 1 error,
-2 iteration budget exhausted before the tolerance.
+2 iteration budget exhausted before the tolerance, 3 solver failure
+(non-finite values from a prox or gradient, or an inner solve that did not
+converge), reported on one line naming the term.
 
 Every run is reproducible from (config, seed): metrics files are written
 without wall-clock columns unless --timing is given, and all reductions are
@@ -27,7 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import baselines, io, ppg, problems, sppg
-from .core import ProblemSpec, SmoothFn, objective
+from .core import ProblemSpec, SmoothFn, SolverError, objective
 
 GEN_KINDS = ("group-lasso", "svm", "fused-lasso", "network-lasso", "glm")
 ALGOS = ("ppg", "sppg", "prox-grad", "admm", "spi", "finito")
@@ -70,6 +72,8 @@ def _config_from(path: str | None, args) -> RunConfig:
         raise ValueError(f"algo must be one of {ALGOS}")
     if not cfg.problem:
         raise ValueError("a problem description file is required")
+    if cfg.max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {cfg.max_iters}")
     return cfg
 
 
@@ -502,6 +506,9 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except SolverError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -12,17 +12,16 @@ reproducible from the seed alone and portable: draw k is the k-th raw
 """
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .core import (NumericalError, ProblemSpec, ResidualReport, SolverState,
-                   _require_finite, chunked_row_mean, initial_state,
-                   objective, residual_map)
+from .core import (NumericalError, ProblemSpec, SolverState, _require_finite,
+                   chunked_row_mean, initial_state, residual_map)
 from .io import MetricsLog
-from .ppg import RunResult, SolveOptions, resolve_alpha
+from .ppg import (RunResult, SolveOptions, _Ergodic, _report, _sampled_loop,
+                  resolve_alpha)
 
 __all__ = ["SamplerConfig", "IndexSampler", "SequenceSampler",
            "sppg_step", "sppg_run"]
@@ -97,6 +96,12 @@ def _advance_one(state: SolverState, problem: ProblemSpec, i: int):
     return x_half
 
 
+def _probe(state: SolverState, problem: ProblemSpec):
+    """||p(z)||_F and the prox-r point of the current state; O(nd)."""
+    p, x_half, _ = residual_map(state, problem)
+    return float(np.linalg.norm(p)), x_half
+
+
 def sppg_step(state: SolverState, problem: ProblemSpec, sampler,
               compute_residual: bool = False):
     """Draw one index, advance in place, optionally report the residual.
@@ -106,29 +111,12 @@ def sppg_step(state: SolverState, problem: ProblemSpec, sampler,
     """
     report = None
     if compute_residual:
-        p, x_half, _ = residual_map(state, problem)
-        report = ResidualReport(
-            k=state.k,
-            residual_norm=float(np.linalg.norm(p)),
-            objective=objective(x_half, problem),
-            epoch=state.k / problem.n,
-        )
+        resid, x_half = _probe(state, problem)
+        report = _report(problem, state.k, resid, x_half,
+                         state.k / problem.n)
     i = int(sampler.take(1)[0])
     _advance_one(state, problem, i)
     return state, report
-
-
-def _record(state, problem, x_ref, t0) -> ResidualReport:
-    p, x_half, _ = residual_map(state, problem)
-    return ResidualReport(
-        k=state.k,
-        residual_norm=float(np.linalg.norm(p)),
-        objective=objective(x_half, problem),
-        dist_to_ref=None if x_ref is None else float(
-            np.linalg.norm(x_half - x_ref)),
-        wall_time_s=time.perf_counter() - t0,
-        epoch=state.k / problem.n,
-    )
 
 
 def _resync(state: SolverState, problem: ProblemSpec) -> int:
@@ -162,31 +150,13 @@ def sppg_run(problem: ProblemSpec, opts: SolveOptions, sampler,
     """
     alpha = resolve_alpha(problem, opts.alpha)
     state = initial_state(problem, alpha, warm_start)
-    rec = opts.record_every if opts.record_every else problem.n
     n = problem.n
-    total = opts.max_iters
-    indices = sampler.take(total)
     fast = _hinge_fast_path(problem, opts)
+    erg = _Ergodic(problem.dim) if opts.ergodic else None
     resyncs = 0
-    rows = []
-    erg_sum = np.zeros(problem.dim) if opts.ergodic else None
-    erg_count = 0
-    converged = opts.tol <= 0
-    scale = math.sqrt(problem.n * problem.dim)
-    t0 = time.perf_counter()
-    k = 0
-    while True:
-        if k % rec == 0 or k == total:
-            report = _record(state, problem, x_ref, t0)
-            rows.append(report)
-            if opts.tol > 0 and report.residual_norm / scale <= opts.tol:
-                converged = True
-                break
-        if k == total:
-            break
-        nxt = min(k + (rec - k % rec), k + (n - k % n) if k % n else k + n,
-                  total)
-        block = indices[k:nxt]
+
+    def advance(k, block):
+        nonlocal resyncs
         if fast:
             bad = kernels.hinge_sppg_block(
                 state.z, state.zbar, problem.structure, alpha, block)
@@ -197,12 +167,14 @@ def sppg_run(problem: ProblemSpec, opts: SolveOptions, sampler,
         else:
             for i in block:
                 x_half = _advance_one(state, problem, int(i))
-                if erg_sum is not None:
-                    erg_sum += x_half
-                    erg_count += 1
-        k = nxt
-        if k % n == 0:
+                if erg is not None:
+                    erg.add(x_half)
+        if (k + len(block)) % n == 0:
             resyncs += _resync(state, problem)
+
+    rows, converged, _ = _sampled_loop(
+        problem, opts, sampler, lambda k: _probe(state, problem), advance,
+        math.sqrt(n * problem.dim), x_ref)
     x_out = problem.r.prox(state.zbar, alpha)
     log = MetricsLog(rows=rows, metadata={
         "solver": "sppg", "alpha": alpha, "seed": getattr(sampler, "seed", None),
@@ -210,6 +182,5 @@ def sppg_run(problem: ProblemSpec, opts: SolveOptions, sampler,
         "resyncs": resyncs,
         "backend": kernels.resolved_backend() if fast else "numpy",
     })
-    ergodic = None if erg_count == 0 else erg_sum / erg_count
     return RunResult(x=x_out, log=log, converged=converged, state=state,
-                     ergodic=ergodic)
+                     ergodic=None if erg is None else erg.average())

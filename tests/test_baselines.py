@@ -47,6 +47,13 @@ class TestProximalGradient:
             proximal_gradient_run(problem,
                                   SolveOptions(alpha=2.1 / lip, max_iters=1))
 
+    def test_state_counts_iterations_taken(self, rng):
+        problem = lasso_problem(rng, m=7, d=5)
+        res = proximal_gradient_run(problem,
+                                    SolveOptions(max_iters=5000, tol=1e-8))
+        assert res.converged
+        assert res.state.k == res.log.rows[-1].k + 1 < 5000
+
 
 class TestConsensusAdmm:
     def test_rejects_smooth_terms(self, rng):
@@ -76,6 +83,14 @@ class TestConsensusAdmm:
         res = consensus_admm_run(problem, SolveOptions(alpha=1.0, max_iters=5))
         row = res.log.rows[0]
         assert row.residual_norm >= 0 and row.objective is not None
+
+    def test_state_counts_iterations_taken(self, rng):
+        problem = prox_only_problem(rng, n=4, d=3)
+        res = consensus_admm_run(problem, SolveOptions(alpha=0.8,
+                                                       max_iters=5000,
+                                                       tol=1e-8))
+        assert res.converged
+        assert res.state.k == res.log.rows[-1].k + 1 < 5000
 
 
 class TestStochasticProxIteration:
@@ -111,6 +126,38 @@ class TestStochasticProxIteration:
             SolveOptions(max_iters=200)).x for _ in range(2)]
         assert np.array_equal(runs[0], runs[1])
 
+    def test_reached_tol_stops_at_first_row(self, rng):
+        problem = prox_only_problem(rng, n=4, d=3)
+        res = stochastic_prox_iteration_run(
+            problem, DiminishingStep(1.0), IndexSampler(0, 4),
+            SolveOptions(max_iters=400, tol=1e3))
+        assert res.converged
+        assert [row.k for row in res.log.rows] == [0]
+        assert res.state.k == 0
+        assert np.array_equal(res.x, np.zeros(3))
+
+    def test_unreached_tol_not_converged(self, rng):
+        problem = prox_only_problem(rng, n=4, d=3)
+        res = stochastic_prox_iteration_run(
+            problem, DiminishingStep(1.0), IndexSampler(0, 4),
+            SolveOptions(max_iters=40, tol=1e-30))
+        assert not res.converged
+        assert res.log.rows[-1].k == 40 == res.state.k
+
+    def test_tol_bounds_rms_residual_per_entry(self, rng):
+        # the residual is a mean over terms; the tolerance bounds it per
+        # coordinate, as for the splitting solvers
+        problem = prox_only_problem(rng, n=4, d=9)
+
+        def run(tol):
+            return stochastic_prox_iteration_run(
+                problem, DiminishingStep(1.0), IndexSampler(0, 4),
+                SolveOptions(max_iters=40, tol=tol))
+
+        rms = run(0.0).log.rows[0].residual_norm / 3.0
+        assert len(run(rms * (1 + 1e-9)).log.rows) == 1
+        assert len(run(rms * (1 - 1e-9)).log.rows) > 1
+
     def test_diminishing_step_rule(self):
         step = DiminishingStep(3.0)
         assert step.at(1) == 3.0
@@ -145,6 +192,24 @@ class TestFinito:
         res = finito_run(problem, IndexSampler(0, 3),
                          SolveOptions(max_iters=30))
         assert res.log.metadata["alpha"] == 1.0 / problem.lipschitz_bound()
+
+    def test_tol_stops_early_and_counts_steps(self, rng):
+        rows = [make_quadratic_term(rng.standard_normal(3), 1.0)
+                for _ in range(3)]
+        problem = simple_problem([], dim=3, terms_f=rows)
+        res = finito_run(problem, IndexSampler(0, 3),
+                         SolveOptions(max_iters=30000, tol=1e-6))
+        assert res.converged
+        assert res.state.k == res.log.rows[-1].k < 30000
+
+    def test_unreached_tol_not_converged(self, rng):
+        rows = [make_quadratic_term(rng.standard_normal(3), 1.0)
+                for _ in range(3)]
+        problem = simple_problem([], dim=3, terms_f=rows)
+        res = finito_run(problem, IndexSampler(0, 3),
+                         SolveOptions(max_iters=12, tol=1e-30))
+        assert not res.converged
+        assert res.log.rows[-1].k == 12 == res.state.k
 
     def test_reaches_least_squares_solution(self, rng):
         a_mat = rng.standard_normal((6, 3))

@@ -134,6 +134,43 @@ class TestSolve:
         assert code == 0
         assert "ergodic_objective=" in capsys.readouterr().out
 
+    def test_spi_unreached_tol_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "svm"
+        assert main(["gen", "svm", "--out", str(out), "--n", "30",
+                     "--d", "5", "--seed", "2"]) == 0
+        code = main(["solve", "--problem", str(out / "problem.json"),
+                     "--algo", "spi", "--max-iters", "60", "--tol", "1e-30",
+                     "--metrics", str(tmp_path / "m.csv")])
+        assert code == 2
+        assert "converged=False" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("iters", ["0", "-3"])
+    def test_max_iters_below_one_rejected(self, tmp_path, capsys, iters):
+        prob = _gen(tmp_path)
+        code = main(["solve", "--problem", str(prob), "--algo", "ppg",
+                     "--max-iters", iters,
+                     "--metrics", str(tmp_path / "m.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "max_iters" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_solver_failure_exit_three(self, tmp_path, capsys):
+        prob = _gen(tmp_path, "--n", "8", kind="fused-lasso", sub="fl")
+        y_path = prob.parent / "y.csv"
+        cells = y_path.read_text().splitlines()
+        cells[3] = "inf"
+        y_path.write_text("\n".join(cells) + "\n")
+        code = main(["solve", "--problem", str(prob), "--algo", "ppg",
+                     "--max-iters", "5",
+                     "--metrics", str(tmp_path / "m.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error:") and "NumericalError" in err
+        assert "(term 3)" in err
+
     def test_alpha_validation_message(self, tmp_path, capsys):
         prob = _gen(tmp_path, kind="fused-lasso", sub="fl")
         code = main(["solve", "--problem", str(prob), "--algo", "ppg",

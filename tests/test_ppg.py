@@ -219,20 +219,20 @@ class TestErgodicDiagnostics:
         # k * |gap| stays flat while the gap itself shrinks
         from proxsplit.core import initial_state, objective, objective_gap, \
             residual_map
-        from proxsplit.ppg import ErgodicState
         problem = prox_only_problem(np.random.default_rng(5), n=4, d=3)
         alpha = 0.8
         ref = ppg_run(problem, SolveOptions(alpha=alpha, max_iters=20000,
                                             record_every=20000))
         ref_obj = objective(ref.x, problem)
         state = initial_state(problem, alpha)
-        erg = ErgodicState(sum_x_half=np.zeros(3), sum_x=np.zeros((4, 3)))
+        sum_x_half, sum_x_terms = np.zeros(3), np.zeros((4, 3))
         gaps = []
-        for _ in range(800):
+        for k in range(1, 801):
             _, x_half, x_terms = residual_map(state, problem)
             ppg_step(state, problem)
-            erg.accumulate(x_half, x_terms)
-            gaps.append(abs(objective_gap(erg.average(), erg.average_terms(),
+            sum_x_half += x_half
+            sum_x_terms += x_terms
+            gaps.append(abs(objective_gap(sum_x_half / k, sum_x_terms / k,
                                           ref_obj, problem)))
         gaps = np.array(gaps)
         ks = np.arange(1, 801)

@@ -1,12 +1,15 @@
 """Single-term stochastic solver: sampler contract, O(d) update algebra,
 reductions, and cache-drift accounting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import abs_prox_fn, lasso_problem, make_quadratic_term, \
     prox_only_problem, simple_problem, tiny_svm
-from proxsplit.baselines import finito_run
+from proxsplit.baselines import (DiminishingStep, finito_run,
+                                 stochastic_prox_iteration_run)
 from proxsplit.core import chunked_row_mean, initial_state, objective
 from proxsplit.io import write_metrics_csv
 from proxsplit.ppg import SolveOptions, ppg_run, ppg_step
@@ -43,6 +46,51 @@ class TestIndexSampler:
         assert list(sampler.take(3)) == [6, 2, 2]
         with pytest.raises(ValueError):
             SamplerConfig(seed=1, scheme="permutation")
+
+
+class _RecordingSampler(IndexSampler):
+    """The seeded stream, remembering the largest block drawn at once."""
+
+    def __init__(self, seed, n):
+        super().__init__(seed, n)
+        self.largest = 0
+
+    def take(self, count):
+        self.largest = max(self.largest, count)
+        return super().take(count)
+
+
+def _sampled_runs(rng, n):
+    prox_only = prox_only_problem(rng, n=n, d=2)
+    smooth = simple_problem([], dim=2, terms_f=[
+        make_quadratic_term(rng.standard_normal(2), 0.0) for _ in range(n)])
+    svm = tiny_svm(rng, n=n)
+    folded = tiny_svm(rng, n=n, fold_ridge=True)
+    step = DiminishingStep(1.0)
+    return {
+        "sppg": lambda s, o: sppg_run(prox_only, o, s),
+        "sppg-hinge": lambda s, o: sppg_run(svm, o, s),
+        "spi": lambda s, o: stochastic_prox_iteration_run(
+            prox_only, step, s, o),
+        "spi-hinge": lambda s, o: stochastic_prox_iteration_run(
+            folded, step, s, o),
+        "finito": lambda s, o: finito_run(smooth, s, replace(o, alpha=None)),
+    }
+
+
+class TestIndexDraws:
+    @pytest.mark.parametrize("record_every", [None, 1, 3, 12, 500])
+    @pytest.mark.parametrize("solver", ["sppg", "sppg-hinge", "spi",
+                                        "spi-hinge", "finito"])
+    def test_draws_per_block_not_per_run(self, rng, solver, record_every):
+        # memory must not grow with the step budget: indices are drawn one
+        # block at a time, and no block crosses an epoch boundary
+        n = 12
+        sampler = _RecordingSampler(0, n)
+        opts = SolveOptions(alpha=0.5, max_iters=40 * n,
+                            record_every=record_every)
+        _sampled_runs(rng, n)[solver](sampler, opts)
+        assert 0 < sampler.largest <= min(record_every or n, n)
 
 
 class TestStepAlgebra:
