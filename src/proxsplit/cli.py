@@ -129,7 +129,15 @@ def _quadratic_pull(target: np.ndarray) -> SmoothFn:
                     gradient=lambda x: x - target, lipschitz=1.0)
 
 
-def _check_compat(problem: ProblemSpec, algo: str):
+# solvers whose results carry the ergodic average of their iterates
+ERGODIC_ALGOS = ("ppg", "sppg")
+
+
+def _check_compat(problem: ProblemSpec, algo: str, ergodic: bool = False):
+    if ergodic and algo not in ERGODIC_ALGOS:
+        raise ValueError(f"--ergodic is not supported by {algo}: only "
+                         f"{' and '.join(ERGODIC_ALGOS)} average their "
+                         "iterates")
     if algo == "prox-grad" and not problem.all_g_zero():
         raise ValueError("prox-grad cannot run: the problem carries "
                          "per-term nonsmooth functions")
@@ -189,13 +197,15 @@ def _write_outputs(cfg: RunConfig, result: ppg.RunResult):
     if not cfg.timing:
         _strip_timing(result.log)
     io.write_metrics_csv(result.log, cfg.metrics_out)
+    # the whole run record; the configuration names the solver and seed
     meta = {
+        "alpha": cfg.alpha,
+        "problem_kind": "",
+        "resyncs": None,
+        **result.log.metadata,
         "solver": cfg.algo,
         "seed": cfg.seed,
-        "alpha": result.log.metadata.get("alpha", cfg.alpha),
-        "problem_kind": result.log.metadata.get("problem_kind", ""),
         "revision": io.git_describe(),
-        "resyncs": result.log.metadata.get("resyncs"),
     }
     with open(cfg.metrics_out + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -205,12 +215,12 @@ def _write_outputs(cfg: RunConfig, result: ppg.RunResult):
 def cmd_solve(args) -> int:
     cfg = _config_from(args.config, args)
     problem = load_problem(cfg.problem, cfg.algo)
-    _check_compat(problem, cfg.algo)
+    _check_compat(problem, cfg.algo, cfg.ergodic)
     result = _run(cfg, problem)
     _write_outputs(cfg, result)
     final = result.log.rows[-1]
     obj = objective(result.x, problem)
-    line = (f"algo={cfg.algo} iters={final.k} "
+    line = (f"algo={cfg.algo} iters={result.state.k} "
             f"objective={'n/a' if obj is None else format(obj, '.12g')} "
             f"residual={format(final.residual_norm, '.12g')} "
             f"converged={result.converged}")
@@ -274,7 +284,7 @@ def cmd_compare(args) -> int:
     seen = {}
     for cfg in cfgs:
         problem = load_problem(cfg.problem, cfg.algo)
-        _check_compat(problem, cfg.algo)
+        _check_compat(problem, cfg.algo, cfg.ergodic)
         label = cfg.algo
         seen[label] = seen.get(label, 0) + 1
         if seen[label] > 1:

@@ -132,7 +132,9 @@ class ProblemSpec:
         when absent.
     batched_g_prox :
         Optional vectorized evaluation of all n per-term prox calls at once:
-        ``batched_g_prox(V, a)[i] == g[i].prox(V[i], a)``.
+        ``batched_g_prox(V, a)[i] == g[i].prox(V[i], a)``.  ``V`` is a
+        scratch array of the caller's, so the hook may overwrite and return
+        it; any array it returns is the caller's to modify.
     batched_objective :
         Optional vectorized evaluation of the full objective at one point,
         equal to the term-by-term sum up to rounding.
@@ -249,6 +251,13 @@ def _require_finite(arr: np.ndarray, what: str, index: int | None = None):
         raise NumericalError(f"non-finite values from {what}{where}")
 
 
+def _require_finite_rows(block: np.ndarray, what: str):
+    """Like :func:`_require_finite` on every row, naming the first bad one."""
+    if not np.all(np.isfinite(block)):
+        bad = np.flatnonzero(~np.isfinite(block).all(axis=1))[0]
+        raise NumericalError(f"non-finite values from {what} (term {bad})")
+
+
 def residual_map(state: SolverState, problem: ProblemSpec):
     """Evaluate the fixed-point residual of the splitting iteration.
 
@@ -274,7 +283,8 @@ def residual_map(state: SolverState, problem: ProblemSpec):
 
 def _term_points(x_half: np.ndarray, z: np.ndarray, problem: ProblemSpec,
                  alpha: float) -> np.ndarray:
-    """Per-term prox points x_i = prox_{a g_i}(2 x_half - z_i - a grad f_i)."""
+    """Per-term prox points x_i = prox_{a g_i}(2 x_half - z_i - a grad f_i),
+    in a fresh array the caller may modify."""
     if problem.all_f_zero():
         v = 2.0 * x_half[None, :] - z
     else:
@@ -288,7 +298,7 @@ def _term_points(x_half: np.ndarray, z: np.ndarray, problem: ProblemSpec,
                 v[i] = 2.0 * x_half - z[i] - alpha * grad
     if problem.batched_g_prox is not None:
         x_terms = problem.batched_g_prox(v, alpha)
-        _require_finite(x_terms, "prox of g")
+        _require_finite_rows(x_terms, "prox of g")
         return x_terms
     x_terms = np.empty_like(z)
     for i, gi in enumerate(problem.g):

@@ -6,6 +6,7 @@ accept UTF-8 with LF or CRLF endings and report malformed input with line
 numbers.
 """
 
+import os
 import subprocess
 from dataclasses import dataclass, field
 
@@ -37,10 +38,12 @@ class MetricsLog:
 
 
 def git_describe() -> str:
-    """Source revision for metadata; 'unknown' outside a git checkout."""
+    """Source revision of the checkout holding this package, for metadata;
+    'unknown' when the package is not in a git checkout."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
             capture_output=True, text=True, timeout=10)
     except (OSError, subprocess.TimeoutExpired):
         return "unknown"

@@ -184,26 +184,29 @@ def resolve_threads(threads: int) -> int:
 
 
 def _sweep(state: SolverState, problem: ProblemSpec, pool=None):
-    """One full sweep: returns (x_half, x_terms) for the pre-step state and
-    advances z and zbar in place.
+    """One full sweep: returns ``(x_half, delta)`` for the pre-step state,
+    where row i of ``delta`` is x_i - x_half, and advances z and zbar in
+    place.  ||delta|| / alpha is the residual ||p(z)||.
 
-    With a pool, rows are processed in the same fixed chunks used by the
-    mean reduction and partial sums combine in chunk order, so the result
-    is independent of the worker count.
+    With a pool (never given for a problem with a batched prox), rows are
+    processed in the same fixed chunks used by the mean reduction and
+    partial sums combine in chunk order, so the result is independent of
+    the worker count.
     """
     alpha = state.alpha
     x_half = problem.r.prox(state.zbar, alpha)
     _require_finite(x_half, "prox of r")
     z = state.z
     n, d = z.shape
-    if pool is None or problem.batched_g_prox is not None:
-        x_terms = _term_points(x_half, z, problem, alpha)
-        z += x_terms - x_half[None, :]
+    if pool is None:
+        delta = _term_points(x_half, z, problem, alpha)
+        delta -= x_half
+        z += delta
         state.zbar = chunked_row_mean(z, problem.reduce_chunks)
         state.k += 1
-        return x_half, x_terms
+        return x_half, delta
     size = -(-n // problem.reduce_chunks)
-    x_terms = np.empty_like(z)
+    delta = np.empty_like(z)
 
     def run_chunk(c):
         lo, hi = c * size, min((c + 1) * size, n)
@@ -216,8 +219,8 @@ def _sweep(state: SolverState, problem: ProblemSpec, pool=None):
                 v -= alpha * grad
             xi = v if gi.is_zero else gi.prox(v, alpha)
             _require_finite(xi, "prox of g", i)
-            x_terms[i] = xi
-            z[i] += xi - x_half
+            delta[i] = xi - x_half
+            z[i] += delta[i]
         return z[lo:hi].sum(axis=0)
 
     chunks = range(problem.reduce_chunks)
@@ -227,11 +230,7 @@ def _sweep(state: SolverState, problem: ProblemSpec, pool=None):
         total += part
     state.zbar = total / n
     state.k += 1
-    return x_half, x_terms
-
-
-def _residual_from_sweep(x_half, x_terms, alpha) -> float:
-    return float(np.linalg.norm(x_half[None, :] - x_terms)) / alpha
+    return x_half, delta
 
 
 def ppg_step(state: SolverState, problem: ProblemSpec,
@@ -241,9 +240,9 @@ def ppg_step(state: SolverState, problem: ProblemSpec,
     The report carries ||p(z^k)||_F, the objective at the prox-r point, and
     optionally the distance of that point to a reference solution.
     """
-    x_half, x_terms = _sweep(state, problem)
+    x_half, delta = _sweep(state, problem)
     k = state.k - 1
-    resid = _residual_from_sweep(x_half, x_terms, state.alpha)
+    resid = float(np.linalg.norm(delta)) / state.alpha
     return state, _report(problem, k, resid, x_half, float(k), x_ref)
 
 
@@ -271,10 +270,10 @@ def ppg_run(problem: ProblemSpec, opts: SolveOptions,
 
         def step():
             nonlocal last
-            last = x_half, x_terms = _sweep(state, problem, pool)
+            last = x_half, delta = _sweep(state, problem, pool)
             if erg is not None:
                 erg.add(x_half)
-            return _residual_from_sweep(x_half, x_terms, alpha), x_half
+            return float(np.linalg.norm(delta)) / alpha, x_half
 
         rows, converged, _ = _sweep_loop(
             problem, opts, step, math.sqrt(problem.n * problem.dim), x_ref)
@@ -282,6 +281,8 @@ def ppg_run(problem: ProblemSpec, opts: SolveOptions,
     log = MetricsLog(rows=rows, metadata={
         "solver": "ppg", "alpha": alpha, "problem_kind": problem.kind,
         "n": problem.n, "dim": problem.dim, "threads": threads,
+        "sweep": ("batched" if problem.batched_g_prox is not None
+                  else "pool" if pooled else "per-term"),
     })
     return RunResult(x=x_out, log=log, converged=converged, state=state,
                      ergodic=None if erg is None else erg.average())

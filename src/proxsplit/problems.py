@@ -14,8 +14,8 @@ import numpy as np
 from .core import ProblemSpec, ProxFn, SmoothFn, scale_prox, scale_smooth, \
     zero_prox, zero_smooth
 from .kernels import HingeStructure
-from .prox import (CachedQuadraticProx, ScalarFn, prox_glm_1d, prox_hinge,
-                   prox_quadratic, soft_threshold_scalar,
+from .prox import (CachedQuadraticProx, ScalarFn, prox_glm_1d, prox_glm_rows,
+                   prox_hinge, prox_quadratic, soft_threshold_scalar,
                    soft_threshold_vector)
 
 __all__ = [
@@ -489,33 +489,54 @@ def build_network_lasso(n_vertices: int, edges, losses: Sequence[SmoothFn],
 # -- generalized linear models ----------------------------------------------------
 
 def glm_family(name: str) -> ScalarFn:
-    """Cumulant function of a one-parameter exponential family."""
+    """Cumulant function of a one-parameter exponential family; its value
+    and derivative handles map arrays elementwise."""
     if name == "gaussian":
         return ScalarFn(value=lambda t: 0.5 * t * t, deriv=lambda t: t)
     if name == "logistic":
-        return ScalarFn(value=lambda t: float(np.logaddexp(0.0, t)),
+        return ScalarFn(value=lambda t: np.logaddexp(0.0, t),
                         deriv=lambda t: 0.5 * (1.0 + np.tanh(0.5 * t)))
     if name == "poisson":
-        return ScalarFn(value=lambda t: float(np.exp(t)),
-                        deriv=lambda t: float(np.exp(t)))
+        return ScalarFn(value=np.exp, deriv=np.exp)
     raise ValueError(f"unknown family {name!r}")
+
+
+def _require_elementwise(a1d: ScalarFn):
+    """Reject a cumulant whose handles do not map arrays elementwise: the
+    all-rows prox and objective evaluate them on whole arrays."""
+    probe = np.array([-1.0, 0.0, 2.0])
+    for name in ("value", "deriv"):
+        fn = getattr(a1d, name)
+        if fn is None:
+            raise ValueError(f"the cumulant must supply a {name} handle")
+        try:
+            out = np.asarray(fn(probe), dtype=float)
+            ok = out.shape == probe.shape and np.allclose(
+                out, [fn(float(t)) for t in probe], rtol=1e-12, atol=0.0)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ValueError(f"the cumulant's {name} handle must map an "
+                             "array elementwise")
 
 
 def build_glm(x_mat: np.ndarray, t_vec: np.ndarray,
               a1d: ScalarFn) -> ProblemSpec:
     """Maximum-likelihood fitting of a generalized linear model.
 
-    minimize mean_i [A(x_i'b) - t_i * x_i'b] for the convex cumulant A.
+    minimize mean_i [A(x_i'b) - t_i * x_i'b] for the convex cumulant A,
+    whose ``value`` and ``deriv`` handles must map arrays elementwise.
     Every term is handled through its prox (the one-dimensional reduction
-    along its own data row); there is no smooth or global part.
+    along its own data row); there is no smooth or global part.  Full
+    sweeps solve all rows' reductions at once; single-term steps use the
+    per-term handles.
     """
     x_mat = np.asarray(x_mat, dtype=float)
     t_vec = np.asarray(t_vec, dtype=float)
     n, d = x_mat.shape
     if t_vec.shape != (n,):
         raise ValueError("one response per data row required")
-    if a1d.deriv is None:
-        raise ValueError("the cumulant must supply a derivative handle")
+    _require_elementwise(a1d)
 
     def make_g(i):
         xi = x_mat[i]
@@ -525,8 +546,14 @@ def build_glm(x_mat: np.ndarray, t_vec: np.ndarray,
             value=lambda beta: a1d.value(float(xi @ beta))
             - ti * float(xi @ beta))
 
+    def batched_objective(beta):
+        s = x_mat @ beta
+        return float(np.mean(a1d.value(s) - t_vec * s))
+
     return ProblemSpec(
         dim=d, n=n, r=zero_prox(),
         f=tuple(zero_smooth() for _ in range(n)),
         g=tuple(make_g(i) for i in range(n)),
-        kind="glm")
+        kind="glm",
+        batched_g_prox=lambda v, a: prox_glm_rows(v, x_mat, t_vec, a1d, a),
+        batched_objective=batched_objective)

@@ -2,7 +2,8 @@
 
 Everything here evaluates prox_{a*h}(x0) = argmin_u h(u) + ||u - x0||^2/(2a)
 for specific families of h.  Operators are pure, reentrant, and return fresh
-arrays.  One-dimensional reductions (affine compositions, generalized linear
+arrays, except the all-rows GLM prox, which overwrites its input block.
+One-dimensional reductions (affine compositions, generalized linear
 model terms) solve a scalar strongly convex subproblem by bisection on the
 subgradient sign, or by a safeguarded root bracket when a derivative handle
 is available.
@@ -34,6 +35,7 @@ __all__ = [
     "prox_scaled_sq_norm",
     "prox_quadratic",
     "prox_glm_1d",
+    "prox_glm_rows",
 ]
 
 _BISECT_CAP = 200
@@ -322,6 +324,78 @@ def prox_glm_1d(x0: np.ndarray, xi: np.ndarray, ti: float, a1d: ScalarFn,
     t = scipy.optimize.brentq(psi, lo, hi, xtol=_BETA_TOL, maxiter=600)
     beta = (t - s0) / q
     return x0 + beta * xi
+
+
+# rows per in-place update of prox_glm_rows; bounds its temporary to a
+# small block instead of a second n x d array
+_ROW_CHUNK = 256
+
+
+def prox_glm_rows(v: np.ndarray, x_mat: np.ndarray, t_vec: np.ndarray,
+                  a1d: ScalarFn, alpha: float) -> np.ndarray:
+    """:func:`prox_glm_1d` of every row at once: row i of the result is
+    the prox at ``v[i]`` of the term with data row ``x_mat[i]`` and
+    response ``t_vec[i]``.  ``v`` is overwritten and returned.
+
+    ``a1d.deriv`` must map arrays elementwise.  Each row's scalar root
+    t + alpha*q*(A'(t) - t_i) = s0 is bracketed by the window walk of
+    :func:`prox_glm_1d`, a non-finite psi counting as above the root, and
+    then bisected until its bracket is at most 1e-12 wide (or holds no
+    float between its ends).  Zero data rows are left unchanged.  Rows
+    whose data or input are not finite come back as NaN, for the caller
+    to report by index.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sqnorms = np.einsum("ij,ij->i", x_mat, x_mat)
+        s0 = np.einsum("ij,ij->i", x_mat, v)
+        aq = alpha * sqnorms
+        finite = np.isfinite(s0) & np.isfinite(aq) & np.isfinite(t_vec)
+        beta = np.where(finite, 0.0, np.nan)
+        rows = np.flatnonzero(finite & (sqnorms > 0.0))
+        root = _glm_roots(s0[rows], aq[rows], t_vec[rows], a1d.deriv, rows)
+        beta[rows] = (root - s0[rows]) / sqnorms[rows]
+    for lo in range(0, v.shape[0], _ROW_CHUNK):
+        hi = lo + _ROW_CHUNK
+        v[lo:hi] += beta[lo:hi, None] * x_mat[lo:hi]
+    return v
+
+
+def _glm_roots(s0, aq, t, deriv, rows) -> np.ndarray:
+    """Roots of psi(u) = u - s0 + aq*(deriv(u) - t), one per entry; ``rows``
+    maps entries to term indices for error messages."""
+
+    def psi(u):
+        return u - s0 + aq * (deriv(u) - t)
+
+    def below(p):
+        return np.isfinite(p) & (p <= 0.0)
+
+    deriv0 = deriv(s0)
+    r = 1.0 + np.where(np.isfinite(deriv0), np.abs(aq * (deriv0 - t)), 1.0)
+    lo, hi = s0 - r, s0 + r
+    for _ in range(_BRACKET_CAP):
+        p_hi = psi(hi)
+        down = ~below(psi(lo))  # the whole window sits above the root
+        up = ~down & np.isfinite(p_hi) & (p_hi < 0.0)  # ... or below it
+        moving = down | up
+        if not moving.any():
+            break
+        lo, hi = (np.where(down, lo - r, np.where(up, hi, lo)),
+                  np.where(down, lo, np.where(up, hi + r, hi)))
+        r = np.where(moving, 2.0 * r, r)
+    else:
+        raise ConvergenceError("could not bracket the GLM prox subproblem "
+                               f"(term {rows[np.argmax(moving)]})")
+    for _ in range(_BISECT_CAP):
+        mid = 0.5 * (lo + hi)
+        live = (hi - lo > _BETA_TOL) & (lo < mid) & (mid < hi)
+        if not live.any():
+            return mid
+        left = below(psi(mid))
+        lo = np.where(live & left, mid, lo)
+        hi = np.where(live & ~left, mid, hi)
+    raise ConvergenceError("GLM prox bisection exceeded 200 steps "
+                           f"(term {rows[np.argmax(hi - lo > _BETA_TOL)]})")
 
 
 def hinge_scalar(y: float) -> ScalarFn:

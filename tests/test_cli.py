@@ -3,9 +3,11 @@ validation messages, and the comparison pipeline."""
 
 import json
 
+import numpy as np
 import pytest
 
-from proxsplit.cli import main
+from proxsplit import cli
+from proxsplit.cli import ALGOS, main
 from proxsplit.io import read_metrics_csv
 
 
@@ -170,6 +172,74 @@ class TestSolve:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("error:") and "NumericalError" in err
         assert "(term 3)" in err
+
+    def test_glm_failure_names_term(self, tmp_path, capsys):
+        prob = _gen(tmp_path, "--n", "8", "--d", "3", "--family",
+                    "logistic", kind="glm", sub="glm")
+        t_path = prob.parent / "T.csv"
+        cells = t_path.read_text().splitlines()
+        cells[3] = "inf"
+        t_path.write_text("\n".join(cells) + "\n")
+        for algo in ("ppg", "sppg"):
+            code = main(["solve", "--problem", str(prob), "--algo", algo,
+                         "--max-iters", "5",
+                         "--metrics", str(tmp_path / "m.csv")])
+            assert code == 3
+            err = capsys.readouterr().err
+            assert len(err.strip().splitlines()) == 1
+            assert err.startswith("error:") and "NumericalError" in err
+            assert "(term 3)" in err
+
+    @pytest.mark.parametrize("algo", ["admm", "prox-grad", "spi", "finito"])
+    def test_ergodic_rejected_where_unsupported(self, tmp_path, capsys,
+                                                algo):
+        prob = _gen(tmp_path)
+        metrics = tmp_path / "m.csv"
+        code = main(["solve", "--problem", str(prob), "--algo", algo,
+                     "--ergodic", "--metrics", str(metrics)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error:") and "--ergodic" in err
+        assert not metrics.exists()
+
+    @pytest.mark.parametrize("algo", list(ALGOS))
+    def test_iters_counts_steps_taken(self, tmp_path, capsys, monkeypatch,
+                                      algo):
+        # prox-grad and finito need a smooth-only problem, admm and spi a
+        # prox-only one; no generated kind is either, so build them here
+        from conftest import abs_prox_fn, make_quadratic_term
+        from proxsplit.core import ProblemSpec, zero_prox, zero_smooth
+        rng = np.random.default_rng(4)
+        if algo in ("admm", "spi"):
+            dim, f = 1, [zero_smooth()] * 3
+            g = [abs_prox_fn(float(c)) for c in rng.standard_normal(3)]
+        else:
+            dim, g = 2, [zero_prox()] * 3
+            f = [make_quadratic_term(rng.standard_normal(2),
+                                     float(rng.standard_normal()))
+                 for _ in range(3)]
+        problem = ProblemSpec(dim=dim, n=3, r=zero_prox(), f=f, g=g)
+        monkeypatch.setattr(cli, "load_problem", lambda path, algo: problem)
+        code = main(["solve", "--problem", "unused.json", "--algo", algo,
+                     "--max-iters", "50",
+                     "--metrics", str(tmp_path / "m.csv")])
+        assert code == 0
+        assert " iters=50 " in capsys.readouterr().out
+
+    def test_meta_holds_run_metadata(self, tmp_path):
+        prob = _gen(tmp_path)
+        for algo, keys in (("ppg", ("threads", "n", "dim", "sweep")),
+                           ("sppg", ("backend", "n", "dim", "resyncs"))):
+            metrics = tmp_path / f"{algo}.csv"
+            assert main(["solve", "--problem", str(prob), "--algo", algo,
+                         "--max-iters", "6", "--threads", "2",
+                         "--metrics", str(metrics)]) == 0
+            meta = json.loads((tmp_path / f"{algo}.csv.meta.json").read_text())
+            assert meta["solver"] == algo and meta["problem_kind"]
+            for key in keys:
+                assert meta[key] is not None, key
+            assert meta["n"] == 2 and meta["dim"] == 12
 
     def test_alpha_validation_message(self, tmp_path, capsys):
         prob = _gen(tmp_path, kind="fused-lasso", sub="fl")

@@ -96,6 +96,18 @@ class TestResidualMap:
         with pytest.raises(NumericalError, match="term 1"):
             residual_map(st, problem)
 
+    def test_batched_nonfinite_names_term(self):
+        # an inf feature makes the batched hinge prox of that row NaN
+        from proxsplit.problems import SvmData, build_svm
+        feats = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, np.inf],
+                          [1.0, 1.0]])
+        problem = build_svm(SvmData(feats, np.array([1.0, -1.0, 1.0, -1.0]),
+                                    lam=0.1))
+        st = state_for(problem, np.zeros((4, 2)), alpha=1.0)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalError, match=r"\(term 2\)"):
+                residual_map(st, problem)
+
     def test_alpha_validation(self):
         problem = simple_problem([abs_prox_fn(0.0)], dim=1)
         st = state_for(problem, [[0.0]], alpha=1.0)

@@ -145,3 +145,23 @@ class TestMetrics:
         log.append(ResidualReport(k=1, residual_norm=0.0))
         with pytest.raises(ValueError, match="increasing"):
             log.append(ResidualReport(k=1, residual_norm=0.0))
+
+
+class TestGitDescribe:
+    def test_reports_the_package_checkout_from_any_directory(
+            self, tmp_path, monkeypatch):
+        import os
+        import subprocess
+
+        from proxsplit import io as pio
+        here = os.path.dirname(os.path.abspath(pio.__file__))
+        try:
+            out = subprocess.run(["git", "describe", "--always", "--dirty"],
+                                 cwd=here, capture_output=True, text=True,
+                                 timeout=10)
+        except OSError:
+            pytest.skip("git is not available")
+        if out.returncode != 0:
+            pytest.skip("the package is not in a git checkout")
+        monkeypatch.chdir(tmp_path)
+        assert pio.git_describe() == out.stdout.strip()

@@ -1,11 +1,16 @@
 """Application builders: recast identities, validation, and agreement with
 independent references on each application."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from conftest import make_quadratic_term
-from proxsplit.core import SmoothFn, objective, verify_problem, zero_prox
+from proxsplit.core import (NumericalError, SmoothFn, objective,
+                            verify_problem, zero_prox)
+from proxsplit.io import write_metrics_csv
 from proxsplit.ppg import SolveOptions, ppg_run
 from proxsplit.problems import (EdgeColoring, GroupPartition, SvmData,
                                 build_fused_lasso, build_glm,
@@ -462,6 +467,99 @@ class TestGlm:
         ref = scipy.optimize.minimize(smooth_obj, np.zeros(3),
                                       method="BFGS", tol=1e-12)
         assert np.linalg.norm(res.x - ref.x) <= 1e-5
+
+    @pytest.mark.parametrize("family", ["gaussian", "logistic", "poisson"])
+    @pytest.mark.parametrize("alpha", [1e-2, 1.0, 1e2])
+    def test_batched_prox_matches_per_term(self, rng, family, alpha):
+        x_mat = rng.standard_normal((40, 4))
+        x_mat[5] = 0.0  # a zero data row leaves its input unchanged
+        t_vec = rng.uniform(-2, 2, 40) if family == "gaussian" \
+            else rng.uniform(0, 3, 40)
+        problem = build_glm(x_mat, t_vec, glm_family(family))
+        v = rng.standard_normal((40, 4)) * 2.0
+        with np.errstate(over="ignore"):
+            want = np.array([gi.prox(v[i], alpha)
+                             for i, gi in enumerate(problem.g)])
+        got = problem.batched_g_prox(v.copy(), alpha)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-11)
+        assert np.array_equal(got[5], v[5])
+
+    def test_batched_prox_survives_steep_inputs(self):
+        # s0 = 795: exp overflows at once, as in the per-term test below
+        from proxsplit.prox import prox_glm_1d
+        fam = glm_family("poisson")
+        x_mat = np.array([[20.0, -5.0], [1.0, 0.5]])
+        t_vec = np.array([2.0, 1.0])
+        problem = build_glm(x_mat, t_vec, fam)
+        v = np.array([[40.0, 1.0], [0.3, -0.2]])
+        got = problem.batched_g_prox(v.copy(), 1.0)
+        with np.errstate(over="ignore"):
+            want = prox_glm_1d(v[0], x_mat[0], 2.0, fam, 1.0)
+        assert np.all(np.isfinite(got))
+        assert np.allclose(got[0], want, rtol=0.0, atol=1e-11)
+
+    def test_batched_prox_wide_roots(self):
+        # roots near 2e4 sit on a float grid coarser than 1e-12; the
+        # bisection stops when no float is left between its ends
+        from proxsplit.prox import prox_glm_1d
+        fam = glm_family("gaussian")
+        x_mat = np.array([[100.0, 0.0], [0.0, 150.0]])
+        t_vec = np.array([0.0, 1.0])
+        problem = build_glm(x_mat, t_vec, fam)
+        v = np.array([[200.0, 3.0], [-1.0, 160.0]])
+        got = problem.batched_g_prox(v.copy(), 1e-6)
+        for i in range(2):
+            want = prox_glm_1d(v[i], x_mat[i], t_vec[i], fam, 1e-6)
+            assert np.allclose(got[i], want, rtol=1e-13, atol=0.0)
+
+    def test_batched_prox_overwrites_its_input(self, rng):
+        problem = build_glm(rng.standard_normal((6, 3)),
+                            rng.uniform(0, 1, 6), glm_family("logistic"))
+        v = rng.standard_normal((6, 3))
+        assert problem.batched_g_prox(v, 1.0) is v
+
+    @pytest.mark.parametrize("family", ["gaussian", "logistic", "poisson"])
+    def test_batched_objective_matches_term_sum(self, rng, family):
+        x_mat = rng.standard_normal((50, 5)) / np.sqrt(5)
+        t_vec = rng.uniform(0, 3, 50)
+        problem = build_glm(x_mat, t_vec, glm_family(family))
+        termwise = dataclasses.replace(problem, batched_objective=None)
+        for _ in range(5):
+            beta = rng.standard_normal(5)
+            want = objective(beta, termwise)
+            assert objective(beta, problem) == pytest.approx(want, rel=1e-12)
+
+    def test_nonfinite_row_named(self, rng):
+        x_mat = rng.standard_normal((6, 3))
+        t_vec = rng.uniform(0, 1, 6)
+        t_vec[4] = np.inf
+        problem = build_glm(x_mat, t_vec, glm_family("logistic"))
+        with pytest.raises(NumericalError, match=r"\(term 4\)"):
+            ppg_run(problem, SolveOptions(alpha=1.0, max_iters=3))
+
+    def test_threads_leave_results_unchanged(self, rng, tmp_path):
+        x_mat = rng.standard_normal((30, 4)) / 2.0
+        t_vec = (rng.random(30) < 0.5).astype(float)
+        problem = build_glm(x_mat, t_vec, glm_family("logistic"))
+        outs = []
+        for threads in (1, 2):
+            res = ppg_run(problem, SolveOptions(alpha=1.0, max_iters=12,
+                                                threads=threads))
+            assert res.log.metadata["sweep"] == "batched"
+            for row in res.log.rows:
+                row.wall_time_s = None
+            path = tmp_path / f"m{threads}.csv"
+            write_metrics_csv(res.log, path)
+            outs.append(path.read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("handle", ["value", "deriv"])
+    def test_scalar_only_cumulant_rejected(self, handle):
+        fam = glm_family("poisson")
+        scalar_only = dataclasses.replace(
+            fam, **{handle: lambda t: math.exp(t)})
+        with pytest.raises(ValueError, match="elementwise"):
+            build_glm(np.ones((2, 2)), np.ones(2), scalar_only)
 
     def test_poisson_prox_survives_steep_inputs(self, rng):
         # exponential cumulants overflow above the root; the bracket walk
