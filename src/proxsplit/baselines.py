@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import (NumericalError, ProblemSpec, SolverState, _require_finite,
-                   chunked_row_mean, initial_state)
+from .core import (NumericalError, ProblemSpec, SolverState, _call_term,
+                   _require_finite, chunked_row_mean, initial_state)
 from .io import MetricsLog
 from .ppg import (RunResult, SolveOptions, _sampled_loop, _sweep_loop,
                   resolve_alpha)
@@ -61,21 +61,21 @@ def proximal_gradient_run(problem: ProblemSpec, opts: SolveOptions,
             if fi.is_zero:
                 rows_buf[i] = x
             else:
-                grad = fi.gradient(x)
-                _require_finite(grad, "gradient of f", i)
-                rows_buf[i] = x - alpha * grad
+                rows_buf[i] = x - alpha * _call_term(
+                    fi.gradient, i, "gradient of f", x)
         x_next = problem.r.prox(
             chunked_row_mean(rows_buf, problem.reduce_chunks), alpha)
         _require_finite(x_next, "prox of r")
         point, x = x, x_next
         return float(np.linalg.norm(point - x)) / alpha, point
 
-    rows, converged, iters = _sweep_loop(
+    rows, converged, iters, stop = _sweep_loop(
         problem, opts, step, math.sqrt(problem.dim), x_ref)
     state = SolverState(z=x[None, :].copy(), zbar=x.copy(), alpha=alpha,
                         k=iters)
     log = MetricsLog(rows=rows, metadata={
-        "solver": "prox-grad", "alpha": alpha, "problem_kind": problem.kind})
+        "solver": "prox-grad", "alpha": alpha, "problem_kind": problem.kind,
+        "stop": stop})
     return RunResult(x=x, log=log, converged=converged, state=state)
 
 
@@ -103,19 +103,20 @@ def consensus_admm_run(problem: ProblemSpec, opts: SolveOptions,
         nonlocal zc, u
         for i, gi in enumerate(problem.g):
             v = zc - u[i]
-            x_blocks[i] = v if gi.is_zero else gi.prox(v, alpha)
-            _require_finite(x_blocks[i], "prox of g", i)
+            x_blocks[i] = v if gi.is_zero else _call_term(
+                gi.prox, i, "prox of g", v, alpha)
         zc = problem.r.prox(
             chunked_row_mean(x_blocks + u, problem.reduce_chunks), alpha)
         _require_finite(zc, "prox of r")
         u += x_blocks - zc
         return float(np.linalg.norm(x_blocks - zc[None, :])) / alpha, zc
 
-    rows, converged, iters = _sweep_loop(problem, opts, step,
-                                         math.sqrt(n * d), x_ref)
+    rows, converged, iters, stop = _sweep_loop(problem, opts, step,
+                                               math.sqrt(n * d), x_ref)
     state = SolverState(z=x_blocks + u, zbar=zc.copy(), alpha=alpha, k=iters)
     log = MetricsLog(rows=rows, metadata={
-        "solver": "admm", "alpha": alpha, "problem_kind": problem.kind})
+        "solver": "admm", "alpha": alpha, "problem_kind": problem.kind,
+        "stop": stop})
     return RunResult(x=zc, log=log, converged=converged, state=state)
 
 
@@ -153,11 +154,12 @@ def stochastic_prox_iteration_run(problem: ProblemSpec, step: DiminishingStep,
                     f"non-finite values from prox of g (term {bad})")
         else:
             for t, i in enumerate(block):
-                x = problem.g[int(i)].prox(x, step.at(k + t + 1))
-                _require_finite(x, "prox of g", int(i))
+                i = int(i)
+                x = _call_term(problem.g[i].prox, i, "prox of g", x,
+                               step.at(k + t + 1))
 
     # _spi_residual is already a mean over terms; sqrt(d) makes it per entry
-    rows, converged, steps = _sampled_loop(
+    rows, converged, steps, stop = _sampled_loop(
         problem, opts, sampler,
         lambda k: (_spi_residual(x, problem, step.at(max(k, 1))), x),
         advance, math.sqrt(problem.dim), x_ref)
@@ -165,7 +167,7 @@ def stochastic_prox_iteration_run(problem: ProblemSpec, step: DiminishingStep,
                         k=steps)
     log = MetricsLog(rows=rows, metadata={
         "solver": "spi", "c": step.c, "seed": getattr(sampler, "seed", None),
-        "problem_kind": problem.kind})
+        "problem_kind": problem.kind, "stop": stop})
     return RunResult(x=x, log=log, converged=converged, state=state)
 
 
@@ -182,8 +184,9 @@ def _spi_residual(x, problem, ak) -> float:
         moved = xs[None, :] + beta[:, None] * s.features - x[None, :]
         return float(np.linalg.norm(moved)) / (ak * math.sqrt(problem.n))
     acc = 0.0
-    for gi in problem.g:
-        acc += float(np.linalg.norm(x - gi.prox(x, ak))) ** 2
+    for i, gi in enumerate(problem.g):
+        moved = x - _call_term(gi.prox, i, "prox of g", x, ak)
+        acc += float(np.linalg.norm(moved)) ** 2
     return math.sqrt(acc / problem.n) / ak
 
 
@@ -210,18 +213,17 @@ def finito_run(problem: ProblemSpec, sampler, opts: SolveOptions,
         for i in block:
             i = int(i)
             phi = w.copy()
-            grad = problem.f[i].gradient(phi)
-            _require_finite(grad, "gradient of f", i)
-            z_new = phi - alpha * grad
+            z_new = phi - alpha * _call_term(problem.f[i].gradient, i,
+                                             "gradient of f", phi)
             w += (z_new - z[i]) * (1.0 / n)
             z[i] = z_new
 
-    rows, converged, state.k = _sampled_loop(
+    rows, converged, state.k, stop = _sampled_loop(
         problem, opts, sampler, lambda k: _probe(state, problem), advance,
         math.sqrt(n * problem.dim), x_ref)
     log = MetricsLog(rows=rows, metadata={
         "solver": "finito", "alpha": alpha,
         "seed": getattr(sampler, "seed", None),
-        "problem_kind": problem.kind})
+        "problem_kind": problem.kind, "stop": stop})
     return RunResult(x=state.zbar.copy(), log=log, converged=converged,
                      state=state)

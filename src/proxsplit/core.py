@@ -6,6 +6,7 @@ term, n smooth terms, and n proximable terms.  Solvers keep one d-vector
 per term (the rows of ``SolverState.z``) plus a cached running average.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -31,6 +32,7 @@ __all__ = [
     "objective_gap",
     "verify_smooth_fn",
     "verify_prox_fn",
+    "verify_batched",
     "verify_problem",
 ]
 
@@ -135,6 +137,12 @@ class ProblemSpec:
         ``batched_g_prox(V, a)[i] == g[i].prox(V[i], a)``.  ``V`` is a
         scratch array of the caller's, so the hook may overwrite and return
         it; any array it returns is the caller's to modify.
+    batched_f_grad :
+        Optional vectorized gradient step for all n smooth terms at one
+        point: ``batched_f_grad(V, x, a)`` subtracts ``a * f[i].gradient(x)``
+        from row i of the caller's scratch array ``V``, in place, and
+        returns nothing.  Stepping ``V`` in place, rather than returning an
+        n x d gradient block, keeps the sweep's peak memory unchanged.
     batched_objective :
         Optional vectorized evaluation of the full objective at one point,
         equal to the term-by-term sum up to rounding.
@@ -152,6 +160,8 @@ class ProblemSpec:
     kind: str = ""
     structure: Any = None
     batched_g_prox: Callable[[np.ndarray, float], np.ndarray] | None = None
+    batched_f_grad: (Callable[[np.ndarray, np.ndarray, float], None]
+                     | None) = None
     batched_objective: Callable[[np.ndarray], float] | None = None
     reduce_chunks: int = 0
 
@@ -176,6 +186,11 @@ class ProblemSpec:
 
     def all_g_zero(self) -> bool:
         return all(fn.is_zero for fn in self.g)
+
+    def batched_sweep(self) -> bool:
+        """Whether a full sweep runs through a vectorized hook."""
+        return (self.batched_g_prox is not None
+                or self.batched_f_grad is not None)
 
 
 @dataclass
@@ -245,10 +260,21 @@ def chunked_row_mean(z: np.ndarray, n_chunks: int) -> np.ndarray:
     return total / n
 
 
-def _require_finite(arr: np.ndarray, what: str, index: int | None = None):
+def _require_finite(arr: np.ndarray, what: str):
     if not np.all(np.isfinite(arr)):
-        where = "" if index is None else f" (term {index})"
-        raise NumericalError(f"non-finite values from {what}{where}")
+        raise NumericalError(f"non-finite values from {what}")
+
+
+def _call_term(fn: Callable, i: int, what: str, *args) -> np.ndarray:
+    """``fn(*args)`` for term i, checked finite.  A :class:`SolverError`
+    raised inside ``fn``, or by the check, gets ``(term i)`` appended."""
+    try:
+        out = fn(*args)
+        _require_finite(out, what)
+    except SolverError as exc:
+        exc.args = (f"{exc} (term {i})",)
+        raise
+    return out
 
 
 def _require_finite_rows(block: np.ndarray, what: str):
@@ -285,29 +311,23 @@ def _term_points(x_half: np.ndarray, z: np.ndarray, problem: ProblemSpec,
                  alpha: float) -> np.ndarray:
     """Per-term prox points x_i = prox_{a g_i}(2 x_half - z_i - a grad f_i),
     in a fresh array the caller may modify."""
-    if problem.all_f_zero():
-        v = 2.0 * x_half[None, :] - z
+    v = 2.0 * x_half[None, :] - z
+    if problem.batched_f_grad is not None:
+        problem.batched_f_grad(v, x_half, alpha)
+        _require_finite_rows(v, "gradient of f")
     else:
-        v = np.empty_like(z)
         for i, fi in enumerate(problem.f):
-            if fi.is_zero:
-                v[i] = 2.0 * x_half - z[i]
-            else:
-                grad = fi.gradient(x_half)
-                _require_finite(grad, "gradient of f", i)
-                v[i] = 2.0 * x_half - z[i] - alpha * grad
+            if not fi.is_zero:
+                v[i] -= alpha * _call_term(fi.gradient, i, "gradient of f",
+                                           x_half)
     if problem.batched_g_prox is not None:
         x_terms = problem.batched_g_prox(v, alpha)
         _require_finite_rows(x_terms, "prox of g")
         return x_terms
-    x_terms = np.empty_like(z)
     for i, gi in enumerate(problem.g):
-        if gi.is_zero:
-            x_terms[i] = v[i]
-        else:
-            x_terms[i] = gi.prox(v[i], alpha)
-            _require_finite(x_terms[i], "prox of g", i)
-    return x_terms
+        if not gi.is_zero:
+            v[i] = _call_term(gi.prox, i, "prox of g", v[i], alpha)
+    return v
 
 
 def objective(x: np.ndarray, problem: ProblemSpec) -> float | None:
@@ -397,12 +417,49 @@ def verify_prox_fn(fn: ProxFn, dim: int, rng, n_pairs: int = 1000,
                 f"firm nonexpansiveness violated: {lhs} > {rhs} + {slack}")
 
 
+def verify_batched(problem: ProblemSpec, rng, n_points: int = 5,
+                   rtol: float = 1e-12) -> None:
+    """Check each batched hook against the per-term handles it replaces,
+    at random points and step sizes; blocks agree to ``rtol`` in norm."""
+    n, d = problem.n, problem.dim
+    termwise = dataclasses.replace(problem, batched_objective=None)
+
+    def require_close(got, want, what):
+        if not np.linalg.norm(got - want) <= rtol * np.linalg.norm(want):
+            raise AssertionError(f"{what} disagrees with the per-term handles")
+
+    for _ in range(n_points):
+        a = math.exp(rng.uniform(math.log(1e-2), math.log(1e2)))
+        x = rng.standard_normal(d)
+        v = rng.standard_normal((n, d)) * 3.0
+        if problem.batched_g_prox is not None:
+            want = np.array([gi.prox(v[i], a)
+                             for i, gi in enumerate(problem.g)])
+            require_close(problem.batched_g_prox(v.copy(), a), want,
+                          "batched_g_prox")
+        if problem.batched_f_grad is not None:
+            want = v - a * np.array([fi.gradient(x) for fi in problem.f])
+            got = v.copy()
+            problem.batched_f_grad(got, x, a)
+            require_close(got, want, "batched_f_grad")
+        if problem.batched_objective is not None:
+            for point in (x, 1e-3 * x):
+                got = objective(point, problem)
+                want = objective(point, termwise)
+                if not (got == want or math.isclose(got, want, rel_tol=rtol)):
+                    raise AssertionError(
+                        f"batched_objective {got} disagrees with the "
+                        f"per-term sum {want}")
+
+
 def verify_problem(problem: ProblemSpec, rng, n_pairs: int = 200,
                    n_points: int = 5) -> None:
-    """Run the handle-level checks on every term of a built problem."""
+    """Run the handle-level checks on every term of a built problem, and
+    check its batched hooks against the per-term handles."""
     verify_prox_fn(problem.r, problem.dim, rng, n_pairs=n_pairs)
     for fn in problem.f:
         if not fn.is_zero:
             verify_smooth_fn(fn, problem.dim, rng, n_points=n_points)
     for fn in problem.g:
         verify_prox_fn(fn, problem.dim, rng, n_pairs=n_pairs)
+    verify_batched(problem, rng, n_points=n_points)

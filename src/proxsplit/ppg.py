@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ProblemSpec, ResidualReport, SolverState, _require_finite,
-                   _term_points, chunked_row_mean, initial_state, objective)
+from .core import (ProblemSpec, ResidualReport, SolverState, _call_term,
+                   _require_finite, _term_points, chunked_row_mean,
+                   initial_state, objective)
 from .io import MetricsLog
 
 __all__ = ["SolveOptions", "RunResult", "resolve_alpha", "ppg_step",
@@ -77,7 +78,9 @@ class _Ergodic:
 # Every solver supplies only its update and its residual; the two loops below
 # own the record cadence, the tolerance test and the metrics rows.  A
 # solver's residual divided by its ``scale`` is the root-mean-square residual
-# per entry, which is what ``SolveOptions.tol`` bounds.
+# per entry, which is what ``SolveOptions.tol`` bounds.  Both loops also say
+# why they stopped: "tol" when the tolerance was met, "budget" when
+# ``max_iters`` ran out first; solvers record it as ``metadata["stop"]``.
 
 
 def _report(problem: ProblemSpec, k: int, resid: float, point: np.ndarray,
@@ -102,8 +105,8 @@ def _sweep_loop(problem: ProblemSpec, opts: SolveOptions, step,
     ``step()`` advances one iteration and returns its residual norm and the
     point its row reports on.  The tolerance is tested every iteration;
     rows are kept every ``record_every`` iterations (default 1), at the stop
-    and at the last iteration.  Returns the rows, whether the run converged
-    and the number of iterations taken.
+    and at the last iteration.  Returns the rows, whether the run
+    converged, the number of iterations taken and the stop reason.
     """
     rec = opts.record_every if opts.record_every else 1
     rows = []
@@ -115,8 +118,8 @@ def _sweep_loop(problem: ProblemSpec, opts: SolveOptions, step,
             rows.append(_report(problem, k, resid, point, float(k), x_ref,
                                 time.perf_counter() - t0))
         if stopping:
-            return rows, True, k + 1
-    return rows, opts.tol <= 0, max(opts.max_iters, 0)
+            return rows, True, k + 1, "tol"
+    return rows, opts.tol <= 0, max(opts.max_iters, 0), "budget"
 
 
 def _sampled_loop(problem: ProblemSpec, opts: SolveOptions, sampler, probe,
@@ -129,7 +132,8 @@ def _sampled_loop(problem: ProblemSpec, opts: SolveOptions, sampler, probe,
     probes ``advance(k, indices)`` takes one block of steps.  Blocks end at
     record rows and epoch boundaries, and their indices are drawn per
     block, so memory does not grow with the step budget.  Returns the rows,
-    whether the run converged and the number of steps taken.
+    whether the run converged, the number of steps taken and the stop
+    reason.
     """
     n, total = problem.n, opts.max_iters
     rec = opts.record_every if opts.record_every else n
@@ -142,9 +146,9 @@ def _sampled_loop(problem: ProblemSpec, opts: SolveOptions, sampler, probe,
             rows.append(_report(problem, k, resid, point, k / n, x_ref,
                                 time.perf_counter() - t0))
             if opts.tol > 0 and resid / scale <= opts.tol:
-                return rows, True, k
+                return rows, True, k, "tol"
         if k >= total:
-            return rows, opts.tol <= 0, k
+            return rows, opts.tol <= 0, k, "budget"
         nxt = min((k // rec + 1) * rec, (k // n + 1) * n, total)
         advance(k, sampler.take(nxt - k))
         k = nxt
@@ -188,10 +192,11 @@ def _sweep(state: SolverState, problem: ProblemSpec, pool=None):
     where row i of ``delta`` is x_i - x_half, and advances z and zbar in
     place.  ||delta|| / alpha is the residual ||p(z)||.
 
-    With a pool (never given for a problem with a batched prox), rows are
-    processed in the same fixed chunks used by the mean reduction and
-    partial sums combine in chunk order, so the result is independent of
-    the worker count.
+    A pool is given only for a problem without batched hooks (see
+    :meth:`ProblemSpec.batched_sweep`), whose sweep runs term by term.
+    Rows are then processed in the same fixed chunks used by the mean
+    reduction and partial sums combine in chunk order, so the result is
+    independent of the worker count.
     """
     alpha = state.alpha
     x_half = problem.r.prox(state.zbar, alpha)
@@ -214,11 +219,10 @@ def _sweep(state: SolverState, problem: ProblemSpec, pool=None):
             fi, gi = problem.f[i], problem.g[i]
             v = 2.0 * x_half - z[i]
             if not fi.is_zero:
-                grad = fi.gradient(x_half)
-                _require_finite(grad, "gradient of f", i)
-                v -= alpha * grad
-            xi = v if gi.is_zero else gi.prox(v, alpha)
-            _require_finite(xi, "prox of g", i)
+                v -= alpha * _call_term(fi.gradient, i, "gradient of f",
+                                        x_half)
+            xi = v if gi.is_zero else _call_term(gi.prox, i, "prox of g",
+                                                 v, alpha)
             delta[i] = xi - x_half
             z[i] += delta[i]
         return z[lo:hi].sum(axis=0)
@@ -258,7 +262,7 @@ def ppg_run(problem: ProblemSpec, opts: SolveOptions,
     state = initial_state(problem, alpha, warm_start)
     threads = resolve_threads(opts.threads)
     erg = _Ergodic(problem.dim) if opts.ergodic else None
-    pooled = threads > 1 and problem.batched_g_prox is None
+    pooled = threads > 1 and not problem.batched_sweep()
     with ThreadPoolExecutor(threads) if pooled else nullcontext() as pool:
 
         # The previous sweep's arrays stay alive until the next sweep has
@@ -275,14 +279,15 @@ def ppg_run(problem: ProblemSpec, opts: SolveOptions,
                 erg.add(x_half)
             return float(np.linalg.norm(delta)) / alpha, x_half
 
-        rows, converged, _ = _sweep_loop(
+        rows, converged, _, stop = _sweep_loop(
             problem, opts, step, math.sqrt(problem.n * problem.dim), x_ref)
     x_out = problem.r.prox(state.zbar, alpha)
     log = MetricsLog(rows=rows, metadata={
         "solver": "ppg", "alpha": alpha, "problem_kind": problem.kind,
         "n": problem.n, "dim": problem.dim, "threads": threads,
-        "sweep": ("batched" if problem.batched_g_prox is not None
+        "sweep": ("batched" if problem.batched_sweep()
                   else "pool" if pooled else "per-term"),
+        "stop": stop,
     })
     return RunResult(x=x_out, log=log, converged=converged, state=state,
                      ergodic=None if erg is None else erg.average())

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import (NumericalError, ProblemSpec, SolverState, _require_finite,
-                   chunked_row_mean, initial_state, residual_map)
+from .core import (NumericalError, ProblemSpec, SolverState, _call_term,
+                   _require_finite, chunked_row_mean, initial_state,
+                   residual_map)
 from .io import MetricsLog
 from .ppg import (RunResult, SolveOptions, _Ergodic, _report, _sampled_loop,
                   resolve_alpha)
@@ -84,11 +85,8 @@ def _advance_one(state: SolverState, problem: ProblemSpec, i: int):
     fi, gi = problem.f[i], problem.g[i]
     v = 2.0 * x_half - state.z[i]
     if not fi.is_zero:
-        grad = fi.gradient(x_half)
-        _require_finite(grad, "gradient of f", i)
-        v -= alpha * grad
-    xi = v if gi.is_zero else gi.prox(v, alpha)
-    _require_finite(xi, "prox of g", i)
+        v -= alpha * _call_term(fi.gradient, i, "gradient of f", x_half)
+    xi = v if gi.is_zero else _call_term(gi.prox, i, "prox of g", v, alpha)
     delta = xi - x_half
     state.z[i] += delta
     state.zbar += delta * (1.0 / problem.n)
@@ -172,7 +170,7 @@ def sppg_run(problem: ProblemSpec, opts: SolveOptions, sampler,
         if (k + len(block)) % n == 0:
             resyncs += _resync(state, problem)
 
-    rows, converged, _ = _sampled_loop(
+    rows, converged, _, stop = _sampled_loop(
         problem, opts, sampler, lambda k: _probe(state, problem), advance,
         math.sqrt(n * problem.dim), x_ref)
     x_out = problem.r.prox(state.zbar, alpha)
@@ -181,6 +179,7 @@ def sppg_run(problem: ProblemSpec, opts: SolveOptions, sampler,
         "problem_kind": problem.kind, "n": problem.n, "dim": problem.dim,
         "resyncs": resyncs,
         "backend": kernels.resolved_backend() if fast else "numpy",
+        "stop": stop,
     })
     return RunResult(x=x_out, log=log, converged=converged, state=state,
                      ergodic=None if erg is None else erg.average())

@@ -9,9 +9,10 @@ from conftest import abs_prox_fn, lasso_problem, make_quadratic_term, \
 from proxsplit.baselines import (DiminishingStep, consensus_admm_run,
                                  finito_run, proximal_gradient_run,
                                  stochastic_prox_iteration_run)
-from proxsplit.core import SmoothFn, objective, zero_prox
+from proxsplit.core import (ConvergenceError, ProxFn, SmoothFn, objective,
+                            zero_prox)
 from proxsplit.ppg import SolveOptions, ppg_run
-from proxsplit.sppg import IndexSampler
+from proxsplit.sppg import IndexSampler, sppg_run
 
 
 class TestProximalGradient:
@@ -243,3 +244,78 @@ def test_all_baselines_share_metrics_schema(rng, tmp_path):
         write_metrics_csv(res.log, path)
         back = read_metrics_csv(path)
         assert len(back.rows) == len(res.log.rows)
+
+
+def _failing(term, n, kind):
+    """An n-term problem whose term ``term`` raises inside its prox (kind
+    "prox", every f zero) or its gradient (kind "gradient", every g zero)."""
+    def fail(*args):
+        raise ConvergenceError("inner solve failed")
+
+    if kind == "prox":
+        g = [abs_prox_fn(0.0)] * n
+        g[term] = ProxFn(prox=fail)
+        return simple_problem(g, dim=2)
+    f = [make_quadratic_term(np.ones(2), 0.0)] * n
+    f[term] = SmoothFn(value=lambda x: 0.0, gradient=fail, lipschitz=1.0)
+    return simple_problem([], dim=2, terms_f=f)
+
+
+@pytest.mark.parametrize("solver", ["admm", "spi", "prox-grad", "finito"])
+def test_raising_handle_names_term(solver):
+    # a SolverError from inside a per-term handle carries the term index
+    kind = "prox" if solver in ("admm", "spi") else "gradient"
+    problem = _failing(2, 4, kind)
+    opts = SolveOptions(alpha=0.5, max_iters=20)
+    run = {
+        "admm": lambda: consensus_admm_run(problem, opts),
+        "spi": lambda: stochastic_prox_iteration_run(
+            problem, DiminishingStep(1.0), IndexSampler(0, 4), opts),
+        "prox-grad": lambda: proximal_gradient_run(problem, opts),
+        "finito": lambda: finito_run(problem, IndexSampler(0, 4), opts),
+    }[solver]
+    with pytest.raises(ConvergenceError,
+                       match=r"^inner solve failed \(term 2\)$"):
+        run()
+
+
+def test_spi_step_names_failing_term():
+    # the probe at k=0 passes; the failure comes from a sampled step
+    calls = []
+
+    def fail_later(x0, a):
+        calls.append(1)
+        if len(calls) > 3:
+            raise ConvergenceError("inner solve failed")
+        return np.array(x0, dtype=float, copy=True)
+
+    g = [abs_prox_fn(0.0)] * 3
+    g[1] = ProxFn(prox=fail_later)
+    problem = simple_problem(g, dim=2)
+    with pytest.raises(ConvergenceError, match=r"\(term 1\)$"):
+        stochastic_prox_iteration_run(
+            problem, DiminishingStep(1.0), IndexSampler(0, 3),
+            SolveOptions(max_iters=50))
+
+
+def test_every_solver_records_stop_reason(rng):
+    smooth = lasso_problem(rng, m=4, d=3)
+    prox_only = prox_only_problem(rng, n=3, d=2)
+    rows = [make_quadratic_term(rng.standard_normal(2), 0.0)
+            for _ in range(3)]
+    smooth_only = simple_problem([], dim=2, terms_f=rows)
+    # tol=1e3 is met at every solver's first check, tol=0 never
+    for tol, stop in ((0.0, "budget"), (1e3, "tol")):
+        opts = SolveOptions(max_iters=5, tol=tol)
+        runs = {
+            "ppg": ppg_run(smooth, opts),
+            "sppg": sppg_run(smooth, opts, IndexSampler(0, smooth.n)),
+            "prox-grad": proximal_gradient_run(smooth, opts),
+            "admm": consensus_admm_run(prox_only, opts),
+            "spi": stochastic_prox_iteration_run(
+                prox_only, DiminishingStep(1.0), IndexSampler(0, 3), opts),
+            "finito": finito_run(smooth_only, IndexSampler(0, 3), opts),
+        }
+        for name, res in runs.items():
+            assert res.log.metadata["stop"] == stop, (name, tol)
+            assert res.converged

@@ -190,6 +190,38 @@ class TestSolve:
             assert err.startswith("error:") and "NumericalError" in err
             assert "(term 3)" in err
 
+    @pytest.mark.parametrize("algo", ["admm", "spi"])
+    def test_glm_prox_failure_names_term(self, tmp_path, capsys, algo):
+        # inf in T.csv makes the per-term GLM prox unable to bracket its
+        # root; the error names the term it came from
+        prob = _gen(tmp_path, "--n", "8", "--d", "3", "--family",
+                    "logistic", kind="glm", sub="glm")
+        t_path = prob.parent / "T.csv"
+        cells = t_path.read_text().splitlines()
+        cells[3] = "inf"
+        t_path.write_text("\n".join(cells) + "\n")
+        code = main(["solve", "--problem", str(prob), "--algo", algo,
+                     "--max-iters", "5",
+                     "--metrics", str(tmp_path / "m.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: ConvergenceError:")
+        assert err.rstrip().endswith("(term 3)")
+
+    @pytest.mark.parametrize("algo,tol,stop", [
+        ("ppg", "0", "budget"), ("ppg", "1e3", "tol"),
+        ("sppg", "0", "budget"), ("sppg", "1e3", "tol")])
+    def test_stop_reason_in_meta_not_csv(self, tmp_path, algo, tol, stop):
+        prob = _gen(tmp_path)
+        metrics = tmp_path / "m.csv"
+        main(["solve", "--problem", str(prob), "--algo", algo,
+              "--max-iters", "6", "--tol", tol, "--metrics", str(metrics)])
+        meta = json.loads((tmp_path / "m.csv.meta.json").read_text())
+        assert meta["stop"] == stop
+        text = metrics.read_text()
+        assert "stop" not in text and stop not in text
+
     @pytest.mark.parametrize("algo", ["admm", "prox-grad", "spi", "finito"])
     def test_ergodic_rejected_where_unsupported(self, tmp_path, capsys,
                                                 algo):

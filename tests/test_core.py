@@ -1,15 +1,18 @@
 """Problem model: residual map examples against the 1-D grid oracle,
 objective evaluation, the signed gap surrogate, and handle validation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import abs_prox_fn, grid_prox_scalar, make_quadratic_term, \
     simple_problem
-from proxsplit.core import (NumericalError, ProblemSpec, ProxFn, SmoothFn,
-                            SolverState, chunked_row_mean, initial_state,
-                            objective, objective_gap, residual_map,
-                            verify_smooth_fn, zero_prox, zero_smooth)
+from proxsplit.core import (ConvergenceError, NumericalError, ProblemSpec,
+                            ProxFn, SmoothFn, SolverState, chunked_row_mean,
+                            initial_state, objective, objective_gap,
+                            residual_map, verify_batched, verify_smooth_fn,
+                            zero_prox, zero_smooth)
 
 
 def state_for(problem, z, alpha):
@@ -94,6 +97,24 @@ class TestResidualMap:
         problem = simple_problem([abs_prox_fn(0.0), bad], dim=1)
         st = state_for(problem, [[0.0], [1.0]], alpha=1.0)
         with pytest.raises(NumericalError, match="term 1"):
+            residual_map(st, problem)
+
+    @pytest.mark.parametrize("handle", ["prox", "gradient"])
+    def test_raising_handle_names_term(self, handle):
+        # a SolverError raised inside a per-term handle gains its index
+        def fail(*args):
+            raise ConvergenceError("inner solve failed")
+
+        g = [abs_prox_fn(0.0)] * 3
+        f = [make_quadratic_term(np.ones(1), 0.0)] * 3
+        if handle == "prox":
+            g[2] = ProxFn(prox=fail)
+        else:
+            f[2] = SmoothFn(value=lambda x: 0.0, gradient=fail, lipschitz=1.0)
+        problem = simple_problem(g, dim=1, terms_f=f)
+        st = state_for(problem, np.zeros((3, 1)), alpha=0.5)
+        with pytest.raises(ConvergenceError,
+                           match=r"^inner solve failed \(term 2\)$"):
             residual_map(st, problem)
 
     def test_batched_nonfinite_names_term(self):
@@ -233,3 +254,37 @@ class TestProblemSpec:
         # same chunk count must give bitwise equal results on repeat calls
         z = rng.standard_normal((23, 3))
         assert np.array_equal(chunked_row_mean(z, 7), chunked_row_mean(z, 7))
+
+
+class TestVerifyBatched:
+    @staticmethod
+    def _problem(rng):
+        from proxsplit.problems import build_fused_lasso
+        return build_fused_lasso(rng.standard_normal((3, 4)),
+                                 rng.standard_normal(3), 0.1, 0.5)
+
+    def test_consistent_hooks_pass(self, rng):
+        verify_batched(self._problem(rng), rng)
+
+    def test_wrong_prox_caught(self, rng):
+        problem = self._problem(rng)
+        wrong = replace(problem, batched_g_prox=lambda v, a: (
+            problem.batched_g_prox(v, a) * (1.0 + 1e-9)))
+        with pytest.raises(AssertionError, match="batched_g_prox"):
+            verify_batched(wrong, rng)
+
+    def test_wrong_gradient_caught(self, rng):
+        problem = self._problem(rng)
+
+        def half_step(v, x, a):
+            problem.batched_f_grad(v, x, 0.5 * a)
+
+        with pytest.raises(AssertionError, match="batched_f_grad"):
+            verify_batched(replace(problem, batched_f_grad=half_step), rng)
+
+    def test_wrong_objective_caught(self, rng):
+        problem = self._problem(rng)
+        wrong = replace(problem, batched_objective=lambda x: (
+            problem.batched_objective(x) + 1e-6))
+        with pytest.raises(AssertionError, match="batched_objective"):
+            verify_batched(wrong, rng)

@@ -159,6 +159,29 @@ class TestRunBehavior:
         res = ppg_run(problem, SolveOptions(max_iters=3, tol=1e-14))
         assert not res.converged
 
+    def test_stop_reason_tol(self, rng):
+        res = ppg_run(lasso_problem(rng), SolveOptions(max_iters=5000,
+                                                       tol=1e-6))
+        assert res.converged and res.log.metadata["stop"] == "tol"
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-14])
+    def test_stop_reason_budget(self, rng, tol):
+        res = ppg_run(lasso_problem(rng), SolveOptions(max_iters=3, tol=tol))
+        assert len(res.log.rows) == 3
+        assert res.log.metadata["stop"] == "budget"
+
+    def test_pool_names_failing_term(self, rng):
+        from proxsplit.core import ConvergenceError, ProxFn
+
+        def fail(x0, a):
+            raise ConvergenceError("inner solve failed")
+
+        g = [abs_prox_fn(0.0)] * 4
+        g[3] = ProxFn(prox=fail)
+        problem = simple_problem(g, dim=2)
+        with pytest.raises(ConvergenceError, match=r"\(term 3\)$"):
+            ppg_run(problem, SolveOptions(alpha=1.0, max_iters=2, threads=2))
+
     def test_ergodic_average(self, rng):
         problem = lasso_problem(rng, m=5, d=4)
         alpha = 0.3 / problem.lipschitz_bound()

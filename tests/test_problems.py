@@ -242,6 +242,11 @@ class TestSvm:
         from conftest import tiny_svm
         verify_problem(tiny_svm(rng, n=5, d=3), rng, n_pairs=150)
 
+    def test_invariant_suite_folded(self, rng):
+        from conftest import tiny_svm
+        verify_problem(tiny_svm(rng, n=5, d=3, fold_ridge=True), rng,
+                       n_pairs=150)
+
 
 class TestFusedLasso:
     def test_unbounded_eps_matches_plain_lasso(self, rng):
@@ -296,6 +301,111 @@ class TestFusedLasso:
         problem = build_fused_lasso(rng.standard_normal((4, 5)),
                                     rng.standard_normal(4), 0.1, 0.3)
         verify_problem(problem, rng, n_pairs=150)
+
+    def test_invariant_suite_unbounded_eps(self, rng):
+        problem = build_fused_lasso(rng.standard_normal((4, 5)),
+                                    rng.standard_normal(4), 0.1, np.inf)
+        verify_problem(problem, rng, n_pairs=150)
+
+    def test_batched_objective_infeasible_is_inf(self, rng):
+        problem = build_fused_lasso(rng.standard_normal((4, 5)),
+                                    rng.standard_normal(4), 0.1, 0.3)
+        termwise = dataclasses.replace(problem, batched_objective=None)
+        x = np.array([0.0, 0.1, 0.2, 0.3, 0.61])  # only the last jump
+        assert objective(x, problem) == objective(x, termwise) == math.inf
+        x[4] = 0.6 + 1e-10  # within the reporting slack
+        assert objective(x, problem) == pytest.approx(
+            objective(x, termwise), rel=1e-12)
+        assert math.isfinite(objective(x, problem))
+
+    def test_batched_hooks_step_their_input(self, rng):
+        problem = build_fused_lasso(rng.standard_normal((3, 6)),
+                                    rng.standard_normal(3), 0.1, 0.2)
+        v = rng.standard_normal((6, 6))
+        x = rng.standard_normal(6)
+        want = v - 0.5 * np.array([fi.gradient(x) for fi in problem.f])
+        assert problem.batched_f_grad(v, x, 0.5) is None
+        assert np.allclose(v, want, rtol=1e-14, atol=0.0)
+        assert problem.batched_g_prox(v, 0.5) is v
+
+    @staticmethod
+    def _fused_pair(rng, n=30, d=12, eps=0.2):
+        problem = build_fused_lasso(rng.standard_normal((n, d)),
+                                    rng.standard_normal(n), 0.05, eps)
+        termwise = dataclasses.replace(problem, batched_g_prox=None,
+                                       batched_f_grad=None,
+                                       batched_objective=None)
+        return problem, termwise
+
+    @staticmethod
+    def _close_runs(fast, slow):
+        assert len(fast.log.rows) == len(slow.log.rows)
+        for a, b in zip(fast.log.rows, slow.log.rows):
+            assert a.k == b.k
+            assert a.residual_norm == pytest.approx(b.residual_norm,
+                                                    rel=1e-12)
+            assert a.objective == pytest.approx(b.objective, rel=1e-12)
+        assert np.allclose(fast.x, slow.x, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("eps", [0.2, np.inf])
+    def test_ppg_matches_per_term_path(self, rng, eps):
+        problem, termwise = self._fused_pair(rng, eps=eps)
+        opts = SolveOptions(max_iters=60)
+        fast, slow = ppg_run(problem, opts), ppg_run(termwise, opts)
+        self._close_runs(fast, slow)
+        assert fast.log.metadata["sweep"] == "batched"
+        assert slow.log.metadata["sweep"] == "per-term"
+
+    def test_sppg_matches_per_term_path(self, rng):
+        from proxsplit.sppg import IndexSampler, sppg_run
+        problem, termwise = self._fused_pair(rng)
+        opts = SolveOptions(max_iters=6 * problem.n)
+        self._close_runs(
+            sppg_run(problem, opts, IndexSampler(3, problem.n)),
+            sppg_run(termwise, opts, IndexSampler(3, problem.n)))
+
+    def test_full_sweeps_bypass_per_term_handles(self, rng):
+        # every full sweep, and sppg's per-epoch probe, must run through
+        # the batched hooks; only sppg's single-term steps use the handles
+        from proxsplit.sppg import IndexSampler, sppg_run
+        problem, _ = self._fused_pair(rng)
+        calls = {"prox": 0, "grad": 0}
+
+        def counted(key, fn):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapped
+
+        counting = dataclasses.replace(
+            problem,
+            g=tuple(dataclasses.replace(gi, prox=counted("prox", gi.prox))
+                    for gi in problem.g),
+            f=tuple(dataclasses.replace(
+                fi, gradient=counted("grad", fi.gradient))
+                for fi in problem.f))
+        for threads in (1, 2):
+            res = ppg_run(counting, SolveOptions(max_iters=5,
+                                                 threads=threads))
+            assert res.log.metadata["sweep"] == "batched"
+        assert calls == {"prox": 0, "grad": 0}
+        steps = 3 * problem.n
+        sppg_run(counting, SolveOptions(max_iters=steps),
+                 IndexSampler(0, problem.n))
+        assert calls == {"prox": steps, "grad": steps}
+
+    def test_threads_leave_results_unchanged(self, rng, tmp_path):
+        problem, _ = self._fused_pair(rng)
+        outs = []
+        for threads in (1, 2, 1):
+            res = ppg_run(problem, SolveOptions(max_iters=30,
+                                                threads=threads))
+            for row in res.log.rows:
+                row.wall_time_s = None
+            path = tmp_path / f"m{threads}.csv"
+            write_metrics_csv(res.log, path)
+            outs.append(path.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
 
 
 def _hypercube_q3():
@@ -449,6 +559,13 @@ class TestGlm:
         t_vec = rng.standard_normal(5)
         problem = build_glm(x_mat, t_vec, glm_family("gaussian"))
         verify_problem(problem, rng, n_pairs=100)
+
+    @pytest.mark.parametrize("family", ["logistic", "poisson"])
+    def test_invariant_suite_other_families(self, rng, family):
+        problem = build_glm(rng.standard_normal((5, 3)),
+                            rng.uniform(0, 3, 5), glm_family(family))
+        with np.errstate(over="ignore"):
+            verify_problem(problem, rng, n_pairs=100)
 
     def test_poisson_matches_smooth_reference(self, rng):
         import scipy.optimize

@@ -179,6 +179,43 @@ class TestReductions:
 
 
 class TestRunBehavior:
+    def test_stop_reason_tol(self, rng):
+        problem = prox_only_problem(rng, n=3, d=2)
+        res = sppg_run(problem, SolveOptions(alpha=1.0, max_iters=30000,
+                                             tol=1e-3),
+                       IndexSampler(0, problem.n))
+        assert res.converged and res.state.k < 30000
+        assert res.log.metadata["stop"] == "tol"
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-14])
+    def test_stop_reason_budget(self, rng, tol):
+        problem = prox_only_problem(rng, n=3, d=2)
+        res = sppg_run(problem, SolveOptions(alpha=1.0, max_iters=7, tol=tol),
+                       IndexSampler(0, problem.n))
+        assert res.state.k == 7
+        assert res.log.metadata["stop"] == "budget"
+
+    @pytest.mark.parametrize("handle", ["prox", "gradient"])
+    def test_single_step_names_failing_term(self, handle):
+        from proxsplit.core import ConvergenceError, ProxFn, SmoothFn
+
+        def fail(*args):
+            raise ConvergenceError("inner solve failed")
+
+        g = [abs_prox_fn(0.0)] * 3
+        f = [make_quadratic_term(np.ones(2), 0.0)] * 3
+        if handle == "prox":
+            g[1] = ProxFn(prox=fail)
+        else:
+            f[1] = SmoothFn(value=lambda x: 0.0, gradient=fail, lipschitz=1.0)
+        problem = simple_problem(g, dim=2, terms_f=f)
+        state = initial_state(problem, 0.5)
+        sppg_step(state, problem, SequenceSampler([0, 2]))
+        sppg_step(state, problem, SequenceSampler([2]))
+        with pytest.raises(ConvergenceError,
+                           match=r"^inner solve failed \(term 1\)$"):
+            sppg_step(state, problem, SequenceSampler([1]))
+
     def test_zero_problem_converges_immediately(self):
         problem = simple_problem([abs_prox_fn(0.0)], dim=2)
         res = sppg_run(problem, SolveOptions(alpha=1.0, max_iters=1),
