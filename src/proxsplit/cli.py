@@ -74,6 +74,9 @@ def _config_from(path: str | None, args) -> RunConfig:
         raise ValueError("a problem description file is required")
     if cfg.max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {cfg.max_iters}")
+    if cfg.record_every is not None and cfg.record_every < 1:
+        raise ValueError(
+            f"record_every must be at least 1, got {cfg.record_every}")
     return cfg
 
 
@@ -264,6 +267,8 @@ def _fmt_cell(v):
 
 
 def cmd_compare(args) -> int:
+    if args.ref_iters is not None and args.ref_iters < 1:
+        raise ValueError(f"ref_iters must be at least 1, got {args.ref_iters}")
     cfgs = []
     for path in args.configs:
         ns = argparse.Namespace(**{f.name: None for f in fields(RunConfig)})

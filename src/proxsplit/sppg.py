@@ -141,8 +141,8 @@ def sppg_run(problem: ProblemSpec, opts: SolveOptions, sampler,
 
     One epoch is n steps.  The recording cadence defaults to once per
     epoch, which keeps the amortized per-step cost at O(d).  Problems
-    carrying a hinge structure hint run through the compiled kernel when
-    the numba backend is active; the update rule is identical.  With
+    carrying a hinge structure hint run through the hinge kernel (compiled
+    with numba, or its numpy twin); the update rule is identical.  With
     ``opts.ergodic`` the run also returns the running average of the
     prox-r points (accumulated per step, so the kernel path is skipped).
     """

@@ -158,6 +158,24 @@ class TestSolve:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "m.csv").exists()
 
+    @pytest.mark.parametrize("every", ["0", "-2"])
+    @pytest.mark.parametrize("algo", ["ppg", "sppg", "spi"])
+    def test_record_every_below_one_rejected(self, tmp_path, capsys, algo,
+                                             every):
+        out = tmp_path / "svm"
+        assert main(["gen", "svm", "--out", str(out), "--n", "30",
+                     "--d", "5", "--seed", "2"]) == 0
+        capsys.readouterr()
+        code = main(["solve", "--problem", str(out / "problem.json"),
+                     "--algo", algo, "--max-iters", "20",
+                     "--record-every", every,
+                     "--metrics", str(tmp_path / "m.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "record_every" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "m.csv").exists()
+
     def test_solver_failure_exit_three(self, tmp_path, capsys):
         prob = _gen(tmp_path, "--n", "8", kind="fused-lasso", sub="fl")
         y_path = prob.parent / "y.csv"
@@ -340,6 +358,34 @@ class TestCompare:
         assert main(["compare", c1, c2,
                      "--out", str(tmp_path / "o.csv")]) == 1
         assert "same problem" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ref_iters", ["0", "-5"])
+    def test_ref_iters_below_one_rejected(self, tmp_path, capsys, ref_iters):
+        prob = _gen(tmp_path)
+        c1 = self._write_cfg(tmp_path, "c1.json", problem=str(prob),
+                             algo="ppg", max_iters=10)
+        c2 = self._write_cfg(tmp_path, "c2.json", problem=str(prob),
+                             algo="admm", max_iters=10)
+        out = tmp_path / "o.csv"
+        assert main(["compare", c1, c2, "--out", str(out),
+                     "--ref-iters", ref_iters]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "ref_iters" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_record_every_below_one_in_config_rejected(self, tmp_path,
+                                                       capsys):
+        prob = _gen(tmp_path)
+        c1 = self._write_cfg(tmp_path, "c1.json", problem=str(prob),
+                             algo="ppg", max_iters=10, record_every=-2)
+        c2 = self._write_cfg(tmp_path, "c2.json", problem=str(prob),
+                             algo="admm", max_iters=10)
+        out = tmp_path / "o.csv"
+        assert main(["compare", c1, c2, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "record_every" in err
+        assert not out.exists()
 
     def test_multi_seed_aggregation(self, tmp_path):
         prob = _gen(tmp_path)
