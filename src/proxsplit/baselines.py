@@ -167,7 +167,8 @@ def stochastic_prox_iteration_run(problem: ProblemSpec, step: DiminishingStep,
                         k=steps)
     log = MetricsLog(rows=rows, metadata={
         "solver": "spi", "c": step.c, "seed": getattr(sampler, "seed", None),
-        "problem_kind": problem.kind, "stop": stop})
+        "problem_kind": problem.kind, "stop": stop,
+        "path": "kernel" if fast else "per-term"})
     return RunResult(x=x, log=log, converged=converged, state=state)
 
 

@@ -1,33 +1,44 @@
 """Accelerated inner loops for structured problems.
 
 The stochastic solvers advance one term per step at O(d) cost, so runs at
-realistic sizes execute hundreds of thousands of tiny updates; for problems
-carrying a recognized structure hint these loops are compiled with numba.
-Without numba the hint selects a numpy twin of each kernel.  The sppg twin
-takes each run of up to ``SPPG_RUN`` consecutive distinct rows with three
-BLAS products and a scalar recurrence over the run, in place of a dozen
-small vector operations per step.  The per-term handles of the problem
+realistic sizes execute hundreds of thousands of tiny updates; problems
+carrying a recognized structure hint skip the per-term handles.  Hinge and
+GLM rows share one form, g_i(u) = phi_i(f_i'u), whose prox moves u along
+f_i by a scalar beta of s = f_i'u.  So one numpy sppg kernel,
+:func:`rank_one_sppg_block`, serves both: it takes each run of up to
+``SPPG_RUN`` consecutive distinct rows with three BLAS products and a
+scalar recurrence over the run, in place of a dozen small vector
+operations per step, and only the recurrence (the structure's
+``run_betas``) differs between the kinds.  Hinge rows also have loops
+compiled with numba, for sppg and the spi baseline; without numba the
+hinge hint selects the numpy kernels.  The per-term handles of the problem
 remain the reference implementation.
 
 Backend selection:
     PROXSPLIT_BACKEND=auto    use numba when importable (default)
     PROXSPLIT_BACKEND=numba   require numba, error if missing
-    PROXSPLIT_BACKEND=numpy   force the numpy twins
+    PROXSPLIT_BACKEND=numpy   force the numpy kernels
 
 ``set_backend`` overrides the environment for the current process (used by
-tests and the benchmark).  Each backend is individually deterministic; the
-backends and the per-term path agree to floating-point rounding, not
-bitwise, because their sums associate differently.
+tests and the benchmark); it selects between the hinge kernels only.  Each
+backend is individually deterministic; the backends and the per-term path
+agree to floating-point rounding, not bitwise, because their sums
+associate differently.
 """
 
 import math
 import os
 from dataclasses import dataclass
 from operator import mul
+from typing import Callable, ClassVar
 
 import numpy as np
 
-__all__ = ["HingeStructure", "resolved_backend", "set_backend", "numba_available"]
+from .core import ConvergenceError
+from .prox import glm_root
+
+__all__ = ["HingeStructure", "GlmStructure", "rank_one_sppg_block",
+           "resolved_backend", "set_backend", "numba_available"]
 
 _VALID = ("auto", "numba", "numpy")
 _override = None
@@ -92,6 +103,59 @@ class HingeStructure:
     ridge: float
     folded: bool = False
 
+    def run_betas(self, rows, base, coupling, own, sq, alpha):
+        """The clip coefficients of one run of :func:`rank_one_sppg_block`;
+        stops short at the first non-finite step."""
+        y = self.labels[rows].tolist()
+        beta = []
+        for k in range(len(base)):
+            s = 2.0 * (base[k] + sum(map(mul, coupling[k], beta))) - own[k]
+            # a zero row divides by zero: reported like any non-finite step
+            m = (1.0 - y[k] * s) / sq[k] if sq[k] else math.inf
+            if not math.isfinite(m):
+                break
+            beta.append(min(max(m, 0.0), alpha) * y[k])
+        return beta
+
+
+@dataclass(frozen=True)
+class GlmStructure:
+    """Marks a problem as generalized-linear-model rows and nothing else:
+    term i is A(f_i'x) - t_i f_i'x for the cumulant derivative ``deriv``,
+    with ``sqnorms`` the squared row norms of ``features`` and no ridge.
+    """
+
+    features: np.ndarray
+    sqnorms: np.ndarray
+    responses: np.ndarray
+    deriv: Callable
+    ridge: ClassVar[float] = 0.0
+    folded: ClassVar[bool] = False
+
+    def run_betas(self, rows, base, coupling, own, sq, alpha):
+        """The prox coefficients of one run of :func:`rank_one_sppg_block`:
+        beta = (t - s)/q with t the root of :func:`prox.glm_root`.  A zero
+        data row gives beta = 0; a non-finite step ends the run short."""
+        resp = self.responses[rows].tolist()
+        deriv = self.deriv
+        beta = []
+        try:
+            for k in range(len(base)):
+                s = 2.0 * (base[k] + sum(map(mul, coupling[k], beta))) - own[k]
+                q = sq[k]
+                if not q:
+                    beta.append(0.0)
+                    continue
+                aq = alpha * q
+                if not (math.isfinite(s) and math.isfinite(aq)
+                        and math.isfinite(resp[k])):
+                    break
+                beta.append((glm_root(s, aq, resp[k], deriv) - s) / q)
+        except ConvergenceError as exc:
+            exc.args = (f"{exc} (term {rows[k]})",)
+            raise
+        return beta
+
 
 @njit(cache=True)
 def _hinge_sppg_block(z, zbar, feats, labels, sqnorms, ridge, alpha, idx):
@@ -138,64 +202,64 @@ def _distinct_runs(order, limit):
         start = end
 
 
-def _hinge_sppg_block_numpy(z, zbar, feats, labels, sqnorms, ridge, alpha, idx):
-    """Numpy twin of the compiled block: the same update, taken a run of up
-    to ``SPPG_RUN`` distinct rows at a time.
+def rank_one_sppg_block(z, zbar, struct, alpha, idx):
+    """Advance the single-term stochastic sweep over the given index block
+    for rank-one rows, a run of up to ``SPPG_RUN`` distinct rows at a time.
 
-    A step on row i sets z_i = w + beta_i f_i and moves zbar by the change
-    over n, where w = shrink*zbar.  Over a run of distinct rows k = 0..B-1
-    with rows z0_k and f_k at its start, c = shrink/n and g = 1 + c,
+    ``struct`` gives the rows f_i (``features``), their squared norms
+    (``sqnorms``), the ridge held in r (``ridge``), and ``run_betas``, the
+    scalar part that tells hinge from GLM rows.  A step on row i sets
+    z_i = w + beta_i f_i and moves zbar by the change over n, where
+    w = shrink*zbar and shrink = 1/(1 + alpha*ridge).  Over a run of
+    distinct rows k = 0..B-1 with rows z0_k and f_k at its start,
+    c = shrink/n and g = 1 + c,
 
         w_k = g^k w0 + c sum_{j<k} g^(k-1-j) (beta_j f_j - z0_j),
 
-    so the margins f_k.(2 w_k - z0_k) need only the products F w0, F Z0'
-    and F F' and the run's earlier betas.  The betas follow by a forward
-    recurrence of one short dot each; then z[rows] and zbar are written
-    once.  Mutates z and zbar in place; returns the offending term index on
-    a non-finite update, else -1, with the steps before it applied.
+    so the points s_k = f_k.(2 w_k - z0_k) whose prox the step takes need
+    only the products F w0, F Z0' and F F' and the run's earlier betas.
+    ``struct.run_betas`` turns them into the betas by a forward recurrence
+    of one short dot each; then z[rows] and zbar are written once.
+    Mutates z and zbar in place; returns the offending term index on a
+    non-finite update, else -1, with the steps before it applied.
     """
     n = z.shape[0]
-    shrink = 1.0 / (1.0 + alpha * ridge)
+    feats, sqnorms = struct.features, struct.sqnorms
+    shrink = 1.0 / (1.0 + alpha * struct.ridge)
     c = shrink / n
     steps = np.arange(SPPG_RUN)
     lag = steps[:, None] - steps[None, :] - 1
     # weight[k, j] = c g^(k-1-j) for j < k: what step j adds to w_k
     weight = np.where(lag >= 0, c * (1.0 + c) ** np.maximum(lag, 0), 0.0)
     growth = (1.0 + c) ** steps
-    for start, end in _distinct_runs(idx.tolist(), SPPG_RUN):
-        rows = idx[start:end]
-        size = end - start
-        f = feats[rows]
-        z0 = z[rows]
-        w0 = shrink * zbar
-        cross = f @ z0.T
-        wt = weight[:size, :size]
-        gk = growth[:size]
-        # f_k.w_k less the beta terms, which the recurrence adds
-        base = (gk * (f @ w0) - (wt * cross).sum(1)).tolist()
-        gram = f @ f.T
-        gram *= wt
-        coupling = gram.tolist()
-        own = cross.diagonal().tolist()
-        y = labels[rows].tolist()
-        sq = sqnorms[rows].tolist()
-        beta = []
-        for k in range(size):
-            s = 2.0 * (base[k] + sum(map(mul, coupling[k], beta))) - own[k]
-            # a zero row divides by zero: reported like any non-finite step
-            m = (1.0 - y[k] * s) / sq[k] if sq[k] else math.inf
-            if not math.isfinite(m):
-                break
-            beta.append(min(max(m, 0.0), alpha) * y[k])
-        b = len(beta)
-        u = f[:b] * np.array(beta)[:, None] - z0[:b]
-        delta = wt[:b, :b] @ u
-        delta += gk[:b, None] * w0
-        delta += u
-        z[rows[:b]] = z0[:b] + delta
-        zbar += delta.sum(0) * (1.0 / n)
-        if b < size:
-            return int(rows[b])
+    # a non-finite row turns its products into NaN without a warning; the
+    # recurrence then stops there and the caller reports the term
+    with np.errstate(invalid="ignore", over="ignore"):
+        for start, end in _distinct_runs(idx.tolist(), SPPG_RUN):
+            rows = idx[start:end]
+            size = end - start
+            f = feats[rows]
+            z0 = z[rows]
+            w0 = shrink * zbar
+            cross = f @ z0.T
+            wt = weight[:size, :size]
+            gk = growth[:size]
+            # f_k.w_k less the beta terms, which the recurrence adds
+            base = (gk * (f @ w0) - (wt * cross).sum(1)).tolist()
+            gram = f @ f.T
+            gram *= wt
+            beta = struct.run_betas(rows, base, gram.tolist(),
+                                    cross.diagonal().tolist(),
+                                    sqnorms[rows].tolist(), alpha)
+            b = len(beta)
+            u = f[:b] * np.array(beta)[:, None] - z0[:b]
+            delta = wt[:b, :b] @ u
+            delta += gk[:b, None] * w0
+            delta += u
+            z[rows[:b]] = z0[:b] + delta
+            zbar += delta.sum(0) * (1.0 / n)
+            if b < size:
+                return int(rows[b])
     return -1
 
 
@@ -242,10 +306,12 @@ def _hinge_spi_block_numpy(x, feats, labels, sqnorms, ridge, c, k0, idx):
 
 
 def hinge_sppg_block(z, zbar, struct: HingeStructure, alpha, idx):
-    fn = (_hinge_sppg_block if resolved_backend() == "numba"
-          else _hinge_sppg_block_numpy)
-    return fn(z, zbar, struct.features, struct.labels, struct.sqnorms,
-              struct.ridge, alpha, idx)
+    """The sppg block on hinge rows: the compiled kernel under numba, else
+    :func:`rank_one_sppg_block`."""
+    if resolved_backend() == "numba":
+        return _hinge_sppg_block(z, zbar, struct.features, struct.labels,
+                                 struct.sqnorms, struct.ridge, alpha, idx)
+    return rank_one_sppg_block(z, zbar, struct, alpha, idx)
 
 
 def hinge_spi_block(x, struct: HingeStructure, c, k0, idx):

@@ -157,7 +157,9 @@ def _sampled_loop(problem: ProblemSpec, opts: SolveOptions, sampler, probe,
 def resolve_alpha(problem: ProblemSpec, alpha: float | None) -> float:
     """Validate or choose the step size against the gradient bound L.
 
-    Defaults to 1/L.  Steps at or beyond 2/L are rejected; steps at or
+    Defaults to 1/L.  With every f_i zero any alpha > 0 converges, so the
+    default is 1.0 without comment; smooth terms without a bound also get
+    1.0, with a warning.  Steps at or beyond 2/L are rejected; steps at or
     beyond 1.5/L only draw a warning (convergence is still guaranteed below
     2/L, the tighter constant is what the rate analysis uses).
     """
@@ -165,7 +167,9 @@ def resolve_alpha(problem: ProblemSpec, alpha: float | None) -> float:
     if alpha is None:
         if lip > 0:
             return 1.0 / lip
-        warnings.warn("no Lipschitz bound available; defaulting alpha to 1.0")
+        if not problem.all_f_zero():
+            warnings.warn(
+                "no Lipschitz bound available; defaulting alpha to 1.0")
         return 1.0
     if not alpha > 0:
         raise ValueError("alpha must be positive")

@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import ProblemSpec, ProxFn, SmoothFn, scale_prox, scale_smooth, \
     zero_prox, zero_smooth
-from .kernels import HingeStructure
+from .kernels import GlmStructure, HingeStructure
 from .prox import (CachedQuadraticProx, ScalarFn, prox_glm_1d, prox_glm_rows,
                    prox_hinge, prox_quadratic, soft_threshold_scalar,
                    soft_threshold_vector)
@@ -559,8 +559,9 @@ def build_glm(x_mat: np.ndarray, t_vec: np.ndarray,
     whose ``value`` and ``deriv`` handles must map arrays elementwise.
     Every term is handled through its prox (the one-dimensional reduction
     along its own data row); there is no smooth or global part.  Full
-    sweeps solve all rows' reductions at once; single-term steps use the
-    per-term handles.
+    sweeps solve all rows' reductions at once; sppg steps run through the
+    blocked rank-one kernel that the attached :class:`GlmStructure`
+    selects, and other single-term steps use the per-term handles.
     """
     x_mat = np.asarray(x_mat, dtype=float)
     t_vec = np.asarray(t_vec, dtype=float)
@@ -586,5 +587,8 @@ def build_glm(x_mat: np.ndarray, t_vec: np.ndarray,
         f=tuple(zero_smooth() for _ in range(n)),
         g=tuple(make_g(i) for i in range(n)),
         kind="glm",
+        structure=GlmStructure(
+            features=x_mat, sqnorms=np.einsum("ij,ij->i", x_mat, x_mat),
+            responses=t_vec, deriv=a1d.deriv),
         batched_g_prox=lambda v, a: prox_glm_rows(v, x_mat, t_vec, a1d, a),
         batched_objective=batched_objective)

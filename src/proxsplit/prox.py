@@ -15,7 +15,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .core import ConvergenceError, NumericalError
 
@@ -35,12 +34,16 @@ __all__ = [
     "prox_scaled_sq_norm",
     "prox_quadratic",
     "prox_glm_1d",
+    "glm_root",
     "prox_glm_rows",
 ]
 
 _BISECT_CAP = 200
 _BRACKET_CAP = 60
 _BETA_TOL = 1e-12
+# steps of the scalar GLM root: at most 3 per bisection, and 63 bisections
+# in the asinh scale shrink any finite bracket to a few floats
+_ROOT_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -220,6 +223,10 @@ def prox_hinge(x0: np.ndarray, a: np.ndarray, y: float,
     q = float(a @ a)
     if q == 0.0:
         raise ValueError("a must be nonzero")
+    if not math.isfinite(q) and not np.isfinite(a).all():
+        # NaN out, for the caller to report by term, without the warnings
+        # that the products with a non-finite row would raise
+        return np.full(x0.shape, np.nan)
     beta = min(max((1.0 - y * float(a @ x0)) / q, 0.0), alpha)
     return x0 + (beta * y) * a
 
@@ -273,8 +280,8 @@ def prox_glm_1d(x0: np.ndarray, xi: np.ndarray, ti: float, a1d: ScalarFn,
     A(xi'b) - ti*xi'b for a convex differentiable cumulant A.
 
     Reduces along xi to the scalar root t + alpha*q*(A'(t) - ti) = s0,
-    solved by a bracketed safeguarded method to 1e-12; xi = 0 makes the
-    term constant and x0 is returned unchanged.
+    solved to 1e-12 by the safeguarded method of :func:`glm_root`; xi = 0
+    makes the term constant and x0 is returned unchanged.
     """
     xi = np.asarray(xi, dtype=float)
     x0 = np.asarray(x0, dtype=float)
@@ -284,16 +291,50 @@ def prox_glm_1d(x0: np.ndarray, xi: np.ndarray, ti: float, a1d: ScalarFn,
     if a1d.deriv is None:
         raise ValueError("a1d must supply a derivative handle")
     s0 = float(xi @ x0)
-    aq = alpha * q
+    t = glm_root(s0, alpha * q, ti, a1d.deriv)
+    return x0 + ((t - s0) / q) * xi
+
+
+def glm_root(s0: float, aq: float, ti: float, deriv) -> float:
+    """Root of psi(t) = t - s0 + aq*(deriv(t) - ti) for a nondecreasing
+    ``deriv`` (the derivative of a convex cumulant), to 1e-12.
+
+    psi' >= 1, so the root lies between s0 and s0 - psi(s0), and
+    |psi(t)| <= 1e-12 bounds |t - root| by 1e-12.  A safeguarded secant
+    method (:func:`_regula_falsi`) runs on that bracket; it stops at
+    |psi(t)| <= 1e-12, or when the interval known to hold the root is at
+    most 1e-12 wide or the bracket holds no float between its ends.  When
+    psi(s0) overflows (a steep cumulant), or psi(s0 - psi(s0)) does below
+    the root, the bracket comes from the window walk of
+    :func:`_glm_bracket`.  Raises :class:`ConvergenceError` when no
+    bracket is found (a non-finite response, for one) or the step cap is
+    hit.
+    """
 
     def psi(t):
-        return t - s0 + aq * (a1d.deriv(t) - ti)
+        return t - s0 + aq * (float(deriv(t)) - ti)
 
-    # psi is increasing, so bracket by walking a window: non-finite values
-    # (steep cumulants overflowing) can only occur above the root, finite
-    # negatives only below it.
-    deriv0 = a1d.deriv(s0)
-    r = 1.0 + (abs(aq * (deriv0 - ti)) if math.isfinite(deriv0) else 1.0)
+    p0 = aq * (float(deriv(s0)) - ti)
+    if p0 == 0.0:
+        return s0
+    if math.isfinite(p0):
+        t1 = s0 - p0
+        p1 = psi(t1)
+        if p0 < 0.0:
+            # t1 lies above the root, where psi may overflow to +inf
+            return _regula_falsi(psi, s0, p0, t1, p1)
+        if math.isfinite(p1):
+            return _regula_falsi(psi, t1, p1, s0, p0)
+    return _regula_falsi(psi, *_glm_bracket(psi, s0, p0))
+
+
+def _glm_bracket(psi, s0: float, p0: float):
+    """(lo, psi(lo), hi, psi(hi)) with psi(lo) <= 0 <= psi(hi), both
+    finite, found by walking a window out from s0; p0 = psi(s0)."""
+    # psi is increasing, so non-finite values (steep cumulants
+    # overflowing) can only occur above the root, finite negatives only
+    # below it.  An overflowing psi(s0) gives the window a unit radius.
+    r = 1.0 + (abs(p0) if math.isfinite(p0) else 1.0)
     lo, hi = s0 - r, s0 + r
     for _ in range(_BRACKET_CAP):
         plo = psi(lo)
@@ -312,18 +353,76 @@ def prox_glm_1d(x0: np.ndarray, xi: np.ndarray, ti: float, a1d: ScalarFn,
             hi = 0.5 * (lo + hi)
             phi = psi(hi)
         if not math.isfinite(phi):
-            raise ConvergenceError("could not bracket the GLM prox subproblem")
-        if phi < 0.0:
-            lo = hi
-            hi = hi + r
-            r *= 2.0
-        else:
             break
+        if phi >= 0.0:
+            return lo, plo, hi, phi
+        lo = hi
+        hi = hi + r
+        r *= 2.0
+    raise ConvergenceError("could not bracket the GLM prox subproblem")
+
+
+def _regula_falsi(psi, lo: float, plo: float, hi: float,
+                  phi: float) -> float:
+    """Root of psi on [lo, hi], psi(lo) <= 0 <= psi(hi), for psi' >= 1;
+    psi(hi) may be +inf.
+
+    psi' >= 1 puts the root in [a, b] = [hi - psi(hi), lo - psi(lo)]
+    clipped to the bracket, so the method stops once that interval is at
+    most 1e-12 wide.  Steps are regula falsi with the Illinois rule (an
+    end kept twice in a row has its value halved), clipped to [a, b] and
+    moved one float inside the bracket when they round onto an end.  When
+    two steps in a row fail to halve the width of [a, b] relative to the
+    size of its ends, or psi(hi) is infinite, the next step bisects [a, b]
+    in the asinh scale, which is arithmetic near zero and geometric far
+    from it, so a bracket spanning many orders of magnitude closes in a
+    few dozen bisections.
+    """
+    flo, fhi = plo, phi  # interpolation values, halved by the Illinois rule
+    side = 0  # the end the last step moved: -1 lo, 1 hi
+    ref, stale = math.inf, 0
+    for _ in range(_ROOT_CAP):
+        a = hi - phi if hi - phi > lo else lo
+        b = lo - plo if lo - plo < hi else hi
+        if not b - a > _BETA_TOL:
+            break
+        spread = (b - a) / (1.0 + abs(a) + abs(b))
+        if spread <= 0.5 * ref:
+            ref, stale = spread, 0
+        else:
+            stale += 1
+        if stale < 2 and fhi != math.inf:
+            t = lo - flo * ((hi - lo) / (fhi - flo))
+            if t < a:
+                t = a
+            elif t > b:
+                t = b
+            if not lo < t < hi:
+                t = (math.nextafter(hi, lo) if t >= hi
+                     else math.nextafter(lo, hi))
+        else:
+            t = math.sinh(0.5 * (math.asinh(a) + math.asinh(b)))
+            if not a < t < b:
+                t = 0.5 * (a + b)
+            side = 0
+        if not lo < t < hi:
+            break  # no float left between the ends
+        p = psi(t)
+        if abs(p) <= _BETA_TOL:
+            return t
+        if p < 0.0:
+            lo, plo, flo = t, p, p
+            if side < 0:
+                fhi *= 0.5
+            side = -1
+        else:
+            hi, phi, fhi = t, p, p
+            if side > 0:
+                flo *= 0.5
+            side = 1
     else:
-        raise ConvergenceError("could not bracket the GLM prox subproblem")
-    t = scipy.optimize.brentq(psi, lo, hi, xtol=_BETA_TOL, maxiter=600)
-    beta = (t - s0) / q
-    return x0 + beta * xi
+        raise ConvergenceError(f"GLM prox root exceeded {_ROOT_CAP} steps")
+    return 0.5 * (a + b)
 
 
 # rows per in-place update of prox_glm_rows; bounds its temporary to a
@@ -370,8 +469,9 @@ def _glm_roots(s0, aq, t, deriv, rows) -> np.ndarray:
     def below(p):
         return np.isfinite(p) & (p <= 0.0)
 
-    deriv0 = deriv(s0)
-    r = 1.0 + np.where(np.isfinite(deriv0), np.abs(aq * (deriv0 - t)), 1.0)
+    # an overflowing psi(s0) gives the window a unit radius
+    p0 = np.abs(aq * (deriv(s0) - t))
+    r = 1.0 + np.where(np.isfinite(p0), p0, 1.0)
     lo, hi = s0 - r, s0 + r
     for _ in range(_BRACKET_CAP):
         p_hi = psi(hi)

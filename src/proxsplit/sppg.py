@@ -128,10 +128,17 @@ def _resync(state: SolverState, problem: ProblemSpec) -> int:
     return 0
 
 
-def _hinge_fast_path(problem: ProblemSpec, opts: SolveOptions) -> bool:
+def _block_kernel(problem: ProblemSpec, opts: SolveOptions):
+    """The kernel that advances whole index blocks of this run, or None
+    for the per-term path: rank-one rows (a structure with ``run_betas``)
+    whose ridge sits in r, no smooth terms, and no ergodic average."""
     s = problem.structure
-    return (isinstance(s, kernels.HingeStructure) and not s.folded
-            and not opts.ergodic and problem.all_f_zero())
+    if (not hasattr(s, "run_betas") or s.folded or opts.ergodic
+            or not problem.all_f_zero()):
+        return None
+    if isinstance(s, kernels.HingeStructure):
+        return kernels.hinge_sppg_block
+    return kernels.rank_one_sppg_block
 
 
 def sppg_run(problem: ProblemSpec, opts: SolveOptions, sampler,
@@ -141,23 +148,24 @@ def sppg_run(problem: ProblemSpec, opts: SolveOptions, sampler,
 
     One epoch is n steps.  The recording cadence defaults to once per
     epoch, which keeps the amortized per-step cost at O(d).  Problems
-    carrying a hinge structure hint run through the hinge kernel (compiled
-    with numba, or its numpy twin); the update rule is identical.  With
-    ``opts.ergodic`` the run also returns the running average of the
-    prox-r points (accumulated per step, so the kernel path is skipped).
+    carrying a hinge or GLM structure hint run through the blocked
+    rank-one kernel (hinge rows through the compiled kernel under numba);
+    the update rule is identical.  ``log.metadata["path"]`` says which
+    ran: ``kernel`` or ``per-term``.  With ``opts.ergodic`` the run also
+    returns the running average of the prox-r points (accumulated per
+    step, so the kernel path is skipped).
     """
     alpha = resolve_alpha(problem, opts.alpha)
     state = initial_state(problem, alpha, warm_start)
     n = problem.n
-    fast = _hinge_fast_path(problem, opts)
+    kernel = _block_kernel(problem, opts)
     erg = _Ergodic(problem.dim) if opts.ergodic else None
     resyncs = 0
 
     def advance(k, block):
         nonlocal resyncs
-        if fast:
-            bad = kernels.hinge_sppg_block(
-                state.z, state.zbar, problem.structure, alpha, block)
+        if kernel is not None:
+            bad = kernel(state.z, state.zbar, problem.structure, alpha, block)
             if bad >= 0:
                 raise NumericalError(
                     f"non-finite values from prox of g (term {bad})")
@@ -178,7 +186,10 @@ def sppg_run(problem: ProblemSpec, opts: SolveOptions, sampler,
         "solver": "sppg", "alpha": alpha, "seed": getattr(sampler, "seed", None),
         "problem_kind": problem.kind, "n": problem.n, "dim": problem.dim,
         "resyncs": resyncs,
-        "backend": kernels.resolved_backend() if fast else "numpy",
+        "path": "per-term" if kernel is None else "kernel",
+        "backend": (kernels.resolved_backend() if kernel is not None
+                    and isinstance(problem.structure, kernels.HingeStructure)
+                    else "numpy"),
         "stop": stop,
     })
     return RunResult(x=x_out, log=log, converged=converged, state=state,

@@ -100,6 +100,21 @@ def tiny_svm(rng, n=12, d=3, lam=0.1, **kwargs):
     return build_svm(SvmData(feats, labels, lam=lam), **kwargs)
 
 
+def tiny_glm(rng, family, n=12, d=3):
+    """A GLM of the given family with responses drawn from the model."""
+    from proxsplit.problems import build_glm, glm_family
+    x_mat = rng.standard_normal((n, d)) / np.sqrt(d)
+    eta = x_mat @ rng.standard_normal(d)
+    if family == "logistic":
+        mean = 0.5 * (1.0 + np.tanh(0.5 * eta))
+        t_vec = (rng.random(n) < mean).astype(float)
+    elif family == "poisson":
+        t_vec = rng.poisson(np.exp(eta)).astype(float)
+    else:
+        t_vec = eta + 0.3 * rng.standard_normal(n)
+    return build_glm(x_mat, t_vec, glm_family(family))
+
+
 def simple_problem(terms_g, dim=1, r=None, terms_f=None):
     """Assemble a ProblemSpec from loose term lists (zeros filled in)."""
     n = max(len(terms_g), len(terms_f or []))

@@ -290,6 +290,19 @@ class TestSolve:
             for key in keys:
                 assert meta[key] is not None, key
             assert meta["n"] == 2 and meta["dim"] == 12
+        assert meta["path"] == "per-term"
+
+    @pytest.mark.parametrize("kind,algo,path", [
+        ("glm", "sppg", "kernel"), ("svm", "sppg", "kernel"),
+        ("svm", "spi", "kernel"), ("glm", "spi", "per-term")])
+    def test_meta_names_code_path(self, tmp_path, kind, algo, path):
+        prob = _gen(tmp_path, kind=kind, sub=kind)
+        metrics = tmp_path / "m.csv"
+        assert main(["solve", "--problem", str(prob), "--algo", algo,
+                     "--max-iters", "6", "--metrics", str(metrics)]) == 0
+        meta = json.loads((tmp_path / "m.csv.meta.json").read_text())
+        assert meta["path"] == path
+        assert "path" not in metrics.read_text()
 
     def test_alpha_validation_message(self, tmp_path, capsys):
         prob = _gen(tmp_path, kind="fused-lasso", sub="fl")

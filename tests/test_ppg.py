@@ -3,6 +3,7 @@ monotonicity, and determinism across thread counts."""
 
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ import pytest
 from conftest import abs_prox_fn, lasso_problem, make_quadratic_term, \
     prox_only_problem, simple_problem
 from proxsplit.baselines import consensus_admm_run, proximal_gradient_run
-from proxsplit.core import SolverState, chunked_row_mean, initial_state, \
-    residual_map, zero_prox
+from proxsplit.core import SmoothFn, SolverState, chunked_row_mean, \
+    initial_state, residual_map, zero_prox
 from proxsplit.io import write_metrics_csv
 from proxsplit.ppg import SolveOptions, ppg_run, ppg_step, resolve_alpha
 
@@ -306,6 +307,23 @@ class TestOptions:
     def test_default_alpha_is_inverse_l(self, rng):
         problem = lasso_problem(rng)
         assert resolve_alpha(problem, None) == 1.0 / problem.lipschitz_bound()
+
+    def test_default_alpha_silent_without_smooth_terms(self, rng):
+        # every f_i is zero, so any alpha > 0 converges: nothing to warn of
+        from proxsplit.problems import build_glm, glm_family
+        problem = build_glm(rng.standard_normal((6, 3)), rng.uniform(0, 1, 6),
+                            glm_family("logistic"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve_alpha(problem, None) == 1.0
+
+    def test_default_alpha_warns_for_unbounded_smooth_term(self):
+        # a nonzero f that reports no Lipschitz bound keeps the warning
+        unbounded = SmoothFn(value=lambda x: float(np.sum(x ** 4)),
+                             gradient=lambda x: 4.0 * x ** 3)
+        problem = simple_problem([abs_prox_fn(1.0)], terms_f=[unbounded])
+        with pytest.warns(UserWarning, match="no Lipschitz bound"):
+            assert resolve_alpha(problem, None) == 1.0
 
     def test_thread_default_from_env(self, monkeypatch):
         from proxsplit.ppg import resolve_threads

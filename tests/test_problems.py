@@ -615,6 +615,20 @@ class TestGlm:
         assert np.all(np.isfinite(got))
         assert np.allclose(got[0], want, rtol=0.0, atol=1e-11)
 
+    def test_batched_prox_near_exp_overflow(self):
+        # aq*(exp(s0) - ti) overflows at s0 = 707: the bracket walk starts
+        # from a unit window instead of an infinite one
+        fam = glm_family("poisson")
+        problem = build_glm(np.array([[1.0, 0.0], [0.5, 1.0]]),
+                            np.array([1.0, 2.0]), fam)
+        v = np.array([[707.0, 0.0], [0.3, -0.2]])
+        got = problem.batched_g_prox(v.copy(), 2000.0)
+        with np.errstate(over="ignore"):
+            want = np.array([gi.prox(v[i], 2000.0)
+                             for i, gi in enumerate(problem.g)])
+        assert np.all(np.isfinite(got))
+        assert np.allclose(got, want, rtol=0.0, atol=1e-11)
+
     def test_batched_prox_wide_roots(self):
         # roots near 2e4 sit on a float grid coarser than 1e-12; the
         # bisection stops when no float is left between its ends

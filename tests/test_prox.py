@@ -8,8 +8,9 @@ import scipy.linalg
 from conftest import grid_prox_scalar, prox_objective
 from proxsplit.core import ProxFn, verify_prox_fn
 from proxsplit.prox import (CachedQuadraticProx, Interval, ScalarFn,
-                            hinge_scalar, prox_affine_1d, prox_glm_1d,
-                            prox_hinge, prox_pair_diff, prox_pair_sum,
+                            glm_root, hinge_scalar, prox_affine_1d,
+                            prox_glm_1d, prox_hinge, prox_pair_diff,
+                            prox_pair_sum,
                             prox_quadratic, prox_scaled_sq_norm,
                             prox_sum_coupling, project_interval,
                             soft_threshold_matrix, soft_threshold_scalar,
@@ -359,6 +360,50 @@ class TestProxGlm:
                         t = float(xi @ out)
                         resid = t - s0 + alpha * q * (fam.deriv(t) - ti)
                     assert abs(resid) <= 1e-6 * (1.0 + abs(t) + abs(s0))
+
+    @pytest.mark.parametrize("s0", [700.0, 707.0])
+    def test_poisson_prox_near_exp_overflow(self, s0):
+        # aq*(exp(s0) - ti) overflows at s0 = 707, and at 700 it spans
+        # 600 orders of magnitude; the root is a small t either way
+        from proxsplit.problems import glm_family
+        alpha = 2000.0
+        with np.errstate(over="ignore"):
+            out = prox_glm_1d(np.array([s0, 0.0]), np.array([1.0, 0.0]), 1.0,
+                              glm_family("poisson"), alpha)
+        t = float(out[0])
+        assert out[1] == 0.0 and 0.0 < t < 1.0
+        assert abs(t - s0 + alpha * (np.exp(t) - 1.0)) <= 1e-9
+
+    @pytest.mark.parametrize("family", ["gaussian", "logistic", "poisson"])
+    def test_root_within_tolerance_across_scales(self, family):
+        # against a bisection run down to adjacent floats; s0 - psi(s0)
+        # spans from 1e-6 to 1e12 across the grid
+        from proxsplit.problems import glm_family
+        deriv = glm_family(family).deriv
+
+        def reference(s0, aq, ti):
+            def psi(t):
+                return t - s0 + aq * (float(deriv(t)) - ti)
+            lo, hi = -1.0, 1.0
+            while psi(lo) > 0.0:
+                lo *= 2.0
+            while not psi(hi) >= 0.0:  # a NaN from overflow counts as above
+                hi *= 2.0
+            while lo < 0.5 * (lo + hi) < hi:
+                mid = 0.5 * (lo + hi)
+                if psi(mid) <= 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            return lo, hi
+
+        with np.errstate(over="ignore"):
+            for s0 in (-30.0, -1.0, 0.3, 5.0, 40.0):
+                for aq in (1e-6, 1e-2, 1.0, 1e2, 1e6):
+                    for ti in (0.0, 1.0, 3.0):
+                        t = glm_root(s0, aq, ti, deriv)
+                        lo, hi = reference(s0, aq, ti)
+                        assert lo - 1e-12 <= t <= hi + 1e-12, (s0, aq, ti)
 
     def test_logistic_local_optimality(self, rng):
         from proxsplit.problems import glm_family
