@@ -14,7 +14,8 @@ import numpy as np
 
 from . import kernels
 from .core import (NumericalError, ProblemSpec, SolverState, _call_term,
-                   _require_finite, chunked_row_mean, initial_state)
+                   _require_finite, _require_finite_rows, chunked_row_mean,
+                   initial_state)
 from .io import MetricsLog
 from .ppg import (RunResult, SolveOptions, _sampled_loop, _sweep_loop,
                   resolve_alpha)
@@ -180,9 +181,13 @@ def _spi_residual(x, problem, ak) -> float:
         shr = 1.0 / (1.0 + ak * s.ridge)
         tau = ak * shr
         xs = x * shr
-        m = (1.0 - s.labels * (s.features @ xs)) / s.sqnorms
-        beta = np.clip(m, 0.0, tau) * s.labels
-        moved = xs[None, :] + beta[:, None] * s.features - x[None, :]
+        # a non-finite row is named below, as the per-term path names it
+        with np.errstate(invalid="ignore", over="ignore"):
+            m = (1.0 - s.labels * (s.features @ xs)) / s.sqnorms
+            beta = np.clip(m, 0.0, tau) * s.labels
+            moved = xs[None, :] + beta[:, None] * s.features
+        _require_finite_rows(moved, "prox of g")
+        moved -= x[None, :]
         return float(np.linalg.norm(moved)) / (ak * math.sqrt(problem.n))
     acc = 0.0
     for i, gi in enumerate(problem.g):

@@ -206,11 +206,10 @@ class SolverState:
     zbar: np.ndarray
     alpha: float
     k: int = 0
-    rng_state: Any = None
 
     def copy(self) -> "SolverState":
         return SolverState(z=self.z.copy(), zbar=self.zbar.copy(),
-                           alpha=self.alpha, k=self.k, rng_state=self.rng_state)
+                           alpha=self.alpha, k=self.k)
 
 
 @dataclass
@@ -308,25 +307,33 @@ def residual_map(state: SolverState, problem: ProblemSpec):
 
 
 def _term_points(x_half: np.ndarray, z: np.ndarray, problem: ProblemSpec,
-                 alpha: float) -> np.ndarray:
+                 alpha: float, lo: int = 0) -> np.ndarray:
     """Per-term prox points x_i = prox_{a g_i}(2 x_half - z_i - a grad f_i),
-    in a fresh array the caller may modify."""
+    in a fresh array the caller may modify.
+
+    Row j of ``z`` belongs to term ``lo + j``.  The batched hooks take all
+    n rows at once, so a row range (``lo > 0`` or fewer than n rows) is
+    only for problems without them.
+    """
     v = 2.0 * x_half[None, :] - z
+    terms = range(lo, lo + z.shape[0])
     if problem.batched_f_grad is not None:
         problem.batched_f_grad(v, x_half, alpha)
         _require_finite_rows(v, "gradient of f")
     else:
-        for i, fi in enumerate(problem.f):
+        for i in terms:
+            fi = problem.f[i]
             if not fi.is_zero:
-                v[i] -= alpha * _call_term(fi.gradient, i, "gradient of f",
-                                           x_half)
+                v[i - lo] -= alpha * _call_term(fi.gradient, i,
+                                                "gradient of f", x_half)
     if problem.batched_g_prox is not None:
         x_terms = problem.batched_g_prox(v, alpha)
         _require_finite_rows(x_terms, "prox of g")
         return x_terms
-    for i, gi in enumerate(problem.g):
+    for i in terms:
+        gi = problem.g[i]
         if not gi.is_zero:
-            v[i] = _call_term(gi.prox, i, "prox of g", v[i], alpha)
+            v[i - lo] = _call_term(gi.prox, i, "prox of g", v[i - lo], alpha)
     return v
 
 

@@ -1,33 +1,23 @@
-"""Accelerated inner loops for structured problems.
+"""Blocked numpy inner loops for structured problems.
 
 The stochastic solvers advance one term per step at O(d) cost, so runs at
 realistic sizes execute hundreds of thousands of tiny updates; problems
 carrying a recognized structure hint skip the per-term handles.  Hinge and
 GLM rows share one form, g_i(u) = phi_i(f_i'u), whose prox moves u along
-f_i by a scalar beta of s = f_i'u.  So one numpy sppg kernel,
+f_i by a scalar beta of s = f_i'u.  So one sppg kernel,
 :func:`rank_one_sppg_block`, serves both: it takes each run of up to
 ``SPPG_RUN`` consecutive distinct rows with three BLAS products and a
 scalar recurrence over the run, in place of a dozen small vector
 operations per step, and only the recurrence (the structure's
-``run_betas``) differs between the kinds.  Hinge rows also have loops
-compiled with numba, for sppg and the spi baseline; without numba the
-hinge hint selects the numpy kernels.  The per-term handles of the problem
-remain the reference implementation.
-
-Backend selection:
-    PROXSPLIT_BACKEND=auto    use numba when importable (default)
-    PROXSPLIT_BACKEND=numba   require numba, error if missing
-    PROXSPLIT_BACKEND=numpy   force the numpy kernels
-
-``set_backend`` overrides the environment for the current process (used by
-tests and the benchmark); it selects between the hinge kernels only.  Each
-backend is individually deterministic; the backends and the per-term path
-agree to floating-point rounding, not bitwise, because their sums
-associate differently.
+``run_betas``) differs between the kinds.  :func:`hinge_spi_block` is the
+spi baseline's loop over folded hinge rows.  The per-term handles of the
+problem remain the reference implementation; the kernels agree with them
+to floating-point rounding, not bitwise, because their sums associate
+differently.
 """
 
+import importlib.util
 import math
-import os
 from dataclasses import dataclass
 from operator import mul
 from typing import Callable, ClassVar
@@ -38,53 +28,12 @@ from .core import ConvergenceError
 from .prox import glm_root
 
 __all__ = ["HingeStructure", "GlmStructure", "rank_one_sppg_block",
-           "resolved_backend", "set_backend", "numba_available"]
-
-_VALID = ("auto", "numba", "numpy")
-_override = None
+           "hinge_spi_block"]
 
 # Rows per run of the numpy sppg block.  A run costs a few BLAS products
 # that grow as SPPG_RUN**2 * d plus a scalar recurrence of SPPG_RUN steps;
 # runs of 32 to 64 rows were fastest at d=128, and 256 was slower.
 SPPG_RUN = 32
-
-try:
-    from numba import njit
-
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap if not (args and callable(args[0])) else args[0]
-
-
-def numba_available() -> bool:
-    return _HAS_NUMBA
-
-
-def set_backend(name: str | None):
-    """Process-wide backend override; None restores the environment choice."""
-    global _override
-    if name is not None and name not in _VALID:
-        raise ValueError(f"backend must be one of {_VALID}")
-    _override = name
-
-
-def resolved_backend() -> str:
-    """The backend in effect: 'numba' or 'numpy'."""
-    choice = _override if _override is not None else os.environ.get(
-        "PROXSPLIT_BACKEND", "auto")
-    if choice not in _VALID:
-        raise ValueError(
-            f"PROXSPLIT_BACKEND must be one of {_VALID}, got {choice!r}")
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba" and not _HAS_NUMBA:
-        raise RuntimeError("PROXSPLIT_BACKEND=numba but numba is not importable")
-    return "numba" if _HAS_NUMBA else "numpy"
 
 
 @dataclass(frozen=True)
@@ -155,37 +104,6 @@ class GlmStructure:
             exc.args = (f"{exc} (term {rows[k]})",)
             raise
         return beta
-
-
-@njit(cache=True)
-def _hinge_sppg_block(z, zbar, feats, labels, sqnorms, ridge, alpha, idx):
-    """Advance the single-term stochastic sweep over the given index block.
-
-    Mutates z and zbar in place; returns the offending term index on a
-    non-finite update, else -1.
-    """
-    n, d = z.shape
-    inv_n = 1.0 / n
-    shrink = 1.0 / (1.0 + alpha * ridge)
-    for t in range(idx.shape[0]):
-        i = idx[t]
-        dot = 0.0
-        for j in range(d):
-            dot += feats[i, j] * (2.0 * (zbar[j] * shrink) - z[i, j])
-        m = (1.0 - labels[i] * dot) / sqnorms[i]
-        if not math.isfinite(m):
-            return i
-        if m < 0.0:
-            m = 0.0
-        elif m > alpha:
-            m = alpha
-        beta = m * labels[i]
-        for j in range(d):
-            x_half = zbar[j] * shrink
-            delta = (2.0 * x_half - z[i, j] + beta * feats[i, j]) - x_half
-            z[i, j] += delta
-            zbar[j] += delta * inv_n
-    return -1
 
 
 def _distinct_runs(order, limit):
@@ -263,59 +181,44 @@ def rank_one_sppg_block(z, zbar, struct, alpha, idx):
     return -1
 
 
-@njit(cache=True)
-def _hinge_spi_block(x, feats, labels, sqnorms, ridge, c, k0, idx):
-    """Diminishing-step proximal iteration on hinge-plus-ridge terms.
+# the benchmark harness (perfbench/) traces this function by its name
+def hinge_spi_block(x, struct: HingeStructure, c, k0, idx):
+    """Diminishing-step proximal iteration on folded hinge-plus-ridge rows.
 
     Step sizes follow c/k with k continuing from k0; mutates x in place.
+    Returns the offending term index on a non-finite update, else -1,
+    with the steps before it applied.
     """
-    d = x.shape[0]
-    for t in range(idx.shape[0]):
-        i = idx[t]
-        ak = c / (k0 + t + 1.0)
-        shr = 1.0 / (1.0 + ak * ridge)
-        tau = ak * shr
-        dot = 0.0
-        for j in range(d):
-            dot += feats[i, j] * (x[j] * shr)
-        m = (1.0 - labels[i] * dot) / sqnorms[i]
-        if not math.isfinite(m):
-            return i
-        if m < 0.0:
-            m = 0.0
-        elif m > tau:
-            m = tau
-        beta = m * labels[i]
-        for j in range(d):
-            x[j] = x[j] * shr + beta * feats[i, j]
+    feats, labels, sqnorms = struct.features, struct.labels, struct.sqnorms
+    ridge = struct.ridge
+    # a non-finite row turns its products into NaN without a warning; the
+    # loop then stops there and the caller reports the term
+    with np.errstate(invalid="ignore", over="ignore"):
+        for t, i in enumerate(idx):
+            ak = c / (k0 + t + 1.0)
+            shr = 1.0 / (1.0 + ak * ridge)
+            tau = ak * shr
+            xs = x * shr
+            m = (1.0 - labels[i] * float(feats[i] @ xs)) / sqnorms[i]
+            if not math.isfinite(m):
+                return i
+            beta = min(max(m, 0.0), tau) * labels[i]
+            x[:] = xs + beta * feats[i]
     return -1
 
 
-def _hinge_spi_block_numpy(x, feats, labels, sqnorms, ridge, c, k0, idx):
-    for t, i in enumerate(idx):
-        ak = c / (k0 + t + 1.0)
-        shr = 1.0 / (1.0 + ak * ridge)
-        tau = ak * shr
-        xs = x * shr
-        m = (1.0 - labels[i] * float(feats[i] @ xs)) / sqnorms[i]
-        if not math.isfinite(m):
-            return i
-        beta = min(max(m, 0.0), tau) * labels[i]
-        x[:] = xs + beta * feats[i]
-    return -1
+# The three names below are kept only because the benchmark harness
+# (perfbench/) resolves them: its tracer wraps ``hinge_sppg_block``, and so
+# every name bound to the same function, and its run metadata calls the
+# two functions on every run.
+hinge_sppg_block = rank_one_sppg_block
 
 
-def hinge_sppg_block(z, zbar, struct: HingeStructure, alpha, idx):
-    """The sppg block on hinge rows: the compiled kernel under numba, else
-    :func:`rank_one_sppg_block`."""
-    if resolved_backend() == "numba":
-        return _hinge_sppg_block(z, zbar, struct.features, struct.labels,
-                                 struct.sqnorms, struct.ridge, alpha, idx)
-    return rank_one_sppg_block(z, zbar, struct, alpha, idx)
+def resolved_backend() -> str:
+    """Always ``"numpy"``; kept for the benchmark's run metadata."""
+    return "numpy"
 
 
-def hinge_spi_block(x, struct: HingeStructure, c, k0, idx):
-    fn = (_hinge_spi_block if resolved_backend() == "numba"
-          else _hinge_spi_block_numpy)
-    return fn(x, struct.features, struct.labels, struct.sqnorms,
-              struct.ridge, c, k0, idx)
+def numba_available() -> bool:
+    """Whether numba is importable; kept for the benchmark's run metadata."""
+    return importlib.util.find_spec("numba") is not None

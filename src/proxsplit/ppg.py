@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ProblemSpec, ResidualReport, SolverState, _call_term,
+from .core import (ProblemSpec, ResidualReport, SolverState,
                    _require_finite, _term_points, chunked_row_mean,
                    initial_state, objective)
 from .io import MetricsLog
@@ -219,16 +219,10 @@ def _sweep(state: SolverState, problem: ProblemSpec, pool=None):
 
     def run_chunk(c):
         lo, hi = c * size, min((c + 1) * size, n)
-        for i in range(lo, hi):
-            fi, gi = problem.f[i], problem.g[i]
-            v = 2.0 * x_half - z[i]
-            if not fi.is_zero:
-                v -= alpha * _call_term(fi.gradient, i, "gradient of f",
-                                        x_half)
-            xi = v if gi.is_zero else _call_term(gi.prox, i, "prox of g",
-                                                 v, alpha)
-            delta[i] = xi - x_half
-            z[i] += delta[i]
+        part = _term_points(x_half, z[lo:hi], problem, alpha, lo)
+        part -= x_half
+        delta[lo:hi] = part
+        z[lo:hi] += part
         return z[lo:hi].sum(axis=0)
 
     chunks = range(problem.reduce_chunks)

@@ -291,7 +291,9 @@ def prox_glm_1d(x0: np.ndarray, xi: np.ndarray, ti: float, a1d: ScalarFn,
     if a1d.deriv is None:
         raise ValueError("a1d must supply a derivative handle")
     s0 = float(xi @ x0)
-    t = glm_root(s0, alpha * q, ti, a1d.deriv)
+    # glm_root handles a steep cumulant's overflow itself
+    with np.errstate(over="ignore"):
+        t = glm_root(s0, alpha * q, ti, a1d.deriv)
     return x0 + ((t - s0) / q) * xi
 
 

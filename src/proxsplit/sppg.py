@@ -136,8 +136,6 @@ def _block_kernel(problem: ProblemSpec, opts: SolveOptions):
     if (not hasattr(s, "run_betas") or s.folded or opts.ergodic
             or not problem.all_f_zero()):
         return None
-    if isinstance(s, kernels.HingeStructure):
-        return kernels.hinge_sppg_block
     return kernels.rank_one_sppg_block
 
 
@@ -149,8 +147,8 @@ def sppg_run(problem: ProblemSpec, opts: SolveOptions, sampler,
     One epoch is n steps.  The recording cadence defaults to once per
     epoch, which keeps the amortized per-step cost at O(d).  Problems
     carrying a hinge or GLM structure hint run through the blocked
-    rank-one kernel (hinge rows through the compiled kernel under numba);
-    the update rule is identical.  ``log.metadata["path"]`` says which
+    rank-one kernel :func:`kernels.rank_one_sppg_block`; the update rule
+    is identical.  ``log.metadata["path"]`` says which
     ran: ``kernel`` or ``per-term``.  With ``opts.ergodic`` the run also
     returns the running average of the prox-r points (accumulated per
     step, so the kernel path is skipped).
@@ -187,9 +185,6 @@ def sppg_run(problem: ProblemSpec, opts: SolveOptions, sampler,
         "problem_kind": problem.kind, "n": problem.n, "dim": problem.dim,
         "resyncs": resyncs,
         "path": "per-term" if kernel is None else "kernel",
-        "backend": (kernels.resolved_backend() if kernel is not None
-                    and isinstance(problem.structure, kernels.HingeStructure)
-                    else "numpy"),
         "stop": stop,
     })
     return RunResult(x=x_out, log=log, converged=converged, state=state,

@@ -280,7 +280,7 @@ class TestSolve:
     def test_meta_holds_run_metadata(self, tmp_path):
         prob = _gen(tmp_path)
         for algo, keys in (("ppg", ("threads", "n", "dim", "sweep")),
-                           ("sppg", ("backend", "n", "dim", "resyncs"))):
+                           ("sppg", ("path", "n", "dim", "resyncs"))):
             metrics = tmp_path / f"{algo}.csv"
             assert main(["solve", "--problem", str(prob), "--algo", algo,
                          "--max-iters", "6", "--threads", "2",

@@ -1,5 +1,5 @@
-"""Backend selection and agreement between the compiled kernels, the
-numpy kernels, and the generic per-callable path."""
+"""Agreement between the blocked numpy kernels and the generic per-term
+path they bypass."""
 
 import dataclasses
 
@@ -13,38 +13,6 @@ from proxsplit.core import ConvergenceError, NumericalError, initial_state
 from proxsplit.ppg import SolveOptions
 from proxsplit.problems import SvmData, build_glm, build_svm, glm_family
 from proxsplit.sppg import IndexSampler, SequenceSampler, _advance_one, sppg_run
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    yield
-    kernels.set_backend(None)
-
-
-class TestBackendSelection:
-    def test_default_prefers_numba(self, monkeypatch):
-        monkeypatch.delenv("PROXSPLIT_BACKEND", raising=False)
-        expected = "numba" if kernels.numba_available() else "numpy"
-        assert kernels.resolved_backend() == expected
-
-    def test_env_forces_numpy(self, monkeypatch):
-        monkeypatch.setenv("PROXSPLIT_BACKEND", "numpy")
-        assert kernels.resolved_backend() == "numpy"
-
-    def test_env_validated(self, monkeypatch):
-        monkeypatch.setenv("PROXSPLIT_BACKEND", "cuda")
-        with pytest.raises(ValueError, match="PROXSPLIT_BACKEND"):
-            kernels.resolved_backend()
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("PROXSPLIT_BACKEND", "numpy")
-        if kernels.numba_available():
-            kernels.set_backend("numba")
-            assert kernels.resolved_backend() == "numba"
-
-    def test_override_validated(self):
-        with pytest.raises(ValueError):
-            kernels.set_backend("gpu")
 
 
 def _rel(a, b):
@@ -82,7 +50,6 @@ def _sppg_pair(monkeypatch, problem, sampler, iters, record_every):
     generic = sppg_run(dataclasses.replace(problem, structure=None),
                        opts, sampler())
     assert sum(calls) == iters
-    assert fast.log.metadata["backend"] == "numpy"
     assert fast.log.metadata["path"] == "kernel"
     assert generic.log.metadata["path"] == "per-term"
     assert len(fast.log.rows) == len(generic.log.rows)
@@ -130,10 +97,6 @@ def _nonfinite_row_case(problem, bad, generic_error):
 class TestNumpyHingeAgreement:
     """The numpy hinge twins against the per-term handles they bypass."""
 
-    @pytest.fixture(autouse=True)
-    def _numpy_backend(self):
-        kernels.set_backend("numpy")
-
     @pytest.mark.parametrize("record_every", [None, 1, 7])
     @pytest.mark.parametrize("n", [1, 2, 5, 48, 300])
     def test_sppg_matches_generic_path(self, monkeypatch, n, record_every):
@@ -162,7 +125,7 @@ class TestNumpyHingeAgreement:
             return stochastic_prox_iteration_run(
                 p, DiminishingStep(2.0), IndexSampler(5, n), opts)
 
-        calls = _counting(monkeypatch, "_hinge_spi_block_numpy")
+        calls = _counting(monkeypatch, "hinge_spi_block")
         fast = run(problem)
         assert sum(calls) == opts.max_iters
         generic = run(dataclasses.replace(problem, structure=None))
@@ -180,6 +143,33 @@ class TestNumpyHingeAgreement:
         _nonfinite_row_case(build_svm(SvmData(feats, labels, lam=0.1)), bad,
                             NumericalError)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_spi_nonfinite_row(self):
+        # the kernel path's first probe names the row, as the per-term
+        # path's does, and neither path warns first
+        n, d, bad = 40, 5, 7
+        rng = np.random.default_rng(0)
+        feats = rng.standard_normal((n, d))
+        feats[bad] = np.inf
+        labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        problem = build_svm(SvmData(feats, labels, lam=0.1),
+                            fold_ridge=True)
+        for p in (problem, dataclasses.replace(problem, structure=None)):
+            with pytest.raises(NumericalError,
+                               match=rf"prox of g \(term {bad}\)"):
+                stochastic_prox_iteration_run(
+                    p, DiminishingStep(2.0), IndexSampler(5, n),
+                    SolveOptions(max_iters=10 * n))
+
+    def test_folded_structure_skips_sppg_kernel(self, monkeypatch, rng):
+        # the ridge sits in every term, not in r, so sppg runs per term
+        problem = tiny_svm(rng, n=16, d=4, fold_ridge=True)
+        calls = _counting(monkeypatch, "rank_one_sppg_block")
+        res = sppg_run(problem, SolveOptions(alpha=1.0, max_iters=32),
+                       IndexSampler(3, 16))
+        assert calls == []
+        assert res.log.metadata["path"] == "per-term"
+
     def test_zero_row_is_reported(self):
         # SvmData rejects zero rows; a hand-built structure divides by zero
         feats = np.random.default_rng(6).standard_normal((40, 3))
@@ -188,8 +178,8 @@ class TestNumpyHingeAgreement:
             features=feats, labels=np.ones(40),
             sqnorms=np.einsum("ij,ij->i", feats, feats), ridge=0.1)
         z, zbar = np.zeros((40, 3)), np.zeros(3)
-        assert kernels.hinge_sppg_block(z, zbar, struct, 1.0,
-                                        np.roll(np.arange(40), -3)) == 9
+        assert kernels.rank_one_sppg_block(z, zbar, struct, 1.0,
+                                           np.roll(np.arange(40), -3)) == 9
 
 
 class TestNumpyGlmAgreement:
@@ -231,64 +221,3 @@ class TestNumpyGlmAgreement:
         # the per-term prox cannot bracket its root, so it raises
         # ConvergenceError; the kernel reports the step as non-finite
         _nonfinite_row_case(problem, bad, ConvergenceError)
-
-
-@pytest.mark.skipif(not kernels.numba_available(), reason="needs numba")
-class TestBackendAgreement:
-    def _run_sppg(self, problem, backend, seed=3, iters=None):
-        kernels.set_backend(backend)
-        try:
-            return sppg_run(problem,
-                            SolveOptions(alpha=1.0,
-                                         max_iters=iters or 12 * problem.n),
-                            IndexSampler(seed, problem.n))
-        finally:
-            kernels.set_backend(None)
-
-    def test_sppg_backends_agree(self, rng):
-        problem = tiny_svm(rng, n=48, d=6)
-        res_nb = self._run_sppg(problem, "numba")
-        res_np = self._run_sppg(problem, "numpy")
-        assert res_nb.log.metadata["backend"] == "numba"
-        assert res_np.log.metadata["backend"] == "numpy"
-        assert np.allclose(res_nb.x, res_np.x, atol=1e-10)
-        r_nb = [r.residual_norm for r in res_nb.log.rows]
-        r_np = [r.residual_norm for r in res_np.log.rows]
-        assert np.allclose(r_nb, r_np, rtol=1e-8, atol=1e-12)
-
-    def test_kernel_matches_generic_path(self, rng):
-        problem = tiny_svm(rng, n=32, d=5)
-        res_fast = self._run_sppg(problem, "numba")
-        unhinted = dataclasses.replace(problem, structure=None)
-        res_gen = self._run_sppg(unhinted, "numba")
-        assert "backend" in res_gen.log.metadata
-        assert res_gen.log.metadata["backend"] == "numpy"
-        assert np.allclose(res_fast.x, res_gen.x, atol=1e-10)
-
-    def test_numba_path_is_reproducible(self, rng):
-        problem = tiny_svm(rng, n=40, d=4)
-        r1 = self._run_sppg(problem, "numba")
-        r2 = self._run_sppg(problem, "numba")
-        assert np.array_equal(r1.x, r2.x)
-        assert [a.residual_norm for a in r1.log.rows] == \
-            [b.residual_norm for b in r2.log.rows]
-
-    def test_spi_backends_agree(self, rng):
-        problem = tiny_svm(rng, n=48, d=6, fold_ridge=True)
-        outs = []
-        for backend in ("numba", "numpy"):
-            kernels.set_backend(backend)
-            try:
-                res = stochastic_prox_iteration_run(
-                    problem, DiminishingStep(2.0),
-                    IndexSampler(5, problem.n),
-                    SolveOptions(max_iters=10 * problem.n))
-            finally:
-                kernels.set_backend(None)
-            outs.append(res.x)
-        assert np.allclose(outs[0], outs[1], atol=1e-10)
-
-    def test_folded_structure_skips_sppg_kernel(self, rng):
-        problem = tiny_svm(rng, n=16, d=4, fold_ridge=True)
-        res = self._run_sppg(problem, "numba", iters=32)
-        assert res.log.metadata["backend"] == "numpy"
