@@ -32,8 +32,8 @@ class DiminishingStep:
     c: float
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError("c must be positive")
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"c must be positive and finite, got {self.c}")
 
     def at(self, k: int) -> float:
         return self.c / k
@@ -92,9 +92,7 @@ def consensus_admm_run(problem: ProblemSpec, opts: SolveOptions,
     if not problem.all_f_zero():
         raise ValueError("consensus ADMM requires every smooth term "
                          "to be zero")
-    alpha = opts.alpha if opts.alpha is not None else 1.0
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    alpha = resolve_alpha(problem, opts.alpha)
     n, d = problem.n, problem.dim
     x_blocks = np.zeros((n, d))
     u = np.zeros((n, d))

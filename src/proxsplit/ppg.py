@@ -35,7 +35,8 @@ class SolveOptions:
     stopping.  Full sweeps test it every iteration, single-term solvers at
     their recorded rows.  ``record_every=None`` uses the solver's natural
     cadence: every iteration for full sweeps, once per epoch for
-    single-term sweeps.  ``threads=0`` reads PROXSPLIT_THREADS.
+    single-term sweeps; explicit values must be at least 1.
+    ``threads=0`` reads PROXSPLIT_THREADS.
     """
 
     alpha: float | None = None
@@ -44,6 +45,11 @@ class SolveOptions:
     ergodic: bool = False
     record_every: int | None = None
     threads: int = 0
+
+    def __post_init__(self):
+        if self.record_every is not None and not self.record_every >= 1:
+            raise ValueError("record_every must be at least 1, got "
+                             f"{self.record_every}")
 
 
 @dataclass
@@ -108,7 +114,7 @@ def _sweep_loop(problem: ProblemSpec, opts: SolveOptions, step,
     and at the last iteration.  Returns the rows, whether the run
     converged, the number of iterations taken and the stop reason.
     """
-    rec = opts.record_every if opts.record_every else 1
+    rec = opts.record_every or 1
     rows = []
     t0 = time.perf_counter()
     for k in range(opts.max_iters):
@@ -136,7 +142,7 @@ def _sampled_loop(problem: ProblemSpec, opts: SolveOptions, sampler, probe,
     reason.
     """
     n, total = problem.n, opts.max_iters
-    rec = opts.record_every if opts.record_every else n
+    rec = opts.record_every or n
     rows = []
     t0 = time.perf_counter()
     k = 0
@@ -157,11 +163,12 @@ def _sampled_loop(problem: ProblemSpec, opts: SolveOptions, sampler, probe,
 def resolve_alpha(problem: ProblemSpec, alpha: float | None) -> float:
     """Validate or choose the step size against the gradient bound L.
 
-    Defaults to 1/L.  With every f_i zero any alpha > 0 converges, so the
-    default is 1.0 without comment; smooth terms without a bound also get
-    1.0, with a warning.  Steps at or beyond 2/L are rejected; steps at or
-    beyond 1.5/L only draw a warning (convergence is still guaranteed below
-    2/L, the tighter constant is what the rate analysis uses).
+    Defaults to 1/L.  With every f_i zero any finite alpha > 0 converges,
+    so the default is 1.0 without comment; smooth terms without a bound
+    also get 1.0, with a warning.  A non-finite alpha and steps at or
+    beyond 2/L are rejected; steps at or beyond 1.5/L only draw a warning
+    (convergence is still guaranteed below 2/L, the tighter constant is
+    what the rate analysis uses).
     """
     lip = problem.lipschitz_bound()
     if alpha is None:
@@ -171,8 +178,8 @@ def resolve_alpha(problem: ProblemSpec, alpha: float | None) -> float:
             warnings.warn(
                 "no Lipschitz bound available; defaulting alpha to 1.0")
         return 1.0
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if lip > 0:
         if alpha >= 2.0 / lip:
             raise ValueError(

@@ -5,11 +5,14 @@ for specific families of h.  Operators are pure, reentrant, and return fresh
 arrays, except the all-rows GLM prox, which overwrites its input block.
 One-dimensional reductions (affine compositions, generalized linear
 model terms) solve a scalar strongly convex subproblem by bisection on the
-subgradient sign, or by a safeguarded root bracket when a derivative handle
-is available.
+subgradient sign, or by a safeguarded secant method when a derivative
+handle is available.  Each root is bracketed without a search: the
+subproblem's optimality function has slope at least 1, so its value at the
+starting point bounds the distance to the root.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,8 +42,12 @@ __all__ = [
 ]
 
 _BISECT_CAP = 200
-_BRACKET_CAP = 60
 _BETA_TOL = 1e-12
+# the largest float: the far end of a bracket whose first value overflowed
+_BIG = sys.float_info.max
+# brackets of the all-rows GLM prox wider than this bisect in the asinh
+# scale; narrower ones bisect arithmetically, down to 1e-12 in 60 halvings
+_WIDE = 2.0 ** 20
 # steps of the scalar GLM root: at most 3 per bisection, and 63 bisections
 # in the asinh scale shrink any finite bracket to a few floats
 _ROOT_CAP = 200
@@ -125,27 +132,22 @@ def project_interval(x, iv: Interval):
     return out if np.ndim(x) else float(out)
 
 
-def _bisect_beta(phi, hint: float = 1.0) -> float:
-    """Root of an increasing function by bracket expansion + bisection.
+def _bisect_beta(phi, r: float) -> float:
+    """Root of phi by bisection on [-r, r], for phi increasing with slope
+    at least 1 and |phi(0)| < r, which puts the root inside.
 
     Used for the scalar step of affine-composition proxes; phi is monotone
-    because the underlying function is convex.  Raises when the bracket
-    cannot be found or the 200-step cap is hit before the interval narrows
-    to 1e-12.
+    because the underlying function is convex.  Stops when the interval
+    narrows to 1e-12 or holds no float between its ends; raises when r is
+    not finite or the 200-step cap is hit first.
     """
-    r = max(abs(hint), 1.0)
-    lo, hi = -r, r
-    for _ in range(_BRACKET_CAP):
-        if phi(lo) <= 0.0 <= phi(hi):
-            break
-        lo *= 2.0
-        hi *= 2.0
-    else:
+    if not math.isfinite(r):
         raise ConvergenceError("could not bracket the 1-D prox subproblem")
+    lo, hi = -r, r
     for _ in range(_BISECT_CAP):
-        if hi - lo <= _BETA_TOL:
-            return 0.5 * (lo + hi)
         mid = 0.5 * (lo + hi)
+        if hi - lo <= _BETA_TOL or not lo < mid < hi:
+            return mid
         if phi(mid) <= 0.0:
             lo = mid
         else:
@@ -174,8 +176,9 @@ def prox_affine_1d(a: np.ndarray, f1d: ScalarFn, x0: np.ndarray,
         sub = f1d.any_subgrad()
         if sub is None:
             raise ValueError("f1d needs a prox or subgradient handle")
+        # phi(0) = alpha*sub(s0) and phi' >= 1 bound the root's distance
         beta = _bisect_beta(lambda b: alpha * sub(s0 + b * q) + b,
-                            hint=alpha * abs(sub(s0)) + 1.0)
+                            alpha * abs(sub(s0)) + 1.0)
     return x0 + beta * a
 
 
@@ -302,72 +305,41 @@ def glm_root(s0: float, aq: float, ti: float, deriv) -> float:
     ``deriv`` (the derivative of a convex cumulant), to 1e-12.
 
     psi' >= 1, so the root lies between s0 and s0 - psi(s0), and
-    |psi(t)| <= 1e-12 bounds |t - root| by 1e-12.  A safeguarded secant
-    method (:func:`_regula_falsi`) runs on that bracket; it stops at
+    |psi(t)| <= 1e-12 bounds |t - root| by 1e-12.  The far end is clipped
+    to the float range, so when psi(s0) overflows (a steep cumulant) it is
+    the largest float on the root's side.  A safeguarded secant method
+    (:func:`_regula_falsi`) runs on this bracket; it stops at
     |psi(t)| <= 1e-12, or when the interval known to hold the root is at
-    most 1e-12 wide or the bracket holds no float between its ends.  When
-    psi(s0) overflows (a steep cumulant), or psi(s0 - psi(s0)) does below
-    the root, the bracket comes from the window walk of
-    :func:`_glm_bracket`.  Raises :class:`ConvergenceError` when no
-    bracket is found (a non-finite response, for one) or the step cap is
-    hit.
+    most 1e-12 wide or the bracket holds no float between its ends.
+    Raises :class:`ConvergenceError` when s0, aq or ti is not finite, when
+    psi(s0) is NaN, or when the step cap is hit.
     """
 
     def psi(t):
         return t - s0 + aq * (float(deriv(t)) - ti)
 
     p0 = aq * (float(deriv(s0)) - ti)
+    if not (math.isfinite(s0) and math.isfinite(aq)
+            and math.isfinite(ti)) or math.isnan(p0):
+        raise ConvergenceError("could not bracket the GLM prox subproblem")
     if p0 == 0.0:
         return s0
-    if math.isfinite(p0):
-        t1 = s0 - p0
-        p1 = psi(t1)
-        if p0 < 0.0:
-            # t1 lies above the root, where psi may overflow to +inf
-            return _regula_falsi(psi, s0, p0, t1, p1)
-        if math.isfinite(p1):
-            return _regula_falsi(psi, t1, p1, s0, p0)
-    return _regula_falsi(psi, *_glm_bracket(psi, s0, p0))
-
-
-def _glm_bracket(psi, s0: float, p0: float):
-    """(lo, psi(lo), hi, psi(hi)) with psi(lo) <= 0 <= psi(hi), both
-    finite, found by walking a window out from s0; p0 = psi(s0)."""
-    # psi is increasing, so non-finite values (steep cumulants
-    # overflowing) can only occur above the root, finite negatives only
-    # below it.  An overflowing psi(s0) gives the window a unit radius.
-    r = 1.0 + (abs(p0) if math.isfinite(p0) else 1.0)
-    lo, hi = s0 - r, s0 + r
-    for _ in range(_BRACKET_CAP):
-        plo = psi(lo)
-        if not math.isfinite(plo) or plo > 0.0:
-            # the whole window sits above the root; slide it down
-            hi = lo
-            lo -= r
-            r *= 2.0
-            continue
-        # walk hi back out of the overflow region; the width halves each
-        # step, so even astronomically wide windows resolve quickly
-        phi = psi(hi)
-        for _ in range(1200):
-            if math.isfinite(phi):
-                break
-            hi = 0.5 * (lo + hi)
-            phi = psi(hi)
-        if not math.isfinite(phi):
-            break
-        if phi >= 0.0:
-            return lo, plo, hi, phi
-        lo = hi
-        hi = hi + r
-        r *= 2.0
-    raise ConvergenceError("could not bracket the GLM prox subproblem")
+    t1 = s0 - p0
+    if p0 < 0.0:
+        # t1 lies above the root, where psi may overflow to +inf
+        if t1 > _BIG:
+            t1 = _BIG
+        return _regula_falsi(psi, s0, p0, t1, psi(t1))
+    # t1 lies below the root, where psi may overflow to -inf
+    if t1 < -_BIG:
+        t1 = -_BIG
+    return _regula_falsi(psi, t1, psi(t1), s0, p0)
 
 
 def _regula_falsi(psi, lo: float, plo: float, hi: float,
                   phi: float) -> float:
     """Root of psi on [lo, hi], psi(lo) <= 0 <= psi(hi), for psi' >= 1;
-    psi(hi) may be +inf.
+    psi(lo) may be -inf and psi(hi) +inf.
 
     psi' >= 1 puts the root in [a, b] = [hi - psi(hi), lo - psi(lo)]
     clipped to the bracket, so the method stops once that interval is at
@@ -375,10 +347,10 @@ def _regula_falsi(psi, lo: float, plo: float, hi: float,
     end kept twice in a row has its value halved), clipped to [a, b] and
     moved one float inside the bracket when they round onto an end.  When
     two steps in a row fail to halve the width of [a, b] relative to the
-    size of its ends, or psi(hi) is infinite, the next step bisects [a, b]
-    in the asinh scale, which is arithmetic near zero and geometric far
-    from it, so a bracket spanning many orders of magnitude closes in a
-    few dozen bisections.
+    size of its ends, or either end's value is infinite, the next step
+    bisects [a, b] in the asinh scale, which is arithmetic near zero and
+    geometric far from it, so a bracket spanning many orders of magnitude
+    (up to the whole float range) closes in a few dozen bisections.
     """
     flo, fhi = plo, phi  # interpolation values, halved by the Illinois rule
     side = 0  # the end the last step moved: -1 lo, 1 hi
@@ -393,7 +365,7 @@ def _regula_falsi(psi, lo: float, plo: float, hi: float,
             ref, stale = spread, 0
         else:
             stale += 1
-        if stale < 2 and fhi != math.inf:
+        if stale < 2 and -math.inf < flo and fhi < math.inf:
             t = lo - flo * ((hi - lo) / (fhi - flo))
             if t < a:
                 t = a
@@ -439,12 +411,11 @@ def prox_glm_rows(v: np.ndarray, x_mat: np.ndarray, t_vec: np.ndarray,
     response ``t_vec[i]``.  ``v`` is overwritten and returned.
 
     ``a1d.deriv`` must map arrays elementwise.  Each row's scalar root
-    t + alpha*q*(A'(t) - t_i) = s0 is bracketed by the window walk of
-    :func:`prox_glm_1d`, a non-finite psi counting as above the root, and
-    then bisected until its bracket is at most 1e-12 wide (or holds no
-    float between its ends).  Zero data rows are left unchanged.  Rows
-    whose data or input are not finite come back as NaN, for the caller
-    to report by index.
+    t + alpha*q*(A'(t) - t_i) = s0 is bracketed as in :func:`glm_root`
+    and bisected until its bracket is at most 1e-12 wide (or holds no
+    float between its ends); see :func:`_glm_roots`.  Zero data rows are
+    left unchanged.  Rows whose data or input are not finite come back as
+    NaN, for the caller to report by index.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         sqnorms = np.einsum("ij,ij->i", x_mat, x_mat)
@@ -463,37 +434,45 @@ def prox_glm_rows(v: np.ndarray, x_mat: np.ndarray, t_vec: np.ndarray,
 
 def _glm_roots(s0, aq, t, deriv, rows) -> np.ndarray:
     """Roots of psi(u) = u - s0 + aq*(deriv(u) - t), one per entry; ``rows``
-    maps entries to term indices for error messages."""
+    maps entries to term indices for error messages.
+
+    psi' >= 1 puts each root within |psi(s0)| of s0; an infinite psi(s0)
+    leaves the whole float range on the root's side of s0.  Brackets wider
+    than ``_WIDE`` first bisect in the asinh scale until they are not; then
+    every bracket bisects arithmetically until it is at most 1e-12 wide or
+    holds no float between its ends.  psi <= 0, -inf included, counts as
+    below the root.
+    """
 
     def psi(u):
         return u - s0 + aq * (deriv(u) - t)
 
-    def below(p):
-        return np.isfinite(p) & (p <= 0.0)
-
-    # an overflowing psi(s0) gives the window a unit radius
-    p0 = np.abs(aq * (deriv(s0) - t))
-    r = 1.0 + np.where(np.isfinite(p0), p0, 1.0)
-    lo, hi = s0 - r, s0 + r
-    for _ in range(_BRACKET_CAP):
-        p_hi = psi(hi)
-        down = ~below(psi(lo))  # the whole window sits above the root
-        up = ~down & np.isfinite(p_hi) & (p_hi < 0.0)  # ... or below it
-        moving = down | up
-        if not moving.any():
-            break
-        lo, hi = (np.where(down, lo - r, np.where(up, hi, lo)),
-                  np.where(down, lo, np.where(up, hi + r, hi)))
-        r = np.where(moving, 2.0 * r, r)
-    else:
+    p0 = aq * (deriv(s0) - t)
+    if np.isnan(p0).any():
         raise ConvergenceError("could not bracket the GLM prox subproblem "
-                               f"(term {rows[np.argmax(moving)]})")
+                               f"(term {rows[np.argmax(np.isnan(p0))]})")
+    r = 1.0 + np.abs(p0)
+    lo = np.where(p0 > -np.inf, np.maximum(s0 - r, -_BIG), s0)
+    hi = np.where(p0 < np.inf, np.minimum(s0 + r, _BIG), s0)
+    # asinh halvings, which are geometric far from zero, until every
+    # bracket is narrow or holds no float between its ends
+    wide = hi - lo > _WIDE
+    for _ in range(_BISECT_CAP):
+        if not wide.any():
+            break
+        g = np.sinh(0.5 * (np.arcsinh(lo) + np.arcsinh(hi)))
+        mid = np.where((lo < g) & (g < hi), g, 0.5 * (lo + hi))
+        wide &= (lo < mid) & (mid < hi)
+        left = psi(mid) <= 0.0
+        lo = np.where(wide & left, mid, lo)
+        hi = np.where(wide & ~left, mid, hi)
+        wide &= hi - lo > _WIDE
     for _ in range(_BISECT_CAP):
         mid = 0.5 * (lo + hi)
         live = (hi - lo > _BETA_TOL) & (lo < mid) & (mid < hi)
         if not live.any():
             return mid
-        left = below(psi(mid))
+        left = psi(mid) <= 0.0
         lo = np.where(live & left, mid, lo)
         hi = np.where(live & ~left, mid, hi)
     raise ConvergenceError("GLM prox bisection exceeded 200 steps "

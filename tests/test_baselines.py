@@ -101,6 +101,10 @@ class TestStochasticProxIteration:
             stochastic_prox_iteration_run(problem, 0.5, IndexSampler(0, 2),
                                           SolveOptions(max_iters=1))
 
+    def test_infinite_step_constant_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            DiminishingStep(float("inf"))
+
     def test_rejects_smooth_or_global_terms(self, rng):
         smooth = lasso_problem(rng)
         with pytest.raises(ValueError):

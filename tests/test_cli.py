@@ -176,6 +176,25 @@ class TestSolve:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "m.csv").exists()
 
+    @pytest.mark.parametrize("algo,flag,name", [
+        ("ppg", "--alpha", "alpha"), ("sppg", "--alpha", "alpha"),
+        ("admm", "--alpha", "alpha"), ("spi", "--spi-c", "c")])
+    def test_nonfinite_step_rejected(self, tmp_path, capsys, algo, flag,
+                                     name):
+        # an infinite step makes one sweep land on a fixed point, which
+        # would read as convergence
+        out = tmp_path / "svm"
+        assert main(["gen", "svm", "--out", str(out), "--n", "64",
+                     "--d", "4", "--seed", "0"]) == 0
+        capsys.readouterr()
+        code = main(["solve", "--problem", str(out / "problem.json"),
+                     "--algo", algo, flag, "inf", "--tol", "1e-6",
+                     "--metrics", str(tmp_path / "m.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be positive and finite")
+        assert not (tmp_path / "m.csv").exists()
+
     def test_solver_failure_exit_three(self, tmp_path, capsys):
         prob = _gen(tmp_path, "--n", "8", kind="fused-lasso", sub="fl")
         y_path = prob.parent / "y.csv"

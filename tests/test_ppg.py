@@ -292,6 +292,11 @@ class TestOptions:
         with pytest.raises(ValueError):
             ppg_run(problem, SolveOptions(alpha=0.0, max_iters=1))
 
+    @pytest.mark.parametrize("every", [0, -2])
+    def test_record_every_below_one_rejected(self, every):
+        with pytest.raises(ValueError, match="record_every"):
+            SolveOptions(record_every=every)
+
     def test_alpha_beyond_two_over_l_rejected(self, rng):
         problem = lasso_problem(rng)
         lip = problem.lipschitz_bound()

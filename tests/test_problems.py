@@ -712,3 +712,54 @@ class TestGlm:
         for step in (-1e-5, 1e-5):
             assert base <= prox_objective(g_val, out + step * direction,
                                           x0, 1.0) + 1e-9
+
+
+# psi(s0) overflows to +inf or -inf across this grid, and most roots lie
+# far outside any unit window around s0
+_GRID_S0 = (-1e300, -1e20, -1e6, -700.0, -30.0, -1.0, 0.0, 0.5, 30.0, 150.0,
+            700.0, 710.0, 1e3, 1e6, 1e20, 1e300)
+_GRID_AQ = (1e-6, 1e-2, 1.0, 1e2, 1e6, 1e20, 1e100, 1e290)
+_GRID_RESPONSES = {"gaussian": (-3.0, 0.0, 2.0),
+                   "logistic": (0.0, 0.5, 1.0),
+                   "poisson": (0.0, 1.0, 3.0)}
+
+
+class TestGlmExtremeInputs:
+    @pytest.mark.parametrize("family", sorted(_GRID_RESPONSES))
+    def test_grid_solves_on_both_paths(self, family):
+        # unit data rows make aq = alpha and s0 the row's input; the bound
+        # is set by the cancellation in x0 + ((t - s0)/q)*x_i
+        cases = [(s0, ti) for s0 in _GRID_S0
+                 for ti in _GRID_RESPONSES[family]]
+        problem = build_glm(np.ones((len(cases), 1)),
+                            np.array([ti for _, ti in cases]),
+                            glm_family(family))
+        v = np.array([[s0] for s0, _ in cases])
+        for aq in _GRID_AQ:
+            got = problem.batched_g_prox(v.copy(), aq)
+            want = np.array([gi.prox(v[i], aq)
+                             for i, gi in enumerate(problem.g)])
+            assert np.all(np.isfinite(got)) and np.all(np.isfinite(want))
+            assert np.all(np.abs(got - want) <= 1e-11 * (1.0 + np.abs(v)))
+
+    def test_batched_poisson_row_from_s0_150(self):
+        # psi(s0) = exp(150) - 1 is finite but about 1e65: arithmetic
+        # bisection of that window alone would take over 250 halvings
+        problem = build_glm(np.array([[1.0]]), np.array([1.0]),
+                            glm_family("poisson"))
+        got = problem.batched_g_prox(np.array([[150.0]]), 1.0)
+        t = float(got[0, 0])
+        assert abs(t - 150.0 + math.exp(t) - 1.0) <= 1e-9
+        assert got[0, 0] == pytest.approx(
+            problem.g[0].prox(np.array([150.0]), 1.0)[0], abs=1e-12)
+
+    def test_gaussian_response_1e10_at_alpha_1e300(self):
+        # psi(0) = 1e300*(0 - 1e10) overflows to -inf; the root is
+        # 1e10*aq/(1 + aq), 1e10 to double precision
+        problem = build_glm(np.array([[1.0, 0.0]]), np.array([1e10]),
+                            glm_family("gaussian"))
+        v = np.array([[0.0, 2.0]])
+        for got in (problem.batched_g_prox(v.copy(), 1e300)[0],
+                    problem.g[0].prox(v[0], 1e300)):
+            assert got[0] == pytest.approx(1e10, rel=1e-15, abs=0.0)
+            assert got[1] == 2.0

@@ -175,6 +175,16 @@ class TestProxAffine1d:
             want = prox_affine_1d(a, full, x0, 0.7)
             assert np.allclose(got, want, atol=1e-9)
 
+    def test_bisection_stops_on_float_grid(self):
+        # beta = 1e6: floats there are 1.2e-10 apart, so the bracket can
+        # never narrow to 1e-12 and must stop when no float is left inside
+        subgrad_only = ScalarFn(subgrad=hinge_scalar(1.0).subgrad)
+        out = prox_affine_1d(np.array([1.0]), subgrad_only,
+                             np.array([-1e7]), 1e6)
+        want = prox_affine_1d(np.array([1.0]), hinge_scalar(1.0),
+                              np.array([-1e7]), 1e6)
+        assert out[0] == pytest.approx(want[0], rel=1e-15, abs=0.0)
+
     def test_zero_direction_rejected(self):
         f = ScalarFn(value=lambda t: 0.0, subgrad=lambda t: 0.0)
         with pytest.raises(ValueError):
@@ -404,6 +414,22 @@ class TestProxGlm:
                         t = glm_root(s0, aq, ti, deriv)
                         lo, hi = reference(s0, aq, ti)
                         assert lo - 1e-12 <= t <= hi + 1e-12, (s0, aq, ti)
+
+    def test_poisson_overflow_roots_are_cheap(self):
+        # exp(s0) overflows, so the bracket is [-DBL_MAX, s0]; bisecting it
+        # in the asinh scale reaches the root ln(s0 + 1 - t) quickly
+        import math
+        for s0 in (1e3, 1e4, 1e5, 1e6, 1e7, 1e300):
+            calls = []
+
+            def deriv(t):
+                calls.append(t)
+                return np.exp(t)
+
+            with np.errstate(over="ignore"):
+                t = glm_root(s0, 1.0, 1.0, deriv)
+            assert len(calls) <= 50, s0
+            assert abs(t - math.log(s0 + 1.0 - t)) <= 1e-12 * (1.0 + abs(t))
 
     def test_logistic_local_optimality(self, rng):
         from proxsplit.problems import glm_family
