@@ -12,8 +12,7 @@ from .core import (ConvergenceError, NumericalError, ProblemSpec, ProxFn,
                    objective, objective_gap, residual_map, zero_prox,
                    zero_smooth)
 from .ppg import RunResult, SolveOptions, ppg_run, ppg_step
-from .sppg import IndexSampler, SamplerConfig, SequenceSampler, sppg_run, \
-    sppg_step
+from .sppg import IndexSampler, SequenceSampler, sppg_run, sppg_step
 
 __version__ = "0.1.0"
 
@@ -28,7 +27,6 @@ __all__ = [
     "ResidualReport",
     "RunResult",
     "SolveOptions",
-    "SamplerConfig",
     "IndexSampler",
     "SequenceSampler",
     "objective",

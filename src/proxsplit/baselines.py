@@ -177,12 +177,10 @@ def _spi_residual(x, problem, ak) -> float:
     s = problem.structure
     if isinstance(s, kernels.HingeStructure) and s.folded:
         shr = 1.0 / (1.0 + ak * s.ridge)
-        tau = ak * shr
         xs = x * shr
         # a non-finite row is named below, as the per-term path names it
         with np.errstate(invalid="ignore", over="ignore"):
-            m = (1.0 - s.labels * (s.features @ xs)) / s.sqnorms
-            beta = np.clip(m, 0.0, tau) * s.labels
+            beta = s.betas(s.features @ xs, ak * shr)
             moved = xs[None, :] + beta[:, None] * s.features
         _require_finite_rows(moved, "prox of g")
         moved -= x[None, :]

@@ -33,6 +33,9 @@ from .core import ProblemSpec, SmoothFn, SolverError, objective
 
 GEN_KINDS = ("group-lasso", "svm", "fused-lasso", "network-lasso", "glm")
 ALGOS = ("ppg", "sppg", "prox-grad", "admm", "spi", "finito")
+# solvers whose results carry the ergodic average of their iterates; each
+# solver rejects a problem outside its class itself
+ERGODIC_ALGOS = ("ppg", "sppg")
 
 
 @dataclass
@@ -74,10 +77,20 @@ def _config_from(path: str | None, args) -> RunConfig:
         raise ValueError("a problem description file is required")
     if cfg.max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {cfg.max_iters}")
-    if cfg.record_every is not None and cfg.record_every < 1:
-        raise ValueError(
-            f"record_every must be at least 1, got {cfg.record_every}")
+    if cfg.ergodic and cfg.algo not in ERGODIC_ALGOS:
+        raise ValueError(f"--ergodic is not supported by {cfg.algo}: only "
+                         f"{' and '.join(ERGODIC_ALGOS)} average their "
+                         "iterates")
+    # a bad tol or record_every fails here, before compare's reference run
+    _options(cfg)
     return cfg
+
+
+def _options(cfg: RunConfig) -> ppg.SolveOptions:
+    return ppg.SolveOptions(alpha=cfg.alpha, max_iters=cfg.max_iters,
+                            tol=cfg.tol, ergodic=cfg.ergodic,
+                            record_every=cfg.record_every,
+                            threads=cfg.threads)
 
 
 # -- problem descriptions ------------------------------------------------------
@@ -132,42 +145,9 @@ def _quadratic_pull(target: np.ndarray) -> SmoothFn:
                     gradient=lambda x: x - target, lipschitz=1.0)
 
 
-# solvers whose results carry the ergodic average of their iterates
-ERGODIC_ALGOS = ("ppg", "sppg")
-
-
-def _check_compat(problem: ProblemSpec, algo: str, ergodic: bool = False):
-    if ergodic and algo not in ERGODIC_ALGOS:
-        raise ValueError(f"--ergodic is not supported by {algo}: only "
-                         f"{' and '.join(ERGODIC_ALGOS)} average their "
-                         "iterates")
-    if algo == "prox-grad" and not problem.all_g_zero():
-        raise ValueError("prox-grad cannot run: the problem carries "
-                         "per-term nonsmooth functions")
-    if algo == "admm" and not problem.all_f_zero():
-        raise ValueError("admm cannot run: the problem carries smooth terms")
-    if algo == "spi":
-        if not problem.all_f_zero():
-            raise ValueError("spi cannot run: the problem carries smooth "
-                             "terms")
-        if not problem.r.is_zero:
-            raise ValueError("spi cannot run: the problem carries a global "
-                             "term")
-    if algo == "finito":
-        if not problem.all_g_zero():
-            raise ValueError("finito cannot run: the problem carries "
-                             "per-term nonsmooth functions")
-        if not problem.r.is_zero:
-            raise ValueError("finito cannot run: the problem carries a "
-                             "global term")
-
-
 def _run(cfg: RunConfig, problem: ProblemSpec, seed: int | None = None,
          x_ref: np.ndarray | None = None) -> ppg.RunResult:
-    opts = ppg.SolveOptions(alpha=cfg.alpha, max_iters=cfg.max_iters,
-                            tol=cfg.tol, ergodic=cfg.ergodic,
-                            record_every=cfg.record_every,
-                            threads=cfg.threads)
+    opts = _options(cfg)
     seed = cfg.seed if seed is None else seed
     if cfg.algo == "ppg":
         return ppg.ppg_run(problem, opts, x_ref=x_ref)
@@ -218,7 +198,6 @@ def _write_outputs(cfg: RunConfig, result: ppg.RunResult):
 def cmd_solve(args) -> int:
     cfg = _config_from(args.config, args)
     problem = load_problem(cfg.problem, cfg.algo)
-    _check_compat(problem, cfg.algo, cfg.ergodic)
     result = _run(cfg, problem)
     _write_outputs(cfg, result)
     final = result.log.rows[-1]
@@ -289,7 +268,6 @@ def cmd_compare(args) -> int:
     seen = {}
     for cfg in cfgs:
         problem = load_problem(cfg.problem, cfg.algo)
-        _check_compat(problem, cfg.algo, cfg.ergodic)
         label = cfg.algo
         seen[label] = seen.get(label, 0) + 1
         if seen[label] > 1:

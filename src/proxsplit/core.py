@@ -129,9 +129,13 @@ class ProblemSpec:
     kind : str
         Free-form tag used by the CLI for metadata and validation messages.
     structure :
-        Optional hook describing exploitable problem structure (see
-        :mod:`proxsplit.kernels`); solvers fall back to the generic path
-        when absent.
+        Optional description of rank-one row terms g_i(x) = phi_i(f_i'x),
+        a :class:`~proxsplit.kernels.HingeStructure` or
+        :class:`~proxsplit.kernels.GlmStructure`.  It is the one place that
+        states each kind's prox and loss; the SVM and GLM builders derive
+        ``batched_g_prox`` and ``batched_objective`` from it, and sppg and
+        spi select its blocked kernels.  Solvers take the per-term path
+        when it is absent.
     batched_g_prox :
         Optional vectorized evaluation of all n per-term prox calls at once:
         ``batched_g_prox(V, a)[i] == g[i].prox(V[i], a)``.  ``V`` is a

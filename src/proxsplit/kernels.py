@@ -1,19 +1,18 @@
-"""Blocked numpy inner loops for structured problems.
+"""Rank-one row terms and the numpy loops over them.
 
-The stochastic solvers advance one term per step at O(d) cost, so runs at
-realistic sizes execute hundreds of thousands of tiny updates; problems
-carrying a recognized structure hint skip the per-term handles.  Hinge and
-GLM rows share one form, g_i(u) = phi_i(f_i'u), whose prox moves u along
-f_i by a scalar beta of s = f_i'u.  So one sppg kernel,
-:func:`rank_one_sppg_block`, serves both: it takes each run of up to
-``SPPG_RUN`` consecutive distinct rows with three BLAS products and a
-scalar recurrence over the run, in place of a dozen small vector
-operations per step, and only the recurrence (the structure's
-``run_betas``) differs between the kinds.  :func:`hinge_spi_block` is the
-spi baseline's loop over folded hinge rows.  The per-term handles of the
-problem remain the reference implementation; the kernels agree with them
-to floating-point rounding, not bitwise, because their sums associate
-differently.
+Hinge and GLM rows share one form, g_i(u) = phi_i(f_i'u), whose prox moves
+u along f_i by a scalar beta of s = f_i'u.  :class:`HingeStructure` and
+:class:`GlmStructure` state each kind's rules once: ``betas`` (every row's
+beta), ``losses`` (every row's phi_i) and ``run_betas`` (the betas of one
+run of sppg steps, by a scalar recurrence).  The rest is shared:
+:func:`rank_one_prox` and :func:`rank_one_objective` are the problems'
+``batched_g_prox`` and ``batched_objective``, and :func:`rank_one_sppg_block`
+takes each run of up to ``SPPG_RUN`` consecutive distinct sppg rows with
+three BLAS products and the recurrence, in place of a dozen small vector
+operations per step.  :func:`hinge_spi_block` is the spi baseline's loop
+over folded hinge rows.  The per-term handles of the problem remain the
+reference implementation; the kernels agree with them to floating-point
+rounding, not bitwise, because their sums associate differently.
 """
 
 import importlib.util
@@ -25,15 +24,18 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .core import ConvergenceError
-from .prox import glm_root
+from .prox import _glm_roots, glm_root
 
-__all__ = ["HingeStructure", "GlmStructure", "rank_one_sppg_block",
-           "hinge_spi_block"]
+__all__ = ["HingeStructure", "GlmStructure", "rank_one_prox",
+           "rank_one_objective", "rank_one_sppg_block", "hinge_spi_block"]
 
 # Rows per run of the numpy sppg block.  A run costs a few BLAS products
 # that grow as SPPG_RUN**2 * d plus a scalar recurrence of SPPG_RUN steps;
 # runs of 32 to 64 rows were fastest at d=128, and 256 was slower.
 SPPG_RUN = 32
+# rows per in-place update of rank_one_prox; bounds its temporary to a
+# small block instead of a second n x d array
+ROW_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -51,6 +53,15 @@ class HingeStructure:
     sqnorms: np.ndarray
     ridge: float
     folded: bool = False
+
+    def betas(self, s, alpha):
+        """The clip coefficient of every row at s_i = f_i'v."""
+        m = (1.0 - self.labels * s) / self.sqnorms
+        return np.clip(m, 0.0, alpha) * self.labels
+
+    def losses(self, s):
+        """The hinge max(1 - y_i s_i, 0) of every row."""
+        return np.maximum(1.0 - self.labels * s, 0.0)
 
     def run_betas(self, rows, base, coupling, own, sq, alpha):
         """The clip coefficients of one run of :func:`rank_one_sppg_block`;
@@ -70,16 +81,39 @@ class HingeStructure:
 @dataclass(frozen=True)
 class GlmStructure:
     """Marks a problem as generalized-linear-model rows and nothing else:
-    term i is A(f_i'x) - t_i f_i'x for the cumulant derivative ``deriv``,
-    with ``sqnorms`` the squared row norms of ``features`` and no ridge.
+    term i is A(f_i'x) - t_i f_i'x for the cumulant A with handles
+    ``value`` and ``deriv`` that map arrays elementwise, with ``sqnorms``
+    the squared row norms of ``features`` and no ridge.
     """
 
     features: np.ndarray
     sqnorms: np.ndarray
     responses: np.ndarray
     deriv: Callable
+    value: Callable
     ridge: ClassVar[float] = 0.0
     folded: ClassVar[bool] = False
+
+    def betas(self, s, alpha):
+        """beta = (t - s)/q of every row at s_i = f_i'v, with t the root of
+        t + alpha*q*(A'(t) - t_i) = s by :func:`prox._glm_roots`.  A zero
+        data row gives 0; a row whose input, data or response is not
+        finite gives NaN, for the caller to report by index."""
+        q = self.sqnorms
+        with np.errstate(over="ignore", invalid="ignore"):
+            aq = alpha * q
+            finite = np.isfinite(s) & np.isfinite(aq) & np.isfinite(
+                self.responses)
+            beta = np.where(finite, 0.0, np.nan)
+            rows = np.flatnonzero(finite & (q > 0.0))
+            root = _glm_roots(s[rows], aq[rows], self.responses[rows],
+                              self.deriv, rows)
+            beta[rows] = (root - s[rows]) / q[rows]
+        return beta
+
+    def losses(self, s):
+        """A(s_i) - t_i s_i of every row."""
+        return self.value(s) - self.responses * s
 
     def run_betas(self, rows, base, coupling, own, sq, alpha):
         """The prox coefficients of one run of :func:`rank_one_sppg_block`:
@@ -118,6 +152,26 @@ def _distinct_runs(order, limit):
             end += 1
         yield start, end
         start = end
+
+
+def rank_one_prox(struct, v, alpha):
+    """The prox of every row term at once: row i of ``v`` moves to
+    v_i + beta_i f_i, with the betas of ``struct.betas`` at s_i = f_i'v_i.
+    ``v`` is overwritten and returned; a row with a NaN beta comes back NaN.
+    """
+    feats = struct.features
+    beta = struct.betas(np.einsum("ij,ij->i", feats, v), alpha)
+    for lo in range(0, v.shape[0], ROW_CHUNK):
+        hi = lo + ROW_CHUNK
+        v[lo:hi] += beta[lo:hi, None] * feats[lo:hi]
+    return v
+
+
+def rank_one_objective(struct, x) -> float:
+    """ridge/2 ||x||^2 + mean_i phi_i(f_i'x), the objective of rank-one rows
+    whether the ridge sits in r or is folded into the terms."""
+    return (0.5 * struct.ridge * float(x @ x)
+            + float(np.mean(struct.losses(struct.features @ x))))
 
 
 def rank_one_sppg_block(z, zbar, struct, alpha, idx):

@@ -31,11 +31,12 @@ class SolveOptions:
 
     ``alpha=None`` selects 1/L from the problem's Lipschitz bound.  The run
     stops when the root-mean-square residual per entry (||p(z)|| /
-    sqrt(n*d) for the splitting solvers) drops to ``tol``; 0 disables early
-    stopping.  Full sweeps test it every iteration, single-term solvers at
-    their recorded rows.  ``record_every=None`` uses the solver's natural
-    cadence: every iteration for full sweeps, once per epoch for
-    single-term sweeps; explicit values must be at least 1.
+    sqrt(n*d) for the splitting solvers) drops to ``tol``, a finite
+    nonnegative number; 0 disables early stopping.  Full sweeps test it
+    every iteration, single-term solvers at their recorded rows.
+    ``max_iters`` is a nonnegative int.  ``record_every=None`` uses the
+    solver's natural cadence: every iteration for full sweeps, once per
+    epoch for single-term sweeps; explicit values must be at least 1.
     ``threads=0`` reads PROXSPLIT_THREADS.
     """
 
@@ -47,6 +48,13 @@ class SolveOptions:
     threads: int = 0
 
     def __post_init__(self):
+        if (not isinstance(self.max_iters, (int, np.integer))
+                or isinstance(self.max_iters, bool) or self.max_iters < 0):
+            raise ValueError("max_iters must be a nonnegative int, got "
+                             f"{self.max_iters!r}")
+        if not 0.0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be nonnegative and finite, got "
+                             f"{self.tol}")
         if self.record_every is not None and not self.record_every >= 1:
             raise ValueError("record_every must be at least 1, got "
                              f"{self.record_every}")
@@ -125,7 +133,7 @@ def _sweep_loop(problem: ProblemSpec, opts: SolveOptions, step,
                                 time.perf_counter() - t0))
         if stopping:
             return rows, True, k + 1, "tol"
-    return rows, opts.tol <= 0, max(opts.max_iters, 0), "budget"
+    return rows, opts.tol <= 0, opts.max_iters, "budget"
 
 
 def _sampled_loop(problem: ProblemSpec, opts: SolveOptions, sampler, probe,

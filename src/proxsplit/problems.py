@@ -7,15 +7,17 @@ coloring to decompose pairwise penalties into matchings).
 """
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .core import ProblemSpec, ProxFn, SmoothFn, scale_prox, scale_smooth, \
     zero_prox, zero_smooth
-from .kernels import GlmStructure, HingeStructure
-from .prox import (CachedQuadraticProx, ScalarFn, prox_glm_1d, prox_glm_rows,
-                   prox_hinge, prox_quadratic, soft_threshold_scalar,
+from .kernels import (GlmStructure, HingeStructure, rank_one_objective,
+                      rank_one_prox)
+from .prox import (CachedQuadraticProx, ScalarFn, prox_glm_1d, prox_hinge,
+                   prox_quadratic, soft_threshold_scalar,
                    soft_threshold_vector)
 
 __all__ = [
@@ -237,16 +239,18 @@ def build_svm(data: SvmData, fold_ridge: bool = False) -> ProblemSpec:
     prox.  ``fold_ridge=True`` instead folds the ridge into every term and
     leaves the global term zero, which is the prox-only form required by
     the diminishing-step baseline; both forms have identical objectives.
+    The attached :class:`HingeStructure` supplies the all-rows objective
+    and, in the default form, the all-rows prox.
     """
     feats = data.features
     labels = data.labels
     lam = data.lam
     n, d = feats.shape
-    sqnorms = np.einsum("ij,ij->i", feats, feats)
-
-    def batched_objective(x):
-        margins = np.maximum(1.0 - labels * (feats @ x), 0.0)
-        return 0.5 * lam * float(x @ x) + float(margins.mean())
+    structure = HingeStructure(
+        features=feats, labels=labels,
+        sqnorms=np.einsum("ij,ij->i", feats, feats), ridge=lam,
+        folded=fold_ridge)
+    batched_objective = partial(rank_one_objective, structure)
 
     if fold_ridge:
         def make_g(i):
@@ -263,8 +267,6 @@ def build_svm(data: SvmData, fold_ridge: bool = False) -> ProblemSpec:
 
             return ProxFn(prox=prox, value=value)
 
-        structure = HingeStructure(features=feats, labels=labels,
-                                   sqnorms=sqnorms, ridge=lam, folded=True)
         return ProblemSpec(
             dim=d, n=n, r=zero_prox(),
             f=tuple(zero_smooth() for _ in range(n)),
@@ -282,18 +284,12 @@ def build_svm(data: SvmData, fold_ridge: bool = False) -> ProblemSpec:
         return ProxFn(prox=lambda x0, a: prox_hinge(x0, ai, yi, a),
                       value=lambda x: max(1.0 - yi * float(ai @ x), 0.0))
 
-    def batched_g_prox(v, a):
-        m = (1.0 - labels * np.einsum("ij,ij->i", feats, v)) / sqnorms
-        beta = np.clip(m, 0.0, a) * labels
-        return v + beta[:, None] * feats
-
-    structure = HingeStructure(features=feats, labels=labels,
-                               sqnorms=sqnorms, ridge=lam, folded=False)
     return ProblemSpec(
         dim=d, n=n, r=r,
         f=tuple(zero_smooth() for _ in range(n)),
         g=tuple(make_g(i) for i in range(n)),
-        kind="svm", structure=structure, batched_g_prox=batched_g_prox,
+        kind="svm", structure=structure,
+        batched_g_prox=partial(rank_one_prox, structure),
         batched_objective=batched_objective)
 
 
@@ -558,10 +554,10 @@ def build_glm(x_mat: np.ndarray, t_vec: np.ndarray,
     minimize mean_i [A(x_i'b) - t_i * x_i'b] for the convex cumulant A,
     whose ``value`` and ``deriv`` handles must map arrays elementwise.
     Every term is handled through its prox (the one-dimensional reduction
-    along its own data row); there is no smooth or global part.  Full
-    sweeps solve all rows' reductions at once; sppg steps run through the
-    blocked rank-one kernel that the attached :class:`GlmStructure`
-    selects, and other single-term steps use the per-term handles.
+    along its own data row); there is no smooth or global part.  The
+    attached :class:`GlmStructure` supplies the all-rows prox of full
+    sweeps, the all-rows objective and the blocked rank-one kernel of sppg
+    steps; other single-term steps use the per-term handles.
     """
     x_mat = np.asarray(x_mat, dtype=float)
     t_vec = np.asarray(t_vec, dtype=float)
@@ -578,17 +574,13 @@ def build_glm(x_mat: np.ndarray, t_vec: np.ndarray,
             value=lambda beta: a1d.value(float(xi @ beta))
             - ti * float(xi @ beta))
 
-    def batched_objective(beta):
-        s = x_mat @ beta
-        return float(np.mean(a1d.value(s) - t_vec * s))
-
+    structure = GlmStructure(
+        features=x_mat, sqnorms=np.einsum("ij,ij->i", x_mat, x_mat),
+        responses=t_vec, deriv=a1d.deriv, value=a1d.value)
     return ProblemSpec(
         dim=d, n=n, r=zero_prox(),
         f=tuple(zero_smooth() for _ in range(n)),
         g=tuple(make_g(i) for i in range(n)),
-        kind="glm",
-        structure=GlmStructure(
-            features=x_mat, sqnorms=np.einsum("ij,ij->i", x_mat, x_mat),
-            responses=t_vec, deriv=a1d.deriv),
-        batched_g_prox=lambda v, a: prox_glm_rows(v, x_mat, t_vec, a1d, a),
-        batched_objective=batched_objective)
+        kind="glm", structure=structure,
+        batched_g_prox=partial(rank_one_prox, structure),
+        batched_objective=partial(rank_one_objective, structure))

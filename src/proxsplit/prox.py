@@ -2,8 +2,7 @@
 
 Everything here evaluates prox_{a*h}(x0) = argmin_u h(u) + ||u - x0||^2/(2a)
 for specific families of h.  Operators are pure, reentrant, and return fresh
-arrays, except the all-rows GLM prox, which overwrites its input block.
-One-dimensional reductions (affine compositions, generalized linear
+arrays.  One-dimensional reductions (affine compositions, generalized linear
 model terms) solve a scalar strongly convex subproblem by bisection on the
 subgradient sign, or by a safeguarded secant method when a derivative
 handle is available.  Each root is bracketed without a search: the
@@ -38,14 +37,13 @@ __all__ = [
     "prox_quadratic",
     "prox_glm_1d",
     "glm_root",
-    "prox_glm_rows",
 ]
 
 _BISECT_CAP = 200
 _BETA_TOL = 1e-12
 # the largest float: the far end of a bracket whose first value overflowed
 _BIG = sys.float_info.max
-# brackets of the all-rows GLM prox wider than this bisect in the asinh
+# brackets of the all-rows GLM roots wider than this bisect in the asinh
 # scale; narrower ones bisect arithmetically, down to 1e-12 in 60 halvings
 _WIDE = 2.0 ** 20
 # steps of the scalar GLM root: at most 3 per bisection, and 63 bisections
@@ -399,42 +397,11 @@ def _regula_falsi(psi, lo: float, plo: float, hi: float,
     return 0.5 * (a + b)
 
 
-# rows per in-place update of prox_glm_rows; bounds its temporary to a
-# small block instead of a second n x d array
-_ROW_CHUNK = 256
-
-
-def prox_glm_rows(v: np.ndarray, x_mat: np.ndarray, t_vec: np.ndarray,
-                  a1d: ScalarFn, alpha: float) -> np.ndarray:
-    """:func:`prox_glm_1d` of every row at once: row i of the result is
-    the prox at ``v[i]`` of the term with data row ``x_mat[i]`` and
-    response ``t_vec[i]``.  ``v`` is overwritten and returned.
-
-    ``a1d.deriv`` must map arrays elementwise.  Each row's scalar root
-    t + alpha*q*(A'(t) - t_i) = s0 is bracketed as in :func:`glm_root`
-    and bisected until its bracket is at most 1e-12 wide (or holds no
-    float between its ends); see :func:`_glm_roots`.  Zero data rows are
-    left unchanged.  Rows whose data or input are not finite come back as
-    NaN, for the caller to report by index.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        sqnorms = np.einsum("ij,ij->i", x_mat, x_mat)
-        s0 = np.einsum("ij,ij->i", x_mat, v)
-        aq = alpha * sqnorms
-        finite = np.isfinite(s0) & np.isfinite(aq) & np.isfinite(t_vec)
-        beta = np.where(finite, 0.0, np.nan)
-        rows = np.flatnonzero(finite & (sqnorms > 0.0))
-        root = _glm_roots(s0[rows], aq[rows], t_vec[rows], a1d.deriv, rows)
-        beta[rows] = (root - s0[rows]) / sqnorms[rows]
-    for lo in range(0, v.shape[0], _ROW_CHUNK):
-        hi = lo + _ROW_CHUNK
-        v[lo:hi] += beta[lo:hi, None] * x_mat[lo:hi]
-    return v
-
-
 def _glm_roots(s0, aq, t, deriv, rows) -> np.ndarray:
-    """Roots of psi(u) = u - s0 + aq*(deriv(u) - t), one per entry; ``rows``
-    maps entries to term indices for error messages.
+    """Roots of psi(u) = u - s0 + aq*(deriv(u) - t), one per entry, for a
+    ``deriv`` that maps arrays elementwise; ``rows`` maps entries to term
+    indices for error messages.  The all-rows GLM prox
+    (:meth:`kernels.GlmStructure.betas`) solves its rows with it.
 
     psi' >= 1 puts each root within |psi(s0)| of s0; an infinite psi(s0)
     leaves the whole float range on the root's side of s0.  Brackets wider

@@ -12,7 +12,6 @@ reproducible from the seed alone and portable: draw k is the k-th raw
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,25 +23,9 @@ from .io import MetricsLog
 from .ppg import (RunResult, SolveOptions, _Ergodic, _report, _sampled_loop,
                   resolve_alpha)
 
-__all__ = ["SamplerConfig", "IndexSampler", "SequenceSampler",
-           "sppg_step", "sppg_run"]
+__all__ = ["IndexSampler", "SequenceSampler", "sppg_step", "sppg_run"]
 
 DRIFT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Seed plus sampling scheme; uniform i.i.d. is the only scheme."""
-
-    seed: int
-    scheme: str = "uniform-iid"
-
-    def __post_init__(self):
-        if self.scheme != "uniform-iid":
-            raise ValueError("only the uniform-iid scheme is supported")
-
-    def make(self, n: int) -> "IndexSampler":
-        return IndexSampler(self.seed, n)
 
 
 class IndexSampler:

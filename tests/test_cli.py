@@ -97,6 +97,39 @@ class TestSolve:
         assert code == 1
         assert "smooth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algo,kind", [
+        ("prox-grad", "group-lasso"),  # per-term nonsmooth terms
+        ("admm", "fused-lasso"),  # smooth terms
+        ("spi", "group-lasso"),  # a global term
+        ("finito", "group-lasso"),  # per-term nonsmooth terms
+    ])
+    def test_solver_rejects_problem_outside_its_class(self, tmp_path, capsys,
+                                                      algo, kind):
+        prob = _gen(tmp_path, kind=kind, sub="p")
+        metrics = tmp_path / "m.csv"
+        code = main(["solve", "--problem", str(prob), "--algo", algo,
+                     "--metrics", str(metrics)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error:") and "requires" in err
+        assert not metrics.exists()
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    def test_bad_tol_exit_one(self, tmp_path, capsys, tol):
+        # --tol inf used to stop after one sweep reporting converged=True,
+        # --tol nan to run the whole budget
+        prob = _gen(tmp_path)
+        metrics = tmp_path / "m.csv"
+        code = main(["solve", "--problem", str(prob), "--algo", "ppg",
+                     "--tol", tol, "--max-iters", "5",
+                     "--metrics", str(metrics)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error:") and "tol" in err
+        assert not metrics.exists()
+
     def test_spi_runs_on_folded_svm(self, tmp_path):
         out = tmp_path / "svm"
         assert main(["gen", "svm", "--out", str(out), "--n", "30",
@@ -418,6 +451,26 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "record_every" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("field,value", [("tol", float("nan")),
+                                             ("ergodic", True)])
+    def test_bad_config_rejected_before_any_run(self, tmp_path, capsys,
+                                                monkeypatch, field, value):
+        # a NaN tol used to run the reference pass and every configuration
+        runs = []
+        monkeypatch.setattr(cli.ppg, "ppg_run",
+                            lambda *a, **k: runs.append(a))
+        prob = _gen(tmp_path)
+        c1 = self._write_cfg(tmp_path, "c1.json", problem=str(prob),
+                             algo="ppg", max_iters=10)
+        c2 = self._write_cfg(tmp_path, "c2.json", problem=str(prob),
+                             algo="admm", max_iters=10, **{field: value})
+        out = tmp_path / "o.csv"
+        assert main(["compare", c1, c2, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error:") and field in err
+        assert runs == [] and not out.exists()
 
     def test_multi_seed_aggregation(self, tmp_path):
         prob = _gen(tmp_path)

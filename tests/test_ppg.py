@@ -1,6 +1,7 @@
 """Full-sweep solver: step algebra, reductions to classical methods,
 monotonicity, and determinism across thread counts."""
 
+import math
 import os
 import tempfile
 import warnings
@@ -296,6 +297,22 @@ class TestOptions:
     def test_record_every_below_one_rejected(self, every):
         with pytest.raises(ValueError, match="record_every"):
             SolveOptions(record_every=every)
+
+    @pytest.mark.parametrize("iters", [-3, 2.5, "10", True, None])
+    def test_bad_max_iters_rejected(self, iters):
+        # -3 used to report converged=True after zero iterations
+        with pytest.raises(ValueError, match="max_iters"):
+            SolveOptions(max_iters=iters)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-8, math.inf])
+    def test_bad_tol_rejected(self, tol):
+        # inf stopped after one sweep with converged=True; NaN never stopped
+        with pytest.raises(ValueError, match="tol"):
+            SolveOptions(tol=tol)
+
+    def test_zero_budget_accepted(self, rng):
+        res = ppg_run(lasso_problem(rng), SolveOptions(alpha=0.1, max_iters=0))
+        assert res.state.k == 0 and res.log.rows == []
 
     def test_alpha_beyond_two_over_l_rejected(self, rng):
         problem = lasso_problem(rng)

@@ -222,9 +222,16 @@ class TestSvm:
         from conftest import tiny_svm
         problem = tiny_svm(rng, n=9, d=4)
         v = rng.standard_normal((9, 4))
-        batched = problem.batched_g_prox(v, 0.7)
+        batched = problem.batched_g_prox(v.copy(), 0.7)
         for i, gi in enumerate(problem.g):
             assert np.allclose(batched[i], gi.prox(v[i], 0.7), atol=1e-13)
+
+    def test_batched_prox_overwrites_its_input(self, rng):
+        # the sweep's scratch block is updated in place, not copied
+        from conftest import tiny_svm
+        problem = tiny_svm(rng, n=9, d=4)
+        v = rng.standard_normal((9, 4))
+        assert problem.batched_g_prox(v, 0.7) is v
 
     def test_folded_form_same_objective(self, rng):
         from conftest import tiny_svm
@@ -616,8 +623,8 @@ class TestGlm:
         assert np.allclose(got[0], want, rtol=0.0, atol=1e-11)
 
     def test_batched_prox_near_exp_overflow(self):
-        # aq*(exp(s0) - ti) overflows at s0 = 707: the bracket walk starts
-        # from a unit window instead of an infinite one
+        # aq*(exp(s0) - ti) overflows at s0 = 707: both paths bracket the
+        # root by [-DBL_MAX, s0] and close that bracket in the asinh scale
         fam = glm_family("poisson")
         problem = build_glm(np.array([[1.0, 0.0], [0.5, 1.0]]),
                             np.array([1.0, 2.0]), fam)
@@ -693,8 +700,9 @@ class TestGlm:
             build_glm(np.ones((2, 2)), np.ones(2), scalar_only)
 
     def test_poisson_prox_survives_steep_inputs(self, rng):
-        # exponential cumulants overflow above the root; the bracket walk
-        # must still land on the solution
+        # exponential cumulants overflow above the root; with psi(s0) = inf
+        # the bracket runs from -DBL_MAX to s0, and the root solve must
+        # still land on the solution
         from proxsplit.prox import prox_glm_1d
         from conftest import prox_objective
         fam = glm_family("poisson")

@@ -13,8 +13,8 @@ from proxsplit.baselines import (DiminishingStep, finito_run,
 from proxsplit.core import chunked_row_mean, initial_state, objective
 from proxsplit.io import write_metrics_csv
 from proxsplit.ppg import SolveOptions, ppg_run, ppg_step
-from proxsplit.sppg import (IndexSampler, SamplerConfig, SequenceSampler,
-                            sppg_run, sppg_step)
+from proxsplit.sppg import (IndexSampler, SequenceSampler, sppg_run,
+                            sppg_step)
 
 
 class TestIndexSampler:
@@ -40,12 +40,6 @@ class TestIndexSampler:
         assert list(IndexSampler(42, 7).take(10)) == \
             [6, 2, 2, 0, 5, 5, 0, 6, 6, 2]
         assert list(IndexSampler(42, 5).take(4)) == [1, 0, 0, 4]
-
-    def test_sampler_config(self):
-        sampler = SamplerConfig(seed=42).make(7)
-        assert list(sampler.take(3)) == [6, 2, 2]
-        with pytest.raises(ValueError):
-            SamplerConfig(seed=1, scheme="permutation")
 
 
 class _RecordingSampler(IndexSampler):
