@@ -9,15 +9,16 @@ compare  run several configurations on the same problem and merge curves
 A problem description is a JSON object ``{"kind", "dim", "params", "files"}``
 with data file paths relative to the JSON's directory.  A run configuration
 is a JSON object with the same field names as the solve flags; flags given
-on the command line override the file.  Exit codes: 0 success, 1 error,
+on the command line override the file.  Exit codes: 0 success, 1 error
+(bad input, including a usage error such as an unknown flag or choice),
 2 iteration budget exhausted before the tolerance, 3 solver failure
 (non-finite values from a prox or gradient, or an inner solve that did not
-converge), reported on one line naming the term.
+converge), reported on one line naming the term.  Every error is one
+``error:`` line on stderr.
 
 Every run is reproducible from (config, seed): metrics files are written
-without wall-clock columns unless --timing is given, and all reductions are
-deterministic at any --threads setting (default thread count comes from
-PROXSPLIT_THREADS).
+without wall-clock columns unless --timing is given, and every row mean is
+summed in chunks fixed at problem construction.
 """
 
 import argparse
@@ -48,7 +49,6 @@ class RunConfig:
     tol: float = 0.0
     max_iters: int = 1000
     seed: int = 0
-    threads: int = 0
     record_every: int | None = None
     ergodic: bool = False
     timing: bool = False
@@ -89,8 +89,7 @@ def _config_from(path: str | None, args) -> RunConfig:
 def _options(cfg: RunConfig) -> ppg.SolveOptions:
     return ppg.SolveOptions(alpha=cfg.alpha, max_iters=cfg.max_iters,
                             tol=cfg.tol, ergodic=cfg.ergodic,
-                            record_every=cfg.record_every,
-                            threads=cfg.threads)
+                            record_every=cfg.record_every)
 
 
 # -- problem descriptions ------------------------------------------------------
@@ -424,8 +423,6 @@ def cmd_gen(args) -> int:
             t_vec = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
         elif args.family == "poisson":
             t_vec = rng.poisson(np.exp(np.clip(eta, -10, 3))).astype(float)
-        else:
-            raise ValueError(f"unknown family {args.family!r}")
         _write_csv_matrix(os.path.join(args.out, "X.csv"), x_mat)
         _write_csv_matrix(os.path.join(args.out, "T.csv"), t_vec[:, None])
         _write_problem_json(args.out, {
@@ -441,8 +438,16 @@ def cmd_gen(args) -> int:
 
 # -- argument parsing -----------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error for ``main`` to report as exit code 1, since
+    argparse's own exit code 2 means an exhausted iteration budget here."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="proxsplit",
         description="Composite-sum convex solvers with prox-based splitting")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -462,7 +467,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--margin", type=float, default=1.0)
     g.add_argument("--vertices", type=int, default=8)
     g.add_argument("--edge-prob", dest="edge_prob", type=float, default=0.4)
-    g.add_argument("--family", default="gaussian")
+    g.add_argument("--family", default="gaussian",
+                   choices=("gaussian", "logistic", "poisson"))
     g.set_defaults(func=cmd_gen)
 
     s = sub.add_parser("solve", help="run one solver")
@@ -474,7 +480,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tol", type=float, default=None)
     s.add_argument("--max-iters", dest="max_iters", type=int, default=None)
     s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--threads", type=int, default=None)
     s.add_argument("--record-every", dest="record_every", type=int,
                    default=None)
     s.add_argument("--ergodic", action="store_const", const=True,
@@ -493,8 +498,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -152,8 +152,9 @@ class ProblemSpec:
         equal to the term-by-term sum up to rounding.
     reduce_chunks : int
         Number of contiguous chunks used by the deterministic row-mean
-        reduction.  Fixed at construction so results never depend on the
-        thread count; 0 selects ``min(n, 16)``.
+        reduction.  Fixed at construction so that the summation order, and
+        with it the metrics CSV bytes and sppg's resync reference, stays
+        the same; 0 selects ``min(n, 16)``.
     """
 
     dim: int
@@ -250,8 +251,9 @@ def chunked_row_mean(z: np.ndarray, n_chunks: int) -> np.ndarray:
     """Row mean computed in fixed contiguous chunks, combined in order.
 
     The chunk layout depends only on ``n_chunks`` (fixed at problem
-    construction), so the result is bitwise reproducible no matter how the
-    per-row work is scheduled across threads.
+    construction), so the summation order never changes: reruns write the
+    same metrics CSV bytes, and sppg's resync compares its running mean
+    against the same reference.
     """
     n = z.shape[0]
     size = -(-n // n_chunks)
@@ -311,33 +313,25 @@ def residual_map(state: SolverState, problem: ProblemSpec):
 
 
 def _term_points(x_half: np.ndarray, z: np.ndarray, problem: ProblemSpec,
-                 alpha: float, lo: int = 0) -> np.ndarray:
+                 alpha: float) -> np.ndarray:
     """Per-term prox points x_i = prox_{a g_i}(2 x_half - z_i - a grad f_i),
-    in a fresh array the caller may modify.
-
-    Row j of ``z`` belongs to term ``lo + j``.  The batched hooks take all
-    n rows at once, so a row range (``lo > 0`` or fewer than n rows) is
-    only for problems without them.
-    """
+    in a fresh array the caller may modify."""
     v = 2.0 * x_half[None, :] - z
-    terms = range(lo, lo + z.shape[0])
     if problem.batched_f_grad is not None:
         problem.batched_f_grad(v, x_half, alpha)
         _require_finite_rows(v, "gradient of f")
     else:
-        for i in terms:
-            fi = problem.f[i]
+        for i, fi in enumerate(problem.f):
             if not fi.is_zero:
-                v[i - lo] -= alpha * _call_term(fi.gradient, i,
-                                                "gradient of f", x_half)
+                v[i] -= alpha * _call_term(fi.gradient, i, "gradient of f",
+                                           x_half)
     if problem.batched_g_prox is not None:
         x_terms = problem.batched_g_prox(v, alpha)
         _require_finite_rows(x_terms, "prox of g")
         return x_terms
-    for i in terms:
-        gi = problem.g[i]
+    for i, gi in enumerate(problem.g):
         if not gi.is_zero:
-            v[i - lo] = _call_term(gi.prox, i, "prox of g", v[i - lo], alpha)
+            v[i] = _call_term(gi.prox, i, "prox of g", v[i], alpha)
     return v
 
 

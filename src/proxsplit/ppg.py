@@ -2,16 +2,14 @@
 
 Each iteration evaluates the global prox at the averaged state, one prox and
 one gradient per term, and advances every row of z; the average is then
-rebuilt with the fixed-chunk reduction so logs are identical at any thread
-count.  Only z is stored across iterations.
+rebuilt with the fixed-chunk reduction, so its summation order, and with it
+every logged byte, is the same on every rerun.  Only z is stored across
+iterations.
 """
 
 import math
-import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +23,11 @@ __all__ = ["SolveOptions", "RunResult", "resolve_alpha", "ppg_step",
            "ppg_run"]
 
 
+def _is_int(value) -> bool:
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool))
+
+
 @dataclass
 class SolveOptions:
     """Knobs shared by all solver runs.
@@ -36,8 +39,9 @@ class SolveOptions:
     every iteration, single-term solvers at their recorded rows.
     ``max_iters`` is a nonnegative int.  ``record_every=None`` uses the
     solver's natural cadence: every iteration for full sweeps, once per
-    epoch for single-term sweeps; explicit values must be at least 1.
-    ``threads=0`` reads PROXSPLIT_THREADS.
+    epoch for single-term sweeps; explicit values must be ints of at
+    least 1.  ``threads`` has no effect: nothing reads it, and it stays
+    only until the benchmark's jobs stop passing it (ROADMAP item 6).
     """
 
     alpha: float | None = None
@@ -48,16 +52,16 @@ class SolveOptions:
     threads: int = 0
 
     def __post_init__(self):
-        if (not isinstance(self.max_iters, (int, np.integer))
-                or isinstance(self.max_iters, bool) or self.max_iters < 0):
+        if not _is_int(self.max_iters) or self.max_iters < 0:
             raise ValueError("max_iters must be a nonnegative int, got "
                              f"{self.max_iters!r}")
         if not 0.0 <= self.tol < math.inf:
             raise ValueError(f"tol must be nonnegative and finite, got "
                              f"{self.tol}")
-        if self.record_every is not None and not self.record_every >= 1:
-            raise ValueError("record_every must be at least 1, got "
-                             f"{self.record_every}")
+        if self.record_every is not None and (
+                not _is_int(self.record_every) or self.record_every < 1):
+            raise ValueError("record_every must be an int of at least 1, "
+                             f"got {self.record_every!r}")
 
 
 @dataclass
@@ -199,53 +203,18 @@ def resolve_alpha(problem: ProblemSpec, alpha: float | None) -> float:
     return float(alpha)
 
 
-def resolve_threads(threads: int) -> int:
-    if threads and threads > 0:
-        return int(threads)
-    env = os.environ.get("PROXSPLIT_THREADS", "")
-    return max(1, int(env)) if env.isdigit() else 1
-
-
-def _sweep(state: SolverState, problem: ProblemSpec, pool=None):
+def _sweep(state: SolverState, problem: ProblemSpec):
     """One full sweep: returns ``(x_half, delta)`` for the pre-step state,
     where row i of ``delta`` is x_i - x_half, and advances z and zbar in
     place.  ||delta|| / alpha is the residual ||p(z)||.
-
-    A pool is given only for a problem without batched hooks (see
-    :meth:`ProblemSpec.batched_sweep`), whose sweep runs term by term.
-    Rows are then processed in the same fixed chunks used by the mean
-    reduction and partial sums combine in chunk order, so the result is
-    independent of the worker count.
     """
     alpha = state.alpha
     x_half = problem.r.prox(state.zbar, alpha)
     _require_finite(x_half, "prox of r")
-    z = state.z
-    n, d = z.shape
-    if pool is None:
-        delta = _term_points(x_half, z, problem, alpha)
-        delta -= x_half
-        z += delta
-        state.zbar = chunked_row_mean(z, problem.reduce_chunks)
-        state.k += 1
-        return x_half, delta
-    size = -(-n // problem.reduce_chunks)
-    delta = np.empty_like(z)
-
-    def run_chunk(c):
-        lo, hi = c * size, min((c + 1) * size, n)
-        part = _term_points(x_half, z[lo:hi], problem, alpha, lo)
-        part -= x_half
-        delta[lo:hi] = part
-        z[lo:hi] += part
-        return z[lo:hi].sum(axis=0)
-
-    chunks = range(problem.reduce_chunks)
-    partials = list(pool.map(run_chunk, chunks))
-    total = np.zeros(d)
-    for part in partials:
-        total += part
-    state.zbar = total / n
+    delta = _term_points(x_half, state.z, problem, alpha)
+    delta -= x_half
+    state.z += delta
+    state.zbar = chunked_row_mean(state.z, problem.reduce_chunks)
     state.k += 1
     return x_half, delta
 
@@ -273,33 +242,29 @@ def ppg_run(problem: ProblemSpec, opts: SolveOptions,
     """
     alpha = resolve_alpha(problem, opts.alpha)
     state = initial_state(problem, alpha, warm_start)
-    threads = resolve_threads(opts.threads)
     erg = _Ergodic(problem.dim) if opts.ergodic else None
-    pooled = threads > 1 and not problem.batched_sweep()
-    with ThreadPoolExecutor(threads) if pooled else nullcontext() as pool:
 
-        # The previous sweep's arrays stay alive until the next sweep has
-        # built its own, as they would in an inline loop.  Freed earlier,
-        # the n x d blocks go back to the OS (glibc trims the heap top) and
-        # are faulted in again every sweep: about 20x the page faults and
-        # +15% wall time at n=8192, d=128.
-        last = None
+    # The previous sweep's arrays stay alive until the next sweep has built
+    # its own, as they would in an inline loop.  Freed earlier, the n x d
+    # blocks go back to the OS (glibc trims the heap top) and are faulted in
+    # again every sweep: about 20x the page faults and +15% wall time at
+    # n=8192, d=128.
+    last = None
 
-        def step():
-            nonlocal last
-            last = x_half, delta = _sweep(state, problem, pool)
-            if erg is not None:
-                erg.add(x_half)
-            return float(np.linalg.norm(delta)) / alpha, x_half
+    def step():
+        nonlocal last
+        last = x_half, delta = _sweep(state, problem)
+        if erg is not None:
+            erg.add(x_half)
+        return float(np.linalg.norm(delta)) / alpha, x_half
 
-        rows, converged, _, stop = _sweep_loop(
-            problem, opts, step, math.sqrt(problem.n * problem.dim), x_ref)
+    rows, converged, _, stop = _sweep_loop(
+        problem, opts, step, math.sqrt(problem.n * problem.dim), x_ref)
     x_out = problem.r.prox(state.zbar, alpha)
     log = MetricsLog(rows=rows, metadata={
         "solver": "ppg", "alpha": alpha, "problem_kind": problem.kind,
-        "n": problem.n, "dim": problem.dim, "threads": threads,
-        "sweep": ("batched" if problem.batched_sweep()
-                  else "pool" if pooled else "per-term"),
+        "n": problem.n, "dim": problem.dim,
+        "sweep": "batched" if problem.batched_sweep() else "per-term",
         "stop": stop,
     })
     return RunResult(x=x_out, log=log, converged=converged, state=state,

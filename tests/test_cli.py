@@ -41,6 +41,17 @@ class TestGen:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_family_exit_one(self, tmp_path, capsys):
+        # argparse's exit code 2 means an exhausted budget here, and the
+        # family used to be checked only after --out was created
+        out = tmp_path / "glm"
+        code = main(["gen", "glm", "--family", "bogus", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--family" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_group_lasso_shape_of_record(self, tmp_path):
         path = _gen(tmp_path)
         desc = json.loads(path.read_text())
@@ -139,17 +150,6 @@ class TestSolve:
                      "--metrics", str(tmp_path / "m.csv")])
         assert code == 0
 
-    def test_thread_count_invariance_bytes(self, tmp_path):
-        prob = _gen(tmp_path)
-        outs = []
-        for threads in ("1", "8"):
-            metrics = tmp_path / f"m{threads}.csv"
-            assert main(["solve", "--problem", str(prob), "--algo", "ppg",
-                         "--max-iters", "60", "--threads", threads,
-                         "--metrics", str(metrics)]) == 0
-            outs.append(metrics.read_bytes())
-        assert outs[0] == outs[1]
-
     def test_rerun_bytes_identical(self, tmp_path):
         prob = _gen(tmp_path)
         outs = []
@@ -178,6 +178,33 @@ class TestSolve:
                      "--metrics", str(tmp_path / "m.csv")])
         assert code == 2
         assert "converged=False" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags,name", [
+        (["--algo", "bogus"], "--algo"),
+        (["--max-iters", "x"], "--max-iters"),
+        (["--threads", "2"], "--threads"),
+    ])
+    def test_usage_error_exit_one(self, tmp_path, capsys, flags, name):
+        prob = _gen(tmp_path)
+        capsys.readouterr()
+        code = main(["solve", "--problem", str(prob),
+                     "--metrics", str(tmp_path / "m.csv")] + flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_threads_config_field_rejected(self, tmp_path, capsys):
+        prob = _gen(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": str(prob), "threads": 2}))
+        code = main(["solve", "--config", str(cfg),
+                     "--metrics", str(tmp_path / "m.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'threads'" in err
+        assert not (tmp_path / "m.csv").exists()
 
     @pytest.mark.parametrize("iters", ["0", "-3"])
     def test_max_iters_below_one_rejected(self, tmp_path, capsys, iters):
@@ -331,12 +358,11 @@ class TestSolve:
 
     def test_meta_holds_run_metadata(self, tmp_path):
         prob = _gen(tmp_path)
-        for algo, keys in (("ppg", ("threads", "n", "dim", "sweep")),
+        for algo, keys in (("ppg", ("n", "dim", "sweep")),
                            ("sppg", ("path", "n", "dim", "resyncs"))):
             metrics = tmp_path / f"{algo}.csv"
             assert main(["solve", "--problem", str(prob), "--algo", algo,
-                         "--max-iters", "6", "--threads", "2",
-                         "--metrics", str(metrics)]) == 0
+                         "--max-iters", "6", "--metrics", str(metrics)]) == 0
             meta = json.loads((tmp_path / f"{algo}.csv.meta.json").read_text())
             assert meta["solver"] == algo and meta["problem_kind"]
             for key in keys:
@@ -453,7 +479,8 @@ class TestCompare:
         assert not out.exists()
 
     @pytest.mark.parametrize("field,value", [("tol", float("nan")),
-                                             ("ergodic", True)])
+                                             ("ergodic", True),
+                                             ("record_every", 2.5)])
     def test_bad_config_rejected_before_any_run(self, tmp_path, capsys,
                                                 monkeypatch, field, value):
         # a NaN tol used to run the reference pass and every configuration

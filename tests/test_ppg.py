@@ -1,9 +1,7 @@
 """Full-sweep solver: step algebra, reductions to classical methods,
-monotonicity, and determinism across thread counts."""
+monotonicity, and run options."""
 
 import math
-import os
-import tempfile
 import warnings
 
 import numpy as np
@@ -14,7 +12,6 @@ from conftest import abs_prox_fn, lasso_problem, make_quadratic_term, \
 from proxsplit.baselines import consensus_admm_run, proximal_gradient_run
 from proxsplit.core import SmoothFn, SolverState, chunked_row_mean, \
     initial_state, residual_map, zero_prox
-from proxsplit.io import write_metrics_csv
 from proxsplit.ppg import SolveOptions, ppg_run, ppg_step, resolve_alpha
 
 
@@ -172,7 +169,7 @@ class TestRunBehavior:
         assert len(res.log.rows) == 3
         assert res.log.metadata["stop"] == "budget"
 
-    def test_pool_names_failing_term(self, rng):
+    def test_per_term_sweep_names_failing_term(self, rng):
         from proxsplit.core import ConvergenceError, ProxFn
 
         def fail(x0, a):
@@ -182,7 +179,7 @@ class TestRunBehavior:
         g[3] = ProxFn(prox=fail)
         problem = simple_problem(g, dim=2)
         with pytest.raises(ConvergenceError, match=r"\(term 3\)$"):
-            ppg_run(problem, SolveOptions(alpha=1.0, max_iters=2, threads=2))
+            ppg_run(problem, SolveOptions(alpha=1.0, max_iters=2))
 
     def test_ergodic_average(self, rng):
         problem = lasso_problem(rng, m=5, d=4)
@@ -196,21 +193,6 @@ class TestRunBehavior:
             halves.append(x_half)
             ppg_step(state, problem)
         assert np.allclose(res.ergodic, np.mean(halves, axis=0), atol=1e-12)
-
-    def test_thread_count_does_not_change_results(self, rng):
-        problem = lasso_problem(rng, m=9, d=5)
-        outs = []
-        for threads in (1, 4):
-            res = ppg_run(problem, SolveOptions(max_iters=40, threads=threads))
-            for row in res.log.rows:
-                row.wall_time_s = None
-            fd, path = tempfile.mkstemp(suffix=".csv")
-            os.close(fd)
-            write_metrics_csv(res.log, path)
-            with open(path, "rb") as fh:
-                outs.append(fh.read())
-            os.unlink(path)
-        assert outs[0] == outs[1]
 
     def test_linear_rate_when_strongly_convex(self, rng):
         # strongly convex global term: the distance to the fixed point
@@ -298,6 +280,16 @@ class TestOptions:
         with pytest.raises(ValueError, match="record_every"):
             SolveOptions(record_every=every)
 
+    @pytest.mark.parametrize("every", [2.5, True, "3", np.float64(2.0)])
+    def test_record_every_not_int_rejected(self, every):
+        # 2.5 made ppg record k = 0, 5, 10 and sppg fail inside numpy;
+        # True was taken as 1
+        with pytest.raises(ValueError, match="record_every"):
+            SolveOptions(record_every=every)
+
+    def test_numpy_int_record_every_accepted(self):
+        assert SolveOptions(record_every=np.int64(3)).record_every == 3
+
     @pytest.mark.parametrize("iters", [-3, 2.5, "10", True, None])
     def test_bad_max_iters_rejected(self, iters):
         # -3 used to report converged=True after zero iterations
@@ -346,11 +338,3 @@ class TestOptions:
         problem = simple_problem([abs_prox_fn(1.0)], terms_f=[unbounded])
         with pytest.warns(UserWarning, match="no Lipschitz bound"):
             assert resolve_alpha(problem, None) == 1.0
-
-    def test_thread_default_from_env(self, monkeypatch):
-        from proxsplit.ppg import resolve_threads
-        monkeypatch.setenv("PROXSPLIT_THREADS", "4")
-        assert resolve_threads(0) == 4
-        assert resolve_threads(2) == 2  # explicit setting wins
-        monkeypatch.delenv("PROXSPLIT_THREADS")
-        assert resolve_threads(0) == 1

@@ -1,9 +1,11 @@
-"""The benchmark's tracer (perfbench/tracer.py) against the library.
+"""The benchmark's tracer and jobs (perfbench/) against the library.
 
-The tracer wraps library functions and problem handles by name.  These
-tests load it unchanged and trace one ppg sweep and one sppg epoch on tiny
-SVM and GLM problems, so renaming a traced name fails this suite and not
-only a traced benchmark run.
+The tracer wraps library functions and problem handles by name, and the
+jobs call the solvers with fixed arguments.  These tests load both files
+unchanged: they trace one ppg sweep and one sppg epoch on tiny SVM and GLM
+problems, and run the ppg job at both thread arguments it is given, so
+renaming a traced name or removing an argument the jobs pass fails this
+suite and not only a benchmark run.
 """
 
 import importlib.util
@@ -12,19 +14,21 @@ from pathlib import Path
 import pytest
 
 from conftest import tiny_glm, tiny_svm
-from proxsplit import core, kernels, ppg, sppg
+from proxsplit import core, io, kernels, ppg, problems, sppg
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracer = _load_tracer()
+tracer = _load("tracer")
+workloads = _load("workloads")
 
 
 @pytest.mark.parametrize("kind", ["svm", "glm"])
@@ -56,3 +60,22 @@ def test_bindings_restored_after_tracing():
         assert kernels.hinge_sppg_block is not original[2]
     assert (ppg.ppg_run, core.objective, kernels.hinge_sppg_block,
             kernels.rank_one_sppg_block) == original
+
+
+def test_ppg_job_thread_argument_is_inert(rng, tmp_path):
+    # the benchmark passes threads=1 to every ppg job and threads=2 to its
+    # ppg_pool job; SolveOptions must accept both and run the same sweep
+    a_mat = rng.standard_normal((20, 8))
+    problem = problems.build_group_lasso(
+        a_mat, rng.standard_normal(20), 0.1,
+        problems.staggered_partition(8, 2, group_size=4, stagger=2))
+    blobs = []
+    for threads in (1, 2):
+        job = workloads._ppg_job(30, 1.0, threads=threads)
+        result = job.run({"main": problem})
+        for row in result.log.rows:
+            row.wall_time_s = None
+        path = tmp_path / f"{job.name}.csv"
+        io.write_metrics_csv(result.log, path)
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1]
