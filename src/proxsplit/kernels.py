@@ -96,9 +96,11 @@ class GlmStructure:
 
     def betas(self, s, alpha):
         """beta = (t - s)/q of every row at s_i = f_i'v, with t the root of
-        t + alpha*q*(A'(t) - t_i) = s by :func:`prox._glm_roots`.  A zero
-        data row gives 0; a row whose input, data or response is not
-        finite gives NaN, for the caller to report by index."""
+        t + alpha*q*(A'(t) - t_i) = s by :func:`prox._glm_roots`: the
+        safeguarded secant rule of :func:`prox.glm_root`, one vectorized
+        evaluation of A' per round for all unsolved rows.  A zero data row
+        gives 0; a row whose input, data or response is not finite gives
+        NaN, for the caller to report by index."""
         q = self.sqnorms
         with np.errstate(over="ignore", invalid="ignore"):
             aq = alpha * q
@@ -106,9 +108,11 @@ class GlmStructure:
                 self.responses)
             beta = np.where(finite, 0.0, np.nan)
             rows = np.flatnonzero(finite & (q > 0.0))
-            root = _glm_roots(s[rows], aq[rows], self.responses[rows],
+            # views, not copies, when every row has a root to solve
+            sel = rows if rows.size < s.size else slice(None)
+            root = _glm_roots(s[sel], aq[sel], self.responses[sel],
                               self.deriv, rows)
-            beta[rows] = (root - s[rows]) / q[rows]
+            beta[sel] = (root - s[sel]) / q[sel]
         return beta
 
     def losses(self, s):

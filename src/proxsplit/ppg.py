@@ -41,7 +41,7 @@ class SolveOptions:
     solver's natural cadence: every iteration for full sweeps, once per
     epoch for single-term sweeps; explicit values must be ints of at
     least 1.  ``threads`` has no effect: nothing reads it, and it stays
-    only until the benchmark's jobs stop passing it (ROADMAP item 6).
+    only until the benchmark's jobs stop passing it (ROADMAP item 1).
     """
 
     alpha: float | None = None

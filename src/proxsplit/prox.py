@@ -5,9 +5,11 @@ for specific families of h.  Operators are pure, reentrant, and return fresh
 arrays.  One-dimensional reductions (affine compositions, generalized linear
 model terms) solve a scalar strongly convex subproblem by bisection on the
 subgradient sign, or by a safeguarded secant method when a derivative
-handle is available.  Each root is bracketed without a search: the
-subproblem's optimality function has slope at least 1, so its value at the
-starting point bounds the distance to the root.
+handle is available: one rule, :func:`_regula_falsi`, solves the GLM root
+one term at a time, and :func:`_glm_roots` applies it to all rows at once.
+Each root is bracketed without a search: the subproblem's optimality
+function has slope at least 1, so its value at the starting point bounds
+the distance to the root.
 """
 
 import math
@@ -43,11 +45,9 @@ _BISECT_CAP = 200
 _BETA_TOL = 1e-12
 # the largest float: the far end of a bracket whose first value overflowed
 _BIG = sys.float_info.max
-# brackets of the all-rows GLM roots wider than this bisect in the asinh
-# scale; narrower ones bisect arithmetically, down to 1e-12 in 60 halvings
-_WIDE = 2.0 ** 20
-# steps of the scalar GLM root: at most 3 per bisection, and 63 bisections
-# in the asinh scale shrink any finite bracket to a few floats
+# steps of a GLM root, per row on both paths: about 64 bisections in the
+# asinh scale shrink any finite bracket to a few floats, and the stall rule
+# lets few secant steps fail between them (the steepest rows take 66 steps)
 _ROOT_CAP = 200
 
 
@@ -342,46 +342,53 @@ def _regula_falsi(psi, lo: float, plo: float, hi: float,
     psi' >= 1 puts the root in [a, b] = [hi - psi(hi), lo - psi(lo)]
     clipped to the bracket, so the method stops once that interval is at
     most 1e-12 wide.  Steps are regula falsi with the Illinois rule (an
-    end kept twice in a row has its value halved), clipped to [a, b] and
-    moved one float inside the bracket when they round onto an end.  When
-    two steps in a row fail to halve the width of [a, b] relative to the
-    size of its ends, or either end's value is infinite, the next step
-    bisects [a, b] in the asinh scale, which is arithmetic near zero and
-    geometric far from it, so a bracket spanning many orders of magnitude
-    (up to the whole float range) closes in a few dozen bisections.
+    end kept twice in a row has its value halved), clipped to [a, b].  A
+    step bisects [a, b] in the asinh scale instead when either end's value
+    is infinite, when the secant step rounds onto an end of the bracket, or
+    while bisections are owed.  Two secant steps in a row that each leave
+    |psi| above half the smaller |psi| at the ends before the step are a
+    stall, which owes one bisection; each further stall before a secant
+    step succeeds doubles the count, so a cumulant that rounds to a
+    staircase (where no secant step helps) costs little more than
+    bisection.  The asinh scale is arithmetic near zero and geometric far
+    from it, so a bracket spanning many orders of magnitude (up to the
+    whole float range) closes in a few dozen bisections.
+    :func:`_glm_roots` applies the same rule to all rows at once.
     """
     flo, fhi = plo, phi  # interpolation values, halved by the Illinois rule
     side = 0  # the end the last step moved: -1 lo, 1 hi
-    ref, stale = math.inf, 0
+    missed, owed, wait = 0, 0, 1  # stall state: see the docstring
     for _ in range(_ROOT_CAP):
         a = hi - phi if hi - phi > lo else lo
         b = lo - plo if lo - plo < hi else hi
         if not b - a > _BETA_TOL:
             break
-        spread = (b - a) / (1.0 + abs(a) + abs(b))
-        if spread <= 0.5 * ref:
-            ref, stale = spread, 0
-        else:
-            stale += 1
-        if stale < 2 and -math.inf < flo and fhi < math.inf:
+        t = math.nan
+        if not owed and -math.inf < flo and fhi < math.inf:
             t = lo - flo * ((hi - lo) / (fhi - flo))
             if t < a:
                 t = a
             elif t > b:
                 t = b
-            if not lo < t < hi:
-                t = (math.nextafter(hi, lo) if t >= hi
-                     else math.nextafter(lo, hi))
-        else:
+        secant = lo < t < hi
+        if not secant:
             t = math.sinh(0.5 * (math.asinh(a) + math.asinh(b)))
             if not a < t < b:
                 t = 0.5 * (a + b)
-            side = 0
-        if not lo < t < hi:
-            break  # no float left between the ends
+            if not lo < t < hi:
+                break  # no float left between the ends
+            owed = max(owed - 1, 0)
+        target = 0.5 * min(-plo, phi)
         p = psi(t)
         if abs(p) <= _BETA_TOL:
             return t
+        if secant:
+            if abs(p) <= target:
+                missed, wait = 0, 1
+            elif missed:
+                missed, owed, wait = 0, wait, 2 * wait
+            else:
+                missed = 1
         if p < 0.0:
             lo, plo, flo = t, p, p
             if side < 0:
@@ -403,47 +410,104 @@ def _glm_roots(s0, aq, t, deriv, rows) -> np.ndarray:
     indices for error messages.  The all-rows GLM prox
     (:meth:`kernels.GlmStructure.betas`) solves its rows with it.
 
-    psi' >= 1 puts each root within |psi(s0)| of s0; an infinite psi(s0)
-    leaves the whole float range on the root's side of s0.  Brackets wider
-    than ``_WIDE`` first bisect in the asinh scale until they are not; then
-    every bracket bisects arithmetically until it is at most 1e-12 wide or
-    holds no float between its ends.  psi <= 0, -inf included, counts as
-    below the root.
+    Each row takes the bracket of :func:`glm_root` and the steps and stops
+    of :func:`_regula_falsi`, by masked updates: one vectorized psi
+    evaluation per round serves every unsolved row, and a row leaves the
+    working arrays once it stops, so the few slow rows cost little.
+    Raises :class:`ConvergenceError` naming the term when psi(s0) is NaN or
+    a row is unsolved after ``_ROOT_CAP`` rounds.
     """
-
-    def psi(u):
-        return u - s0 + aq * (deriv(u) - t)
-
     p0 = aq * (deriv(s0) - t)
     if np.isnan(p0).any():
         raise ConvergenceError("could not bracket the GLM prox subproblem "
                                f"(term {rows[np.argmax(np.isnan(p0))]})")
-    r = 1.0 + np.abs(p0)
-    lo = np.where(p0 > -np.inf, np.maximum(s0 - r, -_BIG), s0)
-    hi = np.where(p0 < np.inf, np.minimum(s0 + r, _BIG), s0)
-    # asinh halvings, which are geometric far from zero, until every
-    # bracket is narrow or holds no float between its ends
-    wide = hi - lo > _WIDE
-    for _ in range(_BISECT_CAP):
-        if not wide.any():
-            break
-        g = np.sinh(0.5 * (np.arcsinh(lo) + np.arcsinh(hi)))
-        mid = np.where((lo < g) & (g < hi), g, 0.5 * (lo + hi))
-        wide &= (lo < mid) & (mid < hi)
-        left = psi(mid) <= 0.0
-        lo = np.where(wide & left, mid, lo)
-        hi = np.where(wide & ~left, mid, hi)
-        wide &= hi - lo > _WIDE
-    for _ in range(_BISECT_CAP):
-        mid = 0.5 * (lo + hi)
-        live = (hi - lo > _BETA_TOL) & (lo < mid) & (mid < hi)
-        if not live.any():
-            return mid
-        left = psi(mid) <= 0.0
-        lo = np.where(live & left, mid, lo)
-        hi = np.where(live & ~left, mid, hi)
-    raise ConvergenceError("GLM prox bisection exceeded 200 steps "
-                           f"(term {rows[np.argmax(hi - lo > _BETA_TOL)]})")
+    root = s0.copy()
+    at = np.flatnonzero(p0 != 0.0)  # the entries still unsolved
+    # one column per unsolved row: in ``work`` its bracket, end values,
+    # interpolation values and constants; in ``count`` its Illinois side
+    # and stall state (missed, owed, wait), small integers
+    work = np.empty((9, at.size))
+    count = np.zeros((4, at.size), dtype=np.int16)
+    count[3] = 1  # wait: a first stall owes one bisection
+    lo, hi, plo, phi, flo, fhi, c, k, r = work
+    c[:], k[:], r[:], p = s0[at], aq[at], t[at], p0[at]
+    t1 = np.clip(c - p, -_BIG, _BIG)
+    p1 = t1 - c + k * (deriv(t1) - r)
+    up = p < 0.0  # s0 lies below the root
+    lo[:] = np.where(up, c, t1)
+    hi[:] = np.where(up, t1, c)
+    plo[:] = flo[:] = np.where(up, p, p1)
+    phi[:] = fhi[:] = np.where(up, p1, p)
+    del p0, p, t1, p1, up
+    for _ in range(_ROOT_CAP):
+        if not at.size:
+            return root
+        lo, hi, plo, phi, flo, fhi, c, k, r = work
+        side, missed, owed, wait = count
+        # in place where it saves a temporary; fmax and fmin pass over a
+        # NaN bound, as the scalar comparisons do, and a NaN step stays NaN
+        a = hi - phi
+        np.fmax(a, lo, out=a)
+        b = lo - plo
+        np.fmin(b, hi, out=b)
+        u = hi - lo
+        u /= fhi - flo
+        u *= flo
+        np.subtract(lo, u, out=u)
+        np.maximum(u, a, out=u)
+        np.minimum(u, b, out=u)
+        secant = ((owed == 0) & (flo > -np.inf) & (fhi < np.inf)
+                  & (lo < u) & (u < hi))
+        if not secant.all():
+            g = np.sinh(0.5 * (np.arcsinh(a) + np.arcsinh(b)))
+            u = np.where(secant, u,
+                         np.where((a < g) & (g < b), g, 0.5 * (a + b)))
+            np.putmask(owed, ~secant & (owed > 0), owed - 1)
+        # a row whose [a, b] is narrow or holds no float between the ends
+        # stops at the midpoint of [a, b]
+        go = (b - a > _BETA_TOL) & (lo < u) & (u < hi)
+        if not go.all():
+            np.putmask(u, ~go, 0.5 * (a + b))
+            if not go.any():
+                root[at] = u
+                return root
+        del a, b  # not held through the evaluation
+        p = deriv(u) - r  # a new array: deriv may return its argument
+        p *= k
+        p += u - c
+        # the stall rule, on rows that took a secant step
+        gain = secant & (np.abs(p) <= 0.5 * np.minimum(-plo, phi))
+        miss = secant & ~gain
+        stall = miss & (missed > 0)
+        np.putmask(missed, secant, miss & ~stall)
+        np.putmask(owed, stall, wait)
+        np.putmask(wait, stall, 2 * wait)
+        np.putmask(wait, gain, 1)
+        # the Illinois rule: an end kept twice in a row has its value halved
+        below = p < 0.0
+        above = ~below
+        np.putmask(fhi, below & (side < 0), 0.5 * fhi)
+        np.putmask(flo, above & (side > 0), 0.5 * flo)
+        for end, val, interp, moved in ((lo, plo, flo, below),
+                                        (hi, phi, fhi, above)):
+            np.putmask(end, moved, u)
+            np.putmask(val, moved, p)
+            np.putmask(interp, moved, p)
+        side[:] = 1 - 2 * below
+        keep = go & ~(np.abs(p) <= _BETA_TOL)  # a NaN psi goes on
+        if not keep.all():
+            root[at[~keep]] = u[~keep]
+            # in place, one row at a time, so that no second copy is held
+            kept = np.flatnonzero(keep)
+            for row in (*work, *count, at):
+                row[:kept.size] = row.take(kept)
+            work, count = work[:, :kept.size], count[:, :kept.size]
+            at = at[:kept.size]
+        del u, p  # not held through the next round
+    if not at.size:
+        return root
+    raise ConvergenceError(f"GLM prox root exceeded {_ROOT_CAP} steps "
+                           f"(term {rows[at[0]]})")
 
 
 def hinge_scalar(y: float) -> ScalarFn:

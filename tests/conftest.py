@@ -100,6 +100,16 @@ def tiny_svm(rng, n=12, d=3, lam=0.1, **kwargs):
     return build_svm(SvmData(feats, labels, lam=lam), **kwargs)
 
 
+# GLM roots at extreme inputs: psi(s0) overflows to +inf or -inf across
+# this grid, and most roots lie far outside any unit window around s0
+GLM_GRID_S0 = (-1e300, -1e20, -1e6, -700.0, -30.0, -1.0, 0.0, 0.5, 30.0,
+               150.0, 700.0, 710.0, 1e3, 1e6, 1e20, 1e300)
+GLM_GRID_AQ = (1e-6, 1e-2, 1.0, 1e2, 1e6, 1e20, 1e100, 1e290)
+GLM_GRID_RESPONSES = {"gaussian": (-3.0, 0.0, 2.0),
+                      "logistic": (0.0, 0.5, 1.0),
+                      "poisson": (0.0, 1.0, 3.0)}
+
+
 def tiny_glm(rng, family, n=12, d=3):
     """A GLM of the given family with responses drawn from the model."""
     from proxsplit.problems import build_glm, glm_family

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_quadratic_term
+from conftest import (GLM_GRID_AQ, GLM_GRID_RESPONSES, GLM_GRID_S0,
+                      make_quadratic_term)
 from proxsplit.core import (NumericalError, SmoothFn, objective,
                             verify_problem, zero_prox)
 from proxsplit.ppg import SolveOptions, ppg_run
@@ -622,8 +623,9 @@ class TestGlm:
         assert np.allclose(got, want, rtol=0.0, atol=1e-11)
 
     def test_batched_prox_wide_roots(self):
-        # roots near 2e4 sit on a float grid coarser than 1e-12; the
-        # bisection stops when no float is left between its ends
+        # roots near 2e4 sit on a float grid coarser than 1e-12, so |psi|
+        # may never reach 1e-12; the root solve stops when no float is left
+        # between the ends of its bracket
         from proxsplit.prox import prox_glm_1d
         fam = glm_family("gaussian")
         x_mat = np.array([[100.0, 0.0], [0.0, 150.0]])
@@ -691,28 +693,18 @@ class TestGlm:
                                           x0, 1.0) + 1e-9
 
 
-# psi(s0) overflows to +inf or -inf across this grid, and most roots lie
-# far outside any unit window around s0
-_GRID_S0 = (-1e300, -1e20, -1e6, -700.0, -30.0, -1.0, 0.0, 0.5, 30.0, 150.0,
-            700.0, 710.0, 1e3, 1e6, 1e20, 1e300)
-_GRID_AQ = (1e-6, 1e-2, 1.0, 1e2, 1e6, 1e20, 1e100, 1e290)
-_GRID_RESPONSES = {"gaussian": (-3.0, 0.0, 2.0),
-                   "logistic": (0.0, 0.5, 1.0),
-                   "poisson": (0.0, 1.0, 3.0)}
-
-
 class TestGlmExtremeInputs:
-    @pytest.mark.parametrize("family", sorted(_GRID_RESPONSES))
+    @pytest.mark.parametrize("family", sorted(GLM_GRID_RESPONSES))
     def test_grid_solves_on_both_paths(self, family):
         # unit data rows make aq = alpha and s0 the row's input; the bound
         # is set by the cancellation in x0 + ((t - s0)/q)*x_i
-        cases = [(s0, ti) for s0 in _GRID_S0
-                 for ti in _GRID_RESPONSES[family]]
+        cases = [(s0, ti) for s0 in GLM_GRID_S0
+                 for ti in GLM_GRID_RESPONSES[family]]
         problem = build_glm(np.ones((len(cases), 1)),
                             np.array([ti for _, ti in cases]),
                             glm_family(family))
         v = np.array([[s0] for s0, _ in cases])
-        for aq in _GRID_AQ:
+        for aq in GLM_GRID_AQ:
             got = problem.batched_g_prox(v.copy(), aq)
             want = np.array([gi.prox(v[i], aq)
                              for i, gi in enumerate(problem.g)])
@@ -720,8 +712,9 @@ class TestGlmExtremeInputs:
             assert np.all(np.abs(got - want) <= 1e-11 * (1.0 + np.abs(v)))
 
     def test_batched_poisson_row_from_s0_150(self):
-        # psi(s0) = exp(150) - 1 is finite but about 1e65: arithmetic
-        # bisection of that window alone would take over 250 halvings
+        # psi(s0) = exp(150) - 1 is finite but about 1e65: regula falsi
+        # creeps from the far end of that bracket until the stall rule
+        # hands it to asinh-scale bisection, which closes it in ~20 steps
         problem = build_glm(np.array([[1.0]]), np.array([1.0]),
                             glm_family("poisson"))
         got = problem.batched_g_prox(np.array([[150.0]]), 1.0)

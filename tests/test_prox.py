@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import grid_prox_scalar, prox_objective
+from conftest import (GLM_GRID_AQ, GLM_GRID_RESPONSES, GLM_GRID_S0,
+                      grid_prox_scalar, prox_objective)
 from proxsplit.core import ProxFn, verify_prox_fn
 from proxsplit.prox import (CachedQuadraticProx, Interval, ScalarFn,
-                            glm_root, hinge_scalar, prox_affine_1d,
-                            prox_glm_1d, prox_hinge, prox_pair_diff,
-                            prox_pair_sum,
+                            _glm_roots, glm_root, hinge_scalar,
+                            prox_affine_1d, prox_glm_1d, prox_hinge,
+                            prox_pair_diff, prox_pair_sum,
                             prox_quadratic, prox_scaled_sq_norm,
                             prox_sum_coupling, project_interval,
                             soft_threshold_matrix, soft_threshold_scalar,
@@ -450,6 +451,80 @@ class TestProxGlm:
                 probe = out + step * xi / np.linalg.norm(xi)
                 assert base <= prox_objective(g_val, probe, x0, alpha) + 1e-10
 
+
+def _counted(deriv):
+    """``deriv`` wrapped to record each call's argument."""
+    calls = []
+
+    def wrapped(t):
+        calls.append(t)
+        return deriv(t)
+
+    return wrapped, calls
+
+
+# logistic rows whose aq*A'(t) rounds to a staircase near t = -38, where
+# 0.5*(1 + tanh(t/2)) moves in steps of about 1e-16: no secant step helps
+# there, and bisection alone takes about 60 evaluations to close the bracket
+_STEEP_LOGISTIC = ((0.5, 1e100, 0.0), (0.5, 1e20, 0.0), (-1.0, 1e20, 1.0),
+                   (30.0, 1e20, 0.0), (-30.0, 1e290, 1.0), (710.0, 1e20, 0.0))
+
+
+class TestGlmRootRule:
+    """The per-term root :func:`glm_root` and the all-rows root
+    ``_glm_roots`` take the same bracket, steps and stops."""
+
+    @pytest.mark.parametrize("row", _STEEP_LOGISTIC)
+    def test_steep_logistic_rows_take_few_evaluations(self, row):
+        from proxsplit.problems import glm_family
+        deriv = glm_family("logistic").deriv
+        scalar, calls = _counted(deriv)
+        with np.errstate(over="ignore"):
+            t = glm_root(*row, scalar)
+        assert len(calls) <= 70
+        vector, vcalls = _counted(deriv)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = _glm_roots(*(np.array([x]) for x in row), vector,
+                           np.array([0]))
+        assert len(vcalls) <= 70
+        assert abs(u[0] - t) <= 1e-11 * (1.0 + abs(row[0]))
+
+    @pytest.mark.parametrize("family", sorted(GLM_GRID_RESPONSES))
+    def test_all_rows_match_per_term_roots(self, rng, family):
+        from proxsplit.problems import glm_family
+        deriv = glm_family(family).deriv
+        grid = [(s0, aq, ti) for s0 in GLM_GRID_S0 for aq in GLM_GRID_AQ
+                for ti in GLM_GRID_RESPONSES[family]]
+        m = 500
+        drawn = np.column_stack([
+            rng.standard_normal(m) * 10.0 ** rng.uniform(-1.0, 2.0, m),
+            10.0 ** rng.uniform(-4.0, 4.0, m),
+            rng.integers(0, 2, m) if family == "logistic"
+            else rng.uniform(-3.0 if family == "gaussian" else 0.0, 3.0, m)])
+        cases = np.vstack([np.array(grid), drawn])
+        s0, aq, ti = cases.T.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _glm_roots(s0, aq, ti, deriv, np.arange(s0.size))
+            want = np.array([glm_root(*c, deriv) for c in cases])
+        assert np.all(np.abs(got - want) <= 1e-11 * (1.0 + np.abs(s0)))
+
+    def test_gen_glm_rows_take_few_rounds(self):
+        # rows like `proxsplit gen glm --family logistic` at alpha = 1:
+        # the bracket costs two evaluations and secant steps solve every
+        # row in about five rounds, where bisection to 1e-12 takes over 40
+        import dataclasses
+        from conftest import tiny_glm
+        rows = tiny_glm(np.random.default_rng(7), "logistic", n=2000,
+                        d=50).structure
+        deriv, calls = _counted(rows.deriv)
+        rows = dataclasses.replace(rows, deriv=deriv)
+        rng = np.random.default_rng(0)
+        for scale in (0.0, 0.3, 1.0, 3.0):
+            v = scale * rng.standard_normal(rows.features.shape)
+            calls.clear()
+            beta = rows.betas(np.einsum("ij,ij->i", rows.features, v), 1.0)
+            assert np.all(np.isfinite(beta))
+            assert len(calls) <= 8, scale
 
 def _operator_zoo(rng):
     """Each library operator wrapped over a flat vector for the firm
