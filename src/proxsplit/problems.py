@@ -8,6 +8,7 @@ coloring to decompose pairwise penalties into matchings).
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -170,21 +171,29 @@ def build_group_lasso(a_mat: np.ndarray, b: np.ndarray, lambda1: float,
     The quadratic becomes the global term (prox by cached factorization,
     pre-warmed for ``alpha`` when given), and collection i becomes one
     nonsmooth term applying blockwise norm shrinkage with weight
-    n*lambda1 on its groups and the identity elsewhere.
+    n*lambda1 on its groups and the identity elsewhere.  Full sweeps run
+    every term's shrinkage at once through ``batched_g_prox``, and
+    ``batched_objective`` sums all group norms at once; both work on one
+    flat layout of the grouped entries (collection row, coordinate and
+    group id of each), built once here.  Single-term steps and ADMM use
+    the per-term handles.
     """
     a_mat = np.asarray(a_mat, dtype=float)
     b = np.asarray(b, dtype=float)
     m, d = a_mat.shape
     if b.shape != (m,):
         raise ValueError("b must have one entry per row of A")
-    if lambda1 < 0:
-        raise ValueError("lambda1 must be nonnegative")
+    if not 0.0 <= lambda1 < np.inf:
+        raise ValueError("lambda1 must be nonnegative and finite")
     partition.validate_dim(d)
     n = len(partition.collections)
     lam2 = n * lambda1
     solve = _LeastSquaresProx(a_mat, b, alpha)
-    r = ProxFn(prox=lambda x0, a: solve(x0, a),
-               value=lambda x: 0.5 * float(np.sum((a_mat @ x - b) ** 2)))
+
+    def sq_loss(x):
+        return 0.5 * float(np.sum((a_mat @ x - b) ** 2))
+
+    r = ProxFn(prox=lambda x0, a: solve(x0, a), value=sq_loss)
 
     def make_g(groups):
         idx = [np.array(grp, dtype=int) for grp in groups]
@@ -200,10 +209,36 @@ def build_group_lasso(a_mat: np.ndarray, b: np.ndarray, lambda1: float,
 
         return ProxFn(prox=prox, value=value)
 
-    g_terms = tuple(make_g(coll) for coll in partition.collections)
+    # entry k of the flat layout is coordinate cc[k] of collection rr[k],
+    # in group gid[k]; O(grouped entries), no padding
+    colls = partition.collections
+    groups = partition.all_groups()
+    gid = np.repeat(np.arange(len(groups)), [len(grp) for grp in groups])
+    cc = np.fromiter(chain.from_iterable(groups), np.intp, gid.size)
+    rr = np.repeat(np.arange(n), [len(coll) for coll in colls])[gid]
+
+    def group_norms(vals):
+        return np.sqrt(np.bincount(gid, vals * vals, minlength=len(groups)))
+
+    def batched_g_prox(v, a):
+        thr = a * lam2
+        if thr == 0.0:  # the identity; also spares all-zero groups a 0/0
+            return v
+        vals = v[rr, cc]
+        # exactly 0 where a group's norm is at most thr; NaN stays NaN
+        scale = 1.0 - thr / np.maximum(group_norms(vals), thr)
+        vals *= scale[gid]
+        v[rr, cc] = vals
+        return v
+
+    def batched_objective(x):
+        return sq_loss(x) + lam2 * float(group_norms(x[cc]).sum()) / n
+
+    g_terms = tuple(make_g(coll) for coll in colls)
     f_terms = tuple(zero_smooth() for _ in range(n))
     return ProblemSpec(dim=d, n=n, r=r, f=f_terms, g=g_terms,
-                       kind="group-lasso")
+                       kind="group-lasso", batched_g_prox=batched_g_prox,
+                       batched_objective=batched_objective)
 
 
 # -- support vector machine ----------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dtrtrs as _dtrtrs
 
 from .core import ConvergenceError, NumericalError
 
@@ -269,10 +269,24 @@ class CachedQuadraticProx:
 
 
 def prox_quadratic(cache: CachedQuadraticProx, v: np.ndarray) -> np.ndarray:
-    """Solve (I + alpha*A'A) u = alpha*A'b + v with the cached factor."""
+    """Solve (I + alpha*A'A) u = alpha*A'b + v with the cached factor.
+
+    Calls LAPACK's ``dtrtrs`` on the upper factor ``chol.T`` (Fortran order
+    for a C-ordered ``chol``), transposed and then plain: the two calls
+    ``scipy.linalg.solve_triangular`` makes for the same factor, with the
+    same output bytes, without its wrapper.  Non-finite input raises
+    ``ValueError``, as its ``check_finite`` did.
+    """
     rhs = cache.atb + v
-    y = scipy.linalg.solve_triangular(cache.chol, rhs, lower=True)
-    return scipy.linalg.solve_triangular(cache.chol.T, y, lower=False)
+    if not np.isfinite(rhs).all():
+        raise ValueError("array must not contain infs or NaNs")
+    upper = cache.chol.T
+    y, info = _dtrtrs(upper, rhs, lower=0, trans=1, overwrite_b=1)
+    if info == 0:
+        y, info = _dtrtrs(upper, y, lower=0, trans=0, overwrite_b=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed (info {info})")
+    return y
 
 
 def prox_glm_1d(x0: np.ndarray, xi: np.ndarray, ti: float, a1d: ScalarFn,

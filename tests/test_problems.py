@@ -10,7 +10,7 @@ import pytest
 from conftest import (GLM_GRID_AQ, GLM_GRID_RESPONSES, GLM_GRID_S0,
                       make_quadratic_term)
 from proxsplit.core import (NumericalError, SmoothFn, objective,
-                            verify_problem, zero_prox)
+                            verify_batched, verify_problem, zero_prox)
 from proxsplit.ppg import SolveOptions, ppg_run
 from proxsplit.problems import (EdgeColoring, GroupPartition, SvmData,
                                 build_fused_lasso, build_glm,
@@ -35,6 +35,36 @@ def _original_objective(r, fs, gs, x):
     val += sum(f.value(x) for f in fs) / len(fs)
     val += sum(g.value(x) for g in gs) / len(gs)
     return val
+
+
+def _close_runs(fast, slow):
+    """Two runs of one problem, batched and per-term, agree row by row."""
+    assert len(fast.log.rows) == len(slow.log.rows)
+    for a, b in zip(fast.log.rows, slow.log.rows):
+        assert a.k == b.k
+        assert a.residual_norm == pytest.approx(b.residual_norm, rel=1e-12)
+        assert a.objective == pytest.approx(b.objective, rel=1e-12)
+    assert np.allclose(fast.x, slow.x, rtol=0.0, atol=1e-12)
+
+
+def _counting_handles(problem):
+    """A copy of ``problem`` whose per-term g.prox and f.gradient handles
+    count their calls into the returned dict."""
+    calls = {"prox": 0, "grad": 0}
+
+    def counted(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapped
+
+    counting = dataclasses.replace(
+        problem,
+        g=tuple(dataclasses.replace(gi, prox=counted("prox", gi.prox))
+                for gi in problem.g),
+        f=tuple(dataclasses.replace(fi, gradient=counted("grad", fi.gradient))
+                for fi in problem.f))
+    return counting, calls
 
 
 class TestRecasts:
@@ -177,6 +207,103 @@ class TestGroupLasso:
             want = prox_quadratic(
                 CachedQuadraticProx.from_data(a_mat, b, alpha), v)
             assert np.allclose(got, want, atol=1e-12)
+
+    @staticmethod
+    def _group_pair(rng, lambda1=0.1):
+        a_mat = rng.standard_normal((60, 18))
+        b = rng.standard_normal(60)
+        problem = build_group_lasso(a_mat, b, lambda1,
+                                    staggered_partition(18, 3, group_size=4,
+                                                        stagger=2))
+        termwise = dataclasses.replace(problem, batched_g_prox=None,
+                                       batched_objective=None)
+        return problem, termwise
+
+    def test_ppg_matches_per_term_path(self, rng):
+        # short runs: near a tight tol the residual is a difference of
+        # nearly equal points, and the group norms' summation orders differ
+        problem, termwise = self._group_pair(rng)
+        opts = SolveOptions(alpha=1.0, max_iters=60)
+        fast, slow = ppg_run(problem, opts), ppg_run(termwise, opts)
+        _close_runs(fast, slow)
+        assert fast.log.metadata["sweep"] == "batched"
+        assert slow.log.metadata["sweep"] == "per-term"
+
+    def test_sppg_matches_per_term_path(self, rng):
+        from proxsplit.sppg import IndexSampler, sppg_run
+        problem, termwise = self._group_pair(rng)
+        opts = SolveOptions(alpha=1.0, max_iters=6 * problem.n)
+        _close_runs(sppg_run(problem, opts, IndexSampler(5, problem.n)),
+                    sppg_run(termwise, opts, IndexSampler(5, problem.n)))
+
+    def test_full_sweeps_bypass_per_term_handles(self, rng):
+        from proxsplit.sppg import IndexSampler, sppg_run
+        problem, _ = self._group_pair(rng)
+        counting, calls = _counting_handles(problem)
+        res = ppg_run(counting, SolveOptions(alpha=1.0, max_iters=5))
+        assert res.log.metadata["sweep"] == "batched"
+        assert calls == {"prox": 0, "grad": 0}
+        steps = 4 * problem.n
+        sppg_run(counting, SolveOptions(alpha=1.0, max_iters=steps),
+                 IndexSampler(0, problem.n))
+        assert calls == {"prox": steps, "grad": 0}
+
+    @staticmethod
+    def _uneven(lambda1):
+        # group sizes 1 to 5; the collections hold 3, 1 and 2 groups, and
+        # coordinates 9-10 belong to no group
+        part = GroupPartition(collections=(
+            ((0, 1, 2), (3,), (4, 5, 6, 7, 8)),
+            ((2, 3, 4, 5),),
+            ((0, 8), (5, 6, 7))))
+        a_mat = np.random.default_rng(7).standard_normal((20, 11))
+        return build_group_lasso(a_mat, np.ones(20), lambda1, part)
+
+    @pytest.mark.parametrize("lambda1", [-0.1, np.nan, np.inf])
+    def test_bad_weight_rejected(self, lambda1):
+        # a NaN weight used to pass the sign check, and an infinite one
+        # makes the batched threshold inf/inf
+        with pytest.raises(ValueError, match="lambda1"):
+            self._uneven(lambda1)
+
+    @pytest.mark.parametrize("lambda1", [0.0, 0.05, 0.4])
+    def test_batched_hooks_uneven_groups(self, rng, lambda1):
+        verify_batched(self._uneven(lambda1), rng, n_points=10)
+
+    def test_batched_prox_norm_at_threshold(self, rng):
+        # lambda1 = 2/3 with n = 3 gives the weight 2.0; at a = 2.5 the
+        # threshold is 5.0, the exact norm of group (0, 8) in row 2 below
+        problem = self._uneven(2.0 / 3.0)
+        v = rng.standard_normal((3, 11))
+        v[2, [0, 8]] = 3.0, -4.0
+        want = np.array([gi.prox(v[i], 2.5) for i, gi in enumerate(problem.g)])
+        assert np.all(want[2, [0, 8]] == 0.0)
+        got = problem.batched_g_prox(v, 2.5)
+        assert got is v
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("nan_row, inf_row", [(0, 2), (2, 1)])
+    def test_nonfinite_group_named_on_both_paths(self, rng, nan_row,
+                                                 inf_row):
+        # a NaN group must stay NaN, not shrink to zeros, so that both
+        # paths stop at the same first bad term
+        from proxsplit.core import SolverState, residual_map
+        problem = self._uneven(0.05)
+        termwise = dataclasses.replace(problem, batched_g_prox=None)
+        z = rng.standard_normal((3, 11))
+        # coordinate 5 lies in a group of every collection
+        z[nan_row, 5] = np.nan
+        z[inf_row, 5] = np.inf
+        messages = []
+        for p in (problem, termwise):
+            state = SolverState(z=z.copy(), zbar=np.zeros(11), alpha=1.0)
+            with pytest.raises(NumericalError,
+                               match=r"prox of g \(term (\d)\)") as err:
+                residual_map(state, p)
+            messages.append(str(err.value))
+        first = min(nan_row, inf_row)
+        assert messages[0] == messages[1]
+        assert messages[0].endswith(f"(term {first})")
 
 
 class TestSvm:
@@ -344,22 +471,12 @@ class TestFusedLasso:
                                        batched_objective=None)
         return problem, termwise
 
-    @staticmethod
-    def _close_runs(fast, slow):
-        assert len(fast.log.rows) == len(slow.log.rows)
-        for a, b in zip(fast.log.rows, slow.log.rows):
-            assert a.k == b.k
-            assert a.residual_norm == pytest.approx(b.residual_norm,
-                                                    rel=1e-12)
-            assert a.objective == pytest.approx(b.objective, rel=1e-12)
-        assert np.allclose(fast.x, slow.x, rtol=0.0, atol=1e-12)
-
     @pytest.mark.parametrize("eps", [0.2, np.inf])
     def test_ppg_matches_per_term_path(self, rng, eps):
         problem, termwise = self._fused_pair(rng, eps=eps)
         opts = SolveOptions(max_iters=60)
         fast, slow = ppg_run(problem, opts), ppg_run(termwise, opts)
-        self._close_runs(fast, slow)
+        _close_runs(fast, slow)
         assert fast.log.metadata["sweep"] == "batched"
         assert slow.log.metadata["sweep"] == "per-term"
 
@@ -367,7 +484,7 @@ class TestFusedLasso:
         from proxsplit.sppg import IndexSampler, sppg_run
         problem, termwise = self._fused_pair(rng)
         opts = SolveOptions(max_iters=6 * problem.n)
-        self._close_runs(
+        _close_runs(
             sppg_run(problem, opts, IndexSampler(3, problem.n)),
             sppg_run(termwise, opts, IndexSampler(3, problem.n)))
 
@@ -376,21 +493,7 @@ class TestFusedLasso:
         # the batched hooks; only sppg's single-term steps use the handles
         from proxsplit.sppg import IndexSampler, sppg_run
         problem, _ = self._fused_pair(rng)
-        calls = {"prox": 0, "grad": 0}
-
-        def counted(key, fn):
-            def wrapped(*args):
-                calls[key] += 1
-                return fn(*args)
-            return wrapped
-
-        counting = dataclasses.replace(
-            problem,
-            g=tuple(dataclasses.replace(gi, prox=counted("prox", gi.prox))
-                    for gi in problem.g),
-            f=tuple(dataclasses.replace(
-                fi, gradient=counted("grad", fi.gradient))
-                for fi in problem.f))
+        counting, calls = _counting_handles(problem)
         res = ppg_run(counting, SolveOptions(max_iters=5))
         assert res.log.metadata["sweep"] == "batched"
         assert calls == {"prox": 0, "grad": 0}

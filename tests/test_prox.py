@@ -322,6 +322,31 @@ class TestProxQuadratic:
         err = np.linalg.norm(cache.chol @ cache.chol.T - m)
         assert err <= 1e-8 * np.linalg.norm(m)
 
+    def test_bitwise_equal_to_two_triangular_solves(self, rng):
+        # the direct LAPACK calls are the ones solve_triangular makes for a
+        # C-ordered factor, so the output bytes must not move
+        for case in range(300):
+            d = 1 if case % 5 == 0 else int(rng.integers(2, 40))
+            m = int(rng.integers(1, 60))
+            alpha = float(10.0 ** rng.uniform(-4, 4))
+            cache = CachedQuadraticProx.from_data(
+                rng.standard_normal((m, d)), rng.standard_normal(m), alpha)
+            v = rng.standard_normal(d) * 3.0
+            y = scipy.linalg.solve_triangular(cache.chol, cache.atb + v,
+                                              lower=True)
+            want = scipy.linalg.solve_triangular(cache.chol.T, y,
+                                                 lower=False)
+            assert np.array_equal(prox_quadratic(cache, v), want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_input_rejected(self, rng, bad):
+        cache = CachedQuadraticProx.from_data(rng.standard_normal((8, 4)),
+                                              rng.standard_normal(8), 0.5)
+        v = rng.standard_normal(4)
+        v[2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            prox_quadratic(cache, v)
+
 
 class TestProxGlm:
     def test_gaussian_matches_analytic(self, rng):
