@@ -127,7 +127,10 @@ def stochastic_prox_iteration_run(problem: ProblemSpec, step: DiminishingStep,
 
     Requires a prox-only problem (every smooth term and the global term
     zero); the diminishing schedule is the defining feature, so a constant
-    step configuration is rejected by type.
+    step configuration is rejected by type.  Problems carrying a rank-one
+    structure (folded SVM, GLM) run through
+    :func:`kernels.rank_one_spi_block`; ``log.metadata["path"]`` says
+    which ran: ``kernel`` or ``per-term``.
     """
     if not isinstance(step, DiminishingStep):
         raise TypeError("step must be a DiminishingStep (the diminishing "
@@ -141,13 +144,15 @@ def stochastic_prox_iteration_run(problem: ProblemSpec, step: DiminishingStep,
                          "global term to be zero")
     x = np.zeros(problem.dim) if x0 is None else np.array(x0, dtype=float,
                                                           copy=True)
+    # rank-one rows whose ridge is folded into the terms or zero; the split
+    # SVM form keeps its ridge in r, which spi rejects above
     s = problem.structure
-    fast = isinstance(s, kernels.HingeStructure) and s.folded
+    struct = s if s is not None and (s.folded or not s.ridge) else None
 
     def advance(k, block):
         nonlocal x
-        if fast:
-            bad = kernels.hinge_spi_block(x, s, step.c, k, block)
+        if struct is not None:
+            bad = kernels.rank_one_spi_block(x, struct, step.c, k, block)
             if bad >= 0:
                 raise NumericalError(
                     f"non-finite values from prox of g (term {bad})")
@@ -160,28 +165,30 @@ def stochastic_prox_iteration_run(problem: ProblemSpec, step: DiminishingStep,
     # _spi_residual is already a mean over terms; sqrt(d) makes it per entry
     rows, converged, steps, stop = _sampled_loop(
         problem, opts, sampler,
-        lambda k: (_spi_residual(x, problem, step.at(max(k, 1))), x),
+        lambda k: (_spi_residual(x, problem, step.at(max(k, 1)), struct), x),
         advance, math.sqrt(problem.dim), x_ref)
     state = SolverState(z=x[None, :].copy(), zbar=x.copy(), alpha=step.c,
                         k=steps)
     log = MetricsLog(rows=rows, metadata={
         "solver": "spi", "c": step.c, "seed": getattr(sampler, "seed", None),
         "problem_kind": problem.kind, "stop": stop,
-        "path": "kernel" if fast else "per-term"})
+        "path": "per-term" if struct is None else "kernel"})
     return RunResult(x=x, log=log, converged=converged, state=state)
 
 
-def _spi_residual(x, problem, ak) -> float:
+def _spi_residual(x, problem, ak, struct) -> float:
     """Mean prox-step displacement at the current point, scaled by the
-    step; the natural stationarity surrogate for a prox-only problem."""
-    s = problem.structure
-    if isinstance(s, kernels.HingeStructure) and s.folded:
-        shr = 1.0 / (1.0 + ak * s.ridge)
+    step; the natural stationarity surrogate for a prox-only problem.
+    With ``struct``, the problem's rank-one structure, every term's step
+    comes from its ``betas`` at once; otherwise from the per-term handles.
+    """
+    if struct is not None:
+        shr = 1.0 / (1.0 + ak * struct.ridge)
         xs = x * shr
         # a non-finite row is named below, as the per-term path names it
         with np.errstate(invalid="ignore", over="ignore"):
-            beta = s.betas(s.features @ xs, ak * shr)
-            moved = xs[None, :] + beta[:, None] * s.features
+            beta = struct.betas(struct.features @ xs, ak * shr)
+            moved = xs[None, :] + beta[:, None] * struct.features
         _require_finite_rows(moved, "prox of g")
         moved -= x[None, :]
         return float(np.linalg.norm(moved)) / (ak * math.sqrt(problem.n))

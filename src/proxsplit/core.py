@@ -132,10 +132,11 @@ class ProblemSpec:
         Optional description of rank-one row terms g_i(x) = phi_i(f_i'x),
         a :class:`~proxsplit.kernels.HingeStructure` or
         :class:`~proxsplit.kernels.GlmStructure`.  It is the one place that
-        states each kind's prox and loss; the SVM and GLM builders derive
-        ``batched_g_prox`` and ``batched_objective`` from it, and sppg and
-        spi select its blocked kernels.  Solvers take the per-term path
-        when it is absent.
+        states each kind's prox rule (for all rows at once and for one row)
+        and loss; the SVM and GLM builders derive the per-term handles
+        ``g``, ``batched_g_prox`` and ``batched_objective`` from it, and
+        sppg and spi run its rank-one kernels.  Solvers take the per-term
+        path when it is absent.
     batched_g_prox :
         Optional vectorized evaluation of all n per-term prox calls at once:
         ``batched_g_prox(V, a)[i] == g[i].prox(V[i], a)``.  ``V`` is a

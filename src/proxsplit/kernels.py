@@ -2,32 +2,35 @@
 
 Hinge and GLM rows share one form, g_i(u) = phi_i(f_i'u), whose prox moves
 u along f_i by a scalar beta of s = f_i'u.  :class:`HingeStructure` and
-:class:`GlmStructure` state each kind's rules once: ``betas`` (every row's
-beta), ``losses`` (every row's phi_i) and ``run_betas`` (the betas of one
-run of sppg steps, by a scalar recurrence).  The rest is shared:
-:func:`rank_one_prox` and :func:`rank_one_objective` are the problems'
-``batched_g_prox`` and ``batched_objective``, and :func:`rank_one_sppg_block`
+:class:`GlmStructure` state each kind's rule twice and no more: ``betas``
+(every row's beta at once, for batched sweeps) and ``beta`` (one row's, in
+scalar arithmetic), plus ``losses`` (phi_i).  Everything else is built from
+them here, for either kind: :func:`rank_one_terms` gives the problem's
+per-term handles, :func:`rank_one_prox` and :func:`rank_one_objective` its
+``batched_g_prox`` and ``batched_objective``, :func:`rank_one_sppg_block`
 takes each run of up to ``SPPG_RUN`` consecutive distinct sppg rows with
-three BLAS products and the recurrence, in place of a dozen small vector
-operations per step.  :func:`hinge_spi_block` is the spi baseline's loop
-over folded hinge rows.  The per-term handles of the problem remain the
-reference implementation; the kernels agree with them to floating-point
-rounding, not bitwise, because their sums associate differently.
+three BLAS products and a scalar recurrence of ``beta``, in place of a
+dozen small vector operations per step, and :func:`rank_one_spi_block` is
+the spi baseline's loop of ``beta`` steps.  The per-term handles remain the
+reference path; the kernels agree with them to floating-point rounding, not
+bitwise, because their sums associate differently.
 """
 
 import importlib.util
 import math
 from dataclasses import dataclass
+from functools import partial
 from operator import mul
 from typing import Callable, ClassVar
 
 import numpy as np
 
-from .core import ConvergenceError
+from .core import ConvergenceError, ProxFn
 from .prox import _glm_roots, glm_root
 
-__all__ = ["HingeStructure", "GlmStructure", "rank_one_prox",
-           "rank_one_objective", "rank_one_sppg_block", "hinge_spi_block"]
+__all__ = ["HingeStructure", "GlmStructure", "rank_one_terms",
+           "rank_one_prox", "rank_one_objective", "rank_one_sppg_block",
+           "rank_one_spi_block"]
 
 # Rows per run of the numpy sppg block.  A run costs a few BLAS products
 # that grow as SPPG_RUN**2 * d plus a scalar recurrence of SPPG_RUN steps;
@@ -54,28 +57,27 @@ class HingeStructure:
     ridge: float
     folded: bool = False
 
+    @property
+    def targets(self) -> np.ndarray:
+        """Each row's constant c of :meth:`beta`: its label."""
+        return self.labels
+
     def betas(self, s, alpha):
         """The clip coefficient of every row at s_i = f_i'v."""
         m = (1.0 - self.labels * s) / self.sqnorms
         return np.clip(m, 0.0, alpha) * self.labels
 
-    def losses(self, s):
-        """The hinge max(1 - y_i s_i, 0) of every row."""
-        return np.maximum(1.0 - self.labels * s, 0.0)
+    def beta(self, s, q, c, alpha):
+        """One row's clip coefficient at s = f_i'v, for q = ||f_i||^2 and
+        label c; NaN when (1 - c s)/q is not finite (a zero or non-finite
+        row), for the caller to report."""
+        m = (1.0 - c * s) / q if q else math.nan
+        return min(max(m, 0.0), alpha) * c if math.isfinite(m) else math.nan
 
-    def run_betas(self, rows, base, coupling, own, sq, alpha):
-        """The clip coefficients of one run of :func:`rank_one_sppg_block`;
-        stops short at the first non-finite step."""
-        y = self.labels[rows].tolist()
-        beta = []
-        for k in range(len(base)):
-            s = 2.0 * (base[k] + sum(map(mul, coupling[k], beta))) - own[k]
-            # a zero row divides by zero: reported like any non-finite step
-            m = (1.0 - y[k] * s) / sq[k] if sq[k] else math.inf
-            if not math.isfinite(m):
-                break
-            beta.append(min(max(m, 0.0), alpha) * y[k])
-        return beta
+    def losses(self, s, rows=slice(None)):
+        """The hinge max(1 - y_i s_i, 0) of the given rows (all by
+        default) at their s_i."""
+        return np.maximum(1.0 - self.labels[rows] * s, 0.0)
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,11 @@ class GlmStructure:
     value: Callable
     ridge: ClassVar[float] = 0.0
     folded: ClassVar[bool] = False
+
+    @property
+    def targets(self) -> np.ndarray:
+        """Each row's constant c of :meth:`beta`: its response."""
+        return self.responses
 
     def betas(self, s, alpha):
         """beta = (t - s)/q of every row at s_i = f_i'v, with t the root of
@@ -115,33 +122,54 @@ class GlmStructure:
             beta[sel] = (root - s[sel]) / q[sel]
         return beta
 
-    def losses(self, s):
-        """A(s_i) - t_i s_i of every row."""
-        return self.value(s) - self.responses * s
+    def beta(self, s, q, c, alpha):
+        """One row's beta = (t - s)/q at s = f_i'v, for q = ||f_i||^2 and
+        response c, with t the root of :func:`prox.glm_root`.  A zero data
+        row gives 0; a non-finite s, alpha*q or c gives NaN, for the caller
+        to report.  A steep cumulant may overflow inside the root, so the
+        caller runs it with overflow warnings off."""
+        if not q:
+            return 0.0
+        aq = alpha * q
+        if not (math.isfinite(s) and math.isfinite(aq) and math.isfinite(c)):
+            return math.nan
+        return (glm_root(s, aq, c, self.deriv) - s) / q
 
-    def run_betas(self, rows, base, coupling, own, sq, alpha):
-        """The prox coefficients of one run of :func:`rank_one_sppg_block`:
-        beta = (t - s)/q with t the root of :func:`prox.glm_root`.  A zero
-        data row gives beta = 0; a non-finite step ends the run short."""
-        resp = self.responses[rows].tolist()
-        deriv = self.deriv
-        beta = []
-        try:
-            for k in range(len(base)):
-                s = 2.0 * (base[k] + sum(map(mul, coupling[k], beta))) - own[k]
-                q = sq[k]
-                if not q:
-                    beta.append(0.0)
-                    continue
-                aq = alpha * q
-                if not (math.isfinite(s) and math.isfinite(aq)
-                        and math.isfinite(resp[k])):
-                    break
-                beta.append((glm_root(s, aq, resp[k], deriv) - s) / q)
-        except ConvergenceError as exc:
-            exc.args = (f"{exc} (term {rows[k]})",)
-            raise
-        return beta
+    def losses(self, s, rows=slice(None)):
+        """A(s_i) - t_i s_i of the given rows (all by default)."""
+        return self.value(s) - self.responses[rows] * s
+
+
+def _term_prox(struct, i, x0, a):
+    """The prox of term i of :func:`rank_one_terms`."""
+    f = struct.features[i]
+    ridge = struct.ridge if struct.folded else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        shr = 1.0 / (1.0 + a * ridge)
+        xs = x0 * shr
+        return xs + struct.beta(float(f @ xs), float(struct.sqnorms[i]),
+                                float(struct.targets[i]), a * shr) * f
+
+
+def _term_value(struct, i, x):
+    """The value of term i of :func:`rank_one_terms`."""
+    loss = float(struct.losses(float(struct.features[i] @ x), i))
+    return loss + 0.5 * struct.ridge * float(x @ x) if struct.folded else loss
+
+
+def rank_one_terms(struct) -> tuple:
+    """The per-term handles of rank-one rows, one :class:`ProxFn` per row,
+    built from ``struct.beta`` and ``struct.losses``.
+
+    The prox of term i at x0 with step a moves x0 along f_i by the beta of
+    s = f_i'x0.  When the ridge is folded into the terms, x0 and the step
+    are first shrunk by 1/(1 + a*ridge), and the value adds ridge/2 ||x||^2
+    to phi_i(f_i'x).  A row whose beta is NaN gives a NaN point, without a
+    warning, for the caller to report by term.
+    """
+    return tuple(ProxFn(prox=partial(_term_prox, struct, i),
+                        value=partial(_term_value, struct, i))
+                 for i in range(struct.features.shape[0]))
 
 
 def _distinct_runs(order, limit):
@@ -183,8 +211,9 @@ def rank_one_sppg_block(z, zbar, struct, alpha, idx):
     for rank-one rows, a run of up to ``SPPG_RUN`` distinct rows at a time.
 
     ``struct`` gives the rows f_i (``features``), their squared norms
-    (``sqnorms``), the ridge held in r (``ridge``), and ``run_betas``, the
-    scalar part that tells hinge from GLM rows.  A step on row i sets
+    (``sqnorms``), the ridge held in r (``ridge``), the row constants
+    (``targets``) and ``beta``, the scalar rule that tells hinge from GLM
+    rows.  A step on row i sets
     z_i = w + beta_i f_i and moves zbar by the change over n, where
     w = shrink*zbar and shrink = 1/(1 + alpha*ridge).  Over a run of
     distinct rows k = 0..B-1 with rows z0_k and f_k at its start,
@@ -194,13 +223,16 @@ def rank_one_sppg_block(z, zbar, struct, alpha, idx):
 
     so the points s_k = f_k.(2 w_k - z0_k) whose prox the step takes need
     only the products F w0, F Z0' and F F' and the run's earlier betas.
-    ``struct.run_betas`` turns them into the betas by a forward recurrence
-    of one short dot each; then z[rows] and zbar are written once.
-    Mutates z and zbar in place; returns the offending term index on a
-    non-finite update, else -1, with the steps before it applied.
+    A forward recurrence of one short dot and one ``beta`` per step turns
+    them into the betas; then z[rows] and zbar are written once.  A
+    :class:`ConvergenceError` from ``beta`` gets the row's term index
+    appended.  Mutates z and zbar in place; returns the offending term
+    index on a non-finite update, else -1, with the steps before it
+    applied.
     """
     n = z.shape[0]
-    feats, sqnorms = struct.features, struct.sqnorms
+    feats, sqnorms, targets = struct.features, struct.sqnorms, struct.targets
+    rule = struct.beta
     shrink = 1.0 / (1.0 + alpha * struct.ridge)
     c = shrink / n
     steps = np.arange(SPPG_RUN)
@@ -224,9 +256,20 @@ def rank_one_sppg_block(z, zbar, struct, alpha, idx):
             base = (gk * (f @ w0) - (wt * cross).sum(1)).tolist()
             gram = f @ f.T
             gram *= wt
-            beta = struct.run_betas(rows, base, gram.tolist(),
-                                    cross.diagonal().tolist(),
-                                    sqnorms[rows].tolist(), alpha)
+            coupling, own = gram.tolist(), cross.diagonal().tolist()
+            q, cs = sqnorms[rows].tolist(), targets[rows].tolist()
+            beta = []
+            try:
+                for k in range(size):
+                    s = 2.0 * (base[k] + sum(map(mul, coupling[k], beta))) \
+                        - own[k]
+                    bk = rule(s, q[k], cs[k], alpha)
+                    if not math.isfinite(bk):
+                        break
+                    beta.append(bk)
+            except ConvergenceError as exc:
+                exc.args = (f"{exc} (term {rows[k]})",)
+                raise
             b = len(beta)
             u = f[:b] * np.array(beta)[:, None] - z0[:b]
             delta = wt[:b, :b] @ u
@@ -239,37 +282,41 @@ def rank_one_sppg_block(z, zbar, struct, alpha, idx):
     return -1
 
 
-# the benchmark harness (perfbench/) traces this function by its name
-def hinge_spi_block(x, struct: HingeStructure, c, k0, idx):
-    """Diminishing-step proximal iteration on folded hinge-plus-ridge rows.
-
-    Step sizes follow c/k with k continuing from k0; mutates x in place.
+def rank_one_spi_block(x, struct, c, k0, idx):
+    """Diminishing-step proximal iteration on rank-one rows whose ridge is
+    folded into the terms or zero: step k on row i shrinks x by
+    1/(1 + a_k*ridge) and moves it along f_i by ``struct.beta``, with step
+    sizes a_k = c/k and k continuing from k0.  Mutates x in place.
     Returns the offending term index on a non-finite update, else -1,
-    with the steps before it applied.
+    with the steps before it applied; a :class:`ConvergenceError` from
+    ``beta`` gets the row's term index appended.
     """
-    feats, labels, sqnorms = struct.features, struct.labels, struct.sqnorms
-    ridge = struct.ridge
+    feats, rule, ridge = struct.features, struct.beta, struct.ridge
+    q, cs = struct.sqnorms[idx].tolist(), struct.targets[idx].tolist()
     # a non-finite row turns its products into NaN without a warning; the
     # loop then stops there and the caller reports the term
     with np.errstate(invalid="ignore", over="ignore"):
-        for t, i in enumerate(idx):
-            ak = c / (k0 + t + 1.0)
-            shr = 1.0 / (1.0 + ak * ridge)
-            tau = ak * shr
-            xs = x * shr
-            m = (1.0 - labels[i] * float(feats[i] @ xs)) / sqnorms[i]
-            if not math.isfinite(m):
-                return i
-            beta = min(max(m, 0.0), tau) * labels[i]
-            x[:] = xs + beta * feats[i]
+        try:
+            for t, i in enumerate(idx.tolist()):
+                ak = c / (k0 + t + 1.0)
+                shr = 1.0 / (1.0 + ak * ridge)
+                xs = x * shr
+                b = rule(float(feats[i] @ xs), q[t], cs[t], ak * shr)
+                if not math.isfinite(b):
+                    return i
+                x[:] = xs + b * feats[i]
+        except ConvergenceError as exc:
+            exc.args = (f"{exc} (term {i})",)
+            raise
     return -1
 
 
-# The three names below are kept only because the benchmark harness
-# (perfbench/) resolves them: its tracer wraps ``hinge_sppg_block``, and so
-# every name bound to the same function, and its run metadata calls the
-# two functions on every run.
+# The names below are kept only because the benchmark harness (perfbench/)
+# resolves them: its tracer wraps ``hinge_sppg_block`` and
+# ``hinge_spi_block``, and so every name bound to the same function, and
+# its run metadata calls the two functions on every run.
 hinge_sppg_block = rank_one_sppg_block
+hinge_spi_block = rank_one_spi_block
 
 
 def resolved_backend() -> str:

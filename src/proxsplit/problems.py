@@ -16,10 +16,9 @@ import numpy as np
 from .core import ProblemSpec, ProxFn, SmoothFn, scale_prox, scale_smooth, \
     zero_prox, zero_smooth
 from .kernels import (GlmStructure, HingeStructure, rank_one_objective,
-                      rank_one_prox)
-from .prox import (CachedQuadraticProx, ScalarFn, prox_glm_1d, prox_hinge,
-                   prox_quadratic, soft_threshold_scalar,
-                   soft_threshold_vector)
+                      rank_one_prox, rank_one_terms)
+from .prox import (CachedQuadraticProx, ScalarFn, prox_quadratic,
+                   soft_threshold_scalar, soft_threshold_vector)
 
 __all__ = [
     "GroupPartition",
@@ -163,6 +162,29 @@ class _LeastSquaresProx:
         return prox_quadratic(cache, x0)
 
 
+def _group_norms(vals, ids, count):
+    """The Euclidean norm of each of ``count`` groups of the flat entries
+    ``vals``, entry k in group ``ids[k]``."""
+    return np.sqrt(np.bincount(ids, vals * vals, minlength=count))
+
+
+def _shrink_groups(vals, ids, count, thr):
+    """The prox of thr*||.||_2 on each group of the flat entries ``vals``
+    (as in :func:`_group_norms`), in place: every group scales by
+    max(1 - thr/norm, 0).  A NaN group comes back NaN, so the caller's
+    finiteness check names its term; an infinite thr (a weight that
+    overflowed) zeroes every other group."""
+    if thr == 0.0:  # the identity; also spares all-zero groups a 0/0
+        return
+    nrm = _group_norms(vals, ids, count)
+    if thr < np.inf:
+        # exactly 0 where a group's norm is at most thr
+        scale = 1.0 - thr / np.maximum(nrm, thr)
+        vals *= scale[ids]
+    else:
+        vals[:] = np.where(np.isnan(nrm), np.nan, 0.0)[ids]
+
+
 def build_group_lasso(a_mat: np.ndarray, b: np.ndarray, lambda1: float,
                       partition: GroupPartition,
                       alpha: float | None = None) -> ProblemSpec:
@@ -175,8 +197,9 @@ def build_group_lasso(a_mat: np.ndarray, b: np.ndarray, lambda1: float,
     every term's shrinkage at once through ``batched_g_prox``, and
     ``batched_objective`` sums all group norms at once; both work on one
     flat layout of the grouped entries (collection row, coordinate and
-    group id of each), built once here.  Single-term steps and ADMM use
-    the per-term handles.
+    group id of each), built once here.  The per-term handles of
+    single-term steps and ADMM read their collection's slice of the same
+    layout through the same norm-and-shrink rule.
     """
     a_mat = np.asarray(a_mat, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -195,20 +218,6 @@ def build_group_lasso(a_mat: np.ndarray, b: np.ndarray, lambda1: float,
 
     r = ProxFn(prox=lambda x0, a: solve(x0, a), value=sq_loss)
 
-    def make_g(groups):
-        idx = [np.array(grp, dtype=int) for grp in groups]
-
-        def prox(x0, a):
-            out = np.array(x0, dtype=float, copy=True)
-            for g in idx:
-                out[g] = soft_threshold_vector(x0[g], a * lam2)
-            return out
-
-        def value(x):
-            return lam2 * sum(float(np.linalg.norm(x[g])) for g in idx)
-
-        return ProxFn(prox=prox, value=value)
-
     # entry k of the flat layout is coordinate cc[k] of collection rr[k],
     # in group gid[k]; O(grouped entries), no padding
     colls = partition.collections
@@ -217,24 +226,38 @@ def build_group_lasso(a_mat: np.ndarray, b: np.ndarray, lambda1: float,
     cc = np.fromiter(chain.from_iterable(groups), np.intp, gid.size)
     rr = np.repeat(np.arange(n), [len(coll) for coll in colls])[gid]
 
-    def group_norms(vals):
-        return np.sqrt(np.bincount(gid, vals * vals, minlength=len(groups)))
-
     def batched_g_prox(v, a):
-        thr = a * lam2
-        if thr == 0.0:  # the identity; also spares all-zero groups a 0/0
-            return v
         vals = v[rr, cc]
-        # exactly 0 where a group's norm is at most thr; NaN stays NaN
-        scale = 1.0 - thr / np.maximum(group_norms(vals), thr)
-        vals *= scale[gid]
+        _shrink_groups(vals, gid, len(groups), a * lam2)
         v[rr, cc] = vals
         return v
 
     def batched_objective(x):
-        return sq_loss(x) + lam2 * float(group_norms(x[cc]).sum()) / n
+        return sq_loss(x) + lam2 * float(
+            _group_norms(x[cc], gid, len(groups)).sum()) / n
 
-    g_terms = tuple(make_g(coll) for coll in colls)
+    def make_g(cols, ids, count):
+        # collection i's slice of the layout, its group ids from 0
+
+        def prox(x0, a):
+            out = np.array(x0, dtype=float, copy=True)
+            vals = out[cols]
+            _shrink_groups(vals, ids, count, a * lam2)
+            out[cols] = vals
+            return out
+
+        def value(x):
+            return lam2 * float(_group_norms(x[cols], ids, count).sum())
+
+        return ProxFn(prox=prox, value=value)
+
+    # rr and gid run collection by collection, so each collection's
+    # entries and groups are one contiguous range
+    ends = np.cumsum(np.bincount(rr, minlength=n)).tolist()
+    firsts = np.cumsum([0] + [len(coll) for coll in colls]).tolist()
+    g_terms = tuple(
+        make_g(cc[lo:hi], gid[lo:hi] - firsts[i], len(colls[i]))
+        for i, (lo, hi) in enumerate(zip([0] + ends[:-1], ends)))
     f_terms = tuple(zero_smooth() for _ in range(n))
     return ProblemSpec(dim=d, n=n, r=r, f=f_terms, g=g_terms,
                        kind="group-lasso", batched_g_prox=batched_g_prox,
@@ -274,58 +297,27 @@ def build_svm(data: SvmData, fold_ridge: bool = False) -> ProblemSpec:
     prox.  ``fold_ridge=True`` instead folds the ridge into every term and
     leaves the global term zero, which is the prox-only form required by
     the diminishing-step baseline; both forms have identical objectives.
-    The attached :class:`HingeStructure` supplies the all-rows objective
-    and, in the default form, the all-rows prox.
+    The attached :class:`HingeStructure` supplies the per-term handles, the
+    all-rows objective and, in the default form, the all-rows prox.
     """
     feats = data.features
-    labels = data.labels
     lam = data.lam
     n, d = feats.shape
     structure = HingeStructure(
-        features=feats, labels=labels,
+        features=feats, labels=data.labels,
         sqnorms=np.einsum("ij,ij->i", feats, feats), ridge=lam,
         folded=fold_ridge)
-    batched_objective = partial(rank_one_objective, structure)
-
-    if fold_ridge:
-        def make_g(i):
-            ai = feats[i]
-            yi = labels[i]
-
-            def prox(x0, a):
-                shr = 1.0 / (1.0 + a * lam)
-                return prox_hinge(x0 * shr, ai, yi, a * shr)
-
-            def value(x):
-                return (max(1.0 - yi * float(ai @ x), 0.0)
-                        + 0.5 * lam * float(x @ x))
-
-            return ProxFn(prox=prox, value=value)
-
-        return ProblemSpec(
-            dim=d, n=n, r=zero_prox(),
-            f=tuple(zero_smooth() for _ in range(n)),
-            g=tuple(make_g(i) for i in range(n)),
-            kind="svm", structure=structure,
-            batched_objective=batched_objective)
-
-    r = ProxFn(prox=lambda x0, a: np.asarray(x0, dtype=float)
-               / (1.0 + a * lam),
-               value=lambda x: 0.5 * lam * float(x @ x))
-
-    def make_g(i):
-        ai = feats[i]
-        yi = labels[i]
-        return ProxFn(prox=lambda x0, a: prox_hinge(x0, ai, yi, a),
-                      value=lambda x: max(1.0 - yi * float(ai @ x), 0.0))
-
+    r = zero_prox() if fold_ridge else ProxFn(
+        prox=lambda x0, a: np.asarray(x0, dtype=float) / (1.0 + a * lam),
+        value=lambda x: 0.5 * lam * float(x @ x))
     return ProblemSpec(
         dim=d, n=n, r=r,
         f=tuple(zero_smooth() for _ in range(n)),
-        g=tuple(make_g(i) for i in range(n)),
+        g=rank_one_terms(structure),
         kind="svm", structure=structure,
-        batched_g_prox=partial(rank_one_prox, structure),
-        batched_objective=batched_objective)
+        batched_g_prox=None if fold_ridge else partial(rank_one_prox,
+                                                       structure),
+        batched_objective=partial(rank_one_objective, structure))
 
 
 # -- fused lasso ----------------------------------------------------------------
@@ -590,9 +582,9 @@ def build_glm(x_mat: np.ndarray, t_vec: np.ndarray,
     whose ``value`` and ``deriv`` handles must map arrays elementwise.
     Every term is handled through its prox (the one-dimensional reduction
     along its own data row); there is no smooth or global part.  The
-    attached :class:`GlmStructure` supplies the all-rows prox of full
-    sweeps, the all-rows objective and the blocked rank-one kernel of sppg
-    steps; other single-term steps use the per-term handles.
+    attached :class:`GlmStructure` supplies the per-term handles, the
+    all-rows prox of full sweeps, the all-rows objective and the rank-one
+    kernels of sppg and spi steps.
     """
     x_mat = np.asarray(x_mat, dtype=float)
     t_vec = np.asarray(t_vec, dtype=float)
@@ -600,22 +592,13 @@ def build_glm(x_mat: np.ndarray, t_vec: np.ndarray,
     if t_vec.shape != (n,):
         raise ValueError("one response per data row required")
     _require_elementwise(a1d)
-
-    def make_g(i):
-        xi = x_mat[i]
-        ti = t_vec[i]
-        return ProxFn(
-            prox=lambda x0, a: prox_glm_1d(x0, xi, ti, a1d, a),
-            value=lambda beta: a1d.value(float(xi @ beta))
-            - ti * float(xi @ beta))
-
     structure = GlmStructure(
         features=x_mat, sqnorms=np.einsum("ij,ij->i", x_mat, x_mat),
         responses=t_vec, deriv=a1d.deriv, value=a1d.value)
     return ProblemSpec(
         dim=d, n=n, r=zero_prox(),
         f=tuple(zero_smooth() for _ in range(n)),
-        g=tuple(make_g(i) for i in range(n)),
+        g=rank_one_terms(structure),
         kind="glm", structure=structure,
         batched_g_prox=partial(rank_one_prox, structure),
         batched_objective=partial(rank_one_objective, structure))

@@ -113,10 +113,10 @@ def _resync(state: SolverState, problem: ProblemSpec) -> int:
 
 def _block_kernel(problem: ProblemSpec, opts: SolveOptions):
     """The kernel that advances whole index blocks of this run, or None
-    for the per-term path: rank-one rows (a structure with ``run_betas``)
-    whose ridge sits in r, no smooth terms, and no ergodic average."""
+    for the per-term path: rank-one rows (a structure) whose ridge sits in
+    r, no smooth terms, and no ergodic average."""
     s = problem.structure
-    if (not hasattr(s, "run_betas") or s.folded or opts.ergodic
+    if (s is None or s.folded or opts.ergodic
             or not problem.all_f_zero()):
         return None
     return kernels.rank_one_sppg_block

@@ -18,8 +18,8 @@ from proxsplit.baselines import (DiminishingStep, consensus_admm_run,
 from proxsplit.core import (ProblemSpec, ProxFn, initial_state,
                             objective, verify_prox_fn, zero_prox)
 from proxsplit.ppg import SolveOptions, ppg_run, ppg_step
-from proxsplit.problems import SvmData, build_group_lasso, build_svm, \
-    glm_family, staggered_partition
+from proxsplit.problems import SvmData, build_glm, build_group_lasso, \
+    build_svm, glm_family, staggered_partition
 from proxsplit.prox import (CachedQuadraticProx, hinge_scalar,
                             prox_affine_1d, prox_glm_1d, prox_hinge,
                             prox_pair_diff, prox_pair_sum, prox_quadratic,
@@ -78,6 +78,28 @@ def test_criterion_1_prox_oracle_suite(rng):
     def draw(k=1):
         return rng.standard_normal(k) * 2.0
 
+    # the per-term handles that the SVM and GLM builders derive from their
+    # structures, on tiny problems: split and folded hinge rows and
+    # logistic rows
+    rows, dim, ridge = 6, 3, 0.3
+    feats = rng.standard_normal((rows, dim))
+    labels = np.where(rng.random(rows) < 0.5, 1.0, -1.0)
+    svm_split = build_svm(SvmData(feats, labels, lam=ridge))
+    svm_folded = build_svm(SvmData(feats, labels, lam=ridge),
+                           fold_ridge=True)
+    responses = rng.uniform(0.0, 1.0, rows)
+    glm = build_glm(feats, responses, glm_family("logistic"))
+
+    def along_row(out, f, t_want, x0, shrink):
+        """A derived prox output moves x0 along f to f'u = t_want and
+        scales the rest of x0 by ``shrink``."""
+        q = float(f @ f)
+        t_got = float(f @ out)
+        perp = (out - (t_got / q) * f) - shrink * (x0 - (float(f @ x0) / q)
+                                                   * f)
+        return abs(t_got - t_want) <= 1e-5 * q and \
+            float(np.linalg.norm(perp)) <= tol
+
     # scalar-reducible operators checked against the grid oracle
     for _ in range(n_inputs):
         alpha = float(rng.uniform(0.1, 2.0))
@@ -114,6 +136,25 @@ def test_criterion_1_prox_oracle_suite(rng):
         if abs(float(a @ prox_glm_1d(x3, a, ti, glm_family("logistic"),
                                      alpha)) - t_glm) > 1e-5 * q:
             failures.append("glm")
+        i = int(rng.integers(rows))
+        f, yi = feats[i], labels[i]
+        q = float(f @ f)
+        s0 = float(f @ x3)
+        hinge_i = lambda s: np.maximum(1.0 - yi * s, 0.0)
+        if not along_row(svm_split.g[i].prox(x3, alpha), f,
+                         grid_prox_scalar(hinge_i, s0, alpha * q), x3, 1.0):
+            failures.append("svm_split_term")
+        # with the ridge folded in, f'u solves the scalar prox of
+        # h(t) + ridge t^2/(2q) at step alpha*q, and the rest of x0 shrinks
+        t_fold = grid_prox_scalar(
+            lambda s: hinge_i(s) + ridge * s * s / (2.0 * q), s0, alpha * q)
+        if not along_row(svm_folded.g[i].prox(x3, alpha), f, t_fold, x3,
+                         1.0 / (1.0 + alpha * ridge)):
+            failures.append("svm_folded_term")
+        t_logit = grid_prox_scalar(
+            lambda s: np.logaddexp(0.0, s) - responses[i] * s, s0, alpha * q)
+        if not along_row(glm.g[i].prox(x3, alpha), f, t_logit, x3, 1.0):
+            failures.append("glm_term")
         x2 = draw(1)
         y2 = draw(1)
         lamp = float(rng.uniform(0.1, 1.5))
@@ -159,6 +200,9 @@ def test_criterion_1_prox_oracle_suite(rng):
             CachedQuadraticProx.from_data(quad_a, quad_b, t), x0)),
         "glm": (5, lambda x0, t: prox_glm_1d(
             x0, xi5, 0.4, glm_family("logistic"), t)),
+        "svm_split_term": (dim, svm_split.g[1].prox),
+        "svm_folded_term": (dim, svm_folded.g[1].prox),
+        "glm_term": (dim, glm.g[1].prox),
     }
     ne_failures = []
     for name, (dim, fn) in zoo.items():

@@ -289,8 +289,9 @@ class TestSolve:
 
     @pytest.mark.parametrize("algo", ["admm", "spi"])
     def test_glm_prox_failure_names_term(self, tmp_path, capsys, algo):
-        # inf in T.csv makes the per-term GLM prox unable to bracket its
-        # root; the error names the term it came from
+        # inf in T.csv gives the GLM prox a non-finite step on the
+        # per-term path (admm) and the kernel (spi) alike; the error names
+        # the term it came from
         prob = _gen(tmp_path, "--n", "8", "--d", "3", "--family",
                     "logistic", kind="glm", sub="glm")
         t_path = prob.parent / "T.csv"
@@ -303,7 +304,7 @@ class TestSolve:
         assert code == 3
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
-        assert err.startswith("error: ConvergenceError:")
+        assert err.startswith("error: NumericalError:")
         assert err.rstrip().endswith("(term 3)")
 
     @pytest.mark.parametrize("algo,tol,stop", [
@@ -372,7 +373,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("kind,algo,path", [
         ("glm", "sppg", "kernel"), ("svm", "sppg", "kernel"),
-        ("svm", "spi", "kernel"), ("glm", "spi", "per-term")])
+        ("svm", "spi", "kernel"), ("glm", "spi", "kernel")])
     def test_meta_names_code_path(self, tmp_path, kind, algo, path):
         prob = _gen(tmp_path, kind=kind, sub=kind)
         metrics = tmp_path / "m.csv"

@@ -59,6 +59,28 @@ def _sppg_pair(monkeypatch, problem, sampler, iters, record_every):
     return fast
 
 
+def _spi_pair(monkeypatch, problem, record_every):
+    """spi through the rank-one kernel against the same problem without its
+    structure hint: the kernel takes every step, and x and the recorded
+    rows agree to 1e-12 relative."""
+    n = problem.n
+    opts = SolveOptions(max_iters=10 * n + 3, record_every=record_every)
+
+    def run(p):
+        return stochastic_prox_iteration_run(
+            p, DiminishingStep(2.0), IndexSampler(5, n), opts)
+
+    calls = _counting(monkeypatch, "rank_one_spi_block")
+    fast = run(problem)
+    assert sum(calls) == opts.max_iters
+    generic = run(dataclasses.replace(problem, structure=None))
+    assert sum(calls) == opts.max_iters
+    assert fast.log.metadata["path"] == "kernel"
+    assert generic.log.metadata["path"] == "per-term"
+    assert _rel(fast.x, generic.x) <= 1e-12
+    assert _rel(_row_values(fast), _row_values(generic)) <= 1e-12
+
+
 # epochs of 48 steps, so blocks outrun a 32-row run; repeats fall inside
 # runs (5 after 0..19, 30 twice in a row) and straddle them
 _REPEATS = np.concatenate([
@@ -117,21 +139,8 @@ class TestNumpyHingeAgreement:
     @pytest.mark.parametrize("record_every", [None, 7])
     @pytest.mark.parametrize("n", [1, 5, 48])
     def test_spi_matches_per_term_prox(self, monkeypatch, n, record_every):
-        problem = tiny_svm(np.random.default_rng(n), n=n, d=4,
-                           fold_ridge=True)
-        opts = SolveOptions(max_iters=10 * n + 3, record_every=record_every)
-
-        def run(p):
-            return stochastic_prox_iteration_run(
-                p, DiminishingStep(2.0), IndexSampler(5, n), opts)
-
-        calls = _counting(monkeypatch, "hinge_spi_block")
-        fast = run(problem)
-        assert sum(calls) == opts.max_iters
-        generic = run(dataclasses.replace(problem, structure=None))
-        assert sum(calls) == opts.max_iters
-        assert _rel(fast.x, generic.x) <= 1e-12
-        assert _rel(_row_values(fast), _row_values(generic)) <= 1e-12
+        _spi_pair(monkeypatch, tiny_svm(np.random.default_rng(n), n=n, d=4,
+                                        fold_ridge=True), record_every)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_row_inside_a_run(self):
@@ -210,6 +219,14 @@ class TestNumpyGlmAgreement:
                          record_every)
         assert res.state.k == _REPEATS.size
 
+    @pytest.mark.parametrize("record_every", [None, 7])
+    @pytest.mark.parametrize("n", [1, 5, 48])
+    @pytest.mark.parametrize("family", ["logistic", "poisson", "gaussian"])
+    def test_spi_matches_per_term_prox(self, monkeypatch, family, n,
+                                       record_every):
+        _spi_pair(monkeypatch, tiny_glm(np.random.default_rng(n), family,
+                                        n=n, d=4), record_every)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_response_inside_a_run(self):
         n, bad = 80, 7
@@ -218,6 +235,24 @@ class TestNumpyGlmAgreement:
         t_vec = rows.responses.copy()
         t_vec[bad] = np.inf
         problem = build_glm(rows.features, t_vec, glm_family("logistic"))
-        # the per-term prox cannot bracket its root, so it raises
-        # ConvergenceError; the kernel reports the step as non-finite
-        _nonfinite_row_case(problem, bad, ConvergenceError)
+        # one rule on both paths: the per-term prox and the kernel both
+        # report the step as non-finite
+        _nonfinite_row_case(problem, bad, NumericalError)
+
+    def test_root_failure_names_the_term(self, monkeypatch):
+        # a ConvergenceError from the per-row root gets the term index on
+        # the sppg and spi kernels, as _call_term appends it per term
+        problem = tiny_glm(np.random.default_rng(1), "logistic", n=16, d=3)
+
+        def fails(*args):
+            raise ConvergenceError("GLM prox root exceeded 200 steps")
+
+        monkeypatch.setattr(kernels, "glm_root", fails)
+        seq = np.array([4, 9, 2])
+        state = initial_state(problem, 1.0)
+        with pytest.raises(ConvergenceError, match=r"steps \(term 4\)$"):
+            kernels.rank_one_sppg_block(state.z, state.zbar,
+                                        problem.structure, 1.0, seq)
+        with pytest.raises(ConvergenceError, match=r"steps \(term 4\)$"):
+            kernels.rank_one_spi_block(np.zeros(3), problem.structure, 2.0,
+                                       0, seq)

@@ -18,7 +18,7 @@ from proxsplit.problems import (EdgeColoring, GroupPartition, SvmData,
                                 build_svm, glm_family, greedy_edge_coloring,
                                 recast_symmetric, recast_weighted,
                                 staggered_partition)
-from proxsplit.prox import soft_threshold_scalar
+from proxsplit.prox import soft_threshold_scalar, soft_threshold_vector
 
 
 def _terms(rng, n_smooth, n_prox, d):
@@ -248,16 +248,83 @@ class TestGroupLasso:
                  IndexSampler(0, problem.n))
         assert calls == {"prox": steps, "grad": 0}
 
-    @staticmethod
-    def _uneven(lambda1):
-        # group sizes 1 to 5; the collections hold 3, 1 and 2 groups, and
-        # coordinates 9-10 belong to no group
-        part = GroupPartition(collections=(
-            ((0, 1, 2), (3,), (4, 5, 6, 7, 8)),
-            ((2, 3, 4, 5),),
-            ((0, 8), (5, 6, 7))))
+    # group sizes 1 to 5; the collections hold 3, 1 and 2 groups, and
+    # coordinates 9-10 belong to no group
+    UNEVEN = GroupPartition(collections=(
+        ((0, 1, 2), (3,), (4, 5, 6, 7, 8)),
+        ((2, 3, 4, 5),),
+        ((0, 8), (5, 6, 7))))
+
+    @classmethod
+    def _uneven(cls, lambda1):
         a_mat = np.random.default_rng(7).standard_normal((20, 11))
-        return build_group_lasso(a_mat, np.ones(20), lambda1, part)
+        return build_group_lasso(a_mat, np.ones(20), lambda1, cls.UNEVEN)
+
+    @classmethod
+    def _group_oracle(cls, i, x0, thr):
+        """Collection i's prox at x0: soft_threshold_vector on each of its
+        groups, the identity elsewhere."""
+        out = x0.copy()
+        for grp in cls.UNEVEN.collections[i]:
+            out[list(grp)] = soft_threshold_vector(x0[list(grp)], thr)
+        return out
+
+    @pytest.mark.parametrize("lambda1", [0.0, 0.05, 0.4, 2.0 / 3.0])
+    def test_per_term_handles_match_group_oracle(self, rng, lambda1):
+        # lambda1 = 2/3 with n = 3 and a = 2.5 puts the threshold at 5.0,
+        # the exact norm of group (0, 8) in row 2; group (2, 3, 4, 5) of
+        # collection 1 holds a NaN in the last draw
+        problem = self._uneven(lambda1)
+        for draw in range(6):
+            v = rng.standard_normal((3, 11)) * 2.0
+            v[2, [0, 8]] = 3.0, -4.0
+            if draw == 5:
+                v[1, 3] = np.nan
+            for a in (0.3, 2.5):
+                thr = a * 3 * lambda1
+                for i, gi in enumerate(problem.g):
+                    want = self._group_oracle(i, v[i], thr)
+                    got = gi.prox(v[i], a)
+                    # 1 - thr/norm cancels near the threshold: the bound
+                    # is absolute there
+                    np.testing.assert_allclose(got, want, rtol=1e-14,
+                                               atol=1e-14, equal_nan=True)
+                    if draw < 5:
+                        norms = sum(float(np.linalg.norm(v[i][list(grp)]))
+                                    for grp in self.UNEVEN.collections[i])
+                        assert gi.value(v[i]) == pytest.approx(
+                            3 * lambda1 * norms, rel=1e-14, abs=0.0)
+                if lambda1 == 2.0 / 3.0 and a == 2.5:
+                    assert np.all(problem.g[2].prox(v[2], a)[[0, 8]] == 0.0)
+
+    @pytest.mark.parametrize("lambda1, alpha", [(1e308, 1.0),
+                                                (1e300, 1e10)])
+    def test_overflowing_threshold_zeroes_groups(self, rng, lambda1, alpha):
+        # a * n * lambda1 overflows to inf: both paths zero every group
+        # whose norm is not NaN, and neither warns (a RuntimeWarning is an
+        # error in this suite)
+        problem = self._uneven(lambda1)
+        v = rng.standard_normal((3, 11))
+        v[1, 3] = np.nan
+        want = np.array([gi.prox(v[i], alpha)
+                         for i, gi in enumerate(problem.g)])
+        got = problem.batched_g_prox(v.copy(), alpha)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.all(np.isnan(got[1, [2, 3, 4, 5]]))
+        grouped = [[0, 1, 2, 3, 4, 5, 6, 7, 8], [], [0, 5, 6, 7, 8]]
+        for i, cols in enumerate(grouped):
+            assert np.all(got[i, cols] == 0.0)
+            assert np.array_equal(got[i, 9:], v[i, 9:])
+
+    def test_overflowing_threshold_ppg_on_both_paths(self):
+        problem = self._uneven(1e300)
+        termwise = dataclasses.replace(problem, batched_g_prox=None)
+        opts = SolveOptions(alpha=1e10, max_iters=5)
+        fast, slow = ppg_run(problem, opts), ppg_run(termwise, opts)
+        assert np.array_equal(fast.x, slow.x)
+        assert np.array_equal(fast.state.z, slow.state.z)
+        assert [r.residual_norm for r in fast.log.rows] == \
+            [r.residual_norm for r in slow.log.rows]
 
     @pytest.mark.parametrize("lambda1", [-0.1, np.nan, np.inf])
     def test_bad_weight_rejected(self, lambda1):

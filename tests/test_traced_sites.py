@@ -2,10 +2,10 @@
 
 The tracer wraps library functions and problem handles by name, and the
 jobs call the solvers with fixed arguments.  These tests load both files
-unchanged: they trace one ppg sweep and one sppg epoch on tiny SVM and GLM
-problems, and run the ppg job at both thread arguments it is given, so
-renaming a traced name or removing an argument the jobs pass fails this
-suite and not only a benchmark run.
+unchanged: they trace one ppg sweep, one sppg epoch and one spi run on tiny
+SVM and GLM problems, and run the ppg job at both thread arguments it is
+given, so renaming a traced name or removing an argument the jobs pass
+fails this suite and not only a benchmark run.
 """
 
 import importlib.util
@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from conftest import tiny_glm, tiny_svm
-from proxsplit import core, io, kernels, ppg, problems, sppg
+from proxsplit import baselines, core, io, kernels, ppg, problems, sppg
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -52,14 +52,38 @@ def test_sweep_and_epoch_hit_the_traced_sites(rng, kind):
     assert "problems.g_prox" not in calls
 
 
+@pytest.mark.parametrize("kind", ["svm", "glm"])
+def test_spi_runs_on_the_traced_kernel_site(rng, kind):
+    # the benchmark's spi job counts its steps at kernels.hinge_spi_block
+    # (the fifth positional argument is the index block) and expects no
+    # per-term prox
+    problem = (tiny_svm(rng, n=40, d=4, fold_ridge=True) if kind == "svm"
+               else tiny_glm(rng, "logistic", n=40, d=4))
+    steps = 3 * problem.n + 7
+    tr = tracer.Tracer()
+    with tracer.instrumented(tr):
+        traced = tracer.instrument_problem(tr, problem)
+        res = baselines.stochastic_prox_iteration_run(
+            traced, baselines.DiminishingStep(2.0), sppg.IndexSampler(0, 40),
+            ppg.SolveOptions(max_iters=steps))
+    assert res.log.metadata["path"] == "kernel"
+    assert tr.calls["baselines.spi"] == 1
+    assert tr.counts["kernels.hinge_spi_block.steps"] == steps
+    assert "problems.g_prox" not in tr.calls
+
+
 def test_bindings_restored_after_tracing():
     original = (ppg.ppg_run, core.objective, kernels.hinge_sppg_block,
-                kernels.rank_one_sppg_block)
+                kernels.rank_one_sppg_block, kernels.hinge_spi_block,
+                kernels.rank_one_spi_block)
     with tracer.instrumented(tracer.Tracer()):
         assert kernels.rank_one_sppg_block is kernels.hinge_sppg_block
         assert kernels.hinge_sppg_block is not original[2]
+        assert kernels.rank_one_spi_block is kernels.hinge_spi_block
+        assert kernels.hinge_spi_block is not original[4]
     assert (ppg.ppg_run, core.objective, kernels.hinge_sppg_block,
-            kernels.rank_one_sppg_block) == original
+            kernels.rank_one_sppg_block, kernels.hinge_spi_block,
+            kernels.rank_one_spi_block) == original
 
 
 def test_ppg_job_thread_argument_is_inert(rng, tmp_path):
