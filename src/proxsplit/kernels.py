@@ -36,8 +36,11 @@ __all__ = ["HingeStructure", "GlmStructure", "rank_one_terms",
 # that grow as SPPG_RUN**2 * d plus a scalar recurrence of SPPG_RUN steps;
 # runs of 32 to 64 rows were fastest at d=128, and 256 was slower.
 SPPG_RUN = 32
-# rows per in-place update of rank_one_prox; bounds its temporary to a
-# small block instead of a second n x d array
+# Rows per in-place update of rank_one_prox.  The sweep's blocks
+# (core.SWEEP_BLOCK_BYTES) already hold only a few hundred rows at d=128;
+# this bounds the temporary of a caller that passes a whole n x d block,
+# such as core.residual_map or core.verify_batched, to a small block
+# instead of a second n x d array.
 ROW_CHUNK = 256
 
 
@@ -62,10 +65,12 @@ class HingeStructure:
         """Each row's constant c of :meth:`beta`: its label."""
         return self.labels
 
-    def betas(self, s, alpha):
-        """The clip coefficient of every row at s_i = f_i'v."""
-        m = (1.0 - self.labels * s) / self.sqnorms
-        return np.clip(m, 0.0, alpha) * self.labels
+    def betas(self, s, alpha, lo=0):
+        """The clip coefficient of rows lo..lo+len(s) at s_i = f_i'v."""
+        rows = slice(lo, lo + len(s))
+        labels = self.labels[rows]
+        m = (1.0 - labels * s) / self.sqnorms[rows]
+        return np.clip(m, 0.0, alpha) * labels
 
     def beta(self, s, q, c, alpha):
         """One row's clip coefficient at s = f_i'v, for q = ||f_i||^2 and
@@ -101,24 +106,25 @@ class GlmStructure:
         """Each row's constant c of :meth:`beta`: its response."""
         return self.responses
 
-    def betas(self, s, alpha):
-        """beta = (t - s)/q of every row at s_i = f_i'v, with t the root of
-        t + alpha*q*(A'(t) - t_i) = s by :func:`prox._glm_roots`: the
-        safeguarded secant rule of :func:`prox.glm_root`, one vectorized
-        evaluation of A' per round for all unsolved rows.  A zero data row
-        gives 0; a row whose input, data or response is not finite gives
-        NaN, for the caller to report by index."""
-        q = self.sqnorms
+    def betas(self, s, alpha, lo=0):
+        """beta = (t - s)/q of rows lo..lo+len(s) at s_i = f_i'v, with t
+        the root of t + alpha*q*(A'(t) - t_i) = s by
+        :func:`prox._glm_roots`: the safeguarded secant rule of
+        :func:`prox.glm_root`, one vectorized evaluation of A' per round
+        for all unsolved rows.  A zero data row gives 0; a row whose input,
+        data or response is not finite gives NaN, for the caller to report
+        by index."""
+        q = self.sqnorms[lo:lo + len(s)]
+        resp = self.responses[lo:lo + len(s)]
         with np.errstate(over="ignore", invalid="ignore"):
             aq = alpha * q
-            finite = np.isfinite(s) & np.isfinite(aq) & np.isfinite(
-                self.responses)
+            finite = np.isfinite(s) & np.isfinite(aq) & np.isfinite(resp)
             beta = np.where(finite, 0.0, np.nan)
             rows = np.flatnonzero(finite & (q > 0.0))
             # views, not copies, when every row has a root to solve
             sel = rows if rows.size < s.size else slice(None)
-            root = _glm_roots(s[sel], aq[sel], self.responses[sel],
-                              self.deriv, rows)
+            root = _glm_roots(s[sel], aq[sel], resp[sel], self.deriv,
+                              rows + lo)
             beta[sel] = (root - s[sel]) / q[sel]
         return beta
 
@@ -186,16 +192,17 @@ def _distinct_runs(order, limit):
         start = end
 
 
-def rank_one_prox(struct, v, alpha):
-    """The prox of every row term at once: row i of ``v`` moves to
-    v_i + beta_i f_i, with the betas of ``struct.betas`` at s_i = f_i'v_i.
-    ``v`` is overwritten and returned; a row with a NaN beta comes back NaN.
+def rank_one_prox(struct, v, alpha, lo=0):
+    """The prox of the row terms lo..lo+len(v) at once: row k of ``v``
+    moves to v_k + beta_k f_(lo+k), with the betas of ``struct.betas`` at
+    s_k = f_(lo+k)'v_k.  ``v`` is overwritten and returned; a row with a
+    NaN beta comes back NaN.
     """
-    feats = struct.features
-    beta = struct.betas(np.einsum("ij,ij->i", feats, v), alpha)
-    for lo in range(0, v.shape[0], ROW_CHUNK):
-        hi = lo + ROW_CHUNK
-        v[lo:hi] += beta[lo:hi, None] * feats[lo:hi]
+    feats = struct.features[lo:lo + v.shape[0]]
+    beta = struct.betas(np.einsum("ij,ij->i", feats, v), alpha, lo)
+    for k in range(0, v.shape[0], ROW_CHUNK):
+        v[k:k + ROW_CHUNK] += beta[k:k + ROW_CHUNK, None] \
+            * feats[k:k + ROW_CHUNK]
     return v
 
 

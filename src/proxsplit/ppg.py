@@ -1,9 +1,10 @@
 """Deterministic three-step splitting solver with full per-iteration sweeps.
 
 Each iteration evaluates the global prox at the averaged state, one prox and
-one gradient per term, and advances every row of z; the average is then
-rebuilt with the fixed-chunk reduction, so its summation order, and with it
-every logged byte, is the same on every rerun.  Only z is stored across
+one gradient per term, and advances every row of z, one cache-sized block of
+rows at a time; the average is rebuilt from the fixed-chunk reduction's
+chunk sums as the blocks finish, so its summation order, and with it every
+logged byte, is the same on every rerun.  Only z is stored across
 iterations.
 """
 
@@ -14,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ProblemSpec, ResidualReport, SolverState,
-                   _require_finite, _term_points, chunked_row_mean,
+from .core import (ProblemSpec, ResidualReport, SolverState, _sweep_blocks,
                    initial_state, objective)
 from .io import MetricsLog
 
@@ -204,19 +204,13 @@ def resolve_alpha(problem: ProblemSpec, alpha: float | None) -> float:
 
 
 def _sweep(state: SolverState, problem: ProblemSpec):
-    """One full sweep: returns ``(x_half, delta)`` for the pre-step state,
-    where row i of ``delta`` is x_i - x_half, and advances z and zbar in
-    place.  ||delta|| / alpha is the residual ||p(z)||.
+    """One full sweep: advances z and zbar in place, a block of rows at a
+    time (:func:`core._sweep_blocks`), and returns ``(x_half, resid)`` for
+    the pre-step state: its prox-r point and its residual ||p(z)||, which
+    is the norm of the step taken over alpha.
     """
-    alpha = state.alpha
-    x_half = problem.r.prox(state.zbar, alpha)
-    _require_finite(x_half, "prox of r")
-    delta = _term_points(x_half, state.z, problem, alpha)
-    delta -= x_half
-    state.z += delta
-    state.zbar = chunked_row_mean(state.z, problem.reduce_chunks)
-    state.k += 1
-    return x_half, delta
+    x_half, step_norm = _sweep_blocks(state, problem, advance=True)
+    return x_half, step_norm / state.alpha
 
 
 def ppg_step(state: SolverState, problem: ProblemSpec,
@@ -226,9 +220,8 @@ def ppg_step(state: SolverState, problem: ProblemSpec,
     The report carries ||p(z^k)||_F, the objective at the prox-r point, and
     optionally the distance of that point to a reference solution.
     """
-    x_half, delta = _sweep(state, problem)
+    x_half, resid = _sweep(state, problem)
     k = state.k - 1
-    resid = float(np.linalg.norm(delta)) / state.alpha
     return state, _report(problem, k, resid, x_half, float(k), x_ref)
 
 
@@ -244,19 +237,11 @@ def ppg_run(problem: ProblemSpec, opts: SolveOptions,
     state = initial_state(problem, alpha, warm_start)
     erg = _Ergodic(problem.dim) if opts.ergodic else None
 
-    # The previous sweep's arrays stay alive until the next sweep has built
-    # its own, as they would in an inline loop.  Freed earlier, the n x d
-    # blocks go back to the OS (glibc trims the heap top) and are faulted in
-    # again every sweep: about 20x the page faults and +15% wall time at
-    # n=8192, d=128.
-    last = None
-
     def step():
-        nonlocal last
-        last = x_half, delta = _sweep(state, problem)
+        x_half, resid = _sweep(state, problem)
         if erg is not None:
             erg.add(x_half)
-        return float(np.linalg.norm(delta)) / alpha, x_half
+        return resid, x_half
 
     rows, converged, _, stop = _sweep_loop(
         problem, opts, step, math.sqrt(problem.n * problem.dim), x_ref)

@@ -70,8 +70,7 @@ def recast_weighted(r: ProxFn, fs: Sequence[SmoothFn], gs: Sequence[ProxFn],
         raise ValueError("both term lists must be nonempty")
     cf = (m + n) / n
     cg = (m + n) / m
-    f_terms = tuple(scale_smooth(fn, cf) for fn in fs) + tuple(
-        zero_smooth() for _ in range(m))
+    f_terms = tuple(scale_smooth(fn, cf) for fn in fs) + (zero_smooth(),) * m
     g_terms = tuple(zero_prox() for _ in range(n)) + tuple(
         scale_prox(fn, cg) for fn in gs)
     return ProblemSpec(dim=dim, n=n + m, r=r, f=f_terms, g=g_terms,
@@ -226,15 +225,32 @@ def build_group_lasso(a_mat: np.ndarray, b: np.ndarray, lambda1: float,
     cc = np.fromiter(chain.from_iterable(groups), np.intp, gid.size)
     rr = np.repeat(np.arange(n), [len(coll) for coll in colls])[gid]
 
-    def batched_g_prox(v, a):
-        vals = v[rr, cc]
-        _shrink_groups(vals, gid, len(groups), a * lam2)
-        v[rr, cc] = vals
+    # rr and gid run collection by collection, so the entries and groups
+    # of any run of collections are one contiguous range: those of
+    # collections lo..hi-1 are entries ends[lo]:ends[hi] and groups
+    # firsts[lo]:firsts[hi]
+    ends = [0] + np.cumsum(np.bincount(rr, minlength=n)).tolist()
+    firsts = np.cumsum([0] + [len(coll) for coll in colls]).tolist()
+
+    def batched_g_prox(v, a, lo=0):
+        hi = lo + v.shape[0]
+        if hi - lo == n:  # the whole layout, with no views to allocate
+            rows, cols, ids = rr, cc, gid
+        else:
+            e = slice(ends[lo], ends[hi])
+            rows, cols, ids = rr[e] - lo, cc[e], gid[e] - firsts[lo]
+        vals = v[rows, cols]
+        _shrink_groups(vals, ids, firsts[hi] - firsts[lo], a * lam2)
+        v[rows, cols] = vals
         return v
 
+    def penalty(norms):
+        # a zero sum adds 0, also when lam2 overflowed to inf
+        total = float(norms.sum())
+        return lam2 * total if total else 0.0
+
     def batched_objective(x):
-        return sq_loss(x) + lam2 * float(
-            _group_norms(x[cc], gid, len(groups)).sum()) / n
+        return sq_loss(x) + penalty(_group_norms(x[cc], gid, len(groups))) / n
 
     def make_g(cols, ids, count):
         # collection i's slice of the layout, its group ids from 0
@@ -247,19 +263,15 @@ def build_group_lasso(a_mat: np.ndarray, b: np.ndarray, lambda1: float,
             return out
 
         def value(x):
-            return lam2 * float(_group_norms(x[cols], ids, count).sum())
+            return penalty(_group_norms(x[cols], ids, count))
 
         return ProxFn(prox=prox, value=value)
 
-    # rr and gid run collection by collection, so each collection's
-    # entries and groups are one contiguous range
-    ends = np.cumsum(np.bincount(rr, minlength=n)).tolist()
-    firsts = np.cumsum([0] + [len(coll) for coll in colls]).tolist()
     g_terms = tuple(
-        make_g(cc[lo:hi], gid[lo:hi] - firsts[i], len(colls[i]))
-        for i, (lo, hi) in enumerate(zip([0] + ends[:-1], ends)))
-    f_terms = tuple(zero_smooth() for _ in range(n))
-    return ProblemSpec(dim=d, n=n, r=r, f=f_terms, g=g_terms,
+        make_g(cc[ends[i]:ends[i + 1]], gid[ends[i]:ends[i + 1]] - firsts[i],
+               len(colls[i]))
+        for i in range(n))
+    return ProblemSpec(dim=d, n=n, r=r, f=(zero_smooth(),) * n, g=g_terms,
                        kind="group-lasso", batched_g_prox=batched_g_prox,
                        batched_objective=batched_objective)
 
@@ -312,7 +324,7 @@ def build_svm(data: SvmData, fold_ridge: bool = False) -> ProblemSpec:
         value=lambda x: 0.5 * lam * float(x @ x))
     return ProblemSpec(
         dim=d, n=n, r=r,
-        f=tuple(zero_smooth() for _ in range(n)),
+        f=(zero_smooth(),) * n,
         g=rank_one_terms(structure),
         kind="svm", structure=structure,
         batched_g_prox=None if fold_ridge else partial(rank_one_prox,
@@ -401,16 +413,33 @@ def build_fused_lasso(a_mat: np.ndarray, y: np.ndarray, lam: float,
     f_terms = tuple(make_f(i) for i in range(n)) * 2
     g_terms = (g_odd,) * n + (g_even,) * n
 
-    def batched_f_grad(v, x, a):
-        # rows i and n + i share the data row a_i, so one step serves both
-        step = (a_mat @ x - y)[:, None] * a_mat
-        step *= a
-        v[:n] -= step
-        v[n:] -= step
+    # Terms i and n + i share the data row a_i.  The residuals A x - y
+    # come from one product with all of A, since BLAS may round a product
+    # with some of its rows differently; the last point's product is kept,
+    # so the blocks of one sweep compute it once.
+    last = None
 
-    def batched_g_prox(v, a):
-        _project_pairs(v[:n], eps, 0)
-        _project_pairs(v[n:], eps, 1)
+    def residual(x):
+        nonlocal last
+        if last is None or last[0].tobytes() != x.tobytes():
+            last = np.array(x, dtype=float, copy=True), a_mat @ x - y
+        return last[1]
+
+    def batched_f_grad(v, x, a, lo=0):
+        res = residual(x)
+        hi = lo + v.shape[0]
+        # the block's terms below n, then those from n on (data row t - n)
+        for t0, t1, shift in ((lo, min(hi, n), 0), (max(lo, n), hi, n)):
+            if t0 < t1:
+                rows = slice(t0 - shift, t1 - shift)
+                step = res[rows, None] * a_mat[rows]
+                step *= a
+                v[t0 - lo:t1 - lo] -= step
+
+    def batched_g_prox(v, a, lo=0):
+        split = min(max(n - lo, 0), v.shape[0])
+        _project_pairs(v[:split], eps, 0)
+        _project_pairs(v[split:], eps, 1)
         return v
 
     def batched_objective(x):
@@ -597,7 +626,7 @@ def build_glm(x_mat: np.ndarray, t_vec: np.ndarray,
         responses=t_vec, deriv=a1d.deriv, value=a1d.value)
     return ProblemSpec(
         dim=d, n=n, r=zero_prox(),
-        f=tuple(zero_smooth() for _ in range(n)),
+        f=(zero_smooth(),) * n,
         g=rank_one_terms(structure),
         kind="glm", structure=structure,
         batched_g_prox=partial(rank_one_prox, structure),

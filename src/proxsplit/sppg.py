@@ -17,8 +17,8 @@ import numpy as np
 
 from . import kernels
 from .core import (NumericalError, ProblemSpec, SolverState, _call_term,
-                   _require_finite, chunked_row_mean, initial_state,
-                   residual_map)
+                   _require_finite, _sweep_blocks, chunked_row_mean,
+                   initial_state)
 from .io import MetricsLog
 from .ppg import (RunResult, SolveOptions, _Ergodic, _report, _sampled_loop,
                   resolve_alpha)
@@ -78,9 +78,12 @@ def _advance_one(state: SolverState, problem: ProblemSpec, i: int):
 
 
 def _probe(state: SolverState, problem: ProblemSpec):
-    """||p(z)||_F and the prox-r point of the current state; O(nd)."""
-    p, x_half, _ = residual_map(state, problem)
-    return float(np.linalg.norm(p)), x_half
+    """||p(z)||_F and the prox-r point of the current state: the full
+    sweep's block loop (:func:`core._sweep_blocks`) without its update,
+    so the residual is the norm of the sweep's step over alpha.  O(nd)
+    time and no n x d temporary; the state is not changed."""
+    x_half, step_norm = _sweep_blocks(state, problem, advance=False)
+    return step_norm / state.alpha, x_half
 
 
 def sppg_step(state: SolverState, problem: ProblemSpec, sampler,

@@ -1,6 +1,7 @@
 """Full-sweep solver: step algebra, reductions to classical methods,
 monotonicity, and run options."""
 
+import dataclasses
 import math
 import warnings
 
@@ -9,6 +10,7 @@ import pytest
 
 from conftest import abs_prox_fn, lasso_problem, make_quadratic_term, \
     prox_only_problem, simple_problem
+from proxsplit import core
 from proxsplit.baselines import consensus_admm_run, proximal_gradient_run
 from proxsplit.core import SmoothFn, SolverState, chunked_row_mean, \
     initial_state, residual_map, zero_prox
@@ -338,3 +340,145 @@ class TestOptions:
         problem = simple_problem([abs_prox_fn(1.0)], terms_f=[unbounded])
         with pytest.warns(UserWarning, match="no Lipschitz bound"):
             assert resolve_alpha(problem, None) == 1.0
+
+
+class TestRowBlockedSweep:
+    """Sweeps and probes run a block of z's rows at a time; with several
+    blocks they must give what one block gives."""
+
+    @staticmethod
+    def _problems(rng):
+        from conftest import tiny_glm, tiny_svm
+        from proxsplit.problems import (build_fused_lasso, build_group_lasso,
+                                        staggered_partition)
+        svm = tiny_svm(rng, n=40, d=4)
+        # 5 data rows make 10 fused terms: a 3-row block straddles row 5
+        fused = build_fused_lasso(rng.standard_normal((5, 6)),
+                                  rng.standard_normal(5), 0.1, 0.3)
+        return {
+            "svm": svm,
+            "glm": tiny_glm(rng, "logistic", n=40, d=4),
+            "group-lasso": build_group_lasso(
+                rng.standard_normal((20, 12)), rng.standard_normal(20), 0.05,
+                staggered_partition(12, 8, group_size=3, stagger=1),
+                alpha=1.0),
+            "fused-lasso": fused,
+            "per-term": dataclasses.replace(svm, batched_g_prox=None),
+            "per-term-smooth": dataclasses.replace(
+                fused, batched_g_prox=None, batched_f_grad=None),
+        }
+
+    @staticmethod
+    def _budget(problem, rows):
+        return rows * 8 * problem.dim
+
+    @pytest.mark.parametrize("kind", ["svm", "glm", "group-lasso",
+                                      "fused-lasso", "per-term",
+                                      "per-term-smooth"])
+    def test_several_blocks_match_one(self, monkeypatch, kind):
+        problem = self._problems(np.random.default_rng(3))[kind]
+        opts = SolveOptions(alpha=resolve_alpha(problem, None), max_iters=6)
+        monkeypatch.setattr(core, "SWEEP_BLOCK_BYTES", 1 << 40)
+        whole = ppg_run(problem, opts)
+        # budgets of one, two and three rows of z
+        for rows in (1, 2, 3):
+            monkeypatch.setattr(core, "SWEEP_BLOCK_BYTES",
+                                self._budget(problem, rows))
+            blocks = core._row_blocks(problem.n, problem.dim,
+                                      problem.reduce_chunks,
+                                      core.SWEEP_BLOCK_BYTES)
+            assert len(blocks) > 1
+            if kind == "fused-lasso" and rows > 1:
+                # a block holds odd-pair and even-pair terms
+                assert any(lo < problem.n // 2 < hi for lo, hi, _ in blocks)
+            many = ppg_run(problem, opts)
+            assert np.array_equal(many.state.z, whole.state.z)
+            assert np.array_equal(many.state.zbar, whole.state.zbar)
+            assert np.array_equal(many.x, whole.x)
+            for a, b in zip(many.log.rows, whole.log.rows, strict=True):
+                assert a.residual_norm == pytest.approx(b.residual_norm,
+                                                        rel=1e-13)
+
+    @pytest.mark.parametrize("kind", ["svm", "fused-lasso", "per-term-smooth"])
+    def test_probe_leaves_state_and_matches_sweep(self, monkeypatch, kind):
+        from proxsplit.sppg import _probe
+        problem = self._problems(np.random.default_rng(4))[kind]
+        monkeypatch.setattr(core, "SWEEP_BLOCK_BYTES",
+                            self._budget(problem, 3))
+        state = initial_state(problem, 0.05, np.random.default_rng(5)
+                              .standard_normal((problem.n, problem.dim)))
+        z, zbar = state.z.copy(), state.zbar.copy()
+        resid, x_half = _probe(state, problem)
+        assert np.array_equal(state.z, z) and np.array_equal(state.zbar, zbar)
+        p, want_x, _ = residual_map(state, problem)
+        assert np.array_equal(x_half, want_x)
+        assert resid == pytest.approx(float(np.linalg.norm(p)), rel=1e-12)
+        _, report = ppg_step(state, problem)
+        assert report.residual_norm == resid
+
+    @pytest.mark.parametrize("kind, what", [("svm", "prox of g"),
+                                            ("glm", "prox of g"),
+                                            ("per-term", "prox of g"),
+                                            ("fused-lasso", "gradient of f"),
+                                            ("per-term-smooth",
+                                             "gradient of f")])
+    def test_nonfinite_row_in_later_block_named(self, monkeypatch, kind,
+                                                what):
+        from proxsplit.core import NumericalError
+        from proxsplit.problems import (SvmData, build_fused_lasso,
+                                        build_glm, build_svm, glm_family)
+        rng = np.random.default_rng(6)
+        if kind in ("svm", "per-term"):
+            feats = rng.standard_normal((40, 4))
+            feats[33] = np.inf
+            problem = build_svm(SvmData(feats, np.ones(40), lam=0.1))
+            if kind == "per-term":
+                problem = dataclasses.replace(problem, batched_g_prox=None)
+            bad = 33
+        elif kind == "glm":
+            t_vec = rng.random(40)
+            t_vec[29] = np.nan
+            problem = build_glm(rng.standard_normal((40, 4)), t_vec,
+                                glm_family("logistic"))
+            bad = 29
+        else:
+            y = rng.standard_normal(5)
+            y[4] = np.nan  # data row 4: terms 4 and 9, in the 2nd block
+            problem = build_fused_lasso(rng.standard_normal((5, 6)), y, 0.1,
+                                        0.3)
+            if kind == "per-term-smooth":
+                problem = dataclasses.replace(
+                    problem, batched_g_prox=None, batched_f_grad=None)
+            bad = 4
+        monkeypatch.setattr(core, "SWEEP_BLOCK_BYTES",
+                            self._budget(problem, 3))
+        lo = min(lo for lo, hi, _ in core._row_blocks(
+            problem.n, problem.dim, problem.reduce_chunks,
+            core.SWEEP_BLOCK_BYTES) if hi > bad)
+        assert lo > 0
+        with pytest.raises(NumericalError,
+                           match=rf"^non-finite values from {what} "
+                                 rf"\(term {bad}\)$"):
+            ppg_run(problem, SolveOptions(alpha=0.01, max_iters=2))
+
+
+def test_sweep_allocates_no_n_by_d_temporary():
+    # one ppg sweep and one sppg probe on the SVM desk shape: a whole-array
+    # temporary (8 MiB here) must not come back
+    import tracemalloc
+    from conftest import tiny_svm
+    from proxsplit.ppg import _sweep
+    from proxsplit.sppg import _probe
+    problem = tiny_svm(np.random.default_rng(0), n=8192, d=128)
+    state = initial_state(problem, 10.0)
+    whole = problem.n * problem.dim * 8
+    for run in (lambda: _sweep(state, problem),
+                lambda: _probe(state, problem)):
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < whole / 4

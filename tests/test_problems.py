@@ -326,6 +326,20 @@ class TestGroupLasso:
         assert [r.residual_norm for r in fast.log.rows] == \
             [r.residual_norm for r in slow.log.rows]
 
+    def test_overflowing_weight_zero_groups_add_nothing(self, rng):
+        # n * lambda1 overflows to inf with 2 collections: a zero group sum
+        # adds 0 (not inf * 0 = NaN) on the batched and per-term paths
+        a_mat, b = rng.standard_normal((12, 6)), rng.standard_normal(12)
+        partition = GroupPartition(collections=(((0, 1, 2), (3, 4, 5)),
+                                                ((1, 2, 3),)))
+        problem = build_group_lasso(a_mat, b, 1e308, partition)
+        termwise = dataclasses.replace(problem, batched_objective=None)
+        zeros = np.zeros(6)
+        assert [gi.value(zeros) for gi in problem.g] == [0.0, 0.0]
+        for p in (problem, termwise):
+            assert objective(zeros, p) == 0.5 * float(np.sum(b ** 2))
+            assert objective(np.ones(6), p) == np.inf
+
     @pytest.mark.parametrize("lambda1", [-0.1, np.nan, np.inf])
     def test_bad_weight_rejected(self, lambda1):
         # a NaN weight used to pass the sign check, and an infinite one

@@ -48,7 +48,8 @@ def test_sweep_and_epoch_hit_the_traced_sites(rng, kind):
     assert calls["kernels.hinge_sppg_block"] >= 1
     assert tr.counts["kernels.hinge_sppg_block.steps"] == 40
     assert calls["sppg.take"] >= 1 and calls["core.objective"] >= 3
-    assert calls["core.residual_map"] == 2
+    # the probes run the sweep's block loop, not the whole-array reference
+    assert "core.residual_map" not in calls
     assert "problems.g_prox" not in calls
 
 
