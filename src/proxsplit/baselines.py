@@ -14,8 +14,7 @@ import numpy as np
 
 from . import kernels
 from .core import (NumericalError, ProblemSpec, SolverState, _call_term,
-                   _require_finite, _require_finite_rows, chunked_row_mean,
-                   initial_state)
+                   _require_finite, chunked_row_mean, initial_state)
 from .io import MetricsLog
 from .ppg import (RunResult, SolveOptions, _sampled_loop, _sweep_loop,
                   resolve_alpha)
@@ -39,6 +38,15 @@ class DiminishingStep:
         return self.c / k
 
 
+def _start_point(x0, problem: ProblemSpec) -> np.ndarray:
+    """A float copy of a caller's ``x0``, which must have shape (dim,)."""
+    x = np.array(x0, dtype=float, copy=True)
+    if x.shape != (problem.dim,):
+        raise ValueError(f"x0 must have shape ({problem.dim},), "
+                         f"got {x.shape}")
+    return x
+
+
 def proximal_gradient_run(problem: ProblemSpec, opts: SolveOptions,
                           x0: np.ndarray | None = None,
                           x_ref: np.ndarray | None = None) -> RunResult:
@@ -53,7 +61,7 @@ def proximal_gradient_run(problem: ProblemSpec, opts: SolveOptions,
                          "nonsmooth function to be zero")
     alpha = resolve_alpha(problem, opts.alpha)
     x = problem.r.prox(np.zeros(problem.dim), alpha) if x0 is None \
-        else np.array(x0, dtype=float, copy=True)
+        else _start_point(x0, problem)
     rows_buf = np.empty((problem.n, problem.dim))
 
     def step():
@@ -128,9 +136,10 @@ def stochastic_prox_iteration_run(problem: ProblemSpec, step: DiminishingStep,
     Requires a prox-only problem (every smooth term and the global term
     zero); the diminishing schedule is the defining feature, so a constant
     step configuration is rejected by type.  Problems carrying a rank-one
-    structure (folded SVM, GLM) run through
+    structure (folded SVM, GLM) take their steps through
     :func:`kernels.rank_one_spi_block`; ``log.metadata["path"]`` says
-    which ran: ``kernel`` or ``per-term``.
+    which ran: ``kernel`` or ``per-term``.  The residual is sppg's probe
+    (:func:`sppg._probe`) at z_i = x with step a_k, over sqrt(n).
     """
     if not isinstance(step, DiminishingStep):
         raise TypeError("step must be a DiminishingStep (the diminishing "
@@ -142,8 +151,7 @@ def stochastic_prox_iteration_run(problem: ProblemSpec, step: DiminishingStep,
     if not problem.r.is_zero:
         raise ValueError("stochastic proximal iteration requires the "
                          "global term to be zero")
-    x = np.zeros(problem.dim) if x0 is None else np.array(x0, dtype=float,
-                                                          copy=True)
+    x = np.zeros(problem.dim) if x0 is None else _start_point(x0, problem)
     # rank-one rows whose ridge is folded into the terms or zero; the split
     # SVM form keeps its ridge in r, which spi rejects above
     s = problem.structure
@@ -162,11 +170,17 @@ def stochastic_prox_iteration_run(problem: ProblemSpec, step: DiminishingStep,
                 x = _call_term(problem.g[i].prox, i, "prox of g", x,
                                step.at(k + t + 1))
 
-    # _spi_residual is already a mean over terms; sqrt(d) makes it per entry
+    def probe(k):
+        # with r zero, each row's sweep point 2 x_half - z_i is x and its
+        # step prox_{a_k g_i}(x) - x; over sqrt(n) the norm is a mean over
+        # terms, and sqrt(d) below makes it per entry
+        z = np.broadcast_to(x, (problem.n, problem.dim))
+        resid, x_half = _probe(SolverState(z, x, step.at(max(k, 1))), problem)
+        return resid / math.sqrt(problem.n), x_half
+
     rows, converged, steps, stop = _sampled_loop(
-        problem, opts, sampler,
-        lambda k: (_spi_residual(x, problem, step.at(max(k, 1)), struct), x),
-        advance, math.sqrt(problem.dim), x_ref)
+        problem, opts, sampler, probe, advance, math.sqrt(problem.dim),
+        x_ref)
     state = SolverState(z=x[None, :].copy(), zbar=x.copy(), alpha=step.c,
                         k=steps)
     log = MetricsLog(rows=rows, metadata={
@@ -174,29 +188,6 @@ def stochastic_prox_iteration_run(problem: ProblemSpec, step: DiminishingStep,
         "problem_kind": problem.kind, "stop": stop,
         "path": "per-term" if struct is None else "kernel"})
     return RunResult(x=x, log=log, converged=converged, state=state)
-
-
-def _spi_residual(x, problem, ak, struct) -> float:
-    """Mean prox-step displacement at the current point, scaled by the
-    step; the natural stationarity surrogate for a prox-only problem.
-    With ``struct``, the problem's rank-one structure, every term's step
-    comes from its ``betas`` at once; otherwise from the per-term handles.
-    """
-    if struct is not None:
-        shr = 1.0 / (1.0 + ak * struct.ridge)
-        xs = x * shr
-        # a non-finite row is named below, as the per-term path names it
-        with np.errstate(invalid="ignore", over="ignore"):
-            beta = struct.betas(struct.features @ xs, ak * shr)
-            moved = xs[None, :] + beta[:, None] * struct.features
-        _require_finite_rows(moved, "prox of g")
-        moved -= x[None, :]
-        return float(np.linalg.norm(moved)) / (ak * math.sqrt(problem.n))
-    acc = 0.0
-    for i, gi in enumerate(problem.g):
-        moved = x - _call_term(gi.prox, i, "prox of g", x, ak)
-        acc += float(np.linalg.norm(moved)) ** 2
-    return math.sqrt(acc / problem.n) / ak
 
 
 def finito_run(problem: ProblemSpec, sampler, opts: SolveOptions,

@@ -96,8 +96,8 @@ def read_dense_csv(path) -> np.ndarray:
 def read_libsvm(path, dim: int | None = None):
     """Sparse 'label idx:val ...' lines -> dense (n, d) features + labels.
 
-    Indices are 1-based; index 0 and malformed tokens raise with line
-    numbers.  ``dim`` defaults to the largest index seen.
+    Indices are 1-based; index 0, a repeated index and malformed tokens
+    raise with line numbers.  ``dim`` defaults to the largest index seen.
     """
     labels = []
     entries = []
@@ -109,7 +109,7 @@ def read_libsvm(path, dim: int | None = None):
                 continue
             tokens = line.split()
             labels.append(_parse_float(tokens[0], lineno, path))
-            row = []
+            row = {}
             for tok in tokens[1:]:
                 try:
                     idx_s, val_s = tok.split(":", 1)
@@ -122,8 +122,10 @@ def read_libsvm(path, dim: int | None = None):
                     raise ValueError(
                         f"{path}:{lineno}: index {idx} out of range "
                         "(indices are 1-based)")
+                if idx in row:
+                    raise ValueError(f"{path}:{lineno}: index {idx} repeated")
                 max_idx = max(max_idx, idx)
-                row.append((idx, val))
+                row[idx] = val
             entries.append(row)
     if not entries:
         raise ValueError(f"{path}: empty file")
@@ -132,7 +134,7 @@ def read_libsvm(path, dim: int | None = None):
         raise ValueError(f"{path}: index {max_idx} exceeds dim={d}")
     feats = np.zeros((len(entries), d))
     for i, row in enumerate(entries):
-        for idx, val in row:
+        for idx, val in row.items():
             feats[i, idx - 1] = val
     return feats, np.asarray(labels, dtype=float)
 

@@ -36,11 +36,10 @@ __all__ = ["HingeStructure", "GlmStructure", "rank_one_terms",
 # that grow as SPPG_RUN**2 * d plus a scalar recurrence of SPPG_RUN steps;
 # runs of 32 to 64 rows were fastest at d=128, and 256 was slower.
 SPPG_RUN = 32
-# Rows per in-place update of rank_one_prox.  The sweep's blocks
-# (core.SWEEP_BLOCK_BYTES) already hold only a few hundred rows at d=128;
-# this bounds the temporary of a caller that passes a whole n x d block,
-# such as core.residual_map or core.verify_batched, to a small block
-# instead of a second n x d array.
+# Rows per in-place update of rank_one_prox, which bounds its temporary.
+# Sweep blocks can be large: core._row_blocks rounds its count down, so a
+# z under twice core.SWEEP_BLOCK_BYTES (a 2000 x 50 GLM's, 800 KB) is one
+# block, as are the whole arrays of core.residual_map and verify_batched.
 ROW_CHUNK = 256
 
 
@@ -195,10 +194,16 @@ def _distinct_runs(order, limit):
 def rank_one_prox(struct, v, alpha, lo=0):
     """The prox of the row terms lo..lo+len(v) at once: row k of ``v``
     moves to v_k + beta_k f_(lo+k), with the betas of ``struct.betas`` at
-    s_k = f_(lo+k)'v_k.  ``v`` is overwritten and returned; a row with a
-    NaN beta comes back NaN.
+    s_k = f_(lo+k)'v_k.  When the ridge is folded into the terms, ``v`` is
+    first shrunk by shr = 1/(1 + alpha*ridge) and the betas taken at step
+    alpha*shr, as in :func:`rank_one_terms`.  ``v`` is overwritten and
+    returned; a row with a NaN beta comes back NaN.
     """
     feats = struct.features[lo:lo + v.shape[0]]
+    if struct.folded:
+        shr = 1.0 / (1.0 + alpha * struct.ridge)
+        v *= shr
+        alpha *= shr
     beta = struct.betas(np.einsum("ij,ij->i", feats, v), alpha, lo)
     for k in range(0, v.shape[0], ROW_CHUNK):
         v[k:k + ROW_CHUNK] += beta[k:k + ROW_CHUNK, None] \

@@ -309,8 +309,8 @@ def build_svm(data: SvmData, fold_ridge: bool = False) -> ProblemSpec:
     prox.  ``fold_ridge=True`` instead folds the ridge into every term and
     leaves the global term zero, which is the prox-only form required by
     the diminishing-step baseline; both forms have identical objectives.
-    The attached :class:`HingeStructure` supplies the per-term handles, the
-    all-rows objective and, in the default form, the all-rows prox.
+    The attached :class:`HingeStructure` supplies the per-term handles and,
+    in either form, the all-rows prox and objective.
     """
     feats = data.features
     lam = data.lam
@@ -327,8 +327,7 @@ def build_svm(data: SvmData, fold_ridge: bool = False) -> ProblemSpec:
         f=(zero_smooth(),) * n,
         g=rank_one_terms(structure),
         kind="svm", structure=structure,
-        batched_g_prox=None if fold_ridge else partial(rank_one_prox,
-                                                       structure),
+        batched_g_prox=partial(rank_one_prox, structure),
         batched_objective=partial(rank_one_objective, structure))
 
 

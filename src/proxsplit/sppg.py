@@ -81,7 +81,8 @@ def _probe(state: SolverState, problem: ProblemSpec):
     """||p(z)||_F and the prox-r point of the current state: the full
     sweep's block loop (:func:`core._sweep_blocks`) without its update,
     so the residual is the norm of the sweep's step over alpha.  O(nd)
-    time and no n x d temporary; the state is not changed."""
+    time and no n x d temporary; the state is not changed, and z may be
+    a read-only view."""
     x_half, step_norm = _sweep_blocks(state, problem, advance=False)
     return step_norm / state.alpha, x_half
 

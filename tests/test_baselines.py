@@ -1,6 +1,8 @@
 """Reference solvers: domain validation, closed-form checks, and pairing
 with the splitting solvers on their common ground."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -281,6 +283,25 @@ def test_raising_handle_names_term(solver):
     with pytest.raises(ConvergenceError,
                        match=r"^inner solve failed \(term 2\)$"):
         run()
+
+
+@pytest.mark.parametrize("solver, shape", [("spi-kernel", (4,)),
+                                           ("spi-per-term", (3, 1)),
+                                           ("prox-grad", (4,))])
+def test_x0_of_wrong_shape_rejected(rng, solver, shape):
+    # named up front, not a failure deep inside numpy
+    opts = SolveOptions(max_iters=5)
+    if solver == "prox-grad":
+        problem = lasso_problem(rng, m=4, d=3)
+        run = partial(proximal_gradient_run, problem, opts)
+    else:
+        problem = (tiny_svm(rng, n=4, d=3, fold_ridge=True)
+                   if solver == "spi-kernel" else prox_only_problem(rng))
+        run = partial(stochastic_prox_iteration_run, problem,
+                      DiminishingStep(1.0), IndexSampler(0, problem.n), opts)
+    assert problem.dim == 3
+    with pytest.raises(ValueError, match=r"x0 must have shape \(3,\)"):
+        run(x0=np.zeros(shape))
 
 
 def test_spi_step_names_failing_term():

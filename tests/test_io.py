@@ -88,6 +88,14 @@ class TestLibsvm:
         with pytest.raises(ValueError, match=r":2.*'2:zz'"):
             read_libsvm(p)
 
+    def test_repeated_index_rejected(self, tmp_path):
+        # a repeated index is an error with its place, not a silent last
+        # value wins
+        p = tmp_path / "d.libsvm"
+        p.write_text("1 2:1\n1 1:0.5 1:2.0 3:1\n")
+        with pytest.raises(ValueError, match=r"d\.libsvm:2: index 1 repeated"):
+            read_libsvm(p)
+
     def test_round_trip(self, tmp_path, rng):
         feats = rng.standard_normal((50, 7))
         feats[rng.random((50, 7)) < 0.4] = 0.0

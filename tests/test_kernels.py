@@ -61,8 +61,8 @@ def _sppg_pair(monkeypatch, problem, sampler, iters, record_every):
 
 def _spi_pair(monkeypatch, problem, record_every):
     """spi through the rank-one kernel against the same problem without its
-    structure hint: the kernel takes every step, and x and the recorded
-    rows agree to 1e-12 relative."""
+    structure hint or batched prox: the kernel takes every step, and x and
+    the recorded rows agree to 1e-12 relative."""
     n = problem.n
     opts = SolveOptions(max_iters=10 * n + 3, record_every=record_every)
 
@@ -73,7 +73,8 @@ def _spi_pair(monkeypatch, problem, record_every):
     calls = _counting(monkeypatch, "rank_one_spi_block")
     fast = run(problem)
     assert sum(calls) == opts.max_iters
-    generic = run(dataclasses.replace(problem, structure=None))
+    generic = run(dataclasses.replace(problem, structure=None,
+                                      batched_g_prox=None))
     assert sum(calls) == opts.max_iters
     assert fast.log.metadata["path"] == "kernel"
     assert generic.log.metadata["path"] == "per-term"

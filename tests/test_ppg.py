@@ -366,15 +366,17 @@ class TestRowBlockedSweep:
             "per-term": dataclasses.replace(svm, batched_g_prox=None),
             "per-term-smooth": dataclasses.replace(
                 fused, batched_g_prox=None, batched_f_grad=None),
+            # the ridge folded into the terms: the prox shrinks each row
+            "svm-folded": tiny_svm(rng, n=40, d=4, fold_ridge=True),
         }
 
     @staticmethod
     def _budget(problem, rows):
         return rows * 8 * problem.dim
 
-    @pytest.mark.parametrize("kind", ["svm", "glm", "group-lasso",
-                                      "fused-lasso", "per-term",
-                                      "per-term-smooth"])
+    @pytest.mark.parametrize("kind", ["svm", "svm-folded", "glm",
+                                      "group-lasso", "fused-lasso",
+                                      "per-term", "per-term-smooth"])
     def test_several_blocks_match_one(self, monkeypatch, kind):
         problem = self._problems(np.random.default_rng(3))[kind]
         opts = SolveOptions(alpha=resolve_alpha(problem, None), max_iters=6)
@@ -399,7 +401,8 @@ class TestRowBlockedSweep:
                 assert a.residual_norm == pytest.approx(b.residual_norm,
                                                         rel=1e-13)
 
-    @pytest.mark.parametrize("kind", ["svm", "fused-lasso", "per-term-smooth"])
+    @pytest.mark.parametrize("kind", ["svm", "svm-folded", "fused-lasso",
+                                      "per-term-smooth"])
     def test_probe_leaves_state_and_matches_sweep(self, monkeypatch, kind):
         from proxsplit.sppg import _probe
         problem = self._problems(np.random.default_rng(4))[kind]
@@ -482,3 +485,33 @@ def test_sweep_allocates_no_n_by_d_temporary():
         finally:
             tracemalloc.stop()
         assert peak < whole / 4
+
+
+def test_spi_probe_allocates_no_n_by_d_temporary():
+    # spi's residual probe on the folded SVM at the desk shape runs the
+    # sweep's block loop: no whole-array temporary of the moved points
+    import tracemalloc
+    from conftest import tiny_svm
+    from proxsplit.baselines import (DiminishingStep,
+                                     stochastic_prox_iteration_run)
+    from proxsplit.sppg import IndexSampler
+    rng = np.random.default_rng(0)
+    problem = tiny_svm(rng, n=8192, d=128, fold_ridge=True)
+    x0 = rng.standard_normal(problem.dim)
+
+    def probe():
+        # max_iters=0: the run is its one probe at k=0
+        return stochastic_prox_iteration_run(
+            problem, DiminishingStep(2.0), IndexSampler(0, problem.n),
+            SolveOptions(max_iters=0), x0=x0)
+
+    probe()
+    tracemalloc.start()
+    try:
+        res = probe()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [row.k for row in res.log.rows] == [0]
+    assert res.log.rows[0].residual_norm > 0
+    assert peak < problem.n * problem.dim * 8 / 4

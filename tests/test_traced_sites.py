@@ -57,7 +57,8 @@ def test_sweep_and_epoch_hit_the_traced_sites(rng, kind):
 def test_spi_runs_on_the_traced_kernel_site(rng, kind):
     # the benchmark's spi job counts its steps at kernels.hinge_spi_block
     # (the fifth positional argument is the index block) and expects no
-    # per-term prox
+    # per-term prox; its probes run the sweep's block loop through the
+    # batched prox, one block per probe on this tiny problem
     problem = (tiny_svm(rng, n=40, d=4, fold_ridge=True) if kind == "svm"
                else tiny_glm(rng, "logistic", n=40, d=4))
     steps = 3 * problem.n + 7
@@ -70,6 +71,8 @@ def test_spi_runs_on_the_traced_kernel_site(rng, kind):
     assert res.log.metadata["path"] == "kernel"
     assert tr.calls["baselines.spi"] == 1
     assert tr.counts["kernels.hinge_spi_block.steps"] == steps
+    assert tr.calls["problems.batched_g_prox"] == len(res.log.rows)
+    assert "core.residual_map" not in tr.calls
     assert "problems.g_prox" not in tr.calls
 
 
