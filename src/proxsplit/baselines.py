@@ -2,9 +2,9 @@
 
 Each baseline validates that the problem actually lies in its class and
 emits the same metrics schema as the main solvers so curves overlay
-directly.  Where a baseline coincides with a reduction of the splitting
-iteration, the arithmetic is kept in the same order (notably the fixed
-chunked row mean) so paired runs agree to rounding.
+directly.  Where a baseline is a reduction of the splitting iteration, it
+takes the sweep's term points a block of rows at a time, summed in the
+fixed chunked row-mean order, so paired runs agree to rounding.
 """
 
 import math
@@ -12,13 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .core import (NumericalError, ProblemSpec, SolverState, _call_term,
-                   _require_finite, chunked_row_mean, initial_state)
+from . import core, kernels
+from .core import (NumericalError, ProblemSpec, SolverState, _block_points,
+                   _call_term, _require_finite, _require_finite_rows,
+                   _row_blocks, _sweep_blocks, initial_state)
 from .io import MetricsLog
 from .ppg import (RunResult, SolveOptions, _sampled_loop, _sweep_loop,
                   resolve_alpha)
-from .sppg import _probe
 
 __all__ = ["DiminishingStep", "proximal_gradient_run", "consensus_admm_run",
            "stochastic_prox_iteration_run", "finito_run"]
@@ -47,6 +47,20 @@ def _start_point(x0, problem: ProblemSpec) -> np.ndarray:
     return x
 
 
+def _block_mean(problem: ProblemSpec, block_rows) -> np.ndarray:
+    """Row mean of the n rows that ``block_rows(lo, hi)`` gives a sweep
+    block at a time, summed by the reduce chunks in order as
+    :func:`core.chunked_row_mean` sums a whole array, which is not made."""
+    n, d = problem.n, problem.dim
+    total = np.zeros(d)
+    for lo, hi, chunks in _row_blocks(n, d, problem.reduce_chunks,
+                                      core.SWEEP_BLOCK_BYTES):
+        rows = block_rows(lo, hi)
+        for c0, c1 in chunks:
+            total += rows[c0 - lo:c1 - lo].sum(axis=0)
+    return total / n
+
+
 def proximal_gradient_run(problem: ProblemSpec, opts: SolveOptions,
                           x0: np.ndarray | None = None,
                           x_ref: np.ndarray | None = None) -> RunResult:
@@ -62,18 +76,12 @@ def proximal_gradient_run(problem: ProblemSpec, opts: SolveOptions,
     alpha = resolve_alpha(problem, opts.alpha)
     x = problem.r.prox(np.zeros(problem.dim), alpha) if x0 is None \
         else _start_point(x0, problem)
-    rows_buf = np.empty((problem.n, problem.dim))
 
     def step():
         nonlocal x
-        for i, fi in enumerate(problem.f):
-            if fi.is_zero:
-                rows_buf[i] = x
-            else:
-                rows_buf[i] = x - alpha * _call_term(
-                    fi.gradient, i, "gradient of f", x)
-        x_next = problem.r.prox(
-            chunked_row_mean(rows_buf, problem.reduce_chunks), alpha)
+        mean = _block_mean(problem, lambda lo, hi: _block_points(
+            x, np.tile(x, (hi - lo, 1)), lo, problem, alpha))
+        x_next = problem.r.prox(mean, alpha)
         _require_finite(x_next, "prox of r")
         point, x = x, x_next
         return float(np.linalg.norm(point - x)) / alpha, point
@@ -84,6 +92,7 @@ def proximal_gradient_run(problem: ProblemSpec, opts: SolveOptions,
                         k=iters)
     log = MetricsLog(rows=rows, metadata={
         "solver": "prox-grad", "alpha": alpha, "problem_kind": problem.kind,
+        "sweep": "batched" if problem.batched_sweep() else "per-term",
         "stop": stop})
     return RunResult(x=x, log=log, converged=converged, state=state)
 
@@ -95,7 +104,10 @@ def consensus_admm_run(problem: ProblemSpec, opts: SolveOptions,
 
     Requires every smooth term to be zero.  The penalty is chosen so both
     prox evaluations use step ``alpha``, matching the per-iteration cost of
-    the splitting solver.
+    the splitting solver.  The x_i = prox_{a g_i}(zc - u_i) are the sweep's
+    term points, batched where the problem has the hook.  After an
+    iteration the state is the splitting state z_i = u_i + zc, zbar its
+    row mean, so ppg warm-started from it continues the run.
     """
     if not problem.all_f_zero():
         raise ValueError("consensus ADMM requires every smooth term "
@@ -105,24 +117,29 @@ def consensus_admm_run(problem: ProblemSpec, opts: SolveOptions,
     x_blocks = np.zeros((n, d))
     u = np.zeros((n, d))
     zc = problem.r.prox(np.zeros(d), alpha)
+    ybar = zc.copy()
+
+    def points_plus_u(lo, hi):
+        v = np.subtract(zc, u[lo:hi], out=x_blocks[lo:hi])
+        x_blocks[lo:hi] = _block_points(zc, v, lo, problem, alpha)
+        return x_blocks[lo:hi] + u[lo:hi]
 
     def step():
-        nonlocal zc, u
-        for i, gi in enumerate(problem.g):
-            v = zc - u[i]
-            x_blocks[i] = v if gi.is_zero else _call_term(
-                gi.prox, i, "prox of g", v, alpha)
-        zc = problem.r.prox(
-            chunked_row_mean(x_blocks + u, problem.reduce_chunks), alpha)
+        nonlocal zc, ybar, x_blocks, u
+        ybar = _block_mean(problem, points_plus_u)
+        _require_finite_rows(x_blocks, "prox of g")
+        zc = problem.r.prox(ybar, alpha)
         _require_finite(zc, "prox of r")
-        u += x_blocks - zc
-        return float(np.linalg.norm(x_blocks - zc[None, :])) / alpha, zc
+        x_blocks -= zc
+        u += x_blocks
+        return float(np.linalg.norm(x_blocks)) / alpha, zc
 
     rows, converged, iters, stop = _sweep_loop(problem, opts, step,
                                                math.sqrt(n * d), x_ref)
-    state = SolverState(z=x_blocks + u, zbar=zc.copy(), alpha=alpha, k=iters)
+    state = SolverState(np.add(u, zc, out=u), ybar, alpha, iters)
     log = MetricsLog(rows=rows, metadata={
         "solver": "admm", "alpha": alpha, "problem_kind": problem.kind,
+        "sweep": "batched" if problem.batched_sweep() else "per-term",
         "stop": stop})
     return RunResult(x=zc, log=log, converged=converged, state=state)
 
@@ -138,8 +155,8 @@ def stochastic_prox_iteration_run(problem: ProblemSpec, step: DiminishingStep,
     step configuration is rejected by type.  Problems carrying a rank-one
     structure (folded SVM, GLM) take their steps through
     :func:`kernels.rank_one_spi_block`; ``log.metadata["path"]`` says
-    which ran: ``kernel`` or ``per-term``.  The residual is sppg's probe
-    (:func:`sppg._probe`) at z_i = x with step a_k, over sqrt(n).
+    which ran: ``kernel`` or ``per-term``.  The residual is the unadvanced
+    sweep (:func:`core._sweep_blocks`) at z_i = x with step a_k, over sqrt(n).
     """
     if not isinstance(step, DiminishingStep):
         raise TypeError("step must be a DiminishingStep (the diminishing "
@@ -175,7 +192,8 @@ def stochastic_prox_iteration_run(problem: ProblemSpec, step: DiminishingStep,
         # step prox_{a_k g_i}(x) - x; over sqrt(n) the norm is a mean over
         # terms, and sqrt(d) below makes it per entry
         z = np.broadcast_to(x, (problem.n, problem.dim))
-        resid, x_half = _probe(SolverState(z, x, step.at(max(k, 1))), problem)
+        resid, x_half = _sweep_blocks(
+            SolverState(z, x, step.at(max(k, 1))), problem, advance=False)
         return resid / math.sqrt(problem.n), x_half
 
     rows, converged, steps, stop = _sampled_loop(
@@ -219,8 +237,8 @@ def finito_run(problem: ProblemSpec, sampler, opts: SolveOptions,
             z[i] = z_new
 
     rows, converged, state.k, stop = _sampled_loop(
-        problem, opts, sampler, lambda k: _probe(state, problem), advance,
-        math.sqrt(n * problem.dim), x_ref)
+        problem, opts, sampler, lambda k: _sweep_blocks(state, problem, False),
+        advance, math.sqrt(n * problem.dim), x_ref)
     log = MetricsLog(rows=rows, metadata={
         "solver": "finito", "alpha": alpha,
         "seed": getattr(sampler, "seed", None),

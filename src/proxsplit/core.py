@@ -405,8 +405,8 @@ def _sweep_blocks(state: SolverState, problem: ProblemSpec, advance: bool):
 
     With x_half the prox of r at zbar, row i's step is
     delta_i = x_i - x_half for its term point x_i (see
-    :func:`_block_points`).  Returns ``(x_half, ||delta||)``;
-    ||delta|| / alpha is the residual ||p(z)||.  With ``advance`` the
+    :func:`_block_points`).  Returns ``(||p(z)||, x_half)``, the
+    residual being ||delta|| / alpha.  With ``advance`` the
     sweep also sets z_i += delta_i, rebuilds zbar from the reduce chunks'
     sums in chunk order and counts the iteration, so z and zbar come out
     bitwise equal to a whole-array sweep's; without it nothing changes.
@@ -448,7 +448,7 @@ def _sweep_blocks(state: SolverState, problem: ProblemSpec, advance: bool):
     if advance:
         state.zbar = total / n
         state.k += 1
-    return x_half, math.sqrt(sumsq)
+    return math.sqrt(sumsq) / alpha, x_half
 
 
 def objective(x: np.ndarray, problem: ProblemSpec) -> float | None:

@@ -203,16 +203,6 @@ def resolve_alpha(problem: ProblemSpec, alpha: float | None) -> float:
     return float(alpha)
 
 
-def _sweep(state: SolverState, problem: ProblemSpec):
-    """One full sweep: advances z and zbar in place, a block of rows at a
-    time (:func:`core._sweep_blocks`), and returns ``(x_half, resid)`` for
-    the pre-step state: its prox-r point and its residual ||p(z)||, which
-    is the norm of the step taken over alpha.
-    """
-    x_half, step_norm = _sweep_blocks(state, problem, advance=True)
-    return x_half, step_norm / state.alpha
-
-
 def ppg_step(state: SolverState, problem: ProblemSpec,
              x_ref: np.ndarray | None = None):
     """Advance one full iteration in place and report on the pre-step state.
@@ -220,7 +210,7 @@ def ppg_step(state: SolverState, problem: ProblemSpec,
     The report carries ||p(z^k)||_F, the objective at the prox-r point, and
     optionally the distance of that point to a reference solution.
     """
-    x_half, resid = _sweep(state, problem)
+    resid, x_half = _sweep_blocks(state, problem, advance=True)
     k = state.k - 1
     return state, _report(problem, k, resid, x_half, float(k), x_ref)
 
@@ -238,7 +228,7 @@ def ppg_run(problem: ProblemSpec, opts: SolveOptions,
     erg = _Ergodic(problem.dim) if opts.ergodic else None
 
     def step():
-        x_half, resid = _sweep(state, problem)
+        resid, x_half = _sweep_blocks(state, problem, advance=True)
         if erg is not None:
             erg.add(x_half)
         return resid, x_half

@@ -77,16 +77,6 @@ def _advance_one(state: SolverState, problem: ProblemSpec, i: int):
     return x_half
 
 
-def _probe(state: SolverState, problem: ProblemSpec):
-    """||p(z)||_F and the prox-r point of the current state: the full
-    sweep's block loop (:func:`core._sweep_blocks`) without its update,
-    so the residual is the norm of the sweep's step over alpha.  O(nd)
-    time and no n x d temporary; the state is not changed, and z may be
-    a read-only view."""
-    x_half, step_norm = _sweep_blocks(state, problem, advance=False)
-    return step_norm / state.alpha, x_half
-
-
 def sppg_step(state: SolverState, problem: ProblemSpec, sampler,
               compute_residual: bool = False):
     """Draw one index, advance in place, optionally report the residual.
@@ -96,7 +86,7 @@ def sppg_step(state: SolverState, problem: ProblemSpec, sampler,
     """
     report = None
     if compute_residual:
-        resid, x_half = _probe(state, problem)
+        resid, x_half = _sweep_blocks(state, problem, advance=False)
         report = _report(problem, state.k, resid, x_half,
                          state.k / problem.n)
     i = int(sampler.take(1)[0])
@@ -164,8 +154,8 @@ def sppg_run(problem: ProblemSpec, opts: SolveOptions, sampler,
             resyncs += _resync(state, problem)
 
     rows, converged, _, stop = _sampled_loop(
-        problem, opts, sampler, lambda k: _probe(state, problem), advance,
-        math.sqrt(n * problem.dim), x_ref)
+        problem, opts, sampler, lambda k: _sweep_blocks(state, problem, False),
+        advance, math.sqrt(n * problem.dim), x_ref)
     x_out = problem.r.prox(state.zbar, alpha)
     log = MetricsLog(rows=rows, metadata={
         "solver": "sppg", "alpha": alpha, "seed": getattr(sampler, "seed", None),

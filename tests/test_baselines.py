@@ -1,6 +1,7 @@
 """Reference solvers: domain validation, closed-form checks, and pairing
 with the splitting solvers on their common ground."""
 
+import dataclasses
 from functools import partial
 
 import numpy as np
@@ -94,6 +95,52 @@ class TestConsensusAdmm:
                                                        tol=1e-8))
         assert res.converged
         assert res.state.k == res.log.rows[-1].k + 1 < 5000
+
+    @pytest.mark.parametrize("kind", ["prox-only", "svm"])
+    def test_state_warm_starts_ppg(self, rng, kind):
+        # the state is the splitting state z_i = u_i + zc: ppg started from
+        # it after k iterations continues the ADMM run
+        problem = (prox_only_problem(rng, n=5, d=3) if kind == "prox-only"
+                   else tiny_svm(rng))
+        k, m = 7, 9
+        mid = consensus_admm_run(problem, SolveOptions(alpha=0.8,
+                                                       max_iters=k))
+        assert np.allclose(mid.state.zbar, mid.state.z.mean(axis=0),
+                           rtol=0, atol=1e-12)
+        resumed = ppg_run(problem, SolveOptions(alpha=0.8, max_iters=m),
+                          warm_start=mid.state.z)
+        whole = consensus_admm_run(problem, SolveOptions(alpha=0.8,
+                                                         max_iters=k + m))
+        assert np.max(np.abs(resumed.x - whole.x)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["svm", "gaussian", "logistic",
+                                      "poisson", "group-lasso"])
+    def test_batched_prox_matches_per_term(self, kind):
+        # ADMM takes the batched prox where the problem has one; stripping
+        # the hooks leaves the per-term handles, which agree to rounding
+        from conftest import tiny_glm
+        from proxsplit.problems import build_group_lasso, staggered_partition
+        rng = np.random.default_rng(5)
+        if kind == "svm":
+            problem = tiny_svm(rng, n=40, d=4)
+        elif kind == "group-lasso":
+            problem = build_group_lasso(
+                rng.standard_normal((20, 12)), rng.standard_normal(20), 0.05,
+                staggered_partition(12, 8, group_size=3, stagger=1))
+        else:
+            problem = tiny_glm(rng, kind, n=40, d=4)
+        per_term = dataclasses.replace(problem, batched_g_prox=None,
+                                       structure=None)
+        opts = SolveOptions(alpha=1.0, max_iters=20)
+        fast = consensus_admm_run(problem, opts)
+        slow = consensus_admm_run(per_term, opts)
+        assert fast.log.metadata["sweep"] == "batched"
+        assert slow.log.metadata["sweep"] == "per-term"
+        assert np.max(np.abs(fast.x - slow.x)) <= 1e-12
+        for a, b in zip(fast.log.rows, slow.log.rows, strict=True):
+            assert a.residual_norm == pytest.approx(b.residual_norm,
+                                                    rel=1e-12)
+            assert a.objective == pytest.approx(b.objective, rel=1e-12)
 
 
 class TestStochasticProxIteration:

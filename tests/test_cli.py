@@ -11,6 +11,24 @@ from proxsplit.cli import ALGOS, main
 from proxsplit.io import read_metrics_csv
 
 
+def _baseline_problem(algo):
+    """A problem in the class of ``algo``: prox-grad and finito need a
+    smooth-only problem, admm and spi a prox-only one; no generated kind
+    is either, so they are built here."""
+    from conftest import abs_prox_fn, make_quadratic_term
+    from proxsplit.core import ProblemSpec, zero_prox, zero_smooth
+    rng = np.random.default_rng(4)
+    if algo in ("admm", "spi"):
+        dim, f = 1, [zero_smooth()] * 3
+        g = [abs_prox_fn(float(c)) for c in rng.standard_normal(3)]
+    else:
+        dim, g = 2, [zero_prox()] * 3
+        f = [make_quadratic_term(rng.standard_normal(2),
+                                 float(rng.standard_normal()))
+             for _ in range(3)]
+    return ProblemSpec(dim=dim, n=3, r=zero_prox(), f=f, g=g)
+
+
 def _gen(tmp_path, *extra, kind="group-lasso", seed=0, sub="prob"):
     out = tmp_path / sub
     args = ["gen", kind, "--out", str(out), "--seed", str(seed),
@@ -336,20 +354,7 @@ class TestSolve:
     @pytest.mark.parametrize("algo", list(ALGOS))
     def test_iters_counts_steps_taken(self, tmp_path, capsys, monkeypatch,
                                       algo):
-        # prox-grad and finito need a smooth-only problem, admm and spi a
-        # prox-only one; no generated kind is either, so build them here
-        from conftest import abs_prox_fn, make_quadratic_term
-        from proxsplit.core import ProblemSpec, zero_prox, zero_smooth
-        rng = np.random.default_rng(4)
-        if algo in ("admm", "spi"):
-            dim, f = 1, [zero_smooth()] * 3
-            g = [abs_prox_fn(float(c)) for c in rng.standard_normal(3)]
-        else:
-            dim, g = 2, [zero_prox()] * 3
-            f = [make_quadratic_term(rng.standard_normal(2),
-                                     float(rng.standard_normal()))
-                 for _ in range(3)]
-        problem = ProblemSpec(dim=dim, n=3, r=zero_prox(), f=f, g=g)
+        problem = _baseline_problem(algo)
         monkeypatch.setattr(cli, "load_problem", lambda path, algo: problem)
         code = main(["solve", "--problem", "unused.json", "--algo", algo,
                      "--max-iters", "50",
@@ -382,6 +387,26 @@ class TestSolve:
         meta = json.loads((tmp_path / "m.csv.meta.json").read_text())
         assert meta["path"] == path
         assert "path" not in metrics.read_text()
+
+    @pytest.mark.parametrize("algo,kind,sweep", [
+        ("admm", "svm", "batched"), ("admm", "group-lasso", "batched"),
+        ("admm", None, "per-term"), ("prox-grad", None, "per-term")])
+    def test_meta_names_baseline_sweep(self, tmp_path, monkeypatch, algo,
+                                       kind, sweep):
+        # ADMM and prox-grad take the sweep's term points: batched where
+        # the problem has the hook
+        if kind is None:
+            problem = _baseline_problem(algo)
+            monkeypatch.setattr(cli, "load_problem",
+                                lambda path, algo: problem)
+            prob = "unused.json"
+        else:
+            prob = str(_gen(tmp_path, kind=kind, sub=kind))
+        metrics = tmp_path / "m.csv"
+        assert main(["solve", "--problem", prob, "--algo", algo,
+                     "--max-iters", "6", "--metrics", str(metrics)]) == 0
+        meta = json.loads((tmp_path / "m.csv.meta.json").read_text())
+        assert meta["solver"] == algo and meta["sweep"] == sweep
 
     def test_alpha_validation_message(self, tmp_path, capsys):
         prob = _gen(tmp_path, kind="fused-lasso", sub="fl")

@@ -404,20 +404,57 @@ class TestRowBlockedSweep:
     @pytest.mark.parametrize("kind", ["svm", "svm-folded", "fused-lasso",
                                       "per-term-smooth"])
     def test_probe_leaves_state_and_matches_sweep(self, monkeypatch, kind):
-        from proxsplit.sppg import _probe
         problem = self._problems(np.random.default_rng(4))[kind]
         monkeypatch.setattr(core, "SWEEP_BLOCK_BYTES",
                             self._budget(problem, 3))
         state = initial_state(problem, 0.05, np.random.default_rng(5)
                               .standard_normal((problem.n, problem.dim)))
         z, zbar = state.z.copy(), state.zbar.copy()
-        resid, x_half = _probe(state, problem)
+        resid, x_half = core._sweep_blocks(state, problem, advance=False)
         assert np.array_equal(state.z, z) and np.array_equal(state.zbar, zbar)
         p, want_x, _ = residual_map(state, problem)
         assert np.array_equal(x_half, want_x)
         assert resid == pytest.approx(float(np.linalg.norm(p)), rel=1e-12)
         _, report = ppg_step(state, problem)
         assert report.residual_norm == resid
+
+    @pytest.mark.parametrize("solver", ["admm-prox-only", "admm-svm",
+                                        "prox-grad"])
+    def test_reference_solvers_blocks_match_one(self, monkeypatch, tmp_path,
+                                                solver):
+        # ADMM and prox-grad run the sweep's blocks on per-term problems;
+        # every CSV byte must be what one block gives
+        from conftest import lasso_problem, prox_only_problem, tiny_svm
+        from proxsplit.io import write_metrics_csv
+        rng = np.random.default_rng(8)
+        if solver == "prox-grad":
+            problem, run = lasso_problem(rng, m=40), proximal_gradient_run
+        else:
+            problem = (prox_only_problem(rng, n=40)
+                       if solver == "admm-prox-only" else
+                       dataclasses.replace(tiny_svm(rng, n=40, d=4),
+                                           batched_g_prox=None))
+            run = consensus_admm_run
+        opts = SolveOptions(max_iters=8)
+
+        def csv_bytes(rows):
+            monkeypatch.setattr(core, "SWEEP_BLOCK_BYTES",
+                                self._budget(problem, rows))
+            res = run(problem, opts)
+            assert res.log.metadata["sweep"] == "per-term"
+            for row in res.log.rows:
+                row.wall_time_s = None
+            path = tmp_path / f"{rows}.csv"
+            write_metrics_csv(res.log, path)
+            return path.read_bytes(), res.x
+
+        whole, x = csv_bytes(problem.n)
+        for rows in (1, 2, 3):
+            many, x_many = csv_bytes(rows)
+            assert len(core._row_blocks(problem.n, problem.dim,
+                                        problem.reduce_chunks,
+                                        core.SWEEP_BLOCK_BYTES)) > 1
+            assert many == whole and np.array_equal(x_many, x)
 
     @pytest.mark.parametrize("kind, what", [("svm", "prox of g"),
                                             ("glm", "prox of g"),
@@ -459,10 +496,12 @@ class TestRowBlockedSweep:
             problem.n, problem.dim, problem.reduce_chunks,
             core.SWEEP_BLOCK_BYTES) if hi > bad)
         assert lo > 0
-        with pytest.raises(NumericalError,
-                           match=rf"^non-finite values from {what} "
-                                 rf"\(term {bad}\)$"):
-            ppg_run(problem, SolveOptions(alpha=0.01, max_iters=2))
+        # ADMM takes the same term points wherever f is zero
+        for run in [ppg_run] + [consensus_admm_run] * problem.all_f_zero():
+            with pytest.raises(NumericalError,
+                               match=rf"^non-finite values from {what} "
+                                     rf"\(term {bad}\)$"):
+                run(problem, SolveOptions(alpha=0.01, max_iters=2))
 
 
 def test_sweep_allocates_no_n_by_d_temporary():
@@ -470,21 +509,46 @@ def test_sweep_allocates_no_n_by_d_temporary():
     # temporary (8 MiB here) must not come back
     import tracemalloc
     from conftest import tiny_svm
-    from proxsplit.ppg import _sweep
-    from proxsplit.sppg import _probe
     problem = tiny_svm(np.random.default_rng(0), n=8192, d=128)
     state = initial_state(problem, 10.0)
     whole = problem.n * problem.dim * 8
-    for run in (lambda: _sweep(state, problem),
-                lambda: _probe(state, problem)):
-        run()
+    for advance in (True, False):
+        core._sweep_blocks(state, problem, advance)
+        tracemalloc.start()
+        try:
+            core._sweep_blocks(state, problem, advance)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < whole / 4
+
+
+def test_reference_solvers_allocate_no_n_by_d_temporary():
+    # at the SVM desk shape, ADMM's only n x d arrays are its x and u, and
+    # prox-grad makes none: both take the term points a sweep block at a
+    # time and sum them by the reduce chunks
+    import tracemalloc
+    from conftest import tiny_svm
+    rng = np.random.default_rng(0)
+    n, d = 8192, 128
+    svm = tiny_svm(rng, n=n, d=d)
+    a_mat = rng.standard_normal((n, d)) / np.sqrt(d)
+    smooth = simple_problem([], dim=d, terms_f=[
+        make_quadratic_term(a_mat[i], y) for i, y in
+        enumerate(rng.standard_normal(n))])
+    whole = n * d * 8
+    for run, bound in (
+            (lambda: consensus_admm_run(svm, SolveOptions(max_iters=2)),
+             2.25 * whole),
+            (lambda: proximal_gradient_run(smooth, SolveOptions(max_iters=2)),
+             whole / 4)):
         tracemalloc.start()
         try:
             run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < whole / 4
+        assert peak < bound
 
 
 def test_spi_probe_allocates_no_n_by_d_temporary():

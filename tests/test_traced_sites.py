@@ -76,6 +76,26 @@ def test_spi_runs_on_the_traced_kernel_site(rng, kind):
     assert "problems.g_prox" not in tr.calls
 
 
+@pytest.mark.parametrize("kind", ["svm", "group-lasso"])
+def test_admm_runs_on_the_batched_prox_site(rng, kind):
+    # ADMM takes the sweep's term points: one batched prox per iteration
+    # on these one-block problems, no per-term prox, and its row mean from
+    # the blocks' chunk sums rather than core.chunked_row_mean
+    problem = tiny_svm(rng, n=40, d=4) if kind == "svm" else \
+        problems.build_group_lasso(
+            rng.standard_normal((20, 8)), rng.standard_normal(20), 0.1,
+            problems.staggered_partition(8, 2, group_size=4, stagger=2))
+    tr = tracer.Tracer()
+    with tracer.instrumented(tr):
+        traced = tracer.instrument_problem(tr, problem)
+        baselines.consensus_admm_run(
+            traced, ppg.SolveOptions(alpha=1.0, max_iters=7))
+    assert tr.calls["baselines.admm"] == 1
+    assert tr.calls["problems.batched_g_prox"] == 7
+    assert "problems.g_prox" not in tr.calls
+    assert "core.row_mean" not in tr.calls
+
+
 def test_bindings_restored_after_tracing():
     original = (ppg.ppg_run, core.objective, kernels.hinge_sppg_block,
                 kernels.rank_one_sppg_block, kernels.hinge_spi_block,
