@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, kernels
-from .core import (NumericalError, ProblemSpec, SolverState, _block_points,
-                   _call_term, _require_finite, _require_finite_rows,
-                   _row_blocks, _sweep_blocks, initial_state)
+from .core import (ProblemSpec, SolverState, _block_points, _call_term,
+                   _require_finite, _require_finite_rows, _row_blocks,
+                   _sweep_blocks, initial_state)
 from .io import MetricsLog
 from .ppg import (RunResult, SolveOptions, _sampled_loop, _sweep_loop,
                   resolve_alpha)
@@ -177,10 +177,7 @@ def stochastic_prox_iteration_run(problem: ProblemSpec, step: DiminishingStep,
     def advance(k, block):
         nonlocal x
         if struct is not None:
-            bad = kernels.rank_one_spi_block(x, struct, step.c, k, block)
-            if bad >= 0:
-                raise NumericalError(
-                    f"non-finite values from prox of g (term {bad})")
+            kernels.rank_one_spi_block(x, struct, step.c, k, block)
         else:
             for t, i in enumerate(block):
                 i = int(i)

@@ -167,12 +167,12 @@ class ProblemSpec:
         equal to the term-by-term sum up to rounding.
     reduce_chunks : int
         Number of contiguous chunks used by the deterministic row-mean
-        reduction.  Fixed at construction so that the summation order, and
-        with it the metrics CSV bytes and sppg's resync reference, stays
-        the same; 0 selects ``min(n, 16)``.  Full sweeps call the batched
-        hooks on blocks made of whole chunks (see :func:`_row_blocks`), so
-        a hook may see any run of rows, including one that crosses a
-        boundary between kinds of terms.
+        reduction: ``min(n, 16)``, derived at construction and not an
+        argument, so that the summation order, and with it the metrics CSV
+        bytes and sppg's resync reference, stays the same.  Full sweeps
+        call the batched hooks on blocks made of whole chunks (see
+        :func:`_row_blocks`), so a hook may see any run of rows, including
+        one that crosses a boundary between kinds of terms.
     """
 
     dim: int
@@ -186,7 +186,7 @@ class ProblemSpec:
     batched_f_grad: (Callable[[np.ndarray, np.ndarray, float], None]
                      | None) = None
     batched_objective: Callable[[np.ndarray], float] | None = None
-    reduce_chunks: int = 0
+    reduce_chunks: int = dataclasses.field(init=False)
     # whether every f_i is zero; the terms are immutable, so it is found
     # once here instead of by a pass over the n terms on every call
     _f_zero: bool = dataclasses.field(init=False, repr=False, compare=False)
@@ -200,8 +200,7 @@ class ProblemSpec:
             raise ValueError("f and g must each hold exactly n terms")
         object.__setattr__(self, "f", tuple(self.f))
         object.__setattr__(self, "g", tuple(self.g))
-        if self.reduce_chunks <= 0:
-            object.__setattr__(self, "reduce_chunks", min(self.n, 16))
+        object.__setattr__(self, "reduce_chunks", min(self.n, 16))
         object.__setattr__(self, "_f_zero",
                            all(fn.is_zero for fn in self.f))
 

@@ -25,7 +25,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .core import ConvergenceError, ProxFn
+from .core import ConvergenceError, NumericalError, ProxFn
 from .prox import _glm_roots, glm_root
 
 __all__ = ["HingeStructure", "GlmStructure", "rank_one_terms",
@@ -218,7 +218,7 @@ def rank_one_objective(struct, x) -> float:
             + float(np.mean(struct.losses(struct.features @ x))))
 
 
-def rank_one_sppg_block(z, zbar, struct, alpha, idx):
+def rank_one_sppg_block(z, zbar, struct, alpha, idx, xsum=None):
     """Advance the single-term stochastic sweep over the given index block
     for rank-one rows, a run of up to ``SPPG_RUN`` distinct rows at a time.
 
@@ -236,11 +236,12 @@ def rank_one_sppg_block(z, zbar, struct, alpha, idx):
     so the points s_k = f_k.(2 w_k - z0_k) whose prox the step takes need
     only the products F w0, F Z0' and F F' and the run's earlier betas.
     A forward recurrence of one short dot and one ``beta`` per step turns
-    them into the betas; then z[rows] and zbar are written once.  A
-    :class:`ConvergenceError` from ``beta`` gets the row's term index
-    appended.  Mutates z and zbar in place; returns the offending term
-    index on a non-finite update, else -1, with the steps before it
-    applied.
+    them into the betas; then z[rows] and zbar are written once, and the
+    w_k, each step's prox-r point, are added to ``xsum`` when given (the
+    ergodic total).  Mutates z, zbar and ``xsum`` in place; a non-finite
+    update raises :class:`NumericalError` naming its term, with the steps
+    before it applied, and a :class:`ConvergenceError` from ``beta`` gets
+    the row's term index appended.
     """
     n = z.shape[0]
     feats, sqnorms, targets = struct.features, struct.sqnorms, struct.targets
@@ -253,7 +254,7 @@ def rank_one_sppg_block(z, zbar, struct, alpha, idx):
     weight = np.where(lag >= 0, c * (1.0 + c) ** np.maximum(lag, 0), 0.0)
     growth = (1.0 + c) ** steps
     # a non-finite row turns its products into NaN without a warning; the
-    # recurrence then stops there and the caller reports the term
+    # recurrence then stops there and names the term
     with np.errstate(invalid="ignore", over="ignore"):
         for start, end in _distinct_runs(idx.tolist(), SPPG_RUN):
             rows = idx[start:end]
@@ -286,27 +287,29 @@ def rank_one_sppg_block(z, zbar, struct, alpha, idx):
             u = f[:b] * np.array(beta)[:, None] - z0[:b]
             delta = wt[:b, :b] @ u
             delta += gk[:b, None] * w0
+            if xsum is not None:
+                xsum += delta.sum(0)
             delta += u
             z[rows[:b]] = z0[:b] + delta
             zbar += delta.sum(0) * (1.0 / n)
             if b < size:
-                return int(rows[b])
-    return -1
+                raise NumericalError(
+                    f"non-finite values from prox of g (term {rows[b]})")
 
 
 def rank_one_spi_block(x, struct, c, k0, idx):
     """Diminishing-step proximal iteration on rank-one rows whose ridge is
     folded into the terms or zero: step k on row i shrinks x by
     1/(1 + a_k*ridge) and moves it along f_i by ``struct.beta``, with step
-    sizes a_k = c/k and k continuing from k0.  Mutates x in place.
-    Returns the offending term index on a non-finite update, else -1,
+    sizes a_k = c/k and k continuing from k0.  Mutates x in place.  A
+    non-finite update raises :class:`NumericalError` naming its term,
     with the steps before it applied; a :class:`ConvergenceError` from
     ``beta`` gets the row's term index appended.
     """
     feats, rule, ridge = struct.features, struct.beta, struct.ridge
     q, cs = struct.sqnorms[idx].tolist(), struct.targets[idx].tolist()
     # a non-finite row turns its products into NaN without a warning; the
-    # loop then stops there and the caller reports the term
+    # loop then stops there and names the term
     with np.errstate(invalid="ignore", over="ignore"):
         try:
             for t, i in enumerate(idx.tolist()):
@@ -315,12 +318,12 @@ def rank_one_spi_block(x, struct, c, k0, idx):
                 xs = x * shr
                 b = rule(float(feats[i] @ xs), q[t], cs[t], ak * shr)
                 if not math.isfinite(b):
-                    return i
+                    raise NumericalError(
+                        f"non-finite values from prox of g (term {i})")
                 x[:] = xs + b * feats[i]
         except ConvergenceError as exc:
             exc.args = (f"{exc} (term {i})",)
             raise
-    return -1
 
 
 # The names below are kept only because the benchmark harness (perfbench/)

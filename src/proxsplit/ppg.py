@@ -75,20 +75,11 @@ class RunResult:
     ergodic: np.ndarray | None = None
 
 
-class _Ergodic:
-    """Running sum of the prox-r points; their average is the ergodic
-    iterate, whose objective gap decays at the faster 1/k rate."""
-
-    def __init__(self, dim: int):
-        self.total = np.zeros(dim)
-        self.count = 0
-
-    def add(self, x_half: np.ndarray):
-        self.total += x_half
-        self.count += 1
-
-    def average(self) -> np.ndarray | None:
-        return self.total / self.count if self.count else None
+def _ergodic(total: np.ndarray | None, steps: int) -> np.ndarray | None:
+    """The ergodic iterate, whose objective gap decays at the faster 1/k
+    rate: the mean of the prox-r points that ``total`` sums over a run's
+    ``steps`` steps, or None without a total or a step."""
+    return total / steps if total is not None and steps else None
 
 
 # -- run driver ---------------------------------------------------------------
@@ -149,9 +140,10 @@ def _sampled_loop(problem: ProblemSpec, opts: SolveOptions, sampler, probe,
     n steps) and at the end, and the tolerance is tested there.  Between
     probes ``advance(k, indices)`` takes one block of steps.  Blocks end at
     record rows and epoch boundaries, and their indices are drawn per
-    block, so memory does not grow with the step budget.  Returns the rows,
-    whether the run converged, the number of steps taken and the stop
-    reason.
+    block, so memory does not grow with the step budget.  A drawn block
+    that is not integer or not within [0, n) raises ValueError naming its
+    first bad index, before any of its steps.  Returns the rows, whether
+    the run converged, the number of steps taken and the stop reason.
     """
     n, total = problem.n, opts.max_iters
     rec = opts.record_every or n
@@ -168,7 +160,14 @@ def _sampled_loop(problem: ProblemSpec, opts: SolveOptions, sampler, probe,
         if k >= total:
             return rows, opts.tol <= 0, k, "budget"
         nxt = min((k // rec + 1) * rec, (k // n + 1) * n, total)
-        advance(k, sampler.take(nxt - k))
+        block = np.asarray(sampler.take(nxt - k))
+        non_int = block.dtype.kind not in "iu"
+        if non_int or block.min() < 0 or block.max() >= n:
+            j = 0 if non_int else int(np.argmax((block < 0) | (block >= n)))
+            raise ValueError(f"sampled index {block[j]} (step {k + j}) is "
+                             f"not an integer in [0, {n})")
+        advance(k, block)
+        del block  # not held through the next probe, where memory peaks
         k = nxt
 
 
@@ -225,12 +224,13 @@ def ppg_run(problem: ProblemSpec, opts: SolveOptions,
     """
     alpha = resolve_alpha(problem, opts.alpha)
     state = initial_state(problem, alpha, warm_start)
-    erg = _Ergodic(problem.dim) if opts.ergodic else None
+    xsum = np.zeros(problem.dim) if opts.ergodic else None
 
     def step():
+        nonlocal xsum
         resid, x_half = _sweep_blocks(state, problem, advance=True)
-        if erg is not None:
-            erg.add(x_half)
+        if xsum is not None:
+            xsum += x_half
         return resid, x_half
 
     rows, converged, _, stop = _sweep_loop(
@@ -243,4 +243,4 @@ def ppg_run(problem: ProblemSpec, opts: SolveOptions,
         "stop": stop,
     })
     return RunResult(x=x_out, log=log, converged=converged, state=state,
-                     ergodic=None if erg is None else erg.average())
+                     ergodic=_ergodic(xsum, state.k))

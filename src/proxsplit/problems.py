@@ -293,8 +293,8 @@ class SvmData:
         object.__setattr__(self, "labels", labels)
         if feats.ndim != 2 or labels.shape != (feats.shape[0],):
             raise ValueError("features must be (n, d) with one label per row")
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
+        if not 0.0 < self.lam < np.inf:
+            raise ValueError("lam must be positive and finite")
         if not np.all(np.abs(labels) == 1.0):
             raise ValueError("labels must be +1 or -1")
         if np.any(np.einsum("ij,ij->i", feats, feats) == 0.0):
@@ -389,10 +389,10 @@ def build_fused_lasso(a_mat: np.ndarray, y: np.ndarray, lam: float,
     a_mat = np.asarray(a_mat, dtype=float)
     y = np.asarray(y, dtype=float)
     n, d = a_mat.shape
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not eps >= 0.0:
+        raise ValueError("eps must be nonnegative (inf for no bound)")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError("lam must be nonnegative and finite")
     r = ProxFn(prox=lambda x0, a: soft_threshold_scalar(x0, a * lam),
                value=lambda x: lam * float(np.abs(x).sum()))
 
@@ -529,6 +529,9 @@ def build_network_lasso(n_vertices: int, edges, losses: Sequence[SmoothFn],
     coloring.verify_partition(edges)
     if len(losses) != n_vertices:
         raise ValueError("one loss per vertex required")
+    for name, weight in (("lambda1", lambda1), ("lambda2", lambda2)):
+        if not 0.0 <= weight < np.inf:
+            raise ValueError(f"{name} must be nonnegative and finite")
     n_colors = len(coloring.classes)
     lam3 = n_colors * lambda2
     dim = n_vertices * block_dim

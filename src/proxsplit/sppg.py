@@ -16,11 +16,10 @@ import math
 import numpy as np
 
 from . import kernels
-from .core import (NumericalError, ProblemSpec, SolverState, _call_term,
-                   _require_finite, _sweep_blocks, chunked_row_mean,
-                   initial_state)
+from .core import (ProblemSpec, SolverState, _call_term, _require_finite,
+                   _sweep_blocks, chunked_row_mean, initial_state)
 from .io import MetricsLog
-from .ppg import (RunResult, SolveOptions, _Ergodic, _report, _sampled_loop,
+from .ppg import (RunResult, SolveOptions, _ergodic, _report, _sampled_loop,
                   resolve_alpha)
 
 __all__ = ["IndexSampler", "SequenceSampler", "sppg_step", "sppg_run"]
@@ -45,10 +44,12 @@ class IndexSampler:
 
 
 class SequenceSampler:
-    """Replays a fixed index sequence (paired-run and exhaustive tests)."""
+    """Replays fixed integer indices (paired-run and exhaustive tests)."""
 
     def __init__(self, indices):
-        self._indices = np.asarray(indices, dtype=np.int64)
+        self._indices = np.asarray(indices)
+        if self._indices.size and self._indices.dtype.kind not in "iu":
+            raise ValueError("sampler indices must be integers")
         self._pos = 0
 
     def take(self, count: int) -> np.ndarray:
@@ -105,13 +106,12 @@ def _resync(state: SolverState, problem: ProblemSpec) -> int:
     return 0
 
 
-def _block_kernel(problem: ProblemSpec, opts: SolveOptions):
-    """The kernel that advances whole index blocks of this run, or None
-    for the per-term path: rank-one rows (a structure) whose ridge sits in
-    r, no smooth terms, and no ergodic average."""
+def _block_kernel(problem: ProblemSpec):
+    """The kernel that advances whole index blocks of this problem, or
+    None for the per-term path: rank-one rows (a structure) whose ridge
+    sits in r, and no smooth terms."""
     s = problem.structure
-    if (s is None or s.folded or opts.ergodic
-            or not problem.all_f_zero()):
+    if s is None or s.folded or not problem.all_f_zero():
         return None
     return kernels.rank_one_sppg_block
 
@@ -125,31 +125,28 @@ def sppg_run(problem: ProblemSpec, opts: SolveOptions, sampler,
     epoch, which keeps the amortized per-step cost at O(d).  Problems
     carrying a hinge or GLM structure hint run through the blocked
     rank-one kernel :func:`kernels.rank_one_sppg_block`; the update rule
-    is identical.  ``log.metadata["path"]`` says which
-    ran: ``kernel`` or ``per-term``.  With ``opts.ergodic`` the run also
-    returns the running average of the prox-r points (accumulated per
-    step, so the kernel path is skipped).
+    is identical, and the problem alone decides it: ``log.metadata["path"]``
+    says which ran, ``kernel`` or ``per-term``.  With ``opts.ergodic`` the
+    run also returns the average of every step's prox-r point.
     """
     alpha = resolve_alpha(problem, opts.alpha)
     state = initial_state(problem, alpha, warm_start)
     n = problem.n
-    kernel = _block_kernel(problem, opts)
-    erg = _Ergodic(problem.dim) if opts.ergodic else None
+    kernel = _block_kernel(problem)
+    xsum = np.zeros(problem.dim) if opts.ergodic else None
     resyncs = 0
 
     def advance(k, block):
-        nonlocal resyncs
+        nonlocal resyncs, xsum
         if kernel is not None:
-            bad = kernel(state.z, state.zbar, problem.structure, alpha, block)
-            if bad >= 0:
-                raise NumericalError(
-                    f"non-finite values from prox of g (term {bad})")
+            kernel(state.z, state.zbar, problem.structure, alpha, block,
+                   xsum=xsum)
             state.k += block.size
         else:
             for i in block:
                 x_half = _advance_one(state, problem, int(i))
-                if erg is not None:
-                    erg.add(x_half)
+                if xsum is not None:
+                    xsum += x_half
         if (k + len(block)) % n == 0:
             resyncs += _resync(state, problem)
 
@@ -165,4 +162,4 @@ def sppg_run(problem: ProblemSpec, opts: SolveOptions, sampler,
         "stop": stop,
     })
     return RunResult(x=x_out, log=log, converged=converged, state=state,
-                     ergodic=None if erg is None else erg.average())
+                     ergodic=_ergodic(xsum, state.k))

@@ -288,6 +288,24 @@ class TestSolve:
         assert err.startswith("error:") and "NumericalError" in err
         assert "(term 3)" in err
 
+    @pytest.mark.parametrize("kind,param", [("fused-lasso", "lam"),
+                                            ("fused-lasso", "eps"),
+                                            ("svm", "lam")])
+    def test_nonfinite_weight_exit_one(self, tmp_path, capsys, kind, param):
+        # "lam": NaN used to run and exit 3 with "NumericalError: non-finite
+        # values from prox of r"; the builder now rejects it by name
+        prob = _gen(tmp_path, "--n", "8", kind=kind, sub="w")
+        desc = json.loads(prob.read_text())
+        desc["params"][param] = float("nan")
+        prob.write_text(json.dumps(desc))
+        code = main(["solve", "--problem", str(prob), "--algo", "ppg",
+                     "--max-iters", "5",
+                     "--metrics", str(tmp_path / "m.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {param} must be")
+        assert not (tmp_path / "m.csv").exists()
+
     def test_glm_failure_names_term(self, tmp_path, capsys):
         prob = _gen(tmp_path, "--n", "8", "--d", "3", "--family",
                     "logistic", kind="glm", sub="glm")

@@ -10,7 +10,7 @@ from conftest import tiny_glm, tiny_svm
 from proxsplit import kernels
 from proxsplit.baselines import DiminishingStep, stochastic_prox_iteration_run
 from proxsplit.core import ConvergenceError, NumericalError, initial_state
-from proxsplit.ppg import SolveOptions
+from proxsplit.ppg import SolveOptions, ppg_run
 from proxsplit.problems import SvmData, build_glm, build_svm, glm_family
 from proxsplit.sppg import IndexSampler, SequenceSampler, _advance_one, sppg_run
 
@@ -31,24 +31,26 @@ def _counting(monkeypatch, name):
     calls = []
     fn = getattr(kernels, name)
 
-    def counted(*args):
-        calls.append(len(args[-1]))
-        return fn(*args)
+    def counted(*args, **kwargs):
+        calls.append(len(args[4]))
+        return fn(*args, **kwargs)
 
     monkeypatch.setattr(kernels, name, counted)
     return calls
 
 
-def _sppg_pair(monkeypatch, problem, sampler, iters, record_every):
+def _sppg_pair(monkeypatch, problem, sampler, iters, record_every,
+               ergodic=False, warm_start=None):
     """sppg through the numpy rank-one kernel against the same problem
-    without its structure hint: the kernel takes every step, and z, x and
-    the recorded rows agree to 1e-12 relative."""
-    opts = SolveOptions(alpha=1.0, max_iters=iters, record_every=record_every)
+    without its structure hint: the kernel takes every step, and z, x, the
+    recorded rows and the ergodic average agree to 1e-12 relative."""
+    opts = SolveOptions(alpha=1.0, max_iters=iters, record_every=record_every,
+                        ergodic=ergodic)
     calls = _counting(monkeypatch, "rank_one_sppg_block")
-    fast = sppg_run(problem, opts, sampler())
+    fast = sppg_run(problem, opts, sampler(), warm_start=warm_start)
     assert sum(calls) == iters
     generic = sppg_run(dataclasses.replace(problem, structure=None),
-                       opts, sampler())
+                       opts, sampler(), warm_start=warm_start)
     assert sum(calls) == iters
     assert fast.log.metadata["path"] == "kernel"
     assert generic.log.metadata["path"] == "per-term"
@@ -56,6 +58,10 @@ def _sppg_pair(monkeypatch, problem, sampler, iters, record_every):
     assert _rel(fast.state.z, generic.state.z) <= 1e-12
     assert _rel(fast.x, generic.x) <= 1e-12
     assert _rel(_row_values(fast), _row_values(generic)) <= 1e-12
+    if ergodic:
+        assert _rel(fast.ergodic, generic.ergodic) <= 1e-12
+    else:
+        assert fast.ergodic is None and generic.ergodic is None
     return fast
 
 
@@ -92,9 +98,10 @@ _REPEATS = np.concatenate([
 
 def _nonfinite_row_case(problem, bad, generic_error):
     """Term ``bad`` is step 40 of a 64-step block, in the second 32-row
-    run.  The kernel returns it with the 40 steps before it applied, as
-    the generic path applied them before raising ``generic_error``; a
-    run's first probe already meets the row, on either path."""
+    run.  The kernel raises :class:`NumericalError` naming it with the 40
+    steps before it applied, as the generic path applied them before
+    raising ``generic_error``; a run's first probe already meets the row,
+    on either path."""
     n = problem.n
     seq = np.random.default_rng(5).permutation(
         np.setdiff1d(np.arange(n), [bad]))[:63]
@@ -106,9 +113,10 @@ def _nonfinite_row_case(problem, bad, generic_error):
             _advance_one(ref, generic, int(i))
     assert ref.k == 40
     state = initial_state(problem, 1.0)
-    got = kernels.rank_one_sppg_block(state.z, state.zbar, problem.structure,
-                                      1.0, seq)
-    assert got == bad
+    with pytest.raises(NumericalError,
+                       match=rf"prox of g \(term {bad}\)$"):
+        kernels.rank_one_sppg_block(state.z, state.zbar, problem.structure,
+                                    1.0, seq)
     assert _rel(state.z, ref.z) <= 1e-12
     assert _rel(state.zbar, ref.zbar) <= 1e-12
     for p in (problem, generic):
@@ -188,8 +196,59 @@ class TestNumpyHingeAgreement:
             features=feats, labels=np.ones(40),
             sqnorms=np.einsum("ij,ij->i", feats, feats), ridge=0.1)
         z, zbar = np.zeros((40, 3)), np.zeros(3)
-        assert kernels.rank_one_sppg_block(z, zbar, struct, 1.0,
-                                           np.roll(np.arange(40), -3)) == 9
+        with pytest.raises(NumericalError, match=r"\(term 9\)$"):
+            kernels.rank_one_sppg_block(z, zbar, struct, 1.0,
+                                        np.roll(np.arange(40), -3))
+        # the six steps before row 9 are applied, and none from it on
+        assert np.all(np.any(z[3:9] != 0.0, axis=1))
+        assert not np.any(z[:3]) and not np.any(z[9:])
+        assert _rel(zbar, z.mean(axis=0)) <= 1e-12
+
+
+def _rank_one_problem(kind, seed, n, d):
+    rng = np.random.default_rng(seed)
+    return (tiny_svm(rng, n=n, d=d) if kind == "svm"
+            else tiny_glm(rng, kind, n=n, d=d))
+
+
+_KINDS = ["svm", "logistic", "poisson", "gaussian"]
+
+
+class TestErgodicOnTheKernel:
+    """Ergodic sppg on the split SVM and the GLMs takes every step on the
+    rank-one kernel, whose prox-r points sum to the per-term path's
+    ergodic average."""
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("record_every", [None, 1, 7])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_matches_per_term_path(self, monkeypatch, kind, record_every,
+                                   warm):
+        # 6n + 5 steps: the budget ends mid-epoch
+        n, d = 48, 5
+        z0 = np.random.default_rng(9).standard_normal((n, d)) if warm \
+            else None
+        _sppg_pair(monkeypatch, _rank_one_problem(kind, n, n, d),
+                   lambda: IndexSampler(11, n), 6 * n + 5, record_every,
+                   ergodic=True, warm_start=z0)
+
+    @pytest.mark.parametrize("record_every", [None, 7])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_repeated_indices(self, monkeypatch, kind, record_every):
+        res = _sppg_pair(monkeypatch, _rank_one_problem(kind, 4, 48, 5),
+                         lambda: SequenceSampler(_REPEATS), _REPEATS.size,
+                         record_every, ergodic=True)
+        assert res.state.k == _REPEATS.size
+
+    def test_average_counts_every_step(self):
+        # n=1: every step's prox-r point is the full sweep's, so the
+        # kernel's average is ppg's over the same number of iterations
+        problem = _rank_one_problem("svm", 2, 1, 4)
+        opts = SolveOptions(alpha=1.0, max_iters=25, ergodic=True)
+        res_s = sppg_run(problem, opts, IndexSampler(0, 1))
+        assert res_s.log.metadata["path"] == "kernel"
+        res_p = ppg_run(problem, opts)
+        assert _rel(res_s.ergodic, res_p.ergodic) <= 1e-12
 
 
 class TestNumpyGlmAgreement:

@@ -426,6 +426,13 @@ class TestSvm:
         with pytest.raises(ValueError, match="labels"):
             SvmData(np.ones((2, 2)), np.array([1.0, 2.0]), lam=0.1)
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_weight_rejected(self, lam):
+        # lam=inf used to build a problem whose objective reads NaN
+        with pytest.raises(ValueError, match="lam must be positive and "
+                                             "finite"):
+            SvmData(np.eye(2), np.array([1.0, -1.0]), lam=lam)
+
     def test_batched_prox_matches_rowwise(self, rng):
         from conftest import tiny_svm
         problem = tiny_svm(rng, n=9, d=4)
@@ -487,6 +494,15 @@ class TestFusedLasso:
         res = ppg_run(problem, SolveOptions(max_iters=6000,
                                             record_every=6000))
         assert np.max(res.x) - np.min(res.x) <= 1e-6
+
+    @pytest.mark.parametrize("lam,eps,name", [
+        (np.nan, 0.1, "lam"), (np.inf, 0.1, "lam"), (-0.1, 0.1, "lam"),
+        (0.1, np.nan, "eps"), (0.1, -0.1, "eps")])
+    def test_bad_weight_rejected(self, lam, eps, name):
+        # a NaN lam or eps used to build a problem whose runs fail late
+        # ("non-finite values from prox of r") or report NaN
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            build_fused_lasso(np.ones((2, 4)), np.zeros(2), lam, eps)
 
     def test_pair_prox_matches_coupling_lemma(self, rng):
         from proxsplit.prox import prox_sum_coupling
@@ -700,6 +716,17 @@ class TestNetworkLasso:
         problem = build_network_lasso(3, [(0, 1), (1, 2)], losses,
                                       lambda1=0.1, lambda2=0.3, block_dim=2)
         verify_problem(problem, rng, n_pairs=100)
+
+    @pytest.mark.parametrize("weights,name", [
+        ((np.nan, 0.3), "lambda1"), ((-0.1, 0.3), "lambda1"),
+        ((np.inf, 0.3), "lambda1"), ((0.1, np.nan), "lambda2"),
+        ((0.1, -0.3), "lambda2")])
+    def test_bad_weight_rejected(self, rng, weights, name):
+        losses = [_pull(rng.standard_normal(2)) for _ in range(3)]
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            build_network_lasso(3, [(0, 1), (1, 2)], losses,
+                                lambda1=weights[0], lambda2=weights[1],
+                                block_dim=2)
 
 
 class TestGlm:

@@ -72,10 +72,12 @@ def _sampled_runs(rng, n):
     }
 
 
+_SOLVERS = ["sppg", "sppg-hinge", "spi", "spi-hinge", "finito"]
+
+
 class TestIndexDraws:
     @pytest.mark.parametrize("record_every", [None, 1, 3, 12, 500])
-    @pytest.mark.parametrize("solver", ["sppg", "sppg-hinge", "spi",
-                                        "spi-hinge", "finito"])
+    @pytest.mark.parametrize("solver", _SOLVERS)
     def test_draws_per_block_not_per_run(self, rng, solver, record_every):
         # memory must not grow with the step budget: indices are drawn one
         # block at a time, and no block crosses an epoch boundary
@@ -85,6 +87,33 @@ class TestIndexDraws:
                             record_every=record_every)
         _sampled_runs(rng, n)[solver](sampler, opts)
         assert 0 < sampler.largest <= min(record_every or n, n)
+
+    @pytest.mark.parametrize("seq", [[0, -1, 1], [0, 45, 1]])
+    @pytest.mark.parametrize("solver", _SOLVERS)
+    def test_out_of_range_index_rejected(self, rng, solver, seq):
+        # -1 used to update row n - 1 and 45 to fail inside numpy; the
+        # block is rejected, naming its first bad index, on every path
+        with pytest.raises(ValueError,
+                           match=rf"sampled index {seq[1]} \(step 1\) is "
+                                 r"not an integer in \[0, 12\)"):
+            _sampled_runs(rng, 12)[solver](
+                SequenceSampler(seq), SolveOptions(alpha=0.5, max_iters=3))
+
+    @pytest.mark.parametrize("solver", _SOLVERS)
+    def test_non_integer_block_rejected(self, rng, solver):
+        class Floats:
+            def take(self, count):
+                return np.array([0.5, 1.0, 1.0])[:count]
+
+        with pytest.raises(ValueError, match=r"sampled index 0\.5 \(step 0"):
+            _sampled_runs(rng, 12)[solver](
+                Floats(), SolveOptions(alpha=0.5, max_iters=3))
+
+    @pytest.mark.parametrize("seq", [[0.5, 1, 1], [0, 1.0], [True, False]])
+    def test_sequence_sampler_rejects_non_integers(self, seq):
+        # [0.5, 1, 1] used to replay as [0, 1, 1]
+        with pytest.raises(ValueError, match="must be integers"):
+            SequenceSampler(seq)
 
 
 class TestStepAlgebra:

@@ -53,6 +53,22 @@ def test_sweep_and_epoch_hit_the_traced_sites(rng, kind):
     assert "problems.g_prox" not in calls
 
 
+def test_ergodic_sppg_runs_on_the_traced_kernel_site(rng):
+    # the ergodic average no longer moves sppg onto the per-term handles:
+    # every step is counted at kernels.hinge_sppg_block
+    problem = tiny_svm(rng, n=40, d=4)
+    tr = tracer.Tracer()
+    with tracer.instrumented(tr):
+        traced = tracer.instrument_problem(tr, problem)
+        res = sppg.sppg_run(
+            traced, ppg.SolveOptions(alpha=1.0, max_iters=100, ergodic=True),
+            sppg.IndexSampler(0, 40))
+    assert res.log.metadata["path"] == "kernel"
+    assert res.ergodic is not None
+    assert tr.counts["kernels.hinge_sppg_block.steps"] == 100
+    assert "problems.g_prox" not in tr.calls
+
+
 @pytest.mark.parametrize("kind", ["svm", "glm"])
 def test_spi_runs_on_the_traced_kernel_site(rng, kind):
     # the benchmark's spi job counts its steps at kernels.hinge_spi_block
