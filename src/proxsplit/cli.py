@@ -334,6 +334,8 @@ def _write_problem_json(out_dir, desc):
 
 
 def cmd_gen(args) -> int:
+    if args.kind == "network-lasso" and args.vertices < 2:
+        raise ValueError(f"--vertices must be at least 2, got {args.vertices}")
     os.makedirs(args.out, exist_ok=True)
     rng = np.random.default_rng(args.seed)
     kind = args.kind
@@ -399,7 +401,7 @@ def cmd_gen(args) -> int:
         edges = [(u, w) for u in range(v) for w in range(u + 1, v)
                  if rng.random() < args.edge_prob]
         if not edges:
-            edges = [(0, 1 % v)]
+            edges = [(0, 1)]
         centers = np.stack([rng.standard_normal(block),
                             rng.standard_normal(block) + 2.0])
         theta = np.array([centers[0] if u < v // 2 else centers[1]

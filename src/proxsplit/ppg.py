@@ -131,6 +131,19 @@ def _sweep_loop(problem: ProblemSpec, opts: SolveOptions, step,
     return rows, opts.tol <= 0, opts.max_iters, "budget"
 
 
+def _checked_draws(block, n: int, k: int) -> np.ndarray:
+    """``block``, the indices drawn for steps k, k+1, ..., as an array;
+    raises ValueError naming its first index that is not an integer in
+    [0, n)."""
+    block = np.asarray(block)
+    non_int = block.dtype.kind not in "iu"
+    if non_int or block.min() < 0 or block.max() >= n:
+        j = 0 if non_int else int(np.argmax((block < 0) | (block >= n)))
+        raise ValueError(f"sampled index {block[j]} (step {k + j}) is "
+                         f"not an integer in [0, {n})")
+    return block
+
+
 def _sampled_loop(problem: ProblemSpec, opts: SolveOptions, sampler, probe,
                   advance, scale: float, x_ref: np.ndarray | None = None):
     """Loop of the sampled-step solvers (sppg, spi, Finito).
@@ -160,12 +173,7 @@ def _sampled_loop(problem: ProblemSpec, opts: SolveOptions, sampler, probe,
         if k >= total:
             return rows, opts.tol <= 0, k, "budget"
         nxt = min((k // rec + 1) * rec, (k // n + 1) * n, total)
-        block = np.asarray(sampler.take(nxt - k))
-        non_int = block.dtype.kind not in "iu"
-        if non_int or block.min() < 0 or block.max() >= n:
-            j = 0 if non_int else int(np.argmax((block < 0) | (block >= n)))
-            raise ValueError(f"sampled index {block[j]} (step {k + j}) is "
-                             f"not an integer in [0, {n})")
+        block = _checked_draws(sampler.take(nxt - k), n, k)
         advance(k, block)
         del block  # not held through the next probe, where memory peaks
         k = nxt

@@ -7,7 +7,7 @@ coloring to decompose pairwise penalties into matchings).
 """
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain
 from typing import Sequence
 
@@ -141,26 +141,6 @@ def staggered_partition(dim: int, n_collections: int, group_size: int = 9,
     return GroupPartition(collections=tuple(colls))
 
 
-class _LeastSquaresProx:
-    """Prox of 0.5*||Ax - b||^2 via a cached factorization of the shifted
-    normal matrix; rebuilt whenever the step size changes."""
-
-    def __init__(self, a_mat, b, alpha=None):
-        self.a_mat = np.asarray(a_mat, dtype=float)
-        self.b = np.asarray(b, dtype=float)
-        self._cache = None
-        if alpha is not None:
-            self._cache = CachedQuadraticProx.from_data(self.a_mat, self.b,
-                                                        alpha)
-
-    def __call__(self, x0, alpha):
-        cache = self._cache
-        if cache is None or cache.alpha != alpha:
-            cache = CachedQuadraticProx.from_data(self.a_mat, self.b, alpha)
-            self._cache = cache
-        return prox_quadratic(cache, x0)
-
-
 def _group_norms(vals, ids, count):
     """The Euclidean norm of each of ``count`` groups of the flat entries
     ``vals``, entry k in group ``ids[k]``."""
@@ -210,12 +190,17 @@ def build_group_lasso(a_mat: np.ndarray, b: np.ndarray, lambda1: float,
     partition.validate_dim(d)
     n = len(partition.collections)
     lam2 = n * lambda1
-    solve = _LeastSquaresProx(a_mat, b, alpha)
+    # the factorization for the last step size used
+    factor = lru_cache(maxsize=1)(
+        partial(CachedQuadraticProx.from_data, a_mat, b))
+    if alpha is not None:
+        factor(alpha)
 
     def sq_loss(x):
         return 0.5 * float(np.sum((a_mat @ x - b) ** 2))
 
-    r = ProxFn(prox=lambda x0, a: solve(x0, a), value=sq_loss)
+    r = ProxFn(prox=lambda x0, a: prox_quadratic(factor(a), x0),
+               value=sq_loss)
 
     # entry k of the flat layout is coordinate cc[k] of collection rr[k],
     # in group gid[k]; O(grouped entries), no padding
@@ -484,18 +469,28 @@ class EdgeColoring:
             raise ValueError("color classes do not cover the edge set")
 
 
-def greedy_edge_coloring(n_vertices: int, edges) -> EdgeColoring:
-    """First-fit edge coloring: each edge takes the smallest color unused
-    at both endpoints.  Uses at most 2*max_degree - 1 colors and is
-    deterministic in the input edge order.  Self-loops are rejected."""
-    incident = [set() for _ in range(n_vertices)]
-    classes = []
+def _vertex_pairs(n_vertices: int, edges) -> list:
+    """The edges as pairs of ints; rejects self-loops and endpoints outside
+    [0, n_vertices)."""
+    pairs = []
     for (u, v) in edges:
         u, v = int(u), int(v)
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         if not (0 <= u < n_vertices and 0 <= v < n_vertices):
             raise ValueError(f"edge ({u}, {v}) out of range")
+        pairs.append((u, v))
+    return pairs
+
+
+def greedy_edge_coloring(n_vertices: int, edges) -> EdgeColoring:
+    """First-fit edge coloring: each edge takes the smallest color unused
+    at both endpoints.  Uses at most 2*max_degree - 1 colors and is
+    deterministic in the input edge order.  Self-loops and endpoints
+    outside [0, n_vertices) are rejected."""
+    incident = [set() for _ in range(n_vertices)]
+    classes = []
+    for (u, v) in _vertex_pairs(n_vertices, edges):
         taken = incident[u] | incident[v]
         c = 0
         while c in taken:
@@ -521,9 +516,10 @@ def build_network_lasso(n_vertices: int, edges, losses: Sequence[SmoothFn],
     part couples disjoint vertex pairs (so its prox is exact: shrink each
     pair's difference, keep the sum) with weight C*lambda2, and whose
     smooth part is the full loss sum, so the 1/C average restores the
-    original objective.
+    original objective.  Self-loops and endpoints outside [0, n_vertices)
+    are rejected, also with a caller's ``coloring``.
     """
-    edges = [(int(u), int(v)) for (u, v) in edges]
+    edges = _vertex_pairs(n_vertices, edges)
     if coloring is None:
         coloring = greedy_edge_coloring(n_vertices, edges)
     coloring.verify_partition(edges)

@@ -3,13 +3,13 @@
 Everything here evaluates prox_{a*h}(x0) = argmin_u h(u) + ||u - x0||^2/(2a)
 for specific families of h.  Operators are pure, reentrant, and return fresh
 arrays.  One-dimensional reductions (affine compositions, generalized linear
-model terms) solve a scalar strongly convex subproblem by bisection on the
-subgradient sign, or by a safeguarded secant method when a derivative
-handle is available: one rule, :func:`_regula_falsi`, solves the GLM root
-one term at a time, and :func:`_glm_roots` applies it to all rows at once.
-Each root is bracketed without a search: the subproblem's optimality
-function has slope at least 1, so its value at the starting point bounds
-the distance to the root.
+model terms) solve a scalar strongly convex subproblem, unless the scalar
+function has a closed-form prox.  One safeguarded secant rule,
+:func:`_regula_falsi`, finds every such root, on a derivative or on any
+subgradient selection: :func:`glm_root` runs it one term at a time, and
+:func:`_glm_roots` applies it to all rows at once.  Each root is bracketed
+without a search: the subproblem's optimality function has slope at least
+1, so its value at the starting point bounds the distance to the root.
 """
 
 import math
@@ -41,13 +41,13 @@ __all__ = [
     "glm_root",
 ]
 
-_BISECT_CAP = 200
 _BETA_TOL = 1e-12
 # the largest float: the far end of a bracket whose first value overflowed
 _BIG = sys.float_info.max
-# steps of a GLM root, per row on both paths: about 64 bisections in the
-# asinh scale shrink any finite bracket to a few floats, and the stall rule
-# lets few secant steps fail between them (the steepest rows take 66 steps)
+# steps of a 1-D prox root, per row on every path: about 64 bisections in
+# the asinh scale shrink any finite bracket to a few floats, and the stall
+# rule lets few secant steps fail between them (the steepest GLM rows take
+# 66 steps)
 _ROOT_CAP = 200
 
 
@@ -69,9 +69,9 @@ class ScalarFn:
 
     At least one of ``prox`` or ``subgrad`` must be supplied: the prox
     handle (``prox(t0, tau)`` evaluating prox_{tau*f}(t0)) gives an exact
-    inner solve, otherwise bisection runs on any subgradient selection.
-    ``deriv`` marks the function differentiable, enabling the safeguarded
-    root solve used by the generalized-linear-model prox.
+    inner solve, otherwise the safeguarded root solve of :func:`glm_root`
+    runs on any subgradient selection.  ``deriv`` marks the function
+    differentiable; the generalized-linear-model prox requires it.
     """
 
     value: Callable[[float], float] | None = None
@@ -130,36 +130,16 @@ def project_interval(x, iv: Interval):
     return out if np.ndim(x) else float(out)
 
 
-def _bisect_beta(phi, r: float) -> float:
-    """Root of phi by bisection on [-r, r], for phi increasing with slope
-    at least 1 and |phi(0)| < r, which puts the root inside.
-
-    Used for the scalar step of affine-composition proxes; phi is monotone
-    because the underlying function is convex.  Stops when the interval
-    narrows to 1e-12 or holds no float between its ends; raises when r is
-    not finite or the 200-step cap is hit first.
-    """
-    if not math.isfinite(r):
-        raise ConvergenceError("could not bracket the 1-D prox subproblem")
-    lo, hi = -r, r
-    for _ in range(_BISECT_CAP):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= _BETA_TOL or not lo < mid < hi:
-            return mid
-        if phi(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise ConvergenceError("1-D prox bisection exceeded 200 steps")
-
-
 def prox_affine_1d(a: np.ndarray, f1d: ScalarFn, x0: np.ndarray,
                    alpha: float) -> np.ndarray:
     """Prox of g(x) = f(a'x) for a scalar convex f and nonzero a.
 
     The minimizer lies on the ray x0 + beta*a, so the d-dimensional prox
     collapses to one scalar problem: beta minimizes
-    alpha*f(a'x0 + beta*||a||^2) + (||a||^2/2)*beta^2.
+    alpha*f(a'x0 + beta*||a||^2) + (||a||^2/2)*beta^2.  Without a prox
+    handle, t = a'x0 + beta*||a||^2 is the root of
+    t - a'x0 + alpha*||a||^2*sub(t), found by :func:`glm_root`; it raises
+    :class:`ConvergenceError` when a'x0 is not finite.
     """
     a = np.asarray(a, dtype=float)
     x0 = np.asarray(x0, dtype=float)
@@ -174,9 +154,7 @@ def prox_affine_1d(a: np.ndarray, f1d: ScalarFn, x0: np.ndarray,
         sub = f1d.any_subgrad()
         if sub is None:
             raise ValueError("f1d needs a prox or subgradient handle")
-        # phi(0) = alpha*sub(s0) and phi' >= 1 bound the root's distance
-        beta = _bisect_beta(lambda b: alpha * sub(s0 + b * q) + b,
-                            alpha * abs(sub(s0)) + 1.0)
+        beta = (glm_root(s0, alpha * q, 0.0, sub) - s0) / q
     return x0 + beta * a
 
 
@@ -314,7 +292,8 @@ def prox_glm_1d(x0: np.ndarray, xi: np.ndarray, ti: float, a1d: ScalarFn,
 
 def glm_root(s0: float, aq: float, ti: float, deriv) -> float:
     """Root of psi(t) = t - s0 + aq*(deriv(t) - ti) for a nondecreasing
-    ``deriv`` (the derivative of a convex cumulant), to 1e-12.
+    ``deriv`` (the derivative of a convex cumulant, or a subgradient
+    selection of any convex function, which may jump), to 1e-12.
 
     psi' >= 1, so the root lies between s0 and s0 - psi(s0), and
     |psi(t)| <= 1e-12 bounds |t - root| by 1e-12.  The far end is clipped
@@ -333,7 +312,7 @@ def glm_root(s0: float, aq: float, ti: float, deriv) -> float:
     p0 = aq * (float(deriv(s0)) - ti)
     if not (math.isfinite(s0) and math.isfinite(aq)
             and math.isfinite(ti)) or math.isnan(p0):
-        raise ConvergenceError("could not bracket the GLM prox subproblem")
+        raise ConvergenceError("could not bracket the 1-D prox subproblem")
     if p0 == 0.0:
         return s0
     t1 = s0 - p0
@@ -414,7 +393,7 @@ def _regula_falsi(psi, lo: float, plo: float, hi: float,
                 flo *= 0.5
             side = 1
     else:
-        raise ConvergenceError(f"GLM prox root exceeded {_ROOT_CAP} steps")
+        raise ConvergenceError(f"1-D prox root exceeded {_ROOT_CAP} steps")
     return 0.5 * (a + b)
 
 
@@ -433,7 +412,7 @@ def _glm_roots(s0, aq, t, deriv, rows) -> np.ndarray:
     """
     p0 = aq * (deriv(s0) - t)
     if np.isnan(p0).any():
-        raise ConvergenceError("could not bracket the GLM prox subproblem "
+        raise ConvergenceError("could not bracket the 1-D prox subproblem "
                                f"(term {rows[np.argmax(np.isnan(p0))]})")
     root = s0.copy()
     at = np.flatnonzero(p0 != 0.0)  # the entries still unsolved
@@ -520,7 +499,7 @@ def _glm_roots(s0, aq, t, deriv, rows) -> np.ndarray:
         del u, p  # not held through the next round
     if not at.size:
         return root
-    raise ConvergenceError(f"GLM prox root exceeded {_ROOT_CAP} steps "
+    raise ConvergenceError(f"1-D prox root exceeded {_ROOT_CAP} steps "
                            f"(term {rows[at[0]]})")
 
 

@@ -19,8 +19,8 @@ from . import kernels
 from .core import (ProblemSpec, SolverState, _call_term, _require_finite,
                    _sweep_blocks, chunked_row_mean, initial_state)
 from .io import MetricsLog
-from .ppg import (RunResult, SolveOptions, _ergodic, _report, _sampled_loop,
-                  resolve_alpha)
+from .ppg import (RunResult, SolveOptions, _checked_draws, _ergodic, _report,
+                  _sampled_loop, resolve_alpha)
 
 __all__ = ["IndexSampler", "SequenceSampler", "sppg_step", "sppg_run"]
 
@@ -83,14 +83,16 @@ def sppg_step(state: SolverState, problem: ProblemSpec, sampler,
     """Draw one index, advance in place, optionally report the residual.
 
     The residual needs a full O(nd) evaluation, so by default the report is
-    None and runs only request it on their recording cadence.
+    None and runs only request it on their recording cadence.  A drawn
+    index that is not an integer in [0, n) raises ValueError, and the
+    state is left unchanged.
     """
     report = None
     if compute_residual:
         resid, x_half = _sweep_blocks(state, problem, advance=False)
         report = _report(problem, state.k, resid, x_half,
                          state.k / problem.n)
-    i = int(sampler.take(1)[0])
+    i = int(_checked_draws(sampler.take(1), problem.n, state.k)[0])
     _advance_one(state, problem, i)
     return state, report
 

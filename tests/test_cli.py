@@ -70,6 +70,18 @@ class TestGen:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("vertices", ["1", "0"])
+    def test_network_lasso_too_few_vertices_exit_one(self, tmp_path, capsys,
+                                                     vertices):
+        # one vertex used to write the self-loop [0, 0], which solve rejects
+        out = tmp_path / "net"
+        code = main(["gen", "network-lasso", "--vertices", vertices,
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--vertices" in err
+        assert not out.exists()
+
     def test_group_lasso_shape_of_record(self, tmp_path):
         path = _gen(tmp_path)
         desc = json.loads(path.read_text())

@@ -305,7 +305,7 @@ class TestNumpyGlmAgreement:
         problem = tiny_glm(np.random.default_rng(1), "logistic", n=16, d=3)
 
         def fails(*args):
-            raise ConvergenceError("GLM prox root exceeded 200 steps")
+            raise ConvergenceError("1-D prox root exceeded 200 steps")
 
         monkeypatch.setattr(kernels, "glm_root", fails)
         seq = np.array([4, 9, 2])

@@ -729,6 +729,19 @@ class TestNetworkLasso:
                                 block_dim=2)
 
 
+    @pytest.mark.parametrize("edge", [(0, -2), (0, 5), (3, 1)])
+    @pytest.mark.parametrize("colored", [False, True])
+    def test_edge_out_of_range_rejected(self, rng, edge, colored):
+        # with a caller's coloring, (0, -2) used to act as edge (0, 1) and
+        # (0, 5) to fail at the first prox with a broadcast error
+        losses = [_pull(rng.standard_normal(2)) for _ in range(3)]
+        coloring = EdgeColoring(classes=((edge,),)) if colored else None
+        with pytest.raises(ValueError,
+                           match=r"^edge \(%d, %d\) out of range$" % edge):
+            build_network_lasso(3, [edge], losses, lambda1=0.1,
+                                lambda2=0.3, block_dim=2, coloring=coloring)
+
+
 class TestGlm:
     def test_gaussian_full_rank_matches_least_squares(self, rng):
         x_mat = rng.standard_normal((40, 4))

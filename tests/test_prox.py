@@ -7,7 +7,7 @@ import scipy.linalg
 
 from conftest import (GLM_GRID_AQ, GLM_GRID_RESPONSES, GLM_GRID_S0,
                       grid_prox_scalar, prox_objective)
-from proxsplit.core import ProxFn, verify_prox_fn
+from proxsplit.core import ConvergenceError, ProxFn, verify_prox_fn
 from proxsplit.prox import (CachedQuadraticProx, Interval, ScalarFn,
                             _glm_roots, glm_root, hinge_scalar,
                             prox_affine_1d, prox_glm_1d, prox_hinge,
@@ -126,7 +126,50 @@ class TestProjectInterval:
             Interval(2.0, 1.0)
 
 
+def _huber_prox(t0, tau):
+    """prox_{tau*f} of the Huber function f, whose derivative clips t to
+    [-1, 1]."""
+    return t0 / (1.0 + tau) if abs(t0) <= 1.0 + tau else t0 - tau * np.sign(t0)
+
+
+# scalar functions given by a subgradient selection, each with the closed
+# form of its prox: |t|, the hinge for y = +-1, and the Huber function
+_SUBGRADIENTS = {
+    "sign": (lambda t: float(np.sign(t)), soft_threshold_scalar),
+    "hinge+1": (hinge_scalar(1.0).subgrad, hinge_scalar(1.0).prox),
+    "hinge-1": (hinge_scalar(-1.0).subgrad, hinge_scalar(-1.0).prox),
+    "clip": (lambda t: min(max(t, -1.0), 1.0), _huber_prox),
+}
+
+
 class TestProxAffine1d:
+    @pytest.mark.parametrize("name", sorted(_SUBGRADIENTS))
+    def test_subgradient_solve_matches_closed_form(self, name, rng):
+        # |a| from 1e-3 to 1e3, |x0| from 1e-3 to 1e6 and alpha from 1e-3
+        # to 1e4.  The root t = a'x is solved to 1e-12, so its error is
+        # measured relative to max(1, |a'x0|, |t|)
+        sub, prox = _SUBGRADIENTS[name]
+        for _ in range(1000):
+            a = rng.standard_normal(3)
+            a *= 10.0 ** rng.uniform(-3, 3) / np.linalg.norm(a)
+            x0 = rng.standard_normal(3)
+            x0 *= 10.0 ** rng.uniform(-3, 6) / np.linalg.norm(x0)
+            alpha = float(10.0 ** rng.uniform(-3, 4))
+            counted, calls = _counted(sub)
+            got = prox_affine_1d(a, ScalarFn(subgrad=counted), x0, alpha)
+            want = prox_affine_1d(a, ScalarFn(prox=prox), x0, alpha)
+            t, s0 = float(a @ want), float(a @ x0)
+            assert abs(float(a @ got) - t) <= 1e-11 * max(1.0, abs(s0),
+                                                          abs(t))
+            assert len(calls) <= 70
+
+    @pytest.mark.parametrize("name", sorted(_SUBGRADIENTS))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_start_raises(self, name, bad):
+        f = ScalarFn(subgrad=_SUBGRADIENTS[name][0])
+        with pytest.raises(ConvergenceError, match="1-D prox"):
+            prox_affine_1d(np.array([1.0, 0.0]), f, np.array([bad, 0.0]), 1.0)
+
     def test_zero_function_is_identity(self, rng):
         x0 = rng.standard_normal(4)
         f = ScalarFn(value=lambda t: 0.0, subgrad=lambda t: 0.0)
@@ -178,7 +221,7 @@ class TestProxAffine1d:
 
     def test_bisection_stops_on_float_grid(self):
         # beta = 1e6: floats there are 1.2e-10 apart, so the bracket can
-        # never narrow to 1e-12 and must stop when no float is left inside
+        # never narrow to 1e-12 and the solve must stop on the float grid
         subgrad_only = ScalarFn(subgrad=hinge_scalar(1.0).subgrad)
         out = prox_affine_1d(np.array([1.0]), subgrad_only,
                              np.array([-1e7]), 1e6)

@@ -109,6 +109,19 @@ class TestIndexDraws:
             _sampled_runs(rng, 12)[solver](
                 Floats(), SolveOptions(alpha=0.5, max_iters=3))
 
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_single_step_rejects_out_of_range_index(self, rng, bad):
+        # -1 used to update row 4; the step is rejected before any update
+        problem = prox_only_problem(rng, n=5, d=3)
+        state = initial_state(problem, 0.7, rng.standard_normal((5, 3)))
+        z, zbar = state.z.copy(), state.zbar.copy()
+        with pytest.raises(ValueError,
+                           match=rf"sampled index {bad} \(step 0\) is "
+                                 r"not an integer in \[0, 5\)"):
+            sppg_step(state, problem, SequenceSampler([bad]))
+        assert np.array_equal(state.z, z) and state.k == 0
+        assert np.array_equal(state.zbar, zbar)
+
     @pytest.mark.parametrize("seq", [[0.5, 1, 1], [0, 1.0], [True, False]])
     def test_sequence_sampler_rejects_non_integers(self, seq):
         # [0.5, 1, 1] used to replay as [0, 1, 1]
