@@ -152,11 +152,12 @@ def stochastic_prox_iteration_run(problem: ProblemSpec, step: DiminishingStep,
 
     Requires a prox-only problem (every smooth term and the global term
     zero); the diminishing schedule is the defining feature, so a constant
-    step configuration is rejected by type.  Problems carrying a rank-one
-    structure (folded SVM, GLM) take their steps through
-    :func:`kernels.rank_one_spi_block`; ``log.metadata["path"]`` says
-    which ran: ``kernel`` or ``per-term``.  The residual is the unadvanced
-    sweep (:func:`core._sweep_blocks`) at z_i = x with step a_k, over sqrt(n).
+    step configuration is rejected by type.  Problems whose rank-one rows
+    :func:`kernels.rank_one_rows` finds served (folded SVM, GLM) take their
+    steps through :func:`kernels.rank_one_spi_block`;
+    ``log.metadata["path"]`` says which ran: ``kernel`` or ``per-term``.
+    The residual is the unadvanced sweep (:func:`core._sweep_blocks`) at
+    z_i = x with step a_k, over sqrt(n).
     """
     if not isinstance(step, DiminishingStep):
         raise TypeError("step must be a DiminishingStep (the diminishing "
@@ -169,10 +170,7 @@ def stochastic_prox_iteration_run(problem: ProblemSpec, step: DiminishingStep,
         raise ValueError("stochastic proximal iteration requires the "
                          "global term to be zero")
     x = np.zeros(problem.dim) if x0 is None else _start_point(x0, problem)
-    # rank-one rows whose ridge is folded into the terms or zero; the split
-    # SVM form keeps its ridge in r, which spi rejects above
-    s = problem.structure
-    struct = s if s is not None and (s.folded or not s.ridge) else None
+    struct = kernels.rank_one_rows(problem, ridge_in_r=False)
 
     def advance(k, block):
         nonlocal x

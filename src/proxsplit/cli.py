@@ -26,6 +26,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, fields
+from typing import get_args
 
 import numpy as np
 
@@ -62,10 +63,20 @@ def _config_from(path: str | None, args) -> RunConfig:
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        known = {f.name for f in fields(RunConfig)}
+        known = {f.name: f.type for f in fields(RunConfig)}
         for key, val in raw.items():
             if key not in known:
                 raise ValueError(f"unknown config field {key!r}")
+            # the type its flag parses to: a bool is true or false, an int
+            # no bool or float, a real any number but a bool, and null only
+            # where the default is None
+            types = get_args(known[key]) or (known[key],)
+            if isinstance(val, bool) != (bool in types) or not isinstance(
+                    val, types + ((int,) if float in types else ())):
+                want = " or ".join("null" if t is type(None) else t.__name__
+                                   for t in types)
+                raise ValueError(f"config field {key!r} must be {want}, "
+                                 f"got {json.dumps(val)}")
             setattr(cfg, key, val)
     for f in fields(RunConfig):
         val = getattr(args, f.name.replace("-", "_"), None)
@@ -247,19 +258,21 @@ def _fmt_cell(v):
 def cmd_compare(args) -> int:
     if args.ref_iters is not None and args.ref_iters < 1:
         raise ValueError(f"ref_iters must be at least 1, got {args.ref_iters}")
-    cfgs = []
-    for path in args.configs:
-        ns = argparse.Namespace(**{f.name: None for f in fields(RunConfig)})
-        cfgs.append(_config_from(path, ns))
+    # no flags: every field comes from its file
+    cfgs = [_config_from(path, argparse.Namespace()) for path in args.configs]
     if len(cfgs) < 2:
         raise ValueError("compare needs at least two configurations")
     prob_paths = {os.path.realpath(c.problem) for c in cfgs}
     if len(prob_paths) != 1:
         raise ValueError("all configurations must reference the same "
                          "problem file")
-    budget = max(c.max_iters for c in cfgs)
-    ref_iters = args.ref_iters if args.ref_iters else 10 * budget
     ref_problem = load_problem(cfgs[0].problem, "ppg")
+    # each budget in sweeps; the sampled solvers count single-term steps,
+    # n to a sweep, rounded up
+    budget = max(-(-c.max_iters // ref_problem.n)
+                 if c.algo in ("sppg", "spi", "finito") else c.max_iters
+                 for c in cfgs)
+    ref_iters = args.ref_iters if args.ref_iters else 10 * budget
     ref = ppg.ppg_run(ref_problem, ppg.SolveOptions(max_iters=ref_iters,
                                                     record_every=ref_iters))
     x_star = ref.x
@@ -271,20 +284,13 @@ def cmd_compare(args) -> int:
         seen[label] = seen.get(label, 0) + 1
         if seen[label] > 1:
             label = f"{label}#{seen[label]}"
-        seeds = cfg.seeds if cfg.seeds else [cfg.seed]
-        logs = []
-        for s in seeds:
-            res = _run(cfg, problem, seed=s, x_ref=x_star)
-            _strip_timing(res.log)
-            logs.append(res.log)
+        logs = [_run(cfg, problem, seed=s, x_ref=x_star).log
+                for s in (cfg.seeds or [cfg.seed])]
         for k, epoch, cols in _aggregate(logs):
-            (rn, rn_sd) = cols["residual_norm"]
-            (ob, ob_sd) = cols["objective"]
-            (dr, dr_sd) = cols["dist_to_ref"]
-            lines.append(",".join([
-                label, str(k), _fmt_cell(epoch), _fmt_cell(rn),
-                _fmt_cell(ob), _fmt_cell(dr), _fmt_cell(rn_sd),
-                _fmt_cell(ob_sd), _fmt_cell(dr_sd)]))
+            # cols holds (mean, sd) pairs in MERGED_HEADER's column order
+            means, sds = zip(*cols.values())
+            lines.append(",".join([label, str(k), *map(
+                _fmt_cell, (epoch, *means, *sds))]))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {args.out} ({len(lines) - 1} rows, reference from "

@@ -1,36 +1,41 @@
-"""Rank-one row terms and the numpy loops over them.
+"""Rank-one row terms, the problems made of them, and the numpy loops over
+them.
 
 Hinge and GLM rows share one form, g_i(u) = phi_i(f_i'u), whose prox moves
 u along f_i by a scalar beta of s = f_i'u.  :class:`HingeStructure` and
 :class:`GlmStructure` state each kind's rule twice and no more: ``betas``
 (every row's beta at once, for batched sweeps) and ``beta`` (one row's, in
-scalar arithmetic), plus ``losses`` (phi_i).  Everything else is built from
-them here, for either kind: :func:`rank_one_terms` gives the problem's
-per-term handles, :func:`rank_one_prox` and :func:`rank_one_objective` its
-``batched_g_prox`` and ``batched_objective``, :func:`rank_one_sppg_block`
-takes each run of up to ``SPPG_RUN`` consecutive distinct sppg rows with
-three BLAS products and a scalar recurrence of ``beta``, in place of a
-dozen small vector operations per step, and :func:`rank_one_spi_block` is
-the spi baseline's loop of ``beta`` steps.  The per-term handles remain the
+scalar arithmetic), plus ``losses`` (phi_i); each derives its rows'
+squared norms from ``features``.  Everything else is built from them here,
+for either kind.  :func:`rank_one_problem` builds the problem: its per-term
+handles (:func:`rank_one_terms`), ``batched_g_prox``
+(:func:`rank_one_prox`) and ``batched_objective``
+(:func:`rank_one_objective`).  :func:`rank_one_rows` is the one rule for
+which problems a kernel serves.  :func:`rank_one_sppg_block` takes each
+run of up to ``SPPG_RUN`` consecutive distinct sppg rows with three BLAS
+products and a scalar recurrence of ``beta``, in place of a dozen small
+vector operations per step, and :func:`rank_one_spi_block` is the spi
+baseline's loop of ``beta`` steps.  The per-term handles remain the
 reference path; the kernels agree with them to floating-point rounding, not
 bitwise, because their sums associate differently.
 """
 
 import importlib.util
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from operator import mul
 from typing import Callable, ClassVar
 
 import numpy as np
 
-from .core import ConvergenceError, NumericalError, ProxFn
+from .core import (ConvergenceError, NumericalError, ProblemSpec, ProxFn,
+                   zero_smooth)
 from .prox import _glm_roots, glm_root
 
-__all__ = ["HingeStructure", "GlmStructure", "rank_one_terms",
-           "rank_one_prox", "rank_one_objective", "rank_one_sppg_block",
-           "rank_one_spi_block"]
+__all__ = ["HingeStructure", "GlmStructure", "rank_one_problem",
+           "rank_one_rows", "rank_one_terms", "rank_one_prox",
+           "rank_one_objective", "rank_one_sppg_block", "rank_one_spi_block"]
 
 # Rows per run of the numpy sppg block.  A run costs a few BLAS products
 # that grow as SPPG_RUN**2 * d plus a scalar recurrence of SPPG_RUN steps;
@@ -44,18 +49,28 @@ ROW_CHUNK = 256
 
 
 @dataclass(frozen=True)
-class HingeStructure:
+class _Rows:
+    """The rows f_i (``features``) of a rank-one structure and their
+    squared norms ``sqnorms``, derived from them at construction."""
+
+    features: np.ndarray
+    sqnorms: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "sqnorms",
+                           np.einsum("ij,ij->i", self.features, self.features))
+
+
+@dataclass(frozen=True)
+class HingeStructure(_Rows):
     """Marks a problem as hinge-loss rows plus a ridge term.
 
     ``folded=False``: the ridge sits in the global term r (splitting-solver
     form).  ``folded=True``: the ridge is folded into each per-term function
     (prox-only form used by the stochastic proximal iteration baseline).
-    ``sqnorms`` caches the squared row norms of ``features``.
     """
 
-    features: np.ndarray
     labels: np.ndarray
-    sqnorms: np.ndarray
     ridge: float
     folded: bool = False
 
@@ -85,15 +100,12 @@ class HingeStructure:
 
 
 @dataclass(frozen=True)
-class GlmStructure:
+class GlmStructure(_Rows):
     """Marks a problem as generalized-linear-model rows and nothing else:
     term i is A(f_i'x) - t_i f_i'x for the cumulant A with handles
-    ``value`` and ``deriv`` that map arrays elementwise, with ``sqnorms``
-    the squared row norms of ``features`` and no ridge.
+    ``value`` and ``deriv`` that map arrays elementwise, and no ridge.
     """
 
-    features: np.ndarray
-    sqnorms: np.ndarray
     responses: np.ndarray
     deriv: Callable
     value: Callable
@@ -218,6 +230,35 @@ def rank_one_objective(struct, x) -> float:
             + float(np.mean(struct.losses(struct.features @ x))))
 
 
+def rank_one_problem(struct, r: ProxFn, kind: str) -> ProblemSpec:
+    """The problem r(x) + mean_i g_i(x) over the rows of ``struct``, which
+    it carries as its structure: every f_i zero, g the handles of
+    :func:`rank_one_terms`, and the batched prox and objective of
+    :func:`rank_one_prox` and :func:`rank_one_objective`."""
+    n, d = struct.features.shape
+    return ProblemSpec(
+        dim=d, n=n, r=r, f=(zero_smooth(),) * n, g=rank_one_terms(struct),
+        kind=kind, structure=struct,
+        batched_g_prox=partial(rank_one_prox, struct),
+        batched_objective=partial(rank_one_objective, struct))
+
+
+def rank_one_rows(problem: ProblemSpec, ridge_in_r: bool):
+    """The structure a rank-one kernel steps ``problem`` through, or None
+    for the per-term path.
+
+    A kernel serves a problem with a structure and every f_i zero whose
+    ridge, if any, sits where the kernel models it: in r for
+    ``ridge_in_r`` (:func:`rank_one_sppg_block`), folded into the terms
+    otherwise (:func:`rank_one_spi_block`).  Rows without a ridge, such as
+    a GLM's, suit both.
+    """
+    s = problem.structure
+    served = s is not None and problem.all_f_zero() and not (
+        s.ridge and s.folded == ridge_in_r)
+    return s if served else None
+
+
 def rank_one_sppg_block(z, zbar, struct, alpha, idx, xsum=None):
     """Advance the single-term stochastic sweep over the given index block
     for rank-one rows, a run of up to ``SPPG_RUN`` distinct rows at a time.
@@ -299,12 +340,13 @@ def rank_one_sppg_block(z, zbar, struct, alpha, idx, xsum=None):
 
 def rank_one_spi_block(x, struct, c, k0, idx):
     """Diminishing-step proximal iteration on rank-one rows whose ridge is
-    folded into the terms or zero: step k on row i shrinks x by
-    1/(1 + a_k*ridge) and moves it along f_i by ``struct.beta``, with step
-    sizes a_k = c/k and k continuing from k0.  Mutates x in place.  A
-    non-finite update raises :class:`NumericalError` naming its term,
-    with the steps before it applied; a :class:`ConvergenceError` from
-    ``beta`` gets the row's term index appended.
+    folded into the terms or zero (see :func:`rank_one_rows`): step k on
+    row i shrinks x by 1/(1 + a_k*ridge) and moves it along f_i by
+    ``struct.beta``, with step sizes a_k = c/k and k continuing from k0.
+    Mutates x in place.  A non-finite update raises
+    :class:`NumericalError` naming its term, with the steps before it
+    applied; a :class:`ConvergenceError` from ``beta`` gets the row's term
+    index appended.
     """
     feats, rule, ridge = struct.features, struct.beta, struct.ridge
     q, cs = struct.sqnorms[idx].tolist(), struct.targets[idx].tolist()

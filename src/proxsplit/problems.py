@@ -15,8 +15,7 @@ import numpy as np
 
 from .core import ProblemSpec, ProxFn, SmoothFn, scale_prox, scale_smooth, \
     zero_prox, zero_smooth
-from .kernels import (GlmStructure, HingeStructure, rank_one_objective,
-                      rank_one_prox, rank_one_terms)
+from .kernels import GlmStructure, HingeStructure, rank_one_problem
 from .prox import (CachedQuadraticProx, ScalarFn, prox_quadratic,
                    soft_threshold_scalar, soft_threshold_vector)
 
@@ -185,6 +184,11 @@ def build_group_lasso(a_mat: np.ndarray, b: np.ndarray, lambda1: float,
     m, d = a_mat.shape
     if b.shape != (m,):
         raise ValueError("b must have one entry per row of A")
+    # the factorization would reject it without naming the input
+    for name, arr in (("A", a_mat), ("b", b)):
+        if not np.all(np.isfinite(arr)):
+            at = ", ".join(map(str, np.argwhere(~np.isfinite(arr))[0]))
+            raise ValueError(f"{name} has a non-finite entry at ({at})")
     if not 0.0 <= lambda1 < np.inf:
         raise ValueError("lambda1 must be nonnegative and finite")
     partition.validate_dim(d)
@@ -294,26 +298,16 @@ def build_svm(data: SvmData, fold_ridge: bool = False) -> ProblemSpec:
     prox.  ``fold_ridge=True`` instead folds the ridge into every term and
     leaves the global term zero, which is the prox-only form required by
     the diminishing-step baseline; both forms have identical objectives.
-    The attached :class:`HingeStructure` supplies the per-term handles and,
-    in either form, the all-rows prox and objective.
+    :func:`kernels.rank_one_problem` builds the problem from its
+    :class:`HingeStructure`, in either form.
     """
-    feats = data.features
     lam = data.lam
-    n, d = feats.shape
-    structure = HingeStructure(
-        features=feats, labels=data.labels,
-        sqnorms=np.einsum("ij,ij->i", feats, feats), ridge=lam,
-        folded=fold_ridge)
+    structure = HingeStructure(features=data.features, labels=data.labels,
+                               ridge=lam, folded=fold_ridge)
     r = zero_prox() if fold_ridge else ProxFn(
         prox=lambda x0, a: np.asarray(x0, dtype=float) / (1.0 + a * lam),
         value=lambda x: 0.5 * lam * float(x @ x))
-    return ProblemSpec(
-        dim=d, n=n, r=r,
-        f=(zero_smooth(),) * n,
-        g=rank_one_terms(structure),
-        kind="svm", structure=structure,
-        batched_g_prox=partial(rank_one_prox, structure),
-        batched_objective=partial(rank_one_objective, structure))
+    return rank_one_problem(structure, r, "svm")
 
 
 # -- fused lasso ----------------------------------------------------------------
@@ -608,24 +602,16 @@ def build_glm(x_mat: np.ndarray, t_vec: np.ndarray,
     minimize mean_i [A(x_i'b) - t_i * x_i'b] for the convex cumulant A,
     whose ``value`` and ``deriv`` handles must map arrays elementwise.
     Every term is handled through its prox (the one-dimensional reduction
-    along its own data row); there is no smooth or global part.  The
-    attached :class:`GlmStructure` supplies the per-term handles, the
-    all-rows prox of full sweeps, the all-rows objective and the rank-one
-    kernels of sppg and spi steps.
+    along its own data row); there is no smooth or global part.
+    :func:`kernels.rank_one_problem` builds the problem from its
+    :class:`GlmStructure`.
     """
     x_mat = np.asarray(x_mat, dtype=float)
     t_vec = np.asarray(t_vec, dtype=float)
-    n, d = x_mat.shape
+    n, _ = x_mat.shape
     if t_vec.shape != (n,):
         raise ValueError("one response per data row required")
     _require_elementwise(a1d)
-    structure = GlmStructure(
-        features=x_mat, sqnorms=np.einsum("ij,ij->i", x_mat, x_mat),
-        responses=t_vec, deriv=a1d.deriv, value=a1d.value)
-    return ProblemSpec(
-        dim=d, n=n, r=zero_prox(),
-        f=(zero_smooth(),) * n,
-        g=rank_one_terms(structure),
-        kind="glm", structure=structure,
-        batched_g_prox=partial(rank_one_prox, structure),
-        batched_objective=partial(rank_one_objective, structure))
+    structure = GlmStructure(features=x_mat, responses=t_vec,
+                             deriv=a1d.deriv, value=a1d.value)
+    return rank_one_problem(structure, zero_prox(), "glm")

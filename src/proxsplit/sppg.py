@@ -78,6 +78,23 @@ def _advance_one(state: SolverState, problem: ProblemSpec, i: int):
     return x_half
 
 
+def _advance_block(state: SolverState, problem: ProblemSpec, struct, block,
+                   xsum=None):
+    """Take the steps of index ``block`` in place: all at once through
+    :func:`kernels.rank_one_sppg_block` when ``struct`` is the structure
+    :func:`kernels.rank_one_rows` gave, else one :func:`_advance_one` per
+    index.  Each step's prox-r point is added to ``xsum`` when given."""
+    if struct is not None:
+        kernels.rank_one_sppg_block(state.z, state.zbar, struct, state.alpha,
+                                    block, xsum=xsum)
+        state.k += block.size
+        return
+    for i in block:
+        x_half = _advance_one(state, problem, int(i))
+        if xsum is not None:
+            xsum += x_half
+
+
 def sppg_step(state: SolverState, problem: ProblemSpec, sampler,
               compute_residual: bool = False):
     """Draw one index, advance in place, optionally report the residual.
@@ -85,15 +102,17 @@ def sppg_step(state: SolverState, problem: ProblemSpec, sampler,
     The residual needs a full O(nd) evaluation, so by default the report is
     None and runs only request it on their recording cadence.  A drawn
     index that is not an integer in [0, n) raises ValueError, and the
-    state is left unchanged.
+    state is left unchanged.  The step takes the path :func:`sppg_run`
+    takes on the same problem.
     """
     report = None
     if compute_residual:
         resid, x_half = _sweep_blocks(state, problem, advance=False)
         report = _report(problem, state.k, resid, x_half,
                          state.k / problem.n)
-    i = int(_checked_draws(sampler.take(1), problem.n, state.k)[0])
-    _advance_one(state, problem, i)
+    block = _checked_draws(sampler.take(1), problem.n, state.k)
+    _advance_block(state, problem,
+                   kernels.rank_one_rows(problem, ridge_in_r=True), block)
     return state, report
 
 
@@ -108,24 +127,14 @@ def _resync(state: SolverState, problem: ProblemSpec) -> int:
     return 0
 
 
-def _block_kernel(problem: ProblemSpec):
-    """The kernel that advances whole index blocks of this problem, or
-    None for the per-term path: rank-one rows (a structure) whose ridge
-    sits in r, and no smooth terms."""
-    s = problem.structure
-    if s is None or s.folded or not problem.all_f_zero():
-        return None
-    return kernels.rank_one_sppg_block
-
-
 def sppg_run(problem: ProblemSpec, opts: SolveOptions, sampler,
              x_ref: np.ndarray | None = None,
              warm_start: np.ndarray | None = None) -> RunResult:
     """Run the stochastic solver for ``opts.max_iters`` single-term steps.
 
     One epoch is n steps.  The recording cadence defaults to once per
-    epoch, which keeps the amortized per-step cost at O(d).  Problems
-    carrying a hinge or GLM structure hint run through the blocked
+    epoch, which keeps the amortized per-step cost at O(d).  Problems that
+    :func:`kernels.rank_one_rows` finds served run through the blocked
     rank-one kernel :func:`kernels.rank_one_sppg_block`; the update rule
     is identical, and the problem alone decides it: ``log.metadata["path"]``
     says which ran, ``kernel`` or ``per-term``.  With ``opts.ergodic`` the
@@ -134,21 +143,13 @@ def sppg_run(problem: ProblemSpec, opts: SolveOptions, sampler,
     alpha = resolve_alpha(problem, opts.alpha)
     state = initial_state(problem, alpha, warm_start)
     n = problem.n
-    kernel = _block_kernel(problem)
+    struct = kernels.rank_one_rows(problem, ridge_in_r=True)
     xsum = np.zeros(problem.dim) if opts.ergodic else None
     resyncs = 0
 
     def advance(k, block):
-        nonlocal resyncs, xsum
-        if kernel is not None:
-            kernel(state.z, state.zbar, problem.structure, alpha, block,
-                   xsum=xsum)
-            state.k += block.size
-        else:
-            for i in block:
-                x_half = _advance_one(state, problem, int(i))
-                if xsum is not None:
-                    xsum += x_half
+        nonlocal resyncs
+        _advance_block(state, problem, struct, block, xsum)
         if (k + len(block)) % n == 0:
             resyncs += _resync(state, problem)
 
@@ -160,7 +161,7 @@ def sppg_run(problem: ProblemSpec, opts: SolveOptions, sampler,
         "solver": "sppg", "alpha": alpha, "seed": getattr(sampler, "seed", None),
         "problem_kind": problem.kind, "n": problem.n, "dim": problem.dim,
         "resyncs": resyncs,
-        "path": "per-term" if kernel is None else "kernel",
+        "path": "per-term" if struct is None else "kernel",
         "stop": stop,
     })
     return RunResult(x=x_out, log=log, converged=converged, state=state,

@@ -457,6 +457,49 @@ class TestSolve:
         log = read_metrics_csv(tmp_path / "from_cfg.csv")
         assert log.rows[-1].k == 8
 
+    @pytest.mark.parametrize("field, value", [
+        ("ergodic", "no"), ("timing", "no"), ("seed", 1.5), ("alpha", True),
+        ("tol", None)])
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys,
+                                                 field, value):
+        # each value used to run as something else ("no" as true, 1.5 as
+        # seed 1, true as alpha 1.0) or to fail naming no field
+        prob = _gen(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": str(prob), field: value}))
+        code = main(["solve", "--config", str(cfg),
+                     "--metrics", str(tmp_path / "m.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field '{field}' must be ")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_config_values_of_the_flag_types_accepted(self, tmp_path):
+        # an int where a real goes, and null where the default is None
+        prob = _gen(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "problem": str(prob), "algo": "sppg", "alpha": 1, "tol": 0,
+            "max_iters": 4, "seed": 3, "record_every": None,
+            "ergodic": False, "timing": False, "spi_c": None, "seeds": None,
+            "metrics_out": str(tmp_path / "m.csv")}))
+        assert main(["solve", "--config", str(cfg)]) == 0
+        assert json.loads((tmp_path / "m.csv.meta.json").read_text())[
+            "seed"] == 3
+
+    def test_nonfinite_group_lasso_data_exit_one(self, tmp_path, capsys):
+        prob = _gen(tmp_path)
+        a_csv = prob.parent / "A.csv"
+        rows = [line.split(",") for line in a_csv.read_text().splitlines()]
+        rows[3][2] = "nan"
+        a_csv.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        code = main(["solve", "--problem", str(prob),
+                     "--metrics", str(tmp_path / "m.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: A has a non-finite entry at (3, 2)\n"
+
     def test_unknown_config_field_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"problemo": "x"}))
@@ -554,6 +597,19 @@ class TestCompare:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("error:") and field in err
         assert runs == [] and not out.exists()
+
+    def test_reference_budget_counts_sweeps(self, tmp_path, capsys):
+        # sppg counts single-term steps: 41 of them on the 2 collections
+        # are 21 sweeps, so the reference runs 10 * 21 ppg sweeps (it ran
+        # 10 * 41)
+        prob = _gen(tmp_path)
+        c1 = self._write_cfg(tmp_path, "c1.json", problem=str(prob),
+                             algo="ppg", max_iters=5)
+        c2 = self._write_cfg(tmp_path, "c2.json", problem=str(prob),
+                             algo="sppg", max_iters=41)
+        assert main(["compare", c1, c2,
+                     "--out", str(tmp_path / "o.csv")]) == 0
+        assert "reference from 210 iterations" in capsys.readouterr().out
 
     def test_multi_seed_aggregation(self, tmp_path):
         prob = _gen(tmp_path)

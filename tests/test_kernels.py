@@ -9,10 +9,12 @@ import pytest
 from conftest import tiny_glm, tiny_svm
 from proxsplit import kernels
 from proxsplit.baselines import DiminishingStep, stochastic_prox_iteration_run
-from proxsplit.core import ConvergenceError, NumericalError, initial_state
+from proxsplit.core import (ConvergenceError, NumericalError, SmoothFn,
+                            initial_state, zero_prox)
 from proxsplit.ppg import SolveOptions, ppg_run
 from proxsplit.problems import SvmData, build_glm, build_svm, glm_family
-from proxsplit.sppg import IndexSampler, SequenceSampler, _advance_one, sppg_run
+from proxsplit.sppg import (IndexSampler, SequenceSampler, _advance_one,
+                            sppg_run, sppg_step)
 
 
 def _rel(a, b):
@@ -192,9 +194,8 @@ class TestNumpyHingeAgreement:
         # SvmData rejects zero rows; a hand-built structure divides by zero
         feats = np.random.default_rng(6).standard_normal((40, 3))
         feats[9] = 0.0
-        struct = kernels.HingeStructure(
-            features=feats, labels=np.ones(40),
-            sqnorms=np.einsum("ij,ij->i", feats, feats), ridge=0.1)
+        struct = kernels.HingeStructure(features=feats, labels=np.ones(40),
+                                        ridge=0.1)
         z, zbar = np.zeros((40, 3)), np.zeros(3)
         with pytest.raises(NumericalError, match=r"\(term 9\)$"):
             kernels.rank_one_sppg_block(z, zbar, struct, 1.0,
@@ -316,3 +317,87 @@ class TestNumpyGlmAgreement:
         with pytest.raises(ConvergenceError, match=r"steps \(term 4\)$"):
             kernels.rank_one_spi_block(np.zeros(3), problem.structure, 2.0,
                                        0, seq)
+
+
+def _with_smooth_term(problem):
+    """``problem`` with a nonzero f_0 swapped in."""
+    f = list(problem.f)
+    f[0] = SmoothFn(value=lambda x: 0.5 * float(x @ x),
+                    gradient=lambda x: x, lipschitz=1.0)
+    return dataclasses.replace(problem, f=tuple(f))
+
+
+def _folded_without_ridge(rng):
+    split = tiny_svm(rng, n=12, d=3)
+    rows = split.structure
+    struct = kernels.HingeStructure(features=rows.features,
+                                    labels=rows.labels, ridge=0.0,
+                                    folded=True)
+    return kernels.rank_one_problem(struct, zero_prox(), "svm")
+
+
+# problem, and whether the sppg kernel (ridge in r) and the spi kernel
+# (ridge folded into the terms) serve it
+_RULE_TABLE = {
+    "split-svm": (lambda rng: tiny_svm(rng), True, False),
+    "folded-svm": (lambda rng: tiny_svm(rng, fold_ridge=True), False, True),
+    "gaussian": (lambda rng: tiny_glm(rng, "gaussian"), True, True),
+    "logistic": (lambda rng: tiny_glm(rng, "logistic"), True, True),
+    "poisson": (lambda rng: tiny_glm(rng, "poisson"), True, True),
+    "split-svm-smooth-f": (lambda rng: _with_smooth_term(tiny_svm(rng)),
+                           False, False),
+    "no-structure": (lambda rng: dataclasses.replace(
+        tiny_svm(rng), structure=None), False, False),
+    # ridge 0 sits nowhere, so the sppg kernel models it exactly too
+    "folded-svm-no-ridge": (_folded_without_ridge, True, True),
+}
+
+
+class TestKernelRule:
+    """kernels.rank_one_rows is the one rule for which problems each
+    rank-one kernel serves."""
+
+    @pytest.mark.parametrize("name", sorted(_RULE_TABLE))
+    def test_rule_table(self, rng, name):
+        make, sppg_served, spi_served = _RULE_TABLE[name]
+        problem = make(rng)
+        for ridge_in_r, served in ((True, sppg_served),
+                                   (False, spi_served)):
+            got = kernels.rank_one_rows(problem, ridge_in_r)
+            assert got is (problem.structure if served else None)
+
+    def test_folded_structure_without_ridge_runs_both_kernels(
+            self, monkeypatch, rng):
+        problem = _folded_without_ridge(rng)
+        calls = _counting(monkeypatch, "rank_one_sppg_block")
+        res = sppg_run(problem, SolveOptions(alpha=1.0, max_iters=24),
+                       IndexSampler(3, 12))
+        assert sum(calls) == 24 and res.log.metadata["path"] == "kernel"
+        _spi_pair(monkeypatch, problem, None)
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_single_step_takes_the_kernel(self, monkeypatch, kind):
+        # sppg_step follows the problem as sppg_run does; it used to take
+        # every step through the per-term handles
+        problem = _rank_one_problem(kind, 4, 12, 3)
+        calls = _counting(monkeypatch, "rank_one_sppg_block")
+        state, ref = initial_state(problem, 1.0), initial_state(problem, 1.0)
+        sampler, draws = IndexSampler(8, 12), IndexSampler(8, 12)
+        for _ in range(400):
+            sppg_step(state, problem, sampler)
+            _advance_one(ref, problem, int(draws.take(1)[0]))
+        assert calls == [1] * 400 and state.k == ref.k == 400
+        assert _rel(state.z, ref.z) <= 1e-12
+        assert _rel(state.zbar, ref.zbar) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["svm", "svm-folded", "logistic"])
+def test_row_norms_derived_from_features(rng, kind):
+    problem = (tiny_glm(rng, kind) if kind == "logistic"
+               else tiny_svm(rng, fold_ridge=kind == "svm-folded"))
+    rows = problem.structure
+    assert np.array_equal(rows.sqnorms,
+                          np.einsum("ij,ij->i", rows.features, rows.features))
+    with pytest.raises(TypeError, match="sqnorms"):
+        type(rows)(**{f.name: getattr(rows, f.name)
+                      for f in dataclasses.fields(rows)})

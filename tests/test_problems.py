@@ -340,6 +340,20 @@ class TestGroupLasso:
             assert objective(zeros, p) == 0.5 * float(np.sum(b ** 2))
             assert objective(np.ones(6), p) == np.inf
 
+    @pytest.mark.parametrize("name, at, value", [
+        ("A", (3, 2), np.nan), ("A", (0, 7), -np.inf), ("b", (0,), np.inf)])
+    def test_nonfinite_data_rejected(self, rng, name, at, value):
+        # the factorization of the r prox used to fail at the first prox,
+        # with a message that named no input
+        data = {"A": rng.standard_normal((30, 8)),
+                "b": rng.standard_normal(30)}
+        data[name][at] = value
+        part = GroupPartition(collections=(((0, 1, 2), (3, 4)),))
+        where = ", ".join(map(str, at))
+        with pytest.raises(ValueError, match=rf"^{name} has a non-finite "
+                                             rf"entry at \({where}\)$"):
+            build_group_lasso(data["A"], data["b"], 0.1, part, alpha=1.0)
+
     @pytest.mark.parametrize("lambda1", [-0.1, np.nan, np.inf])
     def test_bad_weight_rejected(self, lambda1):
         # a NaN weight used to pass the sign check, and an infinite one

@@ -3,9 +3,10 @@
 The tracer wraps library functions and problem handles by name, and the
 jobs call the solvers with fixed arguments.  These tests load both files
 unchanged: they trace one ppg sweep, one sppg epoch and one spi run on tiny
-SVM and GLM problems, and run the ppg job at both thread arguments it is
-given, so renaming a traced name or removing an argument the jobs pass
-fails this suite and not only a benchmark run.
+SVM and GLM problems, run the ppg job at both thread arguments it is
+given, and run every workload's jobs once through its gates, so renaming a
+traced name, removing an argument the jobs pass or breaking a job fails
+this suite and not only a benchmark run.
 """
 
 import importlib.util
@@ -143,3 +144,15 @@ def test_ppg_job_thread_argument_is_inert(rng, tmp_path):
         io.write_metrics_csv(result.log, path)
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_benchmark_workload_runs_and_passes_its_gates(tmp_path, name):
+    # every benchmark job once at seed 0, with the gates the benchmark
+    # applies to its results; a broken job or a missed gate fails here
+    workload = workloads.WORKLOADS[name]
+    probs = workload.setup(0, str(tmp_path))
+    results = {job.name: job.run(probs) for job in workload.jobs(0)}
+    assert results
+    assert {job: msgs for job, msgs in workload.gates(results, probs).items()
+            if msgs} == {}
