@@ -77,6 +77,11 @@ def _config_from(path: str | None, args) -> RunConfig:
                                    for t in types)
                 raise ValueError(f"config field {key!r} must be {want}, "
                                  f"got {json.dumps(val)}")
+            if key == "seeds" and val is not None and not all(
+                    isinstance(v, int) and not isinstance(v, bool)
+                    for v in val):
+                raise ValueError("config field 'seeds' must be a list of "
+                                 f"ints, got {json.dumps(val)}")
             setattr(cfg, key, val)
     for f in fields(RunConfig):
         val = getattr(args, f.name.replace("-", "_"), None)

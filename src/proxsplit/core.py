@@ -145,9 +145,9 @@ class ProblemSpec:
         states each kind's prox rule (for all rows at once and for one row)
         and loss; :func:`~proxsplit.kernels.rank_one_problem` derives the
         per-term handles ``g``, ``batched_g_prox`` and
-        ``batched_objective`` from it, and sppg and spi run its rank-one
-        kernels where :func:`~proxsplit.kernels.rank_one_rows` finds them
-        served.  Solvers take the per-term path when it is absent.
+        ``batched_objective`` from it, and ppg, sppg and spi run its
+        rank-one kernels where :func:`~proxsplit.kernels.rank_one_rows`
+        finds them served.  Solvers take the per-term path when it is absent.
     batched_g_prox :
         Optional vectorized evaluation of a block of per-term prox calls
         at once.  ``batched_g_prox(V, a, lo)`` takes a block ``V`` holding

@@ -14,10 +14,12 @@ handles (:func:`rank_one_terms`), ``batched_g_prox``
 which problems a kernel serves.  :func:`rank_one_sppg_block` takes each
 run of up to ``SPPG_RUN`` consecutive distinct sppg rows with three BLAS
 products and a scalar recurrence of ``beta``, in place of a dozen small
-vector operations per step, and :func:`rank_one_spi_block` is the spi
-baseline's loop of ``beta`` steps.  The per-term handles remain the
-reference path; the kernels agree with them to floating-point rounding, not
-bitwise, because their sums associate differently.
+vector operations per step; :class:`RankOnePpg` takes ppg's full sweeps
+over the same rows in scalar coordinates, with no pass over z; and
+:func:`rank_one_spi_block` is the spi baseline's loop of ``beta`` steps.
+The per-term handles remain the reference path; the kernels agree with
+them to floating-point rounding, not bitwise, because their sums associate
+differently.
 """
 
 import importlib.util
@@ -30,18 +32,20 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .core import (ConvergenceError, NumericalError, ProblemSpec, ProxFn,
-                   zero_smooth)
+                   _require_finite, zero_smooth)
 from .prox import _glm_roots, glm_root
 
 __all__ = ["HingeStructure", "GlmStructure", "rank_one_problem",
            "rank_one_rows", "rank_one_terms", "rank_one_prox",
-           "rank_one_objective", "rank_one_sppg_block", "rank_one_spi_block"]
+           "rank_one_objective", "rank_one_sppg_block", "RankOnePpg",
+           "rank_one_spi_block"]
 
 # Rows per run of the numpy sppg block.  A run costs a few BLAS products
 # that grow as SPPG_RUN**2 * d plus a scalar recurrence of SPPG_RUN steps;
 # runs of 32 to 64 rows were fastest at d=128, and 256 was slower.
 SPPG_RUN = 32
-# Rows per in-place update of rank_one_prox, which bounds its temporary.
+# Rows per in-place update of rank_one_prox, which bounds its temporary,
+# and per chunk of the z that RankOnePpg reads or writes.
 # Sweep blocks can be large: core._row_blocks rounds its count down, so a
 # z under twice core.SWEEP_BLOCK_BYTES (a 2000 x 50 GLM's, 800 KB) is one
 # block, as are the whole arrays of core.residual_map and verify_batched.
@@ -80,11 +84,14 @@ class HingeStructure(_Rows):
         return self.labels
 
     def betas(self, s, alpha, lo=0):
-        """The clip coefficient of rows lo..lo+len(s) at s_i = f_i'v."""
+        """The clip coefficient of rows lo..lo+len(s) at s_i = f_i'v; NaN
+        where (1 - y_i s_i)/q_i is not finite, as in :meth:`beta`."""
         rows = slice(lo, lo + len(s))
         labels = self.labels[rows]
-        m = (1.0 - labels * s) / self.sqnorms[rows]
-        return np.clip(m, 0.0, alpha) * labels
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            m = (1.0 - labels * s) / self.sqnorms[rows]
+        return np.where(np.isfinite(m), np.clip(m, 0.0, alpha),
+                        math.nan) * labels
 
     def beta(self, s, q, c, alpha):
         """One row's clip coefficient at s = f_i'v, for q = ||f_i||^2 and
@@ -336,6 +343,90 @@ def rank_one_sppg_block(z, zbar, struct, alpha, idx, xsum=None):
             if b < size:
                 raise NumericalError(
                     f"non-finite values from prox of g (term {rows[b]})")
+
+
+class RankOnePpg:
+    """Full ppg sweeps over rank-one rows whose ridge sits in r (see
+    :func:`rank_one_rows`), in scalar coordinates.
+
+    A sweep sets every z_i to x + beta_i f_i, with x the prox of r at zbar,
+    whatever z_i was.  So after one sweep z is held as the last x (``w``,
+    d numbers), F w and ``beta`` (n numbers each), and a sweep needs only
+    Fx = F x, the points s = 2 Fx - F w - beta*q (q the squared row norms),
+    the new betas of ``struct.betas``, the new mean
+    zbar = x + F'beta/n and the residual
+    alpha^2 ||p||^2 = n ||dx||^2 + 2 dbeta.(Fx - F w) + sum_i dbeta_i^2 q_i:
+    two products with F and O(n + d) further work, with no pass over z.
+    A warm-started first sweep reads z once, through the row dots
+    f_i.z_i, and takes its residual exactly, a chunk of rows at a time;
+    a zero start is the formula with w = 0 and beta = 0.
+
+    ``state`` is the run's; each :meth:`sweep` sets its ``zbar`` and
+    counts the iteration, and :meth:`write_z` writes its ``z`` once, at
+    the end.  The values agree with the row-blocked sweep's to rounding:
+    the mean and the residual are summed differently.
+    """
+
+    def __init__(self, state, struct, r, warm: bool):
+        n, d = state.z.shape
+        self.state, self.struct, self.r = state, struct, r
+        self.z0 = state.z if warm else None
+        self.w, self.fw, self.beta = np.zeros(d), np.zeros(n), np.zeros(n)
+        self.moved = False
+
+    def sweep(self):
+        """One sweep; returns ``(||p(z)||, x)`` as the row-blocked sweep
+        does.  A row whose beta is not finite raises
+        :class:`NumericalError` naming its term, before any state moves."""
+        state, struct = self.state, self.struct
+        alpha, n = state.alpha, state.z.shape[0]
+        feats, q = struct.features, struct.sqnorms
+        x = self.r.prox(state.zbar, alpha)
+        _require_finite(x, "prox of r")
+        # a non-finite row turns its products into NaN without a warning;
+        # its beta is then NaN and names the term
+        with np.errstate(invalid="ignore", over="ignore"):
+            fx = feats @ x
+            if self.z0 is None:
+                s = 2.0 * fx - self.fw - self.beta * q
+            else:
+                s = 2.0 * fx - np.einsum("ij,ij->i", feats, self.z0)
+            beta = struct.betas(s, alpha)
+            bad = np.flatnonzero(~np.isfinite(beta))
+            if bad.size:
+                raise NumericalError(
+                    f"non-finite values from prox of g (term {bad[0]})")
+            if self.z0 is None:
+                db, dx = beta - self.beta, x - self.w
+                sq = (n * float(dx @ dx) + 2.0 * float(db @ (fx - self.fw))
+                      + float((db * db) @ q))
+            else:
+                sq = 0.0
+                for lo in range(0, n, ROW_CHUNK):
+                    rows = slice(lo, lo + ROW_CHUNK)
+                    step = feats[rows] * beta[rows, None]
+                    step += x
+                    step -= self.z0[rows]
+                    flat = step.reshape(-1)
+                    sq += float(flat @ flat)
+                self.z0 = None
+        self.w, self.fw, self.beta, self.moved = x, fx, beta, True
+        state.zbar = x + (beta @ feats) * (1.0 / n)
+        state.k += 1
+        # the closed form is nonnegative in exact arithmetic, but at the
+        # fixed point it can round below zero
+        return math.sqrt(max(sq, 0.0)) / alpha, x
+
+    def write_z(self):
+        """Write z_i = w + beta_i f_i into the state's z in place, a chunk
+        of rows at a time; z is left as it is when no sweep ran."""
+        if not self.moved:
+            return
+        z, feats = self.state.z, self.struct.features
+        for lo in range(0, z.shape[0], ROW_CHUNK):
+            rows = slice(lo, lo + ROW_CHUNK)
+            np.multiply(feats[rows], self.beta[rows, None], out=z[rows])
+            z[rows] += self.w
 
 
 def rank_one_spi_block(x, struct, c, k0, idx):

@@ -5,16 +5,21 @@ one gradient per term, and advances every row of z, one cache-sized block of
 rows at a time; the average is rebuilt from the fixed-chunk reduction's
 chunk sums as the blocks finish, so its summation order, and with it every
 logged byte, is the same on every rerun.  Only z is stored across
-iterations.
+iterations, except on rank-one rows whose ridge sits in r (the split SVM
+and GLMs): a sweep sets every z_i to x_half + beta_i f_i, so
+:class:`kernels.RankOnePpg` holds z as x_half and n scalars and writes it
+out once, at the end.
 """
 
 import math
 import time
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from . import kernels
 from .core import (ProblemSpec, ResidualReport, SolverState, _sweep_blocks,
                    initial_state, objective)
 from .io import MetricsLog
@@ -229,26 +234,43 @@ def ppg_run(problem: ProblemSpec, opts: SolveOptions,
 
     Returns the prox-r point of the final state, the metrics log, and (when
     requested) the ergodic average of the prox-r points.
+
+    Problems that :func:`kernels.rank_one_rows` serves with the ridge in r
+    (the split SVM and GLMs) sweep in scalar coordinates
+    (:class:`kernels.RankOnePpg`): two products with the rows per sweep
+    and O(n + d) memory beside the z that the run returns, which is
+    written once, at the end.  Other problems run the row-blocked sweep
+    of :func:`ppg_step`.  The two agree to rounding, and
+    ``log.metadata["sweep"]`` says which ran: ``rank-one``, ``batched`` or
+    ``per-term``.
     """
     alpha = resolve_alpha(problem, opts.alpha)
     state = initial_state(problem, alpha, warm_start)
     xsum = np.zeros(problem.dim) if opts.ergodic else None
+    struct = kernels.rank_one_rows(problem, ridge_in_r=True)
+    if struct is None:
+        sweep = partial(_sweep_blocks, state, problem, True)
+        path = "batched" if problem.batched_sweep() else "per-term"
+    else:
+        sweeps = kernels.RankOnePpg(state, struct, problem.r,
+                                    warm=warm_start is not None)
+        sweep, path = sweeps.sweep, "rank-one"
 
     def step():
         nonlocal xsum
-        resid, x_half = _sweep_blocks(state, problem, advance=True)
+        resid, x_half = sweep()
         if xsum is not None:
             xsum += x_half
         return resid, x_half
 
     rows, converged, _, stop = _sweep_loop(
         problem, opts, step, math.sqrt(problem.n * problem.dim), x_ref)
+    if struct is not None:
+        sweeps.write_z()
     x_out = problem.r.prox(state.zbar, alpha)
     log = MetricsLog(rows=rows, metadata={
         "solver": "ppg", "alpha": alpha, "problem_kind": problem.kind,
-        "n": problem.n, "dim": problem.dim,
-        "sweep": "batched" if problem.batched_sweep() else "per-term",
-        "stop": stop,
+        "n": problem.n, "dim": problem.dim, "sweep": path, "stop": stop,
     })
     return RunResult(x=x_out, log=log, converged=converged, state=state,
                      ergodic=_ergodic(xsum, state.k))

@@ -19,8 +19,8 @@ from . import kernels
 from .core import (ProblemSpec, SolverState, _call_term, _require_finite,
                    _sweep_blocks, chunked_row_mean, initial_state)
 from .io import MetricsLog
-from .ppg import (RunResult, SolveOptions, _checked_draws, _ergodic, _report,
-                  _sampled_loop, resolve_alpha)
+from .ppg import (RunResult, SolveOptions, _checked_draws, _ergodic, _is_int,
+                  _report, _sampled_loop, resolve_alpha)
 
 __all__ = ["IndexSampler", "SequenceSampler", "sppg_step", "sppg_run"]
 
@@ -33,6 +33,8 @@ class IndexSampler:
     def __init__(self, seed: int, n: int):
         if n < 1:
             raise ValueError("n must be positive")
+        if not _is_int(seed):
+            raise ValueError(f"seed must be an int, got {seed!r}")
         self.seed = int(seed)
         self.n = int(n)
         self._bitgen = np.random.Philox(key=self.seed)

@@ -598,6 +598,28 @@ class TestCompare:
         assert err.startswith("error:") and field in err
         assert runs == [] and not out.exists()
 
+    @pytest.mark.parametrize("seeds", [[1.5, 2.5], [True, 2], [1, "2"],
+                                       [[1], 2]])
+    def test_seeds_not_ints_rejected_before_any_run(self, tmp_path, capsys,
+                                                    monkeypatch, seeds):
+        # [1.5, 2.5] and [true, 2] ran seeds 1 and 2 and wrote the merged
+        # CSV of [1, 2]
+        runs = []
+        monkeypatch.setattr(cli.ppg, "ppg_run",
+                            lambda *a, **k: runs.append(a))
+        prob = _gen(tmp_path)
+        c1 = self._write_cfg(tmp_path, "c1.json", problem=str(prob),
+                             algo="sppg", max_iters=20, seeds=seeds)
+        c2 = self._write_cfg(tmp_path, "c2.json", problem=str(prob),
+                             algo="ppg", max_iters=10)
+        out = tmp_path / "o.csv"
+        assert main(["compare", c1, c2, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: config field 'seeds' must be a list "
+                              "of ints")
+        assert runs == [] and not out.exists()
+
     def test_reference_budget_counts_sweeps(self, tmp_path, capsys):
         # sppg counts single-term steps: 41 of them on the 2 collections
         # are 21 sweeps, so the reference runs 10 * 21 ppg sweeps (it ran

@@ -2,6 +2,7 @@
 path they bypass."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -401,3 +402,148 @@ def test_row_norms_derived_from_features(rng, kind):
     with pytest.raises(TypeError, match="sqnorms"):
         type(rows)(**{f.name: getattr(rows, f.name)
                       for f in dataclasses.fields(rows)})
+
+
+def _row_blocked_ppg(monkeypatch, problem, opts, warm_start=None):
+    """ppg_run on ``problem`` with the rank-one sweep turned off, so that
+    every sweep runs the row-blocked sweep of ppg_step."""
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "rank_one_rows", lambda problem, ridge_in_r: None)
+        res = ppg_run(problem, opts, warm_start=warm_start)
+    assert res.log.metadata["sweep"] == "batched"
+    return res
+
+
+class TestRankOnePpg:
+    """ppg on the split SVM and GLMs sweeps in scalar coordinates
+    (kernels.RankOnePpg); it must give what the row-blocked sweep gives."""
+
+    @pytest.mark.parametrize("record_every, warm, ergodic",
+                             [(1, False, False), (3, True, False),
+                              (1, False, True), (3, True, True)])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_matches_row_blocked_sweep(self, monkeypatch, kind, record_every,
+                                       warm, ergodic):
+        problem = _rank_one_problem(kind, 5, 40, 4)
+        warm_start = (np.random.default_rng(9).standard_normal((40, 4))
+                      if warm else None)
+        opts = SolveOptions(alpha=1.0 if kind != "svm" else 10.0,
+                            max_iters=25, record_every=record_every,
+                            ergodic=ergodic)
+        fast = ppg_run(problem, opts, warm_start=warm_start)
+        ref = _row_blocked_ppg(monkeypatch, problem, opts, warm_start)
+        assert fast.log.metadata["sweep"] == "rank-one"
+        assert fast.state.k == ref.state.k == 25
+        assert _rel(fast.x, ref.x) <= 1e-12
+        assert _rel(fast.state.z, ref.state.z) <= 1e-12
+        assert _rel(fast.state.zbar, ref.state.zbar) <= 1e-12
+        if ergodic:
+            assert _rel(fast.ergodic, ref.ergodic) <= 1e-12
+        else:
+            assert fast.ergodic is None and ref.ergodic is None
+        assert [r.k for r in fast.log.rows] == [r.k for r in ref.log.rows]
+        for a, b in zip(fast.log.rows, ref.log.rows):
+            assert a.objective == pytest.approx(b.objective, rel=1e-12)
+            assert a.residual_norm == pytest.approx(b.residual_norm,
+                                                    rel=1e-8, abs=1e-13)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_zero_budget_returns_initial_state(self, warm):
+        problem = _rank_one_problem("logistic", 2, 40, 4)
+        warm_start = (np.random.default_rng(3).standard_normal((40, 4))
+                      if warm else None)
+        res = ppg_run(problem, SolveOptions(alpha=1.0, max_iters=0),
+                      warm_start=warm_start)
+        want = initial_state(problem, 1.0, warm_start)
+        assert res.state.k == 0 and res.log.rows == []
+        assert np.array_equal(res.state.z, want.z)
+        assert np.array_equal(res.state.zbar, want.zbar)
+        assert np.array_equal(res.x, problem.r.prox(want.zbar, 1.0))
+
+    @pytest.mark.parametrize("kind", ["svm", "logistic"])
+    def test_tol_stops_where_the_row_blocked_sweep_stops(self, monkeypatch,
+                                                         kind):
+        problem = _rank_one_problem(kind, 6, 40, 4)
+        alpha = 10.0 if kind == "svm" else 1.0
+        ref = _row_blocked_ppg(monkeypatch, problem,
+                               SolveOptions(alpha=alpha, max_iters=40))
+        scale = math.sqrt(problem.n * problem.dim)
+        per_entry = [r.residual_norm / scale for r in ref.log.rows]
+        # halfway, in log scale, between sweeps 11 and 12: the 12th stops
+        assert per_entry[12] < per_entry[11]
+        tol = math.sqrt(per_entry[11] * per_entry[12])
+        opts = SolveOptions(alpha=alpha, max_iters=40, tol=tol)
+        fast = ppg_run(problem, opts)
+        ref = _row_blocked_ppg(monkeypatch, problem, opts)
+        assert fast.converged and ref.converged
+        assert fast.state.k == ref.state.k == 13
+        assert fast.log.metadata["stop"] == "tol"
+        assert _rel(fast.x, ref.x) <= 1e-12
+
+    @pytest.mark.parametrize("case, bad", [("svm-inf-row", 33),
+                                           ("svm-zero-row", 9),
+                                           ("glm-nan-row", 21),
+                                           ("glm-nan-response", 29),
+                                           ("two-bad-rows", 17)])
+    def test_bad_row_named_by_its_term(self, monkeypatch, case, bad):
+        rng = np.random.default_rng(6)
+        feats = rng.standard_normal((40, 4))
+        if case.startswith("svm"):
+            feats[bad] = np.inf if case == "svm-inf-row" else 0.0
+            # SvmData rejects a zero row; a hand-built structure takes it
+            struct = kernels.HingeStructure(features=feats,
+                                            labels=np.ones(40), ridge=0.1)
+            r = build_svm(SvmData(rng.standard_normal((40, 4)),
+                                  np.ones(40), lam=0.1)).r
+            problem = kernels.rank_one_problem(struct, r, "svm")
+        else:
+            t_vec = rng.random(40)
+            if case == "glm-nan-row":
+                feats[bad] = np.nan
+            else:
+                t_vec[29] = np.nan
+            if case == "two-bad-rows":
+                feats[17, 2] = -np.inf
+            problem = build_glm(feats, t_vec, glm_family("logistic"))
+        opts = SolveOptions(alpha=0.5, max_iters=3)
+        message = rf"^non-finite values from prox of g \(term {bad}\)$"
+        with pytest.raises(NumericalError, match=message):
+            ppg_run(problem, opts)
+        with pytest.raises(NumericalError, match=message):
+            _row_blocked_ppg(monkeypatch, problem, opts)
+
+    def test_residual_at_the_fixed_point_is_finite(self):
+        # near the fixed point the closed form of the residual rounds to a
+        # tiny negative sum on this problem (sweeps 200 to 260); it reads 0
+        problem = _rank_one_problem("gaussian", 2, 40, 4)
+        res = ppg_run(problem, SolveOptions(alpha=1.0, max_iters=300))
+        resid = [row.residual_norm for row in res.log.rows]
+        assert all(math.isfinite(v) and v >= 0.0 for v in resid)
+        assert resid[-1] <= 1e-14 * resid[0]
+
+    @pytest.mark.parametrize("name", ["folded-svm", "split-svm-smooth-f"])
+    def test_other_problems_keep_the_row_blocked_sweep(self, monkeypatch,
+                                                       rng, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError("RankOnePpg constructed")
+
+        monkeypatch.setattr(kernels, "RankOnePpg", refuse)
+        res = ppg_run(_RULE_TABLE[name][0](rng),
+                      SolveOptions(alpha=0.5, max_iters=3))
+        assert res.log.metadata["sweep"] == "batched"
+
+    def test_allocates_no_n_by_d_array_beside_z(self):
+        # at the SVM desk shape the run's only n x d array is the z that
+        # initial_state makes, written once at the end in place
+        import tracemalloc
+        problem = tiny_svm(np.random.default_rng(0), n=8192, d=128)
+        opts = SolveOptions(alpha=10.0, max_iters=3)
+        ppg_run(problem, opts)
+        tracemalloc.start()
+        try:
+            res = ppg_run(problem, opts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.log.metadata["sweep"] == "rank-one"
+        assert peak < 1.1 * problem.n * problem.dim * 8

@@ -766,7 +766,7 @@ class TestGlm:
                                             record_every=4000))
         want = np.linalg.solve(x_mat.T @ x_mat, x_mat.T @ t_vec)
         assert np.linalg.norm(res.x - want) <= 1e-6
-        assert res.log.metadata["sweep"] == "batched"
+        assert res.log.metadata["sweep"] == "rank-one"
 
     def test_single_term_minimizes_it(self, rng):
         x_mat = np.array([[1.0, 2.0]])

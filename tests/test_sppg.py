@@ -42,6 +42,17 @@ class TestIndexSampler:
         assert list(IndexSampler(42, 5).take(4)) == [1, 0, 0, 4]
 
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, "3", None])
+    def test_seed_not_an_int_rejected(self, seed):
+        # int() truncated 1.5 and read True as seed 1
+        with pytest.raises(ValueError, match="seed must be an int"):
+            IndexSampler(seed, 5)
+
+    def test_numpy_int_seed_accepted(self):
+        assert np.array_equal(IndexSampler(np.int64(7), 5).take(20),
+                              IndexSampler(7, 5).take(20))
+
+
 class _RecordingSampler(IndexSampler):
     """The seeded stream, remembering the largest block drawn at once."""
 

@@ -44,8 +44,9 @@ def test_sweep_and_epoch_hit_the_traced_sites(rng, kind):
                       sppg.IndexSampler(0, 40))
     calls = tr.calls
     assert calls["ppg.run"] == 1 and calls["sppg.run"] == 1
-    # one ppg sweep, and the sppg probes before and after its epoch
-    assert calls["problems.batched_g_prox"] == 3
+    # the sppg probes before and after its epoch; the ppg sweep takes its
+    # betas from the structure, not from the batched hook
+    assert calls["problems.batched_g_prox"] == 2
     assert calls["kernels.hinge_sppg_block"] >= 1
     assert tr.counts["kernels.hinge_sppg_block.steps"] == 40
     assert calls["sppg.take"] >= 1 and calls["core.objective"] >= 3
