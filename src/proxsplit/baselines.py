@@ -153,7 +153,7 @@ def stochastic_prox_iteration_run(problem: ProblemSpec, step: DiminishingStep,
     Requires a prox-only problem (every smooth term and the global term
     zero); the diminishing schedule is the defining feature, so a constant
     step configuration is rejected by type.  Problems whose rank-one rows
-    :func:`kernels.rank_one_rows` finds served (folded SVM, GLM) take their
+    :func:`kernels.rank_one_rows` serves to spi (folded SVM, GLM) take their
     steps through :func:`kernels.rank_one_spi_block`;
     ``log.metadata["path"]`` says which ran: ``kernel`` or ``per-term``.
     The residual is the unadvanced sweep (:func:`core._sweep_blocks`) at
@@ -170,7 +170,7 @@ def stochastic_prox_iteration_run(problem: ProblemSpec, step: DiminishingStep,
         raise ValueError("stochastic proximal iteration requires the "
                          "global term to be zero")
     x = np.zeros(problem.dim) if x0 is None else _start_point(x0, problem)
-    struct = kernels.rank_one_rows(problem, ridge_in_r=False)
+    struct = kernels.rank_one_rows(problem, "spi")
 
     def advance(k, block):
         nonlocal x

@@ -174,9 +174,8 @@ def _run(cfg: RunConfig, problem: ProblemSpec, seed: int | None = None,
     if cfg.algo == "admm":
         return baselines.consensus_admm_run(problem, opts, x_ref=x_ref)
     if cfg.algo == "spi":
-        lip = problem.lipschitz_bound()
-        c = cfg.spi_c if cfg.spi_c is not None else (
-            1.0 / lip if lip > 0 else 1.0)
+        # spi runs only problems with every f_i zero: there is no 1/L
+        c = cfg.spi_c if cfg.spi_c is not None else 1.0
         sampler = sppg.IndexSampler(seed, problem.n)
         return baselines.stochastic_prox_iteration_run(
             problem, baselines.DiminishingStep(c), sampler, opts, x_ref=x_ref)

@@ -15,12 +15,19 @@ from typing import Any, Callable
 import numpy as np
 
 # Bytes of z per block of the row-blocked sweep (:func:`_sweep_blocks`; see
-# :func:`_row_blocks` for how z is split).  A block's rows of z, the scratch
-# block and the rows' data then stay in a 2 MiB L2 between the sweep's
-# stages.  On a shared 2-vCPU Xeon with 2 MiB of L2 per core, 30 svm-desk
-# sweeps (n=8192, d=128, reduce chunks of 512 rows; 12 interleaved runs
-# each) took a median 0.36 s raw with 512 KiB blocks, 0.42 s with 1 MiB,
-# 0.44 s with 2 MiB and 0.51 s as one 8 MiB block.
+# :func:`_row_blocks` for how z is split).  It serves ppg off the rank-one
+# path, proximal-gradient and ADMM, and the residual probes of the sampled
+# solvers (sppg, spi, Finito).  A block's rows of z, the scratch block and
+# the rows' data then stay in a 2 MiB L2 between the sweep's stages, and
+# the scratch block bounds a probe's peak memory.  On a shared 2-vCPU Xeon
+# with 2 MiB of L2 per core (one BLAS thread, medians of 25 interleaved
+# rounds), an sppg probe of the n=8192, d=128 split SVM took 7.0 ms in 16
+# blocks of 512 KiB, 7.0 ms in 8 of 1 MiB, 7.6 ms in 4 of 2 MiB and 8.1 ms
+# as one 8 MiB block, with a round-to-round spread of about 0.6 ms; its
+# tracemalloc peak was 0.82, 1.32, 2.33 and 8.38 MiB.  The spi probe of
+# the folded form read 7.2, 7.3, 7.8 and 8.5 ms with the same peaks.  10
+# ppg sweeps of the 2000-term, d=100 fused lasso took 29.9 ms in 3 blocks
+# and 31.9 ms in one, within their 3 ms spread.
 SWEEP_BLOCK_BYTES = 512 * 1024
 
 __all__ = [
@@ -34,6 +41,8 @@ __all__ = [
     "ResidualReport",
     "zero_smooth",
     "zero_prox",
+    "RidgeProx",
+    "ridge_prox",
     "scale_smooth",
     "scale_prox",
     "chunked_row_mean",
@@ -105,6 +114,22 @@ def zero_prox() -> ProxFn:
                   value=lambda x: 0.0, is_zero=True)
 
 
+@dataclass(frozen=True)
+class RidgeProx(ProxFn):
+    """The ridge (weight/2)*||x||^2 as a proximable term that states its
+    ``weight``, so a solver that models the ridge itself can read it."""
+
+    weight: float = 0.0
+
+
+def ridge_prox(weight: float) -> RidgeProx:
+    """The ridge (weight/2)*||x||^2: its prox is the uniform shrink
+    1/(1 + a*weight)."""
+    return RidgeProx(
+        prox=lambda x0, a: np.asarray(x0, dtype=float) / (1.0 + a * weight),
+        value=lambda x: 0.5 * weight * float(x @ x), weight=weight)
+
+
 def scale_smooth(fn: SmoothFn, c: float) -> SmoothFn:
     """The function c*fn (c > 0); Lipschitz bound rescales linearly."""
     if fn.is_zero:
@@ -164,8 +189,10 @@ class ProblemSpec:
         Stepping ``V`` in place, rather than returning a gradient block,
         keeps the sweep free of temporaries the size of ``V``.
     batched_objective :
-        Optional vectorized evaluation of the full objective at one point,
-        equal to the term-by-term sum up to rounding.
+        Optional vectorized evaluation of the term sum
+        (1/n) sum_i (f_i(x) + g_i(x)) at one point, equal to the
+        term-by-term sum up to rounding.  It leaves out r, whose value
+        :func:`objective` adds for every problem.
     reduce_chunks : int
         Number of contiguous chunks used by the deterministic row-mean
         reduction: ``min(n, 16)``, derived at construction and not an
@@ -188,9 +215,12 @@ class ProblemSpec:
                      | None) = None
     batched_objective: Callable[[np.ndarray], float] | None = None
     reduce_chunks: int = dataclasses.field(init=False)
-    # whether every f_i is zero; the terms are immutable, so it is found
-    # once here instead of by a pass over the n terms on every call
+    # whether every f_i is zero, and max_i lipschitz(f_i); the terms are
+    # immutable, so both are found once here instead of by a pass over the
+    # n terms on every call
     _f_zero: bool = dataclasses.field(init=False, repr=False, compare=False)
+    _lipschitz: float = dataclasses.field(init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -204,10 +234,12 @@ class ProblemSpec:
         object.__setattr__(self, "reduce_chunks", min(self.n, 16))
         object.__setattr__(self, "_f_zero",
                            all(fn.is_zero for fn in self.f))
+        object.__setattr__(self, "_lipschitz",
+                           max((fn.lipschitz for fn in self.f), default=0.0))
 
     def lipschitz_bound(self) -> float:
         """Uniform bound L = max_i lipschitz(f_i)."""
-        return max((fn.lipschitz for fn in self.f), default=0.0)
+        return self._lipschitz
 
     def all_f_zero(self) -> bool:
         return self._f_zero
@@ -414,7 +446,8 @@ def _sweep_blocks(state: SolverState, problem: ProblemSpec, advance: bool):
     Each block of :func:`_row_blocks`, for a budget of
     ``SWEEP_BLOCK_BYTES``, goes through every stage while its rows are in
     cache: 2 x_half - z into one scratch block shared by all blocks, the
-    gradient and prox hooks, the step, its sum of squares and the update.  No n x d temporary is made.  The sum of squares is also
+    gradient and prox hooks, the step, its sum of squares and the update.
+    No n x d temporary is made.  The sum of squares is also
     the finiteness check: a non-finite sum scans the block's rows to name
     the first bad term.  On such an error the blocks before the bad one
     have already advanced and zbar is stale.
@@ -454,14 +487,15 @@ def _sweep_blocks(state: SolverState, problem: ProblemSpec, advance: bool):
 def objective(x: np.ndarray, problem: ProblemSpec) -> float | None:
     """Full objective r(x) + (1/n) sum_i (f_i(x) + g_i(x)).
 
-    Returns None (the "unavailable" marker) when any value handle is
+    The term sum comes from ``batched_objective`` when the problem has
+    it.  Returns None (the "unavailable" marker) when any value handle is
     missing; +inf is a legitimate value when an indicator is violated.
     """
-    if problem.batched_objective is not None:
-        return float(problem.batched_objective(x))
     if problem.r.value is None:
         return None
     total = float(problem.r.value(x))
+    if problem.batched_objective is not None:
+        return total + float(problem.batched_objective(x))
     acc = 0.0
     for fi, gi in zip(problem.f, problem.g):
         acc += fi.value(x)

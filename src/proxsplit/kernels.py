@@ -7,11 +7,13 @@ u along f_i by a scalar beta of s = f_i'u.  :class:`HingeStructure` and
 (every row's beta at once, for batched sweeps) and ``beta`` (one row's, in
 scalar arithmetic), plus ``losses`` (phi_i); each derives its rows'
 squared norms from ``features``.  Everything else is built from them here,
-for either kind.  :func:`rank_one_problem` builds the problem: its per-term
-handles (:func:`rank_one_terms`), ``batched_g_prox``
+for either kind.  :func:`rank_one_problem` builds the problem, for any r:
+its per-term handles (:func:`rank_one_terms`), ``batched_g_prox``
 (:func:`rank_one_prox`) and ``batched_objective``
-(:func:`rank_one_objective`).  :func:`rank_one_rows` is the one rule for
-which problems a kernel serves.  :func:`rank_one_sppg_block` takes each
+(:func:`rank_one_objective`).  A structure's ``ridge`` is a ridge folded
+into the terms; a ridge in r is stated by r alone (:func:`core.ridge_prox`).
+:func:`rank_one_rows` is the one rule for which problems a kernel serves.
+:func:`rank_one_sppg_block` takes each
 run of up to ``SPPG_RUN`` consecutive distinct sppg rows with three BLAS
 products and a scalar recurrence of ``beta``, in place of a dozen small
 vector operations per step; :class:`RankOnePpg` takes ppg's full sweeps
@@ -32,7 +34,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .core import (ConvergenceError, NumericalError, ProblemSpec, ProxFn,
-                   _require_finite, zero_smooth)
+                   RidgeProx, _require_finite, zero_smooth)
 from .prox import _glm_roots, glm_root
 
 __all__ = ["HingeStructure", "GlmStructure", "rank_one_problem",
@@ -67,16 +69,14 @@ class _Rows:
 
 @dataclass(frozen=True)
 class HingeStructure(_Rows):
-    """Marks a problem as hinge-loss rows plus a ridge term.
-
-    ``folded=False``: the ridge sits in the global term r (splitting-solver
-    form).  ``folded=True``: the ridge is folded into each per-term function
-    (prox-only form used by the stochastic proximal iteration baseline).
+    """Marks a problem as hinge-loss rows, each with the ridge
+    (``ridge``/2)||x||^2 folded into it: the prox-only form used by the
+    stochastic proximal iteration baseline.  The default 0 folds none, as
+    in the split form, whose r states the ridge.
     """
 
     labels: np.ndarray
-    ridge: float
-    folded: bool = False
+    ridge: float = 0.0
 
     @property
     def targets(self) -> np.ndarray:
@@ -117,7 +117,6 @@ class GlmStructure(_Rows):
     deriv: Callable
     value: Callable
     ridge: ClassVar[float] = 0.0
-    folded: ClassVar[bool] = False
 
     @property
     def targets(self) -> np.ndarray:
@@ -167,9 +166,8 @@ class GlmStructure(_Rows):
 def _term_prox(struct, i, x0, a):
     """The prox of term i of :func:`rank_one_terms`."""
     f = struct.features[i]
-    ridge = struct.ridge if struct.folded else 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        shr = 1.0 / (1.0 + a * ridge)
+        shr = 1.0 / (1.0 + a * struct.ridge)
         xs = x0 * shr
         return xs + struct.beta(float(f @ xs), float(struct.sqnorms[i]),
                                 float(struct.targets[i]), a * shr) * f
@@ -178,7 +176,7 @@ def _term_prox(struct, i, x0, a):
 def _term_value(struct, i, x):
     """The value of term i of :func:`rank_one_terms`."""
     loss = float(struct.losses(float(struct.features[i] @ x), i))
-    return loss + 0.5 * struct.ridge * float(x @ x) if struct.folded else loss
+    return loss + 0.5 * struct.ridge * float(x @ x) if struct.ridge else loss
 
 
 def rank_one_terms(struct) -> tuple:
@@ -186,7 +184,7 @@ def rank_one_terms(struct) -> tuple:
     built from ``struct.beta`` and ``struct.losses``.
 
     The prox of term i at x0 with step a moves x0 along f_i by the beta of
-    s = f_i'x0.  When the ridge is folded into the terms, x0 and the step
+    s = f_i'x0.  When a ridge is folded into the terms, x0 and the step
     are first shrunk by 1/(1 + a*ridge), and the value adds ridge/2 ||x||^2
     to phi_i(f_i'x).  A row whose beta is NaN gives a NaN point, without a
     warning, for the caller to report by term.
@@ -213,13 +211,13 @@ def _distinct_runs(order, limit):
 def rank_one_prox(struct, v, alpha, lo=0):
     """The prox of the row terms lo..lo+len(v) at once: row k of ``v``
     moves to v_k + beta_k f_(lo+k), with the betas of ``struct.betas`` at
-    s_k = f_(lo+k)'v_k.  When the ridge is folded into the terms, ``v`` is
+    s_k = f_(lo+k)'v_k.  When a ridge is folded into the terms, ``v`` is
     first shrunk by shr = 1/(1 + alpha*ridge) and the betas taken at step
     alpha*shr, as in :func:`rank_one_terms`.  ``v`` is overwritten and
     returned; a row with a NaN beta comes back NaN.
     """
     feats = struct.features[lo:lo + v.shape[0]]
-    if struct.folded:
+    if struct.ridge:
         shr = 1.0 / (1.0 + alpha * struct.ridge)
         v *= shr
         alpha *= shr
@@ -231,10 +229,10 @@ def rank_one_prox(struct, v, alpha, lo=0):
 
 
 def rank_one_objective(struct, x) -> float:
-    """ridge/2 ||x||^2 + mean_i phi_i(f_i'x), the objective of rank-one rows
-    whether the ridge sits in r or is folded into the terms."""
-    return (0.5 * struct.ridge * float(x @ x)
-            + float(np.mean(struct.losses(struct.features @ x))))
+    """The term mean of rank-one rows: mean_i phi_i(f_i'x), plus
+    ridge/2 ||x||^2 when a ridge is folded into the terms."""
+    loss = float(np.mean(struct.losses(struct.features @ x)))
+    return loss + 0.5 * struct.ridge * float(x @ x) if struct.ridge else loss
 
 
 def rank_one_problem(struct, r: ProxFn, kind: str) -> ProblemSpec:
@@ -250,30 +248,35 @@ def rank_one_problem(struct, r: ProxFn, kind: str) -> ProblemSpec:
         batched_objective=partial(rank_one_objective, struct))
 
 
-def rank_one_rows(problem: ProblemSpec, ridge_in_r: bool):
-    """The structure a rank-one kernel steps ``problem`` through, or None
-    for the per-term path.
+def rank_one_rows(problem: ProblemSpec, kernel: str):
+    """The structure that the rank-one ``kernel`` (``"ppg"``, ``"sppg"``
+    or ``"spi"``) steps ``problem`` through, or None for the generic path.
 
     A kernel serves a problem with a structure and every f_i zero whose
-    ridge, if any, sits where the kernel models it: in r for
-    ``ridge_in_r`` (:func:`rank_one_sppg_block`), folded into the terms
-    otherwise (:func:`rank_one_spi_block`).  Rows without a ridge, such as
-    a GLM's, suit both.
+    r and folded ridge it models: :class:`RankOnePpg` (``"ppg"``) takes
+    the prox of any r and models no folded ridge;
+    :func:`rank_one_sppg_block` (``"sppg"``) models no folded ridge and an
+    r that is zero or a ridge (:class:`core.RidgeProx`), whose weight is
+    its shrink; :func:`rank_one_spi_block` (``"spi"``) models a folded
+    ridge and r zero.
     """
-    s = problem.structure
-    served = s is not None and problem.all_f_zero() and not (
-        s.ridge and s.folded == ridge_in_r)
+    s, r = problem.structure, problem.r
+    if s is None or not problem.all_f_zero():
+        return None
+    served = {"ppg": not s.ridge,
+              "sppg": not s.ridge and (r.is_zero or isinstance(r, RidgeProx)),
+              "spi": r.is_zero}[kernel]
     return s if served else None
 
 
-def rank_one_sppg_block(z, zbar, struct, alpha, idx, xsum=None):
+def rank_one_sppg_block(z, zbar, struct, alpha, idx, ridge, xsum=None):
     """Advance the single-term stochastic sweep over the given index block
     for rank-one rows, a run of up to ``SPPG_RUN`` distinct rows at a time.
 
     ``struct`` gives the rows f_i (``features``), their squared norms
-    (``sqnorms``), the ridge held in r (``ridge``), the row constants
-    (``targets``) and ``beta``, the scalar rule that tells hinge from GLM
-    rows.  A step on row i sets
+    (``sqnorms``), the row constants (``targets``) and ``beta``, the
+    scalar rule that tells hinge from GLM rows; it folds no ridge, and r
+    is the ridge (``ridge``/2)||x||^2, 0 for a zero r.  A step on row i sets
     z_i = w + beta_i f_i and moves zbar by the change over n, where
     w = shrink*zbar and shrink = 1/(1 + alpha*ridge).  Over a run of
     distinct rows k = 0..B-1 with rows z0_k and f_k at its start,
@@ -294,7 +297,7 @@ def rank_one_sppg_block(z, zbar, struct, alpha, idx, xsum=None):
     n = z.shape[0]
     feats, sqnorms, targets = struct.features, struct.sqnorms, struct.targets
     rule = struct.beta
-    shrink = 1.0 / (1.0 + alpha * struct.ridge)
+    shrink = 1.0 / (1.0 + alpha * ridge)
     c = shrink / n
     steps = np.arange(SPPG_RUN)
     lag = steps[:, None] - steps[None, :] - 1
@@ -346,8 +349,8 @@ def rank_one_sppg_block(z, zbar, struct, alpha, idx, xsum=None):
 
 
 class RankOnePpg:
-    """Full ppg sweeps over rank-one rows whose ridge sits in r (see
-    :func:`rank_one_rows`), in scalar coordinates.
+    """Full ppg sweeps over rank-one rows with no folded ridge, for any r
+    (see :func:`rank_one_rows`), in scalar coordinates.
 
     A sweep sets every z_i to x + beta_i f_i, with x the prox of r at zbar,
     whatever z_i was.  So after one sweep z is held as the last x (``w``,
@@ -430,8 +433,8 @@ class RankOnePpg:
 
 
 def rank_one_spi_block(x, struct, c, k0, idx):
-    """Diminishing-step proximal iteration on rank-one rows whose ridge is
-    folded into the terms or zero (see :func:`rank_one_rows`): step k on
+    """Diminishing-step proximal iteration on rank-one rows, with r zero
+    (see :func:`rank_one_rows`): step k on
     row i shrinks x by 1/(1 + a_k*ridge) and moves it along f_i by
     ``struct.beta``, with step sizes a_k = c/k and k continuing from k0.
     Mutates x in place.  A non-finite update raises

@@ -5,10 +5,10 @@ one gradient per term, and advances every row of z, one cache-sized block of
 rows at a time; the average is rebuilt from the fixed-chunk reduction's
 chunk sums as the blocks finish, so its summation order, and with it every
 logged byte, is the same on every rerun.  Only z is stored across
-iterations, except on rank-one rows whose ridge sits in r (the split SVM
-and GLMs): a sweep sets every z_i to x_half + beta_i f_i, so
-:class:`kernels.RankOnePpg` holds z as x_half and n scalars and writes it
-out once, at the end.
+iterations, except on rank-one rows with no ridge folded into them (the
+split SVM and GLMs, with any r): a sweep sets every z_i to
+x_half + beta_i f_i, so :class:`kernels.RankOnePpg` holds z as x_half and
+n scalars and writes it out once, at the end.
 """
 
 import math
@@ -235,8 +235,8 @@ def ppg_run(problem: ProblemSpec, opts: SolveOptions,
     Returns the prox-r point of the final state, the metrics log, and (when
     requested) the ergodic average of the prox-r points.
 
-    Problems that :func:`kernels.rank_one_rows` serves with the ridge in r
-    (the split SVM and GLMs) sweep in scalar coordinates
+    Problems that :func:`kernels.rank_one_rows` serves to ppg (the split
+    SVM and GLMs, with any r) sweep in scalar coordinates
     (:class:`kernels.RankOnePpg`): two products with the rows per sweep
     and O(n + d) memory beside the z that the run returns, which is
     written once, at the end.  Other problems run the row-blocked sweep
@@ -247,7 +247,7 @@ def ppg_run(problem: ProblemSpec, opts: SolveOptions,
     alpha = resolve_alpha(problem, opts.alpha)
     state = initial_state(problem, alpha, warm_start)
     xsum = np.zeros(problem.dim) if opts.ergodic else None
-    struct = kernels.rank_one_rows(problem, ridge_in_r=True)
+    struct = kernels.rank_one_rows(problem, "ppg")
     if struct is None:
         sweep = partial(_sweep_blocks, state, problem, True)
         path = "batched" if problem.batched_sweep() else "per-term"

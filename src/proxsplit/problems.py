@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ProblemSpec, ProxFn, SmoothFn, scale_prox, scale_smooth, \
-    zero_prox, zero_smooth
+from .core import ProblemSpec, ProxFn, SmoothFn, ridge_prox, scale_prox, \
+    scale_smooth, zero_prox, zero_smooth
 from .kernels import GlmStructure, HingeStructure, rank_one_problem
 from .prox import (CachedQuadraticProx, ScalarFn, prox_quadratic,
                    soft_threshold_scalar, soft_threshold_vector)
@@ -239,7 +239,7 @@ def build_group_lasso(a_mat: np.ndarray, b: np.ndarray, lambda1: float,
         return lam2 * total if total else 0.0
 
     def batched_objective(x):
-        return sq_loss(x) + penalty(_group_norms(x[cc], gid, len(groups))) / n
+        return penalty(_group_norms(x[cc], gid, len(groups))) / n
 
     def make_g(cols, ids, count):
         # collection i's slice of the layout, its group ids from 0
@@ -293,20 +293,18 @@ class SvmData:
 def build_svm(data: SvmData, fold_ridge: bool = False) -> ProblemSpec:
     """Hinge-loss classifier (lam/2)*||x||^2 + mean_i max(1 - y_i a_i'x, 0).
 
-    Default form: the ridge is the global term (its prox is a uniform
-    shrink) and each hinge row is one nonsmooth term with a closed-form
-    prox.  ``fold_ridge=True`` instead folds the ridge into every term and
+    Default form: the ridge is the global term (:func:`core.ridge_prox`,
+    whose prox is a uniform shrink) and each hinge row is one nonsmooth
+    term with a closed-form prox.  ``fold_ridge=True`` instead folds the
+    ridge into every term (the :class:`HingeStructure`'s ``ridge``) and
     leaves the global term zero, which is the prox-only form required by
     the diminishing-step baseline; both forms have identical objectives.
     :func:`kernels.rank_one_problem` builds the problem from its
     :class:`HingeStructure`, in either form.
     """
-    lam = data.lam
     structure = HingeStructure(features=data.features, labels=data.labels,
-                               ridge=lam, folded=fold_ridge)
-    r = zero_prox() if fold_ridge else ProxFn(
-        prox=lambda x0, a: np.asarray(x0, dtype=float) / (1.0 + a * lam),
-        value=lambda x: 0.5 * lam * float(x @ x))
+                               ridge=data.lam if fold_ridge else 0.0)
+    r = zero_prox() if fold_ridge else ridge_prox(data.lam)
     return rank_one_problem(structure, r, "svm")
 
 
@@ -424,8 +422,7 @@ def build_fused_lasso(a_mat: np.ndarray, y: np.ndarray, lam: float,
         feasible = np.all(np.abs(np.diff(x)) <= eps + slack)
         if not feasible:
             return float("inf")
-        return (lam * float(np.abs(x).sum())
-                + 0.5 * float(np.mean((a_mat @ x - y) ** 2)))
+        return 0.5 * float(np.mean((a_mat @ x - y) ** 2))
 
     return ProblemSpec(dim=d, n=2 * n, r=r, f=f_terms, g=g_terms,
                        kind="fused-lasso", batched_g_prox=batched_g_prox,

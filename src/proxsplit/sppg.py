@@ -87,8 +87,10 @@ def _advance_block(state: SolverState, problem: ProblemSpec, struct, block,
     :func:`kernels.rank_one_rows` gave, else one :func:`_advance_one` per
     index.  Each step's prox-r point is added to ``xsum`` when given."""
     if struct is not None:
+        # r is zero or a ridge (core.RidgeProx), as the kernel requires
         kernels.rank_one_sppg_block(state.z, state.zbar, struct, state.alpha,
-                                    block, xsum=xsum)
+                                    block, getattr(problem.r, "weight", 0.0),
+                                    xsum=xsum)
         state.k += block.size
         return
     for i in block:
@@ -113,8 +115,8 @@ def sppg_step(state: SolverState, problem: ProblemSpec, sampler,
         report = _report(problem, state.k, resid, x_half,
                          state.k / problem.n)
     block = _checked_draws(sampler.take(1), problem.n, state.k)
-    _advance_block(state, problem,
-                   kernels.rank_one_rows(problem, ridge_in_r=True), block)
+    _advance_block(state, problem, kernels.rank_one_rows(problem, "sppg"),
+                   block)
     return state, report
 
 
@@ -145,7 +147,7 @@ def sppg_run(problem: ProblemSpec, opts: SolveOptions, sampler,
     alpha = resolve_alpha(problem, opts.alpha)
     state = initial_state(problem, alpha, warm_start)
     n = problem.n
-    struct = kernels.rank_one_rows(problem, ridge_in_r=True)
+    struct = kernels.rank_one_rows(problem, "sppg")
     xsum = np.zeros(problem.dim) if opts.ergodic else None
     resyncs = 0
 

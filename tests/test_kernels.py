@@ -7,11 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import tiny_glm, tiny_svm
+from conftest import abs_prox_fn, tiny_glm, tiny_svm
 from proxsplit import kernels
 from proxsplit.baselines import DiminishingStep, stochastic_prox_iteration_run
-from proxsplit.core import (ConvergenceError, NumericalError, SmoothFn,
-                            initial_state, zero_prox)
+from proxsplit.core import (ConvergenceError, NumericalError, RidgeProx,
+                            SmoothFn, initial_state, objective, ridge_prox,
+                            zero_prox)
 from proxsplit.ppg import SolveOptions, ppg_run
 from proxsplit.problems import SvmData, build_glm, build_svm, glm_family
 from proxsplit.sppg import (IndexSampler, SequenceSampler, _advance_one,
@@ -119,7 +120,8 @@ def _nonfinite_row_case(problem, bad, generic_error):
     with pytest.raises(NumericalError,
                        match=rf"prox of g \(term {bad}\)$"):
         kernels.rank_one_sppg_block(state.z, state.zbar, problem.structure,
-                                    1.0, seq)
+                                    1.0, seq, getattr(problem.r, "weight",
+                                                      0.0))
     assert _rel(state.z, ref.z) <= 1e-12
     assert _rel(state.zbar, ref.zbar) <= 1e-12
     for p in (problem, generic):
@@ -195,12 +197,11 @@ class TestNumpyHingeAgreement:
         # SvmData rejects zero rows; a hand-built structure divides by zero
         feats = np.random.default_rng(6).standard_normal((40, 3))
         feats[9] = 0.0
-        struct = kernels.HingeStructure(features=feats, labels=np.ones(40),
-                                        ridge=0.1)
+        struct = kernels.HingeStructure(features=feats, labels=np.ones(40))
         z, zbar = np.zeros((40, 3)), np.zeros(3)
         with pytest.raises(NumericalError, match=r"\(term 9\)$"):
             kernels.rank_one_sppg_block(z, zbar, struct, 1.0,
-                                        np.roll(np.arange(40), -3))
+                                        np.roll(np.arange(40), -3), 0.1)
         # the six steps before row 9 are applied, and none from it on
         assert np.all(np.any(z[3:9] != 0.0, axis=1))
         assert not np.any(z[:3]) and not np.any(z[9:])
@@ -314,7 +315,7 @@ class TestNumpyGlmAgreement:
         state = initial_state(problem, 1.0)
         with pytest.raises(ConvergenceError, match=r"steps \(term 4\)$"):
             kernels.rank_one_sppg_block(state.z, state.zbar,
-                                        problem.structure, 1.0, seq)
+                                        problem.structure, 1.0, seq, 0.0)
         with pytest.raises(ConvergenceError, match=r"steps \(term 4\)$"):
             kernels.rank_one_spi_block(np.zeros(3), problem.structure, 2.0,
                                        0, seq)
@@ -332,26 +333,45 @@ def _folded_without_ridge(rng):
     split = tiny_svm(rng, n=12, d=3)
     rows = split.structure
     struct = kernels.HingeStructure(features=rows.features,
-                                    labels=rows.labels, ridge=0.0,
-                                    folded=True)
+                                    labels=rows.labels)
     return kernels.rank_one_problem(struct, zero_prox(), "svm")
 
 
-# problem, and whether the sppg kernel (ridge in r) and the spi kernel
-# (ridge folded into the terms) serve it
+def _l1(problem):
+    """``problem`` with r = 0.05 ||x||_1, which no kernel but ppg's
+    models."""
+    return dataclasses.replace(problem, r=abs_prox_fn(weight=0.05))
+
+
+# problem, and whether the ppg, sppg and spi kernels serve it
 _RULE_TABLE = {
-    "split-svm": (lambda rng: tiny_svm(rng), True, False),
-    "folded-svm": (lambda rng: tiny_svm(rng, fold_ridge=True), False, True),
-    "gaussian": (lambda rng: tiny_glm(rng, "gaussian"), True, True),
-    "logistic": (lambda rng: tiny_glm(rng, "logistic"), True, True),
-    "poisson": (lambda rng: tiny_glm(rng, "poisson"), True, True),
+    "split-svm": (lambda rng: tiny_svm(rng), True, True, False),
+    "folded-svm": (lambda rng: tiny_svm(rng, fold_ridge=True), False, False,
+                   True),
+    "gaussian": (lambda rng: tiny_glm(rng, "gaussian"), True, True, True),
+    "logistic": (lambda rng: tiny_glm(rng, "logistic"), True, True, True),
+    "poisson": (lambda rng: tiny_glm(rng, "poisson"), True, True, True),
     "split-svm-smooth-f": (lambda rng: _with_smooth_term(tiny_svm(rng)),
-                           False, False),
+                           False, False, False),
     "no-structure": (lambda rng: dataclasses.replace(
-        tiny_svm(rng), structure=None), False, False),
+        tiny_svm(rng), structure=None), False, False, False),
     # ridge 0 sits nowhere, so the sppg kernel models it exactly too
-    "folded-svm-no-ridge": (_folded_without_ridge, True, True),
+    "folded-svm-no-ridge": (_folded_without_ridge, True, True, True),
+    # ppg takes the prox of any r; sppg models only a zero or ridge r
+    "split-svm-l1-r": (lambda rng: _l1(tiny_svm(rng)), True, False, False),
+    "logistic-l1-r": (lambda rng: _l1(tiny_glm(rng, "logistic")), True,
+                      False, False),
+    # a ridge both folded into the terms and in r: no kernel models both
+    "folded-svm-ridge-r": (lambda rng: dataclasses.replace(
+        tiny_svm(rng, fold_ridge=True), r=ridge_prox(0.2)), False, False,
+        False),
 }
+
+
+def _generic(problem):
+    """``problem`` with its structure and batched hooks removed."""
+    return dataclasses.replace(problem, structure=None, batched_g_prox=None,
+                               batched_objective=None)
 
 
 class TestKernelRule:
@@ -360,12 +380,30 @@ class TestKernelRule:
 
     @pytest.mark.parametrize("name", sorted(_RULE_TABLE))
     def test_rule_table(self, rng, name):
-        make, sppg_served, spi_served = _RULE_TABLE[name]
+        make, *verdicts = _RULE_TABLE[name]
         problem = make(rng)
-        for ridge_in_r, served in ((True, sppg_served),
-                                   (False, spi_served)):
-            got = kernels.rank_one_rows(problem, ridge_in_r)
+        for kernel, served in zip(("ppg", "sppg", "spi"), verdicts):
+            got = kernels.rank_one_rows(problem, kernel)
             assert got is (problem.structure if served else None)
+
+    @pytest.mark.parametrize("name", ["split-svm-l1-r", "logistic-l1-r",
+                                      "folded-svm-ridge-r"])
+    def test_new_r_matches_the_generic_run(self, rng, name):
+        # ppg and sppg on these problems give what the same problem gives
+        # with its structure and batched hooks removed
+        make, ppg_served, _, _ = _RULE_TABLE[name]
+        problem = make(rng)
+        opts = SolveOptions(alpha=0.5, max_iters=40, record_every=3)
+        ppg_path = "rank-one" if ppg_served else "batched"
+        for run, key, path in (
+                (lambda p: ppg_run(p, opts), "sweep", ppg_path),
+                (lambda p: sppg_run(p, opts, IndexSampler(4, problem.n)),
+                 "path", "per-term")):
+            fast, ref = run(problem), run(_generic(problem))
+            assert fast.log.metadata[key] == path
+            assert _rel(fast.x, ref.x) <= 1e-12
+            assert _rel(fast.state.z, ref.state.z) <= 1e-12
+            assert _rel(_row_values(fast), _row_values(ref)) <= 1e-12
 
     def test_folded_structure_without_ridge_runs_both_kernels(
             self, monkeypatch, rng):
@@ -404,11 +442,26 @@ def test_row_norms_derived_from_features(rng, kind):
                       for f in dataclasses.fields(rows)})
 
 
+def test_split_ridge_is_stated_only_in_r(rng):
+    split, folded = tiny_svm(rng), tiny_svm(rng, fold_ridge=True)
+    assert isinstance(split.r, RidgeProx) and split.r.weight == 0.1
+    assert split.structure.ridge == 0.0
+    assert folded.r.is_zero and folded.structure.ridge == 0.1
+    # an r rebuilt around a wrapped prox, as a tracer does, keeps its
+    # weight, and with it the sppg kernel
+    wrapped = dataclasses.replace(
+        split, r=dataclasses.replace(split.r, prox=split.r.prox))
+    assert wrapped.r.weight == 0.1
+    assert kernels.rank_one_rows(wrapped, "sppg") is split.structure
+    x = np.random.default_rng(2).standard_normal(3)
+    assert np.array_equal(split.r.prox(x, 2.0), x / (1.0 + 2.0 * 0.1))
+
+
 def _row_blocked_ppg(monkeypatch, problem, opts, warm_start=None):
     """ppg_run on ``problem`` with the rank-one sweep turned off, so that
     every sweep runs the row-blocked sweep of ppg_step."""
     with monkeypatch.context() as m:
-        m.setattr(kernels, "rank_one_rows", lambda problem, ridge_in_r: None)
+        m.setattr(kernels, "rank_one_rows", lambda problem, kernel: None)
         res = ppg_run(problem, opts, warm_start=warm_start)
     assert res.log.metadata["sweep"] == "batched"
     return res
@@ -492,10 +545,9 @@ class TestRankOnePpg:
             feats[bad] = np.inf if case == "svm-inf-row" else 0.0
             # SvmData rejects a zero row; a hand-built structure takes it
             struct = kernels.HingeStructure(features=feats,
-                                            labels=np.ones(40), ridge=0.1)
-            r = build_svm(SvmData(rng.standard_normal((40, 4)),
-                                  np.ones(40), lam=0.1)).r
-            problem = kernels.rank_one_problem(struct, r, "svm")
+                                            labels=np.ones(40))
+            problem = kernels.rank_one_problem(struct, ridge_prox(0.1),
+                                               "svm")
         else:
             t_vec = rng.random(40)
             if case == "glm-nan-row":
@@ -547,3 +599,59 @@ class TestRankOnePpg:
             tracemalloc.stop()
         assert res.log.metadata["sweep"] == "rank-one"
         assert peak < 1.1 * problem.n * problem.dim * 8
+
+
+def _l1_problem(kind, built):
+    """A rank-one problem with r = 0.05 ||x||_1: built by
+    ``kernels.rank_one_problem`` from a fresh structure, or by swapping r
+    into a builder's problem."""
+    base = _rank_one_problem(kind, 7, 40, 4)
+    if built == "replace":
+        return _l1(base)
+    rows = base.structure
+    if kind == "svm":
+        struct = kernels.HingeStructure(features=rows.features,
+                                        labels=rows.labels)
+    else:
+        struct = kernels.GlmStructure(features=rows.features,
+                                      responses=rows.responses,
+                                      deriv=rows.deriv, value=rows.value)
+    return kernels.rank_one_problem(struct, abs_prox_fn(weight=0.05),
+                                    base.kind)
+
+
+@pytest.mark.parametrize("built", ["rank_one_problem", "replace"])
+@pytest.mark.parametrize("kind", _KINDS)
+class TestAnyR:
+    """A rank-one problem with an r that no structure states: the
+    objective adds r once, sppg takes the per-term path, and ppg's
+    rank-one sweep takes r's prox."""
+
+    def test_objective_is_the_per_term_sum(self, kind, built):
+        problem = _l1_problem(kind, built)
+        termwise = dataclasses.replace(problem, batched_objective=None)
+        for x in np.random.default_rng(3).standard_normal((5, 4)):
+            assert objective(x, problem) == pytest.approx(
+                objective(x, termwise), rel=1e-12)
+
+    def test_sppg_runs_per_term(self, kind, built):
+        problem = _l1_problem(kind, built)
+        opts = SolveOptions(alpha=1.0, max_iters=6 * 40 + 5, record_every=7)
+        fast, ref = (sppg_run(p, opts, IndexSampler(11, 40))
+                     for p in (problem, _generic(problem)))
+        assert fast.log.metadata["path"] == "per-term"
+        assert _rel(fast.x, ref.x) <= 1e-12
+        assert _rel(fast.state.z, ref.state.z) <= 1e-12
+        assert _rel(_row_values(fast), _row_values(ref)) <= 1e-12
+
+    def test_ppg_keeps_the_rank_one_sweep(self, monkeypatch, kind, built):
+        problem = _l1_problem(kind, built)
+        opts = SolveOptions(alpha=1.0, max_iters=25, record_every=3)
+        fast = ppg_run(problem, opts)
+        ref = _row_blocked_ppg(monkeypatch, problem, opts)
+        assert fast.log.metadata["sweep"] == "rank-one"
+        assert _rel(fast.x, ref.x) <= 1e-12
+        assert _rel(fast.state.z, ref.state.z) <= 1e-12
+        assert _rel(fast.state.zbar, ref.state.zbar) <= 1e-12
+        for a, b in zip(fast.log.rows, ref.log.rows):
+            assert a.objective == pytest.approx(b.objective, rel=1e-12)

@@ -324,6 +324,28 @@ class TestOptions:
         problem = lasso_problem(rng)
         assert resolve_alpha(problem, None) == 1.0 / problem.lipschitz_bound()
 
+    def test_lipschitz_bound_found_once(self):
+        # the problem reads each term's bound at construction; choosing or
+        # checking a step reads none again
+        reads = []
+
+        class Term:
+            is_zero = False
+
+            @property
+            def lipschitz(self):
+                reads.append(1)
+                return 2.0
+
+        problem = core.ProblemSpec(dim=2, n=3, r=zero_prox(),
+                                   f=[Term() for _ in range(3)],
+                                   g=[zero_prox()] * 3)
+        assert len(reads) == 3
+        assert resolve_alpha(problem, None) == 0.5
+        assert resolve_alpha(problem, 0.4) == 0.4
+        assert problem.lipschitz_bound() == 2.0
+        assert len(reads) == 3
+
     def test_default_alpha_silent_without_smooth_terms(self, rng):
         # every f_i is zero, so any alpha > 0 converges: nothing to warn of
         from proxsplit.problems import build_glm, glm_family
@@ -383,7 +405,7 @@ class TestRowBlockedSweep:
         # ppg_run sweeps the split SVM and GLMs in scalar coordinates; the
         # row-blocked sweep is checked on them here
         monkeypatch.setattr(kernels, "rank_one_rows",
-                            lambda problem, ridge_in_r: None)
+                            lambda problem, kernel: None)
         monkeypatch.setattr(core, "SWEEP_BLOCK_BYTES", 1 << 40)
         whole = ppg_run(problem, opts)
         # budgets of one, two and three rows of z
