@@ -26,6 +26,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, fields
+from functools import lru_cache, partial
 from typing import get_args
 
 import numpy as np
@@ -270,7 +271,9 @@ def cmd_compare(args) -> int:
     if len(prob_paths) != 1:
         raise ValueError("all configurations must reference the same "
                          "problem file")
-    ref_problem = load_problem(cfgs[0].problem, "ppg")
+    # the problem in each algorithm's form, built once
+    load = lru_cache(maxsize=None)(partial(load_problem, cfgs[0].problem))
+    ref_problem = load("ppg")
     # each budget in sweeps; the sampled solvers count single-term steps,
     # n to a sweep, rounded up
     budget = max(-(-c.max_iters // ref_problem.n)
@@ -283,7 +286,7 @@ def cmd_compare(args) -> int:
     lines = [MERGED_HEADER]
     seen = {}
     for cfg in cfgs:
-        problem = load_problem(cfg.problem, cfg.algo)
+        problem = load(cfg.algo)
         label = cfg.algo
         seen[label] = seen.get(label, 0) + 1
         if seen[label] > 1:
@@ -319,36 +322,19 @@ def cmd_compare(args) -> int:
 #                  model at a planted coefficient vector.
 
 
-def _write_csv_matrix(path, mat):
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for row in mat:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-
-
-def _write_libsvm(path, feats, labels):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for row, lab in zip(feats, labels):
-            cells = [format(lab, ".0f" if lab == int(lab) else ".17g")]
-            cells += [f"{j + 1}:{format(v, '.17g')}"
-                      for j, v in enumerate(row) if v != 0.0]
-            fh.write(" ".join(cells) + "\n")
-
-
-def _write_problem_json(out_dir, desc):
-    path = os.path.join(out_dir, "problem.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(desc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
 def cmd_gen(args) -> int:
     if args.kind == "network-lasso" and args.vertices < 2:
         raise ValueError(f"--vertices must be at least 2, got {args.vertices}")
     os.makedirs(args.out, exist_ok=True)
     rng = np.random.default_rng(args.seed)
     kind = args.kind
+
+    def write_csvs(**mats):
+        # each matrix to <name>.csv; returns the description's files entry
+        for name, mat in mats.items():
+            io.write_dense_csv(os.path.join(args.out, f"{name}.csv"), mat)
+        return {name: f"{name}.csv" for name in mats}
+
     if kind == "group-lasso":
         m, d, n = args.m, args.d, args.n
         a_mat = rng.standard_normal((m, d))
@@ -357,15 +343,10 @@ def cmd_gen(args) -> int:
         x_true[support] = rng.standard_normal(support.size)
         b = a_mat @ x_true + 0.1 * rng.standard_normal(m)
         part = problems.staggered_partition(d, n)
-        _write_csv_matrix(os.path.join(args.out, "A.csv"), a_mat)
-        _write_csv_matrix(os.path.join(args.out, "b.csv"), b[:, None])
-        _write_problem_json(args.out, {
-            "kind": kind, "dim": d,
-            "files": {"A": "A.csv", "b": "b.csv"},
-            "params": {"lambda1": args.lambda1,
-                       "groups": [[list(g) for g in coll]
-                                  for coll in part.collections]},
-            "seed": args.seed})
+        files = write_csvs(A=a_mat, b=b[:, None])
+        params = {"lambda1": args.lambda1,
+                  "groups": [[list(g) for g in coll]
+                             for coll in part.collections]}
     elif kind == "svm":
         n, d = args.n, args.d
         u = rng.standard_normal(d)
@@ -376,12 +357,9 @@ def cmd_gen(args) -> int:
         feats /= np.linalg.norm(feats, axis=1, keepdims=True)
         flips = rng.random(n) < args.flip
         labels[flips] *= -1.0
-        _write_libsvm(os.path.join(args.out, "data.libsvm"), feats, labels)
-        _write_problem_json(args.out, {
-            "kind": kind, "dim": d,
-            "files": {"data": "data.libsvm"},
-            "params": {"lam": args.lam, "dim": d},
-            "seed": args.seed})
+        io.write_libsvm(os.path.join(args.out, "data.libsvm"), feats, labels)
+        files = {"data": "data.libsvm"}
+        params = {"lam": args.lam, "dim": d}
     elif kind == "fused-lasso":
         n, d = args.n, args.d
         eps = args.eps
@@ -399,13 +377,8 @@ def cmd_gen(args) -> int:
                 j += 1
         a_mat = rng.standard_normal((n, d))
         y = a_mat @ x_true + 0.05 * rng.standard_normal(n)
-        _write_csv_matrix(os.path.join(args.out, "A.csv"), a_mat)
-        _write_csv_matrix(os.path.join(args.out, "y.csv"), y[:, None])
-        _write_problem_json(args.out, {
-            "kind": kind, "dim": d,
-            "files": {"A": "A.csv", "y": "y.csv"},
-            "params": {"lam": args.lam, "eps": eps},
-            "seed": args.seed})
+        files = write_csvs(A=a_mat, y=y[:, None])
+        params = {"lam": args.lam, "eps": eps}
     elif kind == "network-lasso":
         v, block = args.vertices, args.d
         edges = [(u, w) for u in range(v) for w in range(u + 1, v)
@@ -417,13 +390,9 @@ def cmd_gen(args) -> int:
         theta = np.array([centers[0] if u < v // 2 else centers[1]
                           for u in range(v)])
         theta += 0.1 * rng.standard_normal(theta.shape)
-        _write_problem_json(args.out, {
-            "kind": kind, "dim": v * block,
-            "files": {},
-            "params": {"lambda1": args.lambda1, "lambda2": args.lambda2,
-                       "edges": [list(e) for e in edges],
-                       "theta": theta.tolist()},
-            "seed": args.seed})
+        d, files = v * block, {}
+        params = {"lambda1": args.lambda1, "lambda2": args.lambda2,
+                  "edges": [list(e) for e in edges], "theta": theta.tolist()}
     elif kind == "glm":
         n, d = args.n, args.d
         x_mat = rng.standard_normal((n, d)) / np.sqrt(d)
@@ -435,15 +404,15 @@ def cmd_gen(args) -> int:
             t_vec = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
         elif args.family == "poisson":
             t_vec = rng.poisson(np.exp(np.clip(eta, -10, 3))).astype(float)
-        _write_csv_matrix(os.path.join(args.out, "X.csv"), x_mat)
-        _write_csv_matrix(os.path.join(args.out, "T.csv"), t_vec[:, None])
-        _write_problem_json(args.out, {
-            "kind": kind, "dim": d,
-            "files": {"X": "X.csv", "T": "T.csv"},
-            "params": {"family": args.family},
-            "seed": args.seed})
+        files = write_csvs(X=x_mat, T=t_vec[:, None])
+        params = {"family": args.family}
     else:
         raise ValueError(f"unknown kind {kind!r}")
+    with open(os.path.join(args.out, "problem.json"), "w",
+              encoding="utf-8") as fh:
+        json.dump({"kind": kind, "dim": d, "files": files, "params": params,
+                   "seed": args.seed}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     print(f"wrote {args.out}/problem.json")
     return 0
 

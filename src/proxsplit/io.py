@@ -1,9 +1,10 @@
-"""Data ingestion and metrics persistence.
+"""Data files and metrics persistence.
 
-Metrics CSVs use a fixed header and 17-significant-digit floats so that a
-write/read round trip is value-exact for every finite double.  Readers
-accept UTF-8 with LF or CRLF endings and report malformed input with line
-numbers.
+Every writer here has its reader here: dense CSV matrices and LIBSVM files
+(the files ``proxsplit gen`` makes) and metrics CSVs, which add a fixed
+header.  Floats are written with 17 significant digits, so a write/read
+round trip is value-exact for every finite double.  Readers accept UTF-8
+with LF or CRLF endings and report malformed input with line numbers.
 """
 
 import os
@@ -14,8 +15,8 @@ import numpy as np
 
 from .core import ResidualReport
 
-__all__ = ["MetricsLog", "read_dense_csv", "read_libsvm",
-           "write_metrics_csv", "read_metrics_csv"]
+__all__ = ["MetricsLog", "read_dense_csv", "write_dense_csv", "read_libsvm",
+           "write_libsvm", "write_metrics_csv", "read_metrics_csv"]
 
 METRICS_HEADER = "k,epoch,wall_time_s,residual_norm,objective,dist_to_ref"
 
@@ -93,6 +94,12 @@ def read_dense_csv(path) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
+def write_dense_csv(path, mat) -> None:
+    """A matrix (a vector as one row) to :func:`read_dense_csv`'s format,
+    no header."""
+    np.savetxt(path, np.atleast_2d(mat), fmt="%.17g", delimiter=",")
+
+
 def read_libsvm(path, dim: int | None = None):
     """Sparse 'label idx:val ...' lines -> dense (n, d) features + labels.
 
@@ -137,6 +144,17 @@ def read_libsvm(path, dim: int | None = None):
         for idx, val in row.items():
             feats[i, idx - 1] = val
     return feats, np.asarray(labels, dtype=float)
+
+
+def write_libsvm(path, feats, labels) -> None:
+    """Dense rows and labels to :func:`read_libsvm`'s format: an integral
+    label without a fraction, and the nonzero features only."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for row, lab in zip(feats, labels):
+            cells = [format(lab, ".0f" if lab == int(lab) else ".17g")]
+            cells += [f"{j + 1}:{format(v, '.17g')}"
+                      for j, v in enumerate(row) if v != 0.0]
+            fh.write(" ".join(cells) + "\n")
 
 
 def _fmt(value) -> str:

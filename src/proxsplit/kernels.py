@@ -34,7 +34,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .core import (ConvergenceError, NumericalError, ProblemSpec, ProxFn,
-                   RidgeProx, _require_finite, zero_smooth)
+                   RidgeProx, _name_bad_row, _require_finite, zero_smooth)
 from .prox import _glm_roots, glm_root
 
 __all__ = ["HingeStructure", "GlmStructure", "rank_one_problem",
@@ -395,10 +395,7 @@ class RankOnePpg:
             else:
                 s = 2.0 * fx - np.einsum("ij,ij->i", feats, self.z0)
             beta = struct.betas(s, alpha)
-            bad = np.flatnonzero(~np.isfinite(beta))
-            if bad.size:
-                raise NumericalError(
-                    f"non-finite values from prox of g (term {bad[0]})")
+            _name_bad_row(beta[:, None], "prox of g")
             if self.z0 is None:
                 db, dx = beta - self.beta, x - self.w
                 sq = (n * float(dx @ dx) + 2.0 * float(db @ (fx - self.fw))

@@ -12,12 +12,14 @@ from itertools import chain
 from typing import Sequence
 
 import numpy as np
+from scipy.special import expit
 
 from .core import ProblemSpec, ProxFn, SmoothFn, ridge_prox, scale_prox, \
     scale_smooth, zero_prox, zero_smooth
 from .kernels import GlmStructure, HingeStructure, rank_one_problem
-from .prox import (CachedQuadraticProx, ScalarFn, prox_quadratic,
-                   soft_threshold_scalar, soft_threshold_vector)
+from .prox import (CachedQuadraticProx, ScalarFn, prox_pair_diff,
+                   prox_quadratic, soft_threshold_scalar,
+                   soft_threshold_vector)
 
 __all__ = [
     "GroupPartition",
@@ -113,11 +115,6 @@ class GroupPartition:
                 for j in grp:
                     if not 0 <= j < dim:
                         raise ValueError(f"group index {j} out of range")
-
-    def complement(self, i: int, dim: int) -> tuple:
-        """Indices of {0..dim-1} not covered by collection i."""
-        covered = {j for grp in self.collections[i] for j in grp}
-        return tuple(j for j in range(dim) if j not in covered)
 
     def all_groups(self) -> tuple:
         return tuple(grp for coll in self.collections for grp in coll)
@@ -323,29 +320,6 @@ def _project_pairs(x: np.ndarray, eps: float, start: int):
     v[...] = 0.5 * (total + w)
 
 
-def _pair_constraint_prox(eps: float, start: int):
-    """Prox of the indicator of |x_{j+1} - x_j| <= eps over the disjoint
-    pairs starting at ``start``."""
-
-    def prox(x0, a):
-        out = np.array(x0, dtype=float, copy=True)
-        _project_pairs(out, eps, start)
-        return out
-
-    return prox
-
-
-def _pair_constraint_value(eps: float, start: int, slack: float):
-    def value(x):
-        d = x.shape[0]
-        diffs = x[start + 1:d:2] - x[start:d - 1:2]
-        if np.all(np.abs(diffs) <= eps + slack):
-            return 0.0
-        return float("inf")
-
-    return value
-
-
 def build_fused_lasso(a_mat: np.ndarray, y: np.ndarray, lam: float,
                       eps: float) -> ProblemSpec:
     """Sparse regression with bounded jumps between neighboring coordinates.
@@ -382,12 +356,23 @@ def build_fused_lasso(a_mat: np.ndarray, y: np.ndarray, lam: float,
             lipschitz=float(ai @ ai))
 
     slack = 1e-9 * (1.0 + (eps if np.isfinite(eps) else 0.0))
-    g_odd = ProxFn(prox=_pair_constraint_prox(eps, 0),
-                   value=_pair_constraint_value(eps, 0, slack))
-    g_even = ProxFn(prox=_pair_constraint_prox(eps, 1),
-                    value=_pair_constraint_value(eps, 1, slack))
+
+    def make_g(start):
+        # the indicator of |x_{j+1} - x_j| <= eps on the pairs from start
+        def prox(x0, a):
+            out = np.array(x0, dtype=float, copy=True)
+            _project_pairs(out, eps, start)
+            return out
+
+        def value(x):
+            diffs = x[start + 1:d:2] - x[start:d - 1:2]
+            feasible = np.all(np.abs(diffs) <= eps + slack)
+            return 0.0 if feasible else float("inf")
+
+        return ProxFn(prox=prox, value=value)
+
     f_terms = tuple(make_f(i) for i in range(n)) * 2
-    g_terms = (g_odd,) * n + (g_even,) * n
+    g_terms = (make_g(0),) * n + (make_g(1),) * n
 
     # Terms i and n + i share the data row a_i.  The residuals A x - y
     # come from one product with all of A, since BLAS may round a product
@@ -533,14 +518,15 @@ def build_network_lasso(n_vertices: int, edges, losses: Sequence[SmoothFn],
             [losses[v].gradient(x[blk(v)]) for v in range(n_vertices)]),
         lipschitz=max(l.lipschitz for l in losses))
 
+    # one edge's penalty lam3*||x_u - x_v||_2, as a function of x_u - x_v
+    edge = ProxFn(prox=lambda w, a: soft_threshold_vector(w, a * lam3))
+
     def make_g(cls):
         def prox(x0, a):
             out = np.array(x0, dtype=float, copy=True)
             for (u, v) in cls:
-                xu, xv = x0[blk(u)], x0[blk(v)]
-                w = soft_threshold_vector(xu - xv, 2.0 * a * lam3)
-                out[blk(u)] = 0.5 * (xu + xv + w)
-                out[blk(v)] = 0.5 * (xu + xv - w)
+                out[blk(u)], out[blk(v)] = prox_pair_diff(
+                    edge, x0[blk(u)], x0[blk(v)], a)
             return out
 
         def value(x):
@@ -566,8 +552,7 @@ def glm_family(name: str) -> ScalarFn:
     if name == "gaussian":
         return ScalarFn(value=lambda t: 0.5 * t * t, deriv=lambda t: t)
     if name == "logistic":
-        return ScalarFn(value=lambda t: np.logaddexp(0.0, t),
-                        deriv=lambda t: 0.5 * (1.0 + np.tanh(0.5 * t)))
+        return ScalarFn(value=lambda t: np.logaddexp(0.0, t), deriv=expit)
     if name == "poisson":
         return ScalarFn(value=np.exp, deriv=np.exp)
     raise ValueError(f"unknown family {name!r}")

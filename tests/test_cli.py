@@ -633,6 +633,29 @@ class TestCompare:
                      "--out", str(tmp_path / "o.csv")]) == 0
         assert "reference from 210 iterations" in capsys.readouterr().out
 
+    def test_each_solver_form_loaded_once(self, tmp_path, monkeypatch):
+        # every configuration names the same file; the reference and each
+        # configuration loaded it again, six loads for these five
+        loads = []
+        load = cli.load_problem
+
+        def counted(path, algo="ppg"):
+            loads.append(algo)
+            return load(path, algo)
+
+        monkeypatch.setattr(cli, "load_problem", counted)
+        out = tmp_path / "svm"
+        assert main(["gen", "svm", "--out", str(out), "--n", "30",
+                     "--d", "5"]) == 0
+        cfgs = [self._write_cfg(tmp_path, f"c{i}.json",
+                                problem=str(out / "problem.json"),
+                                algo=algo, max_iters=60, seed=i)
+                for i, algo in enumerate(("ppg", "sppg", "sppg", "spi",
+                                          "admm"))]
+        assert main(["compare", *cfgs, "--out", str(tmp_path / "o.csv"),
+                     "--ref-iters", "50"]) == 0
+        assert loads == ["ppg", "sppg", "spi", "admm"]
+
     def test_multi_seed_aggregation(self, tmp_path):
         prob = _gen(tmp_path)
         c1 = self._write_cfg(tmp_path, "c1.json", problem=str(prob),

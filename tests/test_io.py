@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxsplit.cli import _write_csv_matrix, _write_libsvm
 from proxsplit.core import ResidualReport
 from proxsplit.io import (METRICS_HEADER, MetricsLog, read_dense_csv,
-                          read_libsvm, read_metrics_csv, write_metrics_csv)
+                          read_libsvm, read_metrics_csv, write_dense_csv,
+                          write_libsvm, write_metrics_csv)
 
 
 class TestDenseCsv:
@@ -47,10 +47,21 @@ class TestDenseCsv:
         with pytest.raises(ValueError, match=r":2.*'x'"):
             read_dense_csv(p)
 
+    def test_write_pins_bytes(self, tmp_path):
+        # 17 significant digits, C's %g spelling of zero, subnormals and
+        # large exponents; a vector is one row
+        p = tmp_path / "m.csv"
+        write_dense_csv(p, [[0.1, -0.0, 5e-324], [1e300, 1 / 3, 2.0]])
+        assert p.read_bytes() == (
+            b"0.10000000000000001,-0,4.9406564584124654e-324\n"
+            b"1.0000000000000001e+300,0.33333333333333331,2\n")
+        write_dense_csv(p, np.array([0.5, -1.0]))
+        assert p.read_bytes() == b"0.5,-1\n"
+
     def test_large_round_trip_bitwise(self, tmp_path, rng):
         mat = rng.standard_normal((1000, 1000))
         p = tmp_path / "big.csv"
-        _write_csv_matrix(p, mat)
+        write_dense_csv(p, mat)
         back = read_dense_csv(p)
         assert np.array_equal(back, mat)
 
@@ -96,13 +107,20 @@ class TestLibsvm:
         with pytest.raises(ValueError, match=r"d\.libsvm:2: index 1 repeated"):
             read_libsvm(p)
 
+    def test_write_pins_bytes(self, tmp_path):
+        # an integral label without a fraction, then the nonzero features
+        # only, 1-based, in 17 significant digits; -0.0 counts as zero
+        p = tmp_path / "d.libsvm"
+        write_libsvm(p, np.array([[0.0, 0.5, -0.0, 1 / 3]]), np.array([-1.0]))
+        assert p.read_bytes() == b"-1 2:0.5 4:0.33333333333333331\n"
+
     def test_round_trip(self, tmp_path, rng):
         feats = rng.standard_normal((50, 7))
         feats[rng.random((50, 7)) < 0.4] = 0.0
         feats[:, 0] += 1.0  # keep at least one nonzero per row
         labels = np.where(rng.random(50) < 0.5, -1.0, 1.0)
         p = tmp_path / "d.libsvm"
-        _write_libsvm(p, feats, labels)
+        write_libsvm(p, feats, labels)
         back_f, back_l = read_libsvm(p, dim=7)
         assert np.array_equal(back_f, feats)
         assert np.array_equal(back_l, labels)

@@ -127,8 +127,6 @@ class TestGroupPartition:
         assert part.collections[0][0] == tuple(range(0, 9))
         assert part.collections[1][0] == tuple(range(3, 12))
         assert part.collections[2][3] == tuple(range(33, 42))
-        # complement of the middle collection: three indices at each end
-        assert part.complement(1, 42) == (0, 1, 2, 39, 40, 41)
 
     def test_overlap_within_collection_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
@@ -724,6 +722,31 @@ class TestNetworkLasso:
                                             record_every=3000))
         blocks = res.x.reshape(4, 2)
         assert np.allclose(blocks, blocks[0][None, :], atol=1e-6)
+
+    def test_color_terms_match_per_edge_formula(self, rng):
+        # each edge (u, v) of a color moves x_u and x_v to their midpoint
+        # plus and minus their half-difference, whose norm shrinks by
+        # a * n_colors * lambda2; vertices off the color stay
+        n_v, block, lam2 = 5, 3, 0.4
+        edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (4, 1)]
+        losses = [_pull(rng.standard_normal(block)) for _ in range(n_v)]
+        problem = build_network_lasso(n_v, edges, losses, lambda1=0.1,
+                                      lambda2=lam2, block_dim=block)
+        classes = greedy_edge_coloring(n_v, edges).classes
+        assert problem.n == len(classes) > 1
+        for a in (0.05, 0.7, 30.0):  # 30 closes every difference
+            for g, cls in zip(problem.g, classes):
+                x0 = 2.0 * rng.standard_normal(n_v * block)
+                blocks = x0.reshape(n_v, block)
+                want = blocks.copy()
+                for (u, v) in cls:
+                    mid = 0.5 * (blocks[u] + blocks[v])
+                    half = 0.5 * (blocks[u] - blocks[v])
+                    thr = a * len(classes) * lam2
+                    half *= max(1.0 - thr / np.linalg.norm(half), 0.0)
+                    want[u], want[v] = mid + half, mid - half
+                got = g.prox(x0, a)
+                assert np.allclose(got, want.ravel(), rtol=1e-14, atol=1e-14)
 
     def test_invariant_suite(self, rng):
         losses = [_pull(rng.standard_normal(2)) for _ in range(3)]

@@ -531,11 +531,48 @@ def _counted(deriv):
     return wrapped, calls
 
 
-# logistic rows whose aq*A'(t) rounds to a staircase near t = -38, where
-# 0.5*(1 + tanh(t/2)) moves in steps of about 1e-16: no secant step helps
-# there, and bisection alone takes about 60 evaluations to close the bracket
+# steep logistic rows.  With response 1 the root lies near t = 37, where
+# A'(t) - 1 rounds to a staircase (A'(t) sits within a few ulps of 1 and
+# moves in steps of about 1e-16): no secant step helps there, and the stall
+# rule's bisections close the bracket in 61-66 evaluations.  With response
+# 0, A'(t) keeps its relative precision into the lower tail, and secant
+# steps find the root near t = -42 in 31-35.
 _STEEP_LOGISTIC = ((0.5, 1e100, 0.0), (0.5, 1e20, 0.0), (-1.0, 1e20, 1.0),
                    (30.0, 1e20, 0.0), (-30.0, 1e290, 1.0), (710.0, 1e20, 0.0))
+
+
+def _exact_logistic_deriv(t):
+    return np.exp(-np.logaddexp(0.0, -t))
+
+
+class TestLogisticDerivative:
+    """The logistic cumulant's derivative keeps its relative precision in
+    the lower tail, so steep rows solve to the root of the exact psi.
+    0.5*(1 + tanh(t/2)) was 35% off at t = -37 and exactly 0 below
+    t = -37.4, and ``glm_root(0.5, 1e20, 0.0, deriv)`` gave -37.98 where
+    the root is -42.2952741797505."""
+
+    @pytest.mark.parametrize("t", [-20.0, -38.0, -700.0])
+    def test_tail_relative_precision(self, t):
+        from proxsplit.problems import glm_family
+        got = float(glm_family("logistic").deriv(t))
+        want = float(_exact_logistic_deriv(t))
+        assert abs(got - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("aq", [1e6, 1e20])
+    @pytest.mark.parametrize("s0", [-3.0, 0.5, 30.0])
+    def test_steep_rows_reach_the_exact_root(self, aq, s0):
+        # |psi| / psi' under the exact derivative is the distance to the
+        # root to first order, which the root rule brings under 1e-12
+        from proxsplit.problems import glm_family
+        deriv = glm_family("logistic").deriv
+        one = glm_root(s0, aq, 0.0, deriv)
+        rows = _glm_roots(np.array([s0]), np.array([aq]), np.array([0.0]),
+                          deriv, np.array([0]))
+        for t in (one, rows[0]):
+            d = _exact_logistic_deriv(t)
+            psi = t - s0 + aq * d
+            assert abs(psi) <= 1e-12 * (1.0 + aq * d * (1.0 - d))
 
 
 class TestGlmRootRule:
