@@ -9,6 +9,7 @@ per term (the rows of ``SolverState.z``) plus a cached running average.
 import dataclasses
 import functools
 import math
+from collections.abc import MutableSequence, Sequence
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -161,6 +162,10 @@ class ProblemSpec:
         Number of (f_i, g_i) term pairs; any entry may be the zero function.
     r, f, g :
         Function handles; ``f`` and ``g`` must each hold exactly n entries.
+        ``f`` is kept as a tuple.  ``g`` may be any immutable sequence of
+        n handles, kept as given: a rank-one problem's builds each handle
+        when it is indexed (:func:`~proxsplit.kernels.rank_one_terms`).  A
+        list or any other iterable is kept as a tuple.
     kind : str
         Free-form tag used by the CLI for metadata and validation messages.
     structure :
@@ -173,6 +178,8 @@ class ProblemSpec:
         ``batched_objective`` from it, and ppg, sppg and spi run its
         rank-one kernels where :func:`~proxsplit.kernels.rank_one_rows`
         finds them served.  Solvers take the per-term path when it is absent.
+        A rank-one row is never the zero term, so a problem with a
+        structure is never :meth:`all_g_zero`.
     batched_g_prox :
         Optional vectorized evaluation of a block of per-term prox calls
         at once.  ``batched_g_prox(V, a, lo)`` takes a block ``V`` holding
@@ -207,7 +214,7 @@ class ProblemSpec:
     n: int
     r: ProxFn
     f: tuple
-    g: tuple
+    g: Sequence
     kind: str = ""
     structure: Any = None
     batched_g_prox: Callable[[np.ndarray, float], np.ndarray] | None = None
@@ -215,10 +222,11 @@ class ProblemSpec:
                      | None) = None
     batched_objective: Callable[[np.ndarray], float] | None = None
     reduce_chunks: int = dataclasses.field(init=False)
-    # whether every f_i is zero, and max_i lipschitz(f_i); the terms are
-    # immutable, so both are found once here instead of by a pass over the
-    # n terms on every call
+    # whether every f_i is zero, whether every g_i is, and
+    # max_i lipschitz(f_i); the terms are immutable, so all three are found
+    # once here instead of by a pass over the n terms on every call
     _f_zero: bool = dataclasses.field(init=False, repr=False, compare=False)
+    _g_zero: bool = dataclasses.field(init=False, repr=False, compare=False)
     _lipschitz: float = dataclasses.field(init=False, repr=False,
                                           compare=False)
 
@@ -227,13 +235,19 @@ class ProblemSpec:
             raise ValueError("dim must be a positive integer")
         if self.n < 1:
             raise ValueError("n must be a positive integer")
+        object.__setattr__(self, "f", tuple(self.f))
+        if isinstance(self.g, MutableSequence) \
+                or not isinstance(self.g, Sequence):
+            object.__setattr__(self, "g", tuple(self.g))
         if len(self.f) != self.n or len(self.g) != self.n:
             raise ValueError("f and g must each hold exactly n terms")
-        object.__setattr__(self, "f", tuple(self.f))
-        object.__setattr__(self, "g", tuple(self.g))
         object.__setattr__(self, "reduce_chunks", min(self.n, 16))
         object.__setattr__(self, "_f_zero",
                            all(fn.is_zero for fn in self.f))
+        # a structure's rows are never zero terms, so its handles, which
+        # may be built only when indexed, are not walked
+        object.__setattr__(self, "_g_zero", self.structure is None and all(
+            fn.is_zero for fn in self.g))
         object.__setattr__(self, "_lipschitz",
                            max((fn.lipschitz for fn in self.f), default=0.0))
 
@@ -245,7 +259,7 @@ class ProblemSpec:
         return self._f_zero
 
     def all_g_zero(self) -> bool:
-        return all(fn.is_zero for fn in self.g)
+        return self._g_zero
 
     def batched_sweep(self) -> bool:
         """Whether a full sweep runs through a vectorized hook."""

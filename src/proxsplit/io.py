@@ -86,7 +86,10 @@ def read_dense_csv(path) -> np.ndarray:
                 raise ValueError(
                     f"{path}:{lineno}: ragged row ({len(cells)} cells, "
                     f"expected {width})")
-            rows.append([_parse_float(c, lineno, path) for c in cells])
+            try:
+                rows.append(np.array(cells, dtype=float))
+            except ValueError:  # name the first bad cell
+                rows.append([_parse_float(c, lineno, path) for c in cells])
             if width is None:
                 width = len(cells)
     if not rows:

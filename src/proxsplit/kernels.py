@@ -8,16 +8,19 @@ u along f_i by a scalar beta of s = f_i'u.  :class:`HingeStructure` and
 scalar arithmetic), plus ``losses`` (phi_i); each derives its rows'
 squared norms from ``features``.  Everything else is built from them here,
 for either kind.  :func:`rank_one_problem` builds the problem, for any r:
-its per-term handles (:func:`rank_one_terms`), ``batched_g_prox``
-(:func:`rank_one_prox`) and ``batched_objective``
-(:func:`rank_one_objective`).  A structure's ``ridge`` is a ridge folded
-into the terms; a ridge in r is stated by r alone (:func:`core.ridge_prox`).
+its per-term handles (:func:`rank_one_terms`, a sequence that builds term
+i's handle only when it is indexed, so the batched hooks and the kernels
+pay for none), ``batched_g_prox`` (:func:`rank_one_prox`) and
+``batched_objective`` (:func:`rank_one_objective`).  A structure's
+``ridge`` is a ridge folded into the terms; a ridge in r is stated by r
+alone (:func:`core.ridge_prox`).
 :func:`rank_one_rows` is the one rule for which problems a kernel serves.
 :func:`rank_one_sppg_block` takes each
 run of up to ``SPPG_RUN`` consecutive distinct sppg rows with three BLAS
 products and a scalar recurrence of ``beta``, in place of a dozen small
 vector operations per step; :class:`RankOnePpg` takes ppg's full sweeps
-over the same rows in scalar coordinates, with no pass over z; and
+over the same rows in scalar coordinates, with no pass over z, taking
+each recorded objective from the sweep's own F x; and
 :func:`rank_one_spi_block` is the spi baseline's loop of ``beta`` steps.
 The per-term handles remain the reference path; the kernels agree with
 them to floating-point rounding, not bitwise, because their sums associate
@@ -26,9 +29,10 @@ differently.
 
 import importlib.util
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from operator import mul
+from operator import index, mul
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -179,9 +183,33 @@ def _term_value(struct, i, x):
     return loss + 0.5 * struct.ridge * float(x @ x) if struct.ridge else loss
 
 
-def rank_one_terms(struct) -> tuple:
-    """The per-term handles of rank-one rows, one :class:`ProxFn` per row,
-    built from ``struct.beta`` and ``struct.losses``.
+@dataclass(frozen=True, eq=False)
+class _TermHandles(Sequence):
+    """The sequence of :func:`rank_one_terms`."""
+
+    struct: object
+
+    def __len__(self):
+        return self.struct.features.shape[0]
+
+    def __getitem__(self, i):
+        n = len(self)
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(n)))
+        i = index(i)
+        if not -n <= i < n:
+            raise IndexError(f"term index {i} out of range for {n} terms")
+        i %= n
+        return ProxFn(prox=partial(_term_prox, self.struct, i),
+                      value=partial(_term_value, self.struct, i))
+
+
+def rank_one_terms(struct) -> Sequence:
+    """The per-term handles of rank-one rows: an immutable sequence of n
+    :class:`ProxFn`, term i's built from ``struct.beta`` and
+    ``struct.losses`` only when it is indexed, so a problem whose solvers
+    run the batched hooks or the kernels builds none.  It takes negative
+    indices, and a slice gives a tuple of its terms' handles.
 
     The prox of term i at x0 with step a moves x0 along f_i by the beta of
     s = f_i'x0.  When a ridge is folded into the terms, x0 and the step
@@ -189,9 +217,7 @@ def rank_one_terms(struct) -> tuple:
     to phi_i(f_i'x).  A row whose beta is NaN gives a NaN point, without a
     warning, for the caller to report by term.
     """
-    return tuple(ProxFn(prox=partial(_term_prox, struct, i),
-                        value=partial(_term_value, struct, i))
-                 for i in range(struct.features.shape[0]))
+    return _TermHandles(struct)
 
 
 def _distinct_runs(order, limit):
@@ -237,9 +263,10 @@ def rank_one_objective(struct, x) -> float:
 
 def rank_one_problem(struct, r: ProxFn, kind: str) -> ProblemSpec:
     """The problem r(x) + mean_i g_i(x) over the rows of ``struct``, which
-    it carries as its structure: every f_i zero, g the handles of
-    :func:`rank_one_terms`, and the batched prox and objective of
-    :func:`rank_one_prox` and :func:`rank_one_objective`."""
+    it carries as its structure: every f_i zero, g the sequence of
+    :func:`rank_one_terms`, which builds no handle until one is indexed,
+    and the batched prox and objective of :func:`rank_one_prox` and
+    :func:`rank_one_objective`."""
     n, d = struct.features.shape
     return ProblemSpec(
         dim=d, n=n, r=r, f=(zero_smooth(),) * n, g=rank_one_terms(struct),
@@ -365,7 +392,8 @@ class RankOnePpg:
     a zero start is the formula with w = 0 and beta = 0.
 
     ``state`` is the run's; each :meth:`sweep` sets its ``zbar`` and
-    counts the iteration, and :meth:`write_z` writes its ``z`` once, at
+    counts the iteration, :meth:`objective` takes the recorded objective
+    from the sweep's F x, and :meth:`write_z` writes its ``z`` once, at
     the end.  The values agree with the row-blocked sweep's to rounding:
     the mean and the residual are summed differently.
     """
@@ -416,6 +444,16 @@ class RankOnePpg:
         # the closed form is nonnegative in exact arithmetic, but at the
         # fixed point it can round below zero
         return math.sqrt(max(sq, 0.0)) / alpha, x
+
+    def objective(self, x):
+        """The objective r(x) + mean_i phi_i(f_i'x) at x, the last sweep's
+        x_half, from the F x that sweep formed: the arithmetic of
+        :func:`core.objective` through :func:`rank_one_objective`, with no
+        product of its own.  None when r has no value."""
+        if self.r.value is None:
+            return None
+        return float(self.r.value(x)) \
+            + float(np.mean(self.struct.losses(self.fw)))
 
     def write_z(self):
         """Write z_i = w + beta_i f_i into the state's z in place, a chunk

@@ -8,7 +8,9 @@ logged byte, is the same on every rerun.  Only z is stored across
 iterations, except on rank-one rows with no ridge folded into them (the
 split SVM and GLMs, with any r): a sweep sets every z_i to
 x_half + beta_i f_i, so :class:`kernels.RankOnePpg` holds z as x_half and
-n scalars and writes it out once, at the end.
+n scalars and writes it out once, at the end.  There each recorded
+objective is taken from the sweep's product F x_half, where the other
+sweeps call :func:`core.objective`.
 """
 
 import math
@@ -99,12 +101,16 @@ def _ergodic(total: np.ndarray | None, steps: int) -> np.ndarray | None:
 
 def _report(problem: ProblemSpec, k: int, resid: float, point: np.ndarray,
             epoch: float, x_ref: np.ndarray | None = None,
-            wall_time_s: float | None = None) -> ResidualReport:
-    """The metrics row for iteration ``k``, reporting on ``point``."""
+            wall_time_s: float | None = None,
+            value=None) -> ResidualReport:
+    """The metrics row for iteration ``k``, reporting on ``point``; its
+    objective is ``value(point)``, or :func:`core.objective`'s when
+    ``value`` is None."""
     return ResidualReport(
         k=k,
         residual_norm=resid,
-        objective=objective(point, problem),
+        objective=(objective(point, problem) if value is None
+                   else value(point)),
         dist_to_ref=None if x_ref is None else float(
             np.linalg.norm(point - x_ref)),
         wall_time_s=wall_time_s,
@@ -113,14 +119,16 @@ def _report(problem: ProblemSpec, k: int, resid: float, point: np.ndarray,
 
 
 def _sweep_loop(problem: ProblemSpec, opts: SolveOptions, step,
-                scale: float, x_ref: np.ndarray | None = None):
+                scale: float, x_ref: np.ndarray | None = None, value=None):
     """Loop of the full-sweep solvers (ppg, prox-grad, ADMM).
 
     ``step()`` advances one iteration and returns its residual norm and the
-    point its row reports on.  The tolerance is tested every iteration;
-    rows are kept every ``record_every`` iterations (default 1), at the stop
-    and at the last iteration.  Returns the rows, whether the run
-    converged, the number of iterations taken and the stop reason.
+    point its row reports on; ``value``, when given, gives that point's
+    objective as the step knows it (see :func:`_report`).  The tolerance is
+    tested every iteration; rows are kept every ``record_every`` iterations
+    (default 1), at the stop and at the last iteration.  Returns the rows,
+    whether the run converged, the number of iterations taken and the stop
+    reason.
     """
     rec = opts.record_every or 1
     rows = []
@@ -130,7 +138,7 @@ def _sweep_loop(problem: ProblemSpec, opts: SolveOptions, step,
         stopping = opts.tol > 0 and resid / scale <= opts.tol
         if k % rec == 0 or stopping or k == opts.max_iters - 1:
             rows.append(_report(problem, k, resid, point, float(k), x_ref,
-                                time.perf_counter() - t0))
+                                time.perf_counter() - t0, value))
         if stopping:
             return rows, True, k + 1, "tol"
     return rows, opts.tol <= 0, opts.max_iters, "budget"
@@ -242,19 +250,23 @@ def ppg_run(problem: ProblemSpec, opts: SolveOptions,
     written once, at the end.  Other problems run the row-blocked sweep
     of :func:`ppg_step`.  The two agree to rounding, and
     ``log.metadata["sweep"]`` says which ran: ``rank-one``, ``batched`` or
-    ``per-term``.
+    ``per-term``.  A rank-one run's recorded objective comes from the
+    sweep's own product with the rows (:meth:`kernels.RankOnePpg.objective`),
+    bitwise what :func:`core.objective` gives through the batched objective
+    of :func:`kernels.rank_one_problem`; the other sweeps call
+    :func:`core.objective`.
     """
     alpha = resolve_alpha(problem, opts.alpha)
     state = initial_state(problem, alpha, warm_start)
     xsum = np.zeros(problem.dim) if opts.ergodic else None
     struct = kernels.rank_one_rows(problem, "ppg")
     if struct is None:
-        sweep = partial(_sweep_blocks, state, problem, True)
+        sweep, value = partial(_sweep_blocks, state, problem, True), None
         path = "batched" if problem.batched_sweep() else "per-term"
     else:
         sweeps = kernels.RankOnePpg(state, struct, problem.r,
                                     warm=warm_start is not None)
-        sweep, path = sweeps.sweep, "rank-one"
+        sweep, value, path = sweeps.sweep, sweeps.objective, "rank-one"
 
     def step():
         nonlocal xsum
@@ -264,7 +276,8 @@ def ppg_run(problem: ProblemSpec, opts: SolveOptions,
         return resid, x_half
 
     rows, converged, _, stop = _sweep_loop(
-        problem, opts, step, math.sqrt(problem.n * problem.dim), x_ref)
+        problem, opts, step, math.sqrt(problem.n * problem.dim), x_ref,
+        value)
     if struct is not None:
         sweeps.write_z()
     x_out = problem.r.prox(state.zbar, alpha)

@@ -47,6 +47,35 @@ class TestDenseCsv:
         with pytest.raises(ValueError, match=r":2.*'x'"):
             read_dense_csv(p)
 
+    @pytest.mark.parametrize("text, line, cell", [
+        ("a,b,c\n1,2x,3\n4,5,6\n", 2, "2x"),
+        ("a,b,c\n\n1,2,3\n4, ,6\n7,8,9\n", 4, " "),
+        ("1,2,3\n4,5,6\n7,8,nine\n", 3, "nine"),
+    ])
+    def test_bad_cell_message_names_the_first_bad_cell(self, tmp_path, text,
+                                                       line, cell):
+        # a row parses in one call; one that fails is parsed again cell by
+        # cell, so the message names its line and its first bad cell
+        p = tmp_path / "m.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            read_dense_csv(p)
+        assert str(exc.value) == f"{p}:{line}: non-numeric cell {cell!r}"
+
+    def test_values_are_those_of_float(self, tmp_path):
+        # every spelling that float() reads, read to the same double
+        cells = [" 1.5", "-0", "1_0", "+.5", "5.", "Infinity", "-inf", "nan",
+                 "1e-400", "1e400", "2.2250738585072011e-308",
+                 "0.1000000000000000055511151231257827"]
+        p = tmp_path / "m.csv"
+        p.write_text("h" + ",h" * (len(cells) - 1) + "\n"
+                     + ",".join(cells) + "\n" + ",".join(cells[::-1]) + "\n")
+        want = np.array([[float(c) for c in cells],
+                         [float(c) for c in cells[::-1]]])
+        got = read_dense_csv(p)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_write_pins_bytes(self, tmp_path):
         # 17 significant digits, C's %g spelling of zero, subnormals and
         # large exponents; a vector is one row

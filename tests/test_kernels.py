@@ -9,10 +9,11 @@ import pytest
 
 from conftest import abs_prox_fn, tiny_glm, tiny_svm
 from proxsplit import kernels
-from proxsplit.baselines import DiminishingStep, stochastic_prox_iteration_run
-from proxsplit.core import (ConvergenceError, NumericalError, RidgeProx,
-                            SmoothFn, initial_state, objective, ridge_prox,
-                            zero_prox)
+from proxsplit.baselines import (DiminishingStep, consensus_admm_run,
+                                 stochastic_prox_iteration_run)
+from proxsplit.core import (ConvergenceError, NumericalError, ProblemSpec,
+                            RidgeProx, SmoothFn, initial_state, objective,
+                            ridge_prox, zero_prox, zero_smooth)
 from proxsplit.ppg import SolveOptions, ppg_run
 from proxsplit.problems import SvmData, build_glm, build_svm, glm_family
 from proxsplit.sppg import (IndexSampler, SequenceSampler, _advance_one,
@@ -599,6 +600,117 @@ class TestRankOnePpg:
             tracemalloc.stop()
         assert res.log.metadata["sweep"] == "rank-one"
         assert peak < 1.1 * problem.n * problem.dim * 8
+
+
+    @pytest.mark.parametrize("r", ["problem's", "l1", "no value"])
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_recorded_objective_is_core_objective_bitwise(
+            self, monkeypatch, kind, warm, r):
+        # the rank-one sweep hands the loop its objective, taken from the
+        # sweep's own F x_half; it must be the bits core.objective gives at
+        # that x_half, on a cold start and warm-started from ADMM's state
+        problem = _rank_one_problem(kind, 8, 40, 4)
+        if r == "l1":
+            problem = _l1(problem)
+        elif r == "no value":
+            problem = dataclasses.replace(
+                problem, r=dataclasses.replace(problem.r, value=None))
+        alpha = 10.0 if kind == "svm" else 1.0
+        warm_start = None
+        if warm:
+            warm_start = consensus_admm_run(
+                problem, SolveOptions(alpha=alpha, max_iters=4)).state.z
+        points = []
+        sweep = kernels.RankOnePpg.sweep
+
+        def recording(self):
+            resid, x = sweep(self)
+            points.append(x.copy())
+            return resid, x
+
+        monkeypatch.setattr(kernels.RankOnePpg, "sweep", recording)
+        res = ppg_run(problem, SolveOptions(alpha=alpha, max_iters=20,
+                                            record_every=3),
+                      warm_start=warm_start)
+        assert res.log.metadata["sweep"] == "rank-one"
+        assert len(points) == 20
+        assert [row.k for row in res.log.rows] == [0, 3, 6, 9, 12, 15, 18,
+                                                   19]
+        for row in res.log.rows:
+            want = objective(points[row.k], problem)
+            if r == "no value":
+                assert row.objective is None and want is None
+            else:
+                assert row.objective == want
+
+
+class TestLazyTermHandles:
+    """A rank-one problem's g builds term i's handle when it is indexed,
+    and that handle is the one the per-term path always had."""
+
+    @pytest.fixture(params=["split-svm", "folded-svm", "logistic"])
+    def problem(self, request):
+        return _RULE_TABLE[request.param][0](np.random.default_rng(4))
+
+    def test_handles_are_the_term_rules(self, problem):
+        n, struct = problem.n, problem.structure
+        assert len(problem.g) == n == 12
+        rng = np.random.default_rng(5)
+        v, x = rng.standard_normal((n, 3)) * 3.0, rng.standard_normal(3)
+
+        def same(handle, i):
+            return (np.array_equal(handle.prox(v[i], 0.7),
+                                   kernels._term_prox(struct, i, v[i], 0.7))
+                    and handle.value(x) == kernels._term_value(struct, i, x))
+
+        assert all(same(problem.g[i], i) for i in range(n))
+        assert same(problem.g[-1], n - 1) and same(problem.g[-n], 0)
+        assert same(problem.g[np.int64(5)], 5)
+        part = problem.g[3:8]
+        assert isinstance(part, tuple) and len(part) == 5
+        assert all(same(h, i) for h, i in zip(part, range(3, 8)))
+        assert problem.g[8:3] == () and len(problem.g[::4]) == 3
+        assert all(same(h, i) for i, h in enumerate(problem.g))
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                problem.g[bad]
+
+    @pytest.mark.parametrize("name", ["split-svm", "folded-svm", "logistic"])
+    def test_building_makes_no_handle(self, monkeypatch, name):
+        made, make = [], kernels.ProxFn
+
+        def counted(*args, **kwargs):
+            made.append(1)
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "ProxFn", counted)
+        problem = _RULE_TABLE[name][0](np.random.default_rng(4))
+        assert not problem.all_g_zero()
+        assert not made
+        problem.g[3]
+        assert len(made) == 1
+
+    def test_per_term_ppg_reaches_the_same_x(self, monkeypatch, problem):
+        opts = SolveOptions(alpha=1.0, max_iters=30)
+        ref = ppg_run(problem, opts)
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "rank_one_rows", lambda problem, kernel: None)
+            res = ppg_run(dataclasses.replace(problem, batched_g_prox=None),
+                          opts)
+        assert res.log.metadata["sweep"] == "per-term"
+        assert _rel(res.x, ref.x) <= 1e-12
+
+    def test_other_sequences_are_kept_as_tuples(self):
+        handles = [zero_prox(), abs_prox_fn()]
+        for g in (handles, iter(handles), (h for h in handles)):
+            problem = ProblemSpec(dim=1, n=2, r=zero_prox(),
+                                  f=[zero_smooth()] * 2, g=g)
+            assert isinstance(problem.g, tuple)
+            assert isinstance(problem.f, tuple)
+            assert problem.g == tuple(handles)
+        assert ProblemSpec(dim=1, n=2, r=zero_prox(), f=[zero_smooth()] * 2,
+                           g=[zero_prox()] * 2).all_g_zero()
 
 
 def _l1_problem(kind, built):
