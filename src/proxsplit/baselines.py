@@ -14,9 +14,8 @@ import numpy as np
 
 from . import core, kernels
 from .core import (ProblemSpec, SolverState, _block_points, _call_term,
-                   _require_finite, _require_finite_rows, _row_blocks,
-                   _sweep_blocks, initial_state)
-from .io import MetricsLog
+                   _checked_input, _require_finite, _require_finite_rows,
+                   _row_blocks, _sweep_blocks, initial_state)
 from .ppg import (RunResult, SolveOptions, _sampled_loop, _sweep_loop,
                   resolve_alpha)
 
@@ -36,15 +35,6 @@ class DiminishingStep:
 
     def at(self, k: int) -> float:
         return self.c / k
-
-
-def _start_point(x0, problem: ProblemSpec) -> np.ndarray:
-    """A float copy of a caller's ``x0``, which must have shape (dim,)."""
-    x = np.array(x0, dtype=float, copy=True)
-    if x.shape != (problem.dim,):
-        raise ValueError(f"x0 must have shape ({problem.dim},), "
-                         f"got {x.shape}")
-    return x
 
 
 def _block_mean(problem: ProblemSpec, block_rows) -> np.ndarray:
@@ -75,7 +65,7 @@ def proximal_gradient_run(problem: ProblemSpec, opts: SolveOptions,
                          "nonsmooth function to be zero")
     alpha = resolve_alpha(problem, opts.alpha)
     x = problem.r.prox(np.zeros(problem.dim), alpha) if x0 is None \
-        else _start_point(x0, problem)
+        else _checked_input(x0, (problem.dim,), "x0")
 
     def step():
         nonlocal x
@@ -86,14 +76,11 @@ def proximal_gradient_run(problem: ProblemSpec, opts: SolveOptions,
         point, x = x, x_next
         return float(np.linalg.norm(point - x)) / alpha, point
 
-    rows, converged, iters, stop = _sweep_loop(
-        problem, opts, step, math.sqrt(problem.dim), x_ref)
+    log, converged, iters = _sweep_loop(
+        problem, opts, step, math.sqrt(problem.dim),
+        {"solver": "prox-grad", "alpha": alpha}, x_ref)
     state = SolverState(z=x[None, :].copy(), zbar=x.copy(), alpha=alpha,
                         k=iters)
-    log = MetricsLog(rows=rows, metadata={
-        "solver": "prox-grad", "alpha": alpha, "problem_kind": problem.kind,
-        "sweep": "batched" if problem.batched_sweep() else "per-term",
-        "stop": stop})
     return RunResult(x=x, log=log, converged=converged, state=state)
 
 
@@ -134,13 +121,10 @@ def consensus_admm_run(problem: ProblemSpec, opts: SolveOptions,
         u += x_blocks
         return float(np.linalg.norm(x_blocks)) / alpha, zc
 
-    rows, converged, iters, stop = _sweep_loop(problem, opts, step,
-                                               math.sqrt(n * d), x_ref)
+    log, converged, iters = _sweep_loop(
+        problem, opts, step, math.sqrt(n * d),
+        {"solver": "admm", "alpha": alpha}, x_ref)
     state = SolverState(np.add(u, zc, out=u), ybar, alpha, iters)
-    log = MetricsLog(rows=rows, metadata={
-        "solver": "admm", "alpha": alpha, "problem_kind": problem.kind,
-        "sweep": "batched" if problem.batched_sweep() else "per-term",
-        "stop": stop})
     return RunResult(x=zc, log=log, converged=converged, state=state)
 
 
@@ -169,7 +153,8 @@ def stochastic_prox_iteration_run(problem: ProblemSpec, step: DiminishingStep,
     if not problem.r.is_zero:
         raise ValueError("stochastic proximal iteration requires the "
                          "global term to be zero")
-    x = np.zeros(problem.dim) if x0 is None else _start_point(x0, problem)
+    x = np.zeros(problem.dim) if x0 is None \
+        else _checked_input(x0, (problem.dim,), "x0")
     struct = kernels.rank_one_rows(problem, "spi")
 
     def advance(k, block):
@@ -191,15 +176,12 @@ def stochastic_prox_iteration_run(problem: ProblemSpec, step: DiminishingStep,
             SolverState(z, x, step.at(max(k, 1))), problem, advance=False)
         return resid / math.sqrt(problem.n), x_half
 
-    rows, converged, steps, stop = _sampled_loop(
-        problem, opts, sampler, probe, advance, math.sqrt(problem.dim),
-        x_ref)
+    log, converged, steps = _sampled_loop(
+        problem, opts, sampler, probe, advance, math.sqrt(problem.dim), {
+            "solver": "spi", "c": step.c,
+            "path": "per-term" if struct is None else "kernel"}, x_ref)
     state = SolverState(z=x[None, :].copy(), zbar=x.copy(), alpha=step.c,
                         k=steps)
-    log = MetricsLog(rows=rows, metadata={
-        "solver": "spi", "c": step.c, "seed": getattr(sampler, "seed", None),
-        "problem_kind": problem.kind, "stop": stop,
-        "path": "per-term" if struct is None else "kernel"})
     return RunResult(x=x, log=log, converged=converged, state=state)
 
 
@@ -231,12 +213,9 @@ def finito_run(problem: ProblemSpec, sampler, opts: SolveOptions,
             w += (z_new - z[i]) * (1.0 / n)
             z[i] = z_new
 
-    rows, converged, state.k, stop = _sampled_loop(
+    log, converged, state.k = _sampled_loop(
         problem, opts, sampler, lambda k: _sweep_blocks(state, problem, False),
-        advance, math.sqrt(n * problem.dim), x_ref)
-    log = MetricsLog(rows=rows, metadata={
-        "solver": "finito", "alpha": alpha,
-        "seed": getattr(sampler, "seed", None),
-        "problem_kind": problem.kind, "stop": stop})
+        advance, math.sqrt(n * problem.dim),
+        {"solver": "finito", "alpha": alpha}, x_ref)
     return RunResult(x=state.zbar.copy(), log=log, converged=converged,
                      state=state)

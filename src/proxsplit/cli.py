@@ -195,11 +195,8 @@ def _write_outputs(cfg: RunConfig, result: ppg.RunResult):
     if not cfg.timing:
         _strip_timing(result.log)
     io.write_metrics_csv(result.log, cfg.metrics_out)
-    # the whole run record; the configuration names the solver and seed
+    # the solver's run record, with the configuration's solver and seed
     meta = {
-        "alpha": cfg.alpha,
-        "problem_kind": "",
-        "resyncs": None,
         **result.log.metadata,
         "solver": cfg.algo,
         "seed": cfg.seed,

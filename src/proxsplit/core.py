@@ -305,15 +305,24 @@ class ResidualReport:
 
 def initial_state(problem: ProblemSpec, alpha: float,
                   warm_start: np.ndarray | None = None) -> SolverState:
-    """Fresh state with z = 0 (or the warm start) and a consistent zbar."""
-    if warm_start is None:
-        z = np.zeros((problem.n, problem.dim))
-    else:
-        z = np.array(warm_start, dtype=float, copy=True)
-        if z.shape != (problem.n, problem.dim):
-            raise ValueError("warm start must have shape (n, dim)")
+    """Fresh state with z = 0 (or a copy of the warm start, which must be
+    finite and of shape (n, dim)) and a consistent zbar."""
+    shape = (problem.n, problem.dim)
+    z = np.zeros(shape) if warm_start is None \
+        else _checked_input(warm_start, shape, "warm_start")
     return SolverState(z=z, zbar=chunked_row_mean(z, problem.reduce_chunks),
                        alpha=alpha)
+
+
+def _checked_input(value, shape: tuple, name: str) -> np.ndarray:
+    """A float copy of the caller's argument ``name``; raises ValueError
+    naming it unless it has ``shape`` and only finite entries."""
+    arr = np.array(value, dtype=float, copy=True)
+    if arr.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return arr
 
 
 def _chunk_bounds(n: int, n_chunks: int) -> list:
@@ -363,14 +372,16 @@ def _name_bad_row(block: np.ndarray, what: str, lo: int = 0):
             f"non-finite values from {what} (term {lo + bad[0]})")
 
 
-def _require_finite_rows(block: np.ndarray, what: str, lo: int = 0):
+def _require_finite_rows(block: np.ndarray, what: str, lo: int = 0) -> float:
     """Like :func:`_require_finite` on every row of a block that holds
-    rows lo.., naming the first bad one.  One sum of squares tests the
-    whole block; only a non-finite sum (a NaN or inf entry, or squares
-    that overflow) scans the rows."""
+    rows lo.., naming the first bad one; returns the block's sum of
+    squares.  That one sum tests the whole block; only a non-finite sum
+    (a NaN or inf entry, or squares that overflow) scans the rows."""
     flat = block.reshape(-1)
-    if not math.isfinite(np.dot(flat, flat)):
+    sq = float(np.dot(flat, flat))
+    if not math.isfinite(sq):
         _name_bad_row(block, what, lo)
+    return sq
 
 
 def residual_map(state: SolverState, problem: ProblemSpec):
@@ -481,11 +492,7 @@ def _sweep_blocks(state: SolverState, problem: ProblemSpec, advance: bool):
         v = np.subtract(2.0 * x_half, z[lo:hi], out=scratch[:hi - lo])
         delta = _block_points(x_half, v, lo, problem, alpha)
         delta -= x_half
-        flat = delta.reshape(-1)
-        sq = float(np.dot(flat, flat))
-        if not math.isfinite(sq):
-            _name_bad_row(delta, "prox of g", lo)
-        sumsq += sq
+        sumsq += _require_finite_rows(delta, "prox of g", lo)
         if advance:
             z[lo:hi] += delta
             if total is None:

@@ -25,8 +25,10 @@ METRICS_HEADER = "k,epoch,wall_time_s,residual_norm,objective,dist_to_ref"
 class MetricsLog:
     """Append-only diagnostics record plus run metadata.
 
-    Rows must be strictly increasing in k; metadata holds solver name,
-    seed, step size, problem kind, and the source revision string.
+    Rows must be strictly increasing in k; metadata holds the run record
+    that the solvers' shared loops write (``ppg._log``): solver name, step
+    size, problem kind, n, dim, code path, stop reason and, for sampled
+    runs, the seed.
     """
 
     rows: list = field(default_factory=list)

@@ -38,7 +38,8 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .core import (ConvergenceError, NumericalError, ProblemSpec, ProxFn,
-                   RidgeProx, _name_bad_row, _require_finite, zero_smooth)
+                   RidgeProx, _name_bad_row, _require_finite,
+                   _require_finite_rows, zero_smooth)
 from .prox import _glm_roots, glm_root
 
 __all__ = ["HingeStructure", "GlmStructure", "rank_one_problem",
@@ -435,8 +436,7 @@ class RankOnePpg:
                     step = feats[rows] * beta[rows, None]
                     step += x
                     step -= self.z0[rows]
-                    flat = step.reshape(-1)
-                    sq += float(flat @ flat)
+                    sq += _require_finite_rows(step, "prox of g", lo)
                 self.z0 = None
         self.w, self.fw, self.beta, self.moved = x, fx, beta, True
         state.zbar = x + (beta @ feats) * (1.0 / n)

@@ -22,8 +22,8 @@ from functools import partial
 import numpy as np
 
 from . import kernels
-from .core import (ProblemSpec, ResidualReport, SolverState, _sweep_blocks,
-                   initial_state, objective)
+from .core import (ProblemSpec, ResidualReport, SolverState, _checked_input,
+                   _sweep_blocks, initial_state, objective)
 from .io import MetricsLog
 
 __all__ = ["SolveOptions", "RunResult", "resolve_alpha", "ppg_step",
@@ -91,12 +91,14 @@ def _ergodic(total: np.ndarray | None, steps: int) -> np.ndarray | None:
 
 # -- run driver ---------------------------------------------------------------
 #
-# Every solver supplies only its update and its residual; the two loops below
-# own the record cadence, the tolerance test and the metrics rows.  A
+# Every solver supplies only its update, its residual and the few record
+# fields that are its own; the two loops below own the record cadence, the
+# tolerance test, the metrics rows and the run record (see :func:`_log`).  A
 # solver's residual divided by its ``scale`` is the root-mean-square residual
-# per entry, which is what ``SolveOptions.tol`` bounds.  Both loops also say
-# why they stopped: "tol" when the tolerance was met, "budget" when
-# ``max_iters`` ran out first; solvers record it as ``metadata["stop"]``.
+# per entry, which is what ``SolveOptions.tol`` bounds.  Both loops check a
+# caller's ``x_ref`` before the first step, and say why they stopped:
+# ``stop`` is "tol" when the tolerance was met, "budget" when ``max_iters``
+# ran out first.
 
 
 def _report(problem: ProblemSpec, k: int, resid: float, point: np.ndarray,
@@ -118,18 +120,35 @@ def _report(problem: ProblemSpec, k: int, resid: float, point: np.ndarray,
     )
 
 
+def _log(problem: ProblemSpec, rows: list, fields: dict,
+         stop: str) -> MetricsLog:
+    """The run's metrics rows and record: the problem's kind, ``n`` and
+    ``dim``, the record ``fields`` of the loop and the solver, and the
+    ``stop`` reason."""
+    return MetricsLog(rows=rows, metadata={
+        "problem_kind": problem.kind, "n": problem.n, "dim": problem.dim,
+        **fields, "stop": stop})
+
+
 def _sweep_loop(problem: ProblemSpec, opts: SolveOptions, step,
-                scale: float, x_ref: np.ndarray | None = None, value=None):
+                scale: float, fields: dict, x_ref: np.ndarray | None = None,
+                value=None):
     """Loop of the full-sweep solvers (ppg, prox-grad, ADMM).
 
     ``step()`` advances one iteration and returns its residual norm and the
     point its row reports on; ``value``, when given, gives that point's
     objective as the step knows it (see :func:`_report`).  The tolerance is
     tested every iteration; rows are kept every ``record_every`` iterations
-    (default 1), at the stop and at the last iteration.  Returns the rows,
-    whether the run converged, the number of iterations taken and the stop
-    reason.
+    (default 1), at the stop and at the last iteration.  Returns the
+    :class:`MetricsLog` (see :func:`_log`; ``sweep`` is ``batched`` or
+    ``per-term`` by :meth:`ProblemSpec.batched_sweep` unless ``fields``
+    names it), whether the run converged and the number of iterations
+    taken.
     """
+    x_ref = None if x_ref is None \
+        else _checked_input(x_ref, (problem.dim,), "x_ref")
+    fields = {"sweep": "batched" if problem.batched_sweep() else "per-term",
+              **fields}
     rec = opts.record_every or 1
     rows = []
     t0 = time.perf_counter()
@@ -140,8 +159,9 @@ def _sweep_loop(problem: ProblemSpec, opts: SolveOptions, step,
             rows.append(_report(problem, k, resid, point, float(k), x_ref,
                                 time.perf_counter() - t0, value))
         if stopping:
-            return rows, True, k + 1, "tol"
-    return rows, opts.tol <= 0, opts.max_iters, "budget"
+            return _log(problem, rows, fields, "tol"), True, k + 1
+    return (_log(problem, rows, fields, "budget"), opts.tol <= 0,
+            opts.max_iters)
 
 
 def _checked_draws(block, n: int, k: int) -> np.ndarray:
@@ -158,7 +178,8 @@ def _checked_draws(block, n: int, k: int) -> np.ndarray:
 
 
 def _sampled_loop(problem: ProblemSpec, opts: SolveOptions, sampler, probe,
-                  advance, scale: float, x_ref: np.ndarray | None = None):
+                  advance, scale: float, fields: dict,
+                  x_ref: np.ndarray | None = None):
     """Loop of the sampled-step solvers (sppg, spi, Finito).
 
     ``probe(k)`` returns the residual norm and the reported point after k
@@ -168,9 +189,15 @@ def _sampled_loop(problem: ProblemSpec, opts: SolveOptions, sampler, probe,
     record rows and epoch boundaries, and their indices are drawn per
     block, so memory does not grow with the step budget.  A drawn block
     that is not integer or not within [0, n) raises ValueError naming its
-    first bad index, before any of its steps.  Returns the rows, whether
-    the run converged, the number of steps taken and the stop reason.
+    first bad index, before any of its steps.  Returns the
+    :class:`MetricsLog` (see :func:`_log`, with the sampler's ``seed``,
+    None when it has none, and ``path`` ``per-term`` unless ``fields``
+    names it), whether the run converged and the number of steps taken.
     """
+    x_ref = None if x_ref is None \
+        else _checked_input(x_ref, (problem.dim,), "x_ref")
+    fields = {"seed": getattr(sampler, "seed", None), "path": "per-term",
+              **fields}
     n, total = problem.n, opts.max_iters
     rec = opts.record_every or n
     rows = []
@@ -182,9 +209,9 @@ def _sampled_loop(problem: ProblemSpec, opts: SolveOptions, sampler, probe,
             rows.append(_report(problem, k, resid, point, k / n, x_ref,
                                 time.perf_counter() - t0))
             if opts.tol > 0 and resid / scale <= opts.tol:
-                return rows, True, k, "tol"
+                return _log(problem, rows, fields, "tol"), True, k
         if k >= total:
-            return rows, opts.tol <= 0, k, "budget"
+            return _log(problem, rows, fields, "budget"), opts.tol <= 0, k
         nxt = min((k // rec + 1) * rec, (k // n + 1) * n, total)
         block = _checked_draws(sampler.take(nxt - k), n, k)
         advance(k, block)
@@ -259,14 +286,15 @@ def ppg_run(problem: ProblemSpec, opts: SolveOptions,
     alpha = resolve_alpha(problem, opts.alpha)
     state = initial_state(problem, alpha, warm_start)
     xsum = np.zeros(problem.dim) if opts.ergodic else None
+    fields = {"solver": "ppg", "alpha": alpha}
     struct = kernels.rank_one_rows(problem, "ppg")
     if struct is None:
         sweep, value = partial(_sweep_blocks, state, problem, True), None
-        path = "batched" if problem.batched_sweep() else "per-term"
     else:
         sweeps = kernels.RankOnePpg(state, struct, problem.r,
                                     warm=warm_start is not None)
-        sweep, value, path = sweeps.sweep, sweeps.objective, "rank-one"
+        sweep, value = sweeps.sweep, sweeps.objective
+        fields["sweep"] = "rank-one"
 
     def step():
         nonlocal xsum
@@ -275,15 +303,11 @@ def ppg_run(problem: ProblemSpec, opts: SolveOptions,
             xsum += x_half
         return resid, x_half
 
-    rows, converged, _, stop = _sweep_loop(
-        problem, opts, step, math.sqrt(problem.n * problem.dim), x_ref,
-        value)
+    log, converged, _ = _sweep_loop(
+        problem, opts, step, math.sqrt(problem.n * problem.dim), fields,
+        x_ref, value)
     if struct is not None:
         sweeps.write_z()
     x_out = problem.r.prox(state.zbar, alpha)
-    log = MetricsLog(rows=rows, metadata={
-        "solver": "ppg", "alpha": alpha, "problem_kind": problem.kind,
-        "n": problem.n, "dim": problem.dim, "sweep": path, "stop": stop,
-    })
     return RunResult(x=x_out, log=log, converged=converged, state=state,
                      ergodic=_ergodic(xsum, state.k))

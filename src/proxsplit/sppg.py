@@ -18,7 +18,6 @@ import numpy as np
 from . import kernels
 from .core import (ProblemSpec, SolverState, _call_term, _require_finite,
                    _sweep_blocks, chunked_row_mean, initial_state)
-from .io import MetricsLog
 from .ppg import (RunResult, SolveOptions, _checked_draws, _ergodic, _is_int,
                   _report, _sampled_loop, resolve_alpha)
 
@@ -157,16 +156,12 @@ def sppg_run(problem: ProblemSpec, opts: SolveOptions, sampler,
         if (k + len(block)) % n == 0:
             resyncs += _resync(state, problem)
 
-    rows, converged, _, stop = _sampled_loop(
+    log, converged, _ = _sampled_loop(
         problem, opts, sampler, lambda k: _sweep_blocks(state, problem, False),
-        advance, math.sqrt(n * problem.dim), x_ref)
+        advance, math.sqrt(n * problem.dim), {
+            "solver": "sppg", "alpha": alpha,
+            "path": "per-term" if struct is None else "kernel"}, x_ref)
+    log.metadata["resyncs"] = resyncs
     x_out = problem.r.prox(state.zbar, alpha)
-    log = MetricsLog(rows=rows, metadata={
-        "solver": "sppg", "alpha": alpha, "seed": getattr(sampler, "seed", None),
-        "problem_kind": problem.kind, "n": problem.n, "dim": problem.dim,
-        "resyncs": resyncs,
-        "path": "per-term" if struct is None else "kernel",
-        "stop": stop,
-    })
     return RunResult(x=x_out, log=log, converged=converged, state=state,
                      ergodic=_ergodic(xsum, state.k))

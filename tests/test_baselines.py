@@ -370,24 +370,86 @@ def test_spi_step_names_failing_term():
             SolveOptions(max_iters=50))
 
 
-def test_every_solver_records_stop_reason(rng):
+def _every_solver(rng, opts):
+    """Each of the six solvers on a tiny problem of its class, as
+    ``name: (problem, run)``; ``run(**kwargs)`` passes its keyword
+    arguments (``x_ref``, ``warm_start``, ``x0``) to the solver."""
     smooth = lasso_problem(rng, m=4, d=3)
     prox_only = prox_only_problem(rng, n=3, d=2)
     rows = [make_quadratic_term(rng.standard_normal(2), 0.0)
             for _ in range(3)]
     smooth_only = simple_problem([], dim=2, terms_f=rows)
+    return {
+        "ppg": (smooth, partial(ppg_run, smooth, opts)),
+        "sppg": (smooth, lambda **kw: sppg_run(
+            smooth, opts, IndexSampler(0, smooth.n), **kw)),
+        "prox-grad": (smooth, partial(proximal_gradient_run, smooth, opts)),
+        "admm": (prox_only, partial(consensus_admm_run, prox_only, opts)),
+        "spi": (prox_only, lambda **kw: stochastic_prox_iteration_run(
+            prox_only, DiminishingStep(1.0), IndexSampler(0, 3), opts, **kw)),
+        "finito": (smooth_only, lambda **kw: finito_run(
+            smooth_only, IndexSampler(0, 3), opts, **kw)),
+    }
+
+
+def test_every_solver_records_stop_reason(rng):
     # tol=1e3 is met at every solver's first check, tol=0 never
     for tol, stop in ((0.0, "budget"), (1e3, "tol")):
         opts = SolveOptions(max_iters=5, tol=tol)
-        runs = {
-            "ppg": ppg_run(smooth, opts),
-            "sppg": sppg_run(smooth, opts, IndexSampler(0, smooth.n)),
-            "prox-grad": proximal_gradient_run(smooth, opts),
-            "admm": consensus_admm_run(prox_only, opts),
-            "spi": stochastic_prox_iteration_run(
-                prox_only, DiminishingStep(1.0), IndexSampler(0, 3), opts),
-            "finito": finito_run(smooth_only, IndexSampler(0, 3), opts),
-        }
-        for name, res in runs.items():
+        for name, (_, run) in _every_solver(rng, opts).items():
+            res = run()
             assert res.log.metadata["stop"] == stop, (name, tol)
             assert res.converged
+
+
+# every run records its solver, problem kind, n, dim and stop reason; full
+# sweeps their sweep path; sampled runs their seed and path; then each
+# solver its step and sppg its resyncs
+_COMMON = {"solver", "problem_kind", "n", "dim", "stop"}
+RECORD_KEYS = {
+    "ppg": _COMMON | {"alpha", "sweep"},
+    "prox-grad": _COMMON | {"alpha", "sweep"},
+    "admm": _COMMON | {"alpha", "sweep"},
+    "sppg": _COMMON | {"alpha", "seed", "path", "resyncs"},
+    "spi": _COMMON | {"c", "seed", "path"},
+    "finito": _COMMON | {"alpha", "seed", "path"},
+}
+
+
+def test_every_solver_writes_the_shared_record(rng):
+    for name, (problem, run) in _every_solver(
+            rng, SolveOptions(max_iters=5)).items():
+        meta = run().log.metadata
+        assert sorted(meta) == sorted(RECORD_KEYS[name]), name
+        assert meta["solver"] == name
+        assert (meta["n"], meta["dim"]) == (problem.n, problem.dim), name
+        assert meta.get("seed", 0) == 0 and meta["stop"] == "budget"
+        assert meta.get("path", "per-term") == "per-term", name
+        assert meta.get("sweep", "per-term") == "per-term", name
+
+
+@pytest.mark.parametrize("name", ["ppg", "sppg", "prox-grad", "admm", "spi",
+                                  "finito"])
+@pytest.mark.parametrize("bad", ["short", "nan"])
+def test_bad_reference_point_named(rng, name, bad):
+    problem, run = _every_solver(rng, SolveOptions(max_iters=5))[name]
+    if bad == "short":
+        x_ref = np.zeros(1)
+        message = rf"^x_ref must have shape \({problem.dim},\), got \(1,\)$"
+    else:
+        x_ref, message = np.full(problem.dim, np.nan), "^x_ref has non-finite"
+    with pytest.raises(ValueError, match=message):
+        run(x_ref=x_ref)
+
+
+@pytest.mark.parametrize("name, arg", [("ppg", "warm_start"),
+                                       ("sppg", "warm_start"),
+                                       ("prox-grad", "x0"), ("spi", "x0")])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_nonfinite_start_named(rng, name, arg, value):
+    problem, run = _every_solver(rng, SolveOptions(max_iters=5))[name]
+    start = np.zeros((problem.n, problem.dim) if arg == "warm_start"
+                     else problem.dim)
+    start[-1, ...] = value
+    with pytest.raises(ValueError, match=f"^{arg} has non-finite entries$"):
+        run(**{arg: start})

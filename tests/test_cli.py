@@ -406,6 +406,25 @@ class TestSolve:
             assert meta["n"] == 2 and meta["dim"] == 12
         assert meta["path"] == "per-term"
 
+    def test_meta_pins_the_record(self, tmp_path):
+        # the solver's record plus the run's seed and the revision, with no
+        # placeholder for a key the solver does not record
+        prob = _gen(tmp_path, kind="svm", sub="svm")
+        common = {"solver", "problem_kind", "n", "dim", "stop", "seed",
+                  "revision"}
+        want = {"ppg": common | {"alpha", "sweep"},
+                "sppg": common | {"alpha", "path", "resyncs"},
+                "admm": common | {"alpha", "sweep"},
+                "spi": common | {"c", "path"}}
+        for algo, keys in want.items():
+            metrics = tmp_path / f"{algo}.csv"
+            assert main(["solve", "--problem", str(prob), "--algo", algo,
+                         "--max-iters", "6", "--metrics", str(metrics)]) == 0
+            meta = json.loads((tmp_path / f"{algo}.csv.meta.json").read_text())
+            assert sorted(meta) == sorted(keys), algo
+            assert meta["solver"] == algo and meta["seed"] == 0
+            assert None not in (meta[k] for k in keys - {"revision"}), algo
+
     @pytest.mark.parametrize("kind,algo,path", [
         ("glm", "sppg", "kernel"), ("svm", "sppg", "kernel"),
         ("svm", "spi", "kernel"), ("glm", "spi", "kernel")])

@@ -185,6 +185,23 @@ class TestNumpyHingeAgreement:
                     p, DiminishingStep(2.0), IndexSampler(5, n),
                     SolveOptions(max_iters=10 * n))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_spi_kernel_stops_at_a_nonfinite_row(self):
+        # called directly, with no probe to meet the row first: the step on
+        # it raises, and x keeps the steps before it
+        feats = np.random.default_rng(7).standard_normal((8, 3))
+        feats[3] = np.nan
+        struct = kernels.HingeStructure(features=feats, labels=np.ones(8),
+                                        ridge=0.1)
+        seq = np.array([0, 5, 1, 3, 2])
+        x, want = np.zeros(3), np.zeros(3)
+        kernels.rank_one_spi_block(want, struct, 2.0, 4, seq[:3])
+        with pytest.raises(NumericalError,
+                           match=r"^non-finite values from prox of g "
+                                 r"\(term 3\)$"):
+            kernels.rank_one_spi_block(x, struct, 2.0, 4, seq)
+        assert np.any(want) and x.tobytes() == want.tobytes()
+
     def test_folded_structure_skips_sppg_kernel(self, monkeypatch, rng):
         # the ridge sits in every term, not in r, so sppg runs per term
         problem = tiny_svm(rng, n=16, d=4, fold_ridge=True)

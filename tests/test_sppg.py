@@ -8,6 +8,7 @@ import pytest
 
 from conftest import abs_prox_fn, lasso_problem, make_quadratic_term, \
     prox_only_problem, simple_problem, tiny_svm
+from proxsplit import sppg
 from proxsplit.baselines import (DiminishingStep, finito_run,
                                  stochastic_prox_iteration_run)
 from proxsplit.core import chunked_row_mean, initial_state, objective
@@ -308,6 +309,28 @@ class TestRunBehavior:
                        IndexSampler(0, 4))
         assert "resyncs" in res.log.metadata
         assert res.log.metadata["resyncs"] >= 0
+
+    @pytest.mark.parametrize("path", ["kernel", "per-term"])
+    def test_drift_rebuilds_the_mean_every_epoch(self, rng, monkeypatch,
+                                                 path):
+        # a cached mean moved by 1e-6 after each block (one per epoch) is
+        # caught and rebuilt at every epoch boundary
+        problem = (tiny_svm(rng, n=12, d=3) if path == "kernel"
+                   else prox_only_problem(rng, n=4, d=2))
+        advance = sppg._advance_block
+
+        def drifting(state, *args):
+            advance(state, *args)
+            state.zbar += 1e-6
+
+        monkeypatch.setattr(sppg, "_advance_block", drifting)
+        res = sppg_run(problem, SolveOptions(alpha=0.5,
+                                             max_iters=5 * problem.n),
+                       IndexSampler(0, problem.n))
+        assert res.log.metadata["path"] == path
+        assert res.log.metadata["resyncs"] == 5
+        exact = chunked_row_mean(res.state.z, problem.reduce_chunks)
+        assert res.state.zbar.tobytes() == exact.tobytes()
 
     def test_recording_cadence_defaults_to_epoch(self, rng):
         problem = prox_only_problem(rng, n=5, d=2)
