@@ -195,11 +195,11 @@ def _write_outputs(cfg: RunConfig, result: ppg.RunResult):
     if not cfg.timing:
         _strip_timing(result.log)
     io.write_metrics_csv(result.log, cfg.metrics_out)
-    # the solver's run record, with the configuration's solver and seed
+    # the solver's run record, which names a sampled run's seed, with the
+    # configuration's solver name
     meta = {
         **result.log.metadata,
         "solver": cfg.algo,
-        "seed": cfg.seed,
         "revision": io.git_describe(),
     }
     with open(cfg.metrics_out + ".meta.json", "w", encoding="utf-8") as fh:

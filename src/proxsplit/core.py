@@ -267,23 +267,35 @@ class ProblemSpec:
                 or self.batched_f_grad is not None)
 
 
-@dataclass
 class SolverState:
     """Mutable per-run state: the n x d block of z-vectors plus caches.
 
     ``zbar`` caches the row mean of ``z``; solvers that update it
     incrementally re-validate it against the chunked reduction at epoch
-    boundaries.
+    boundaries.  ``z`` may also be given as its builder, a callable of no
+    arguments that returns the array: ppg on rank-one rows holds z in
+    O(n + d) numbers (:class:`~proxsplit.kernels.RankOnePpg`) and leaves
+    one, so the n x d array is built on first read, once, and kept.
+    :meth:`copy` hands an unread z's builder on instead of building it.
     """
 
-    z: np.ndarray
-    zbar: np.ndarray
-    alpha: float
-    k: int = 0
+    def __init__(self, z, zbar: np.ndarray, alpha: float, k: int = 0):
+        self.z, self.zbar, self.alpha, self.k = z, zbar, alpha, k
+
+    @property
+    def z(self) -> np.ndarray:
+        if callable(self._z):
+            self._z = self._z()
+        return self._z
+
+    @z.setter
+    def z(self, value):
+        self._z = value
 
     def copy(self) -> "SolverState":
-        return SolverState(z=self.z.copy(), zbar=self.zbar.copy(),
-                           alpha=self.alpha, k=self.k)
+        z = self._z if callable(self._z) else self._z.copy()
+        return SolverState(z=z, zbar=self.zbar.copy(), alpha=self.alpha,
+                           k=self.k)
 
 
 @dataclass
@@ -306,7 +318,10 @@ class ResidualReport:
 def initial_state(problem: ProblemSpec, alpha: float,
                   warm_start: np.ndarray | None = None) -> SolverState:
     """Fresh state with z = 0 (or a copy of the warm start, which must be
-    finite and of shape (n, dim)) and a consistent zbar."""
+    finite and of shape (n, dim)) and a consistent zbar.  ppg on rank-one
+    rows makes its own (:class:`~proxsplit.kernels.RankOnePpg`), which
+    reads a warm start without copying it and whose z is built on first
+    read."""
     shape = (problem.n, problem.dim)
     z = np.zeros(shape) if warm_start is None \
         else _checked_input(warm_start, shape, "warm_start")
@@ -315,9 +330,14 @@ def initial_state(problem: ProblemSpec, alpha: float,
 
 
 def _checked_input(value, shape: tuple, name: str) -> np.ndarray:
-    """A float copy of the caller's argument ``name``; raises ValueError
-    naming it unless it has ``shape`` and only finite entries."""
-    arr = np.array(value, dtype=float, copy=True)
+    """A float copy of the caller's argument ``name``, checked by
+    :func:`_checked`."""
+    return _checked(np.array(value, dtype=float, copy=True), shape, name)
+
+
+def _checked(arr: np.ndarray, shape: tuple, name: str) -> np.ndarray:
+    """``arr``, the caller's argument ``name``; raises ValueError naming it
+    unless it has ``shape`` and only finite entries."""
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
     if not np.isfinite(arr).all():

@@ -19,8 +19,9 @@ alone (:func:`core.ridge_prox`).
 run of up to ``SPPG_RUN`` consecutive distinct sppg rows with three BLAS
 products and a scalar recurrence of ``beta``, in place of a dozen small
 vector operations per step; :class:`RankOnePpg` takes ppg's full sweeps
-over the same rows in scalar coordinates, with no pass over z, taking
-each recorded objective from the sweep's own F x; and
+over the same rows in scalar coordinates, with no pass over z and no z
+until one is read, taking each recorded objective from the sweep's own
+F x; and
 :func:`rank_one_spi_block` is the spi baseline's loop of ``beta`` steps.
 The per-term handles remain the reference path; the kernels agree with
 them to floating-point rounding, not bitwise, because their sums associate
@@ -38,8 +39,9 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .core import (ConvergenceError, NumericalError, ProblemSpec, ProxFn,
-                   RidgeProx, _name_bad_row, _require_finite,
-                   _require_finite_rows, zero_smooth)
+                   RidgeProx, SolverState, _checked, _name_bad_row,
+                   _require_finite, _require_finite_rows, chunked_row_mean,
+                   zero_smooth)
 from .prox import _glm_roots, glm_root
 
 __all__ = ["HingeStructure", "GlmStructure", "rank_one_problem",
@@ -52,7 +54,7 @@ __all__ = ["HingeStructure", "GlmStructure", "rank_one_problem",
 # runs of 32 to 64 rows were fastest at d=128, and 256 was slower.
 SPPG_RUN = 32
 # Rows per in-place update of rank_one_prox, which bounds its temporary,
-# and per chunk of the z that RankOnePpg reads or writes.
+# and per chunk of the z that RankOnePpg reads or builds.
 # Sweep blocks can be large: core._row_blocks rounds its count down, so a
 # z under twice core.SWEEP_BLOCK_BYTES (a 2000 x 50 GLM's, 800 KB) is one
 # block, as are the whole arrays of core.residual_map and verify_batched.
@@ -376,6 +378,17 @@ def rank_one_sppg_block(z, zbar, struct, alpha, idx, ridge, xsum=None):
                     f"non-finite values from prox of g (term {rows[b]})")
 
 
+def _held_z(feats, beta, w):
+    """The z that :class:`RankOnePpg` holds, z_i = w + beta_i f_i, built a
+    chunk of rows at a time."""
+    z = np.empty(feats.shape)
+    for lo in range(0, z.shape[0], ROW_CHUNK):
+        rows = slice(lo, lo + ROW_CHUNK)
+        np.multiply(feats[rows], beta[rows, None], out=z[rows])
+        z[rows] += w
+    return z
+
+
 class RankOnePpg:
     """Full ppg sweeps over rank-one rows with no folded ridge, for any r
     (see :func:`rank_one_rows`), in scalar coordinates.
@@ -388,31 +401,39 @@ class RankOnePpg:
     zbar = x + F'beta/n and the residual
     alpha^2 ||p||^2 = n ||dx||^2 + 2 dbeta.(Fx - F w) + sum_i dbeta_i^2 q_i:
     two products with F and O(n + d) further work, with no pass over z.
-    A warm-started first sweep reads z once, through the row dots
-    f_i.z_i, and takes its residual exactly, a chunk of rows at a time;
-    a zero start is the formula with w = 0 and beta = 0.
+    A zero start is the formula with w = 0 and beta = 0, and its zbar is
+    zeros.  A warm start is checked where it lies and read through its row
+    mean, then by the first sweep through the row dots f_i.z_i and its
+    exact residual, a chunk of rows at a time; it is neither copied nor
+    written.
 
-    ``state`` is the run's; each :meth:`sweep` sets its ``zbar`` and
-    counts the iteration, :meth:`objective` takes the recorded objective
-    from the sweep's F x, and :meth:`write_z` writes its ``z`` once, at
-    the end.  The values agree with the row-blocked sweep's to rounding:
-    the mean and the residual are summed differently.
+    ``state`` is the run's, made here; each :meth:`sweep` sets its ``zbar``
+    and counts the iteration, :meth:`objective` takes the recorded
+    objective from the sweep's F x, and :meth:`finish` leaves its ``z`` as
+    a builder (:class:`core.SolverState`), so z is built on first read.
+    The values agree with the row-blocked sweep's to rounding: the mean and
+    the residual are summed differently.
     """
 
-    def __init__(self, state, struct, r, warm: bool):
-        n, d = state.z.shape
-        self.state, self.struct, self.r = state, struct, r
-        self.z0 = state.z if warm else None
+    def __init__(self, problem, struct, alpha, warm_start=None):
+        n, d = struct.features.shape
+        self.struct, self.r = struct, problem.r
         self.w, self.fw, self.beta = np.zeros(d), np.zeros(n), np.zeros(n)
-        self.moved = False
+        if warm_start is None:
+            self.z0, z, zbar = None, partial(np.zeros, (n, d)), np.zeros(d)
+        else:
+            self.z0 = z = _checked(np.asarray(warm_start, dtype=float),
+                                   (n, d), "warm_start")
+            zbar = chunked_row_mean(z, problem.reduce_chunks)
+        self.state = SolverState(z=z, zbar=zbar, alpha=alpha)
 
     def sweep(self):
         """One sweep; returns ``(||p(z)||, x)`` as the row-blocked sweep
         does.  A row whose beta is not finite raises
         :class:`NumericalError` naming its term, before any state moves."""
         state, struct = self.state, self.struct
-        alpha, n = state.alpha, state.z.shape[0]
         feats, q = struct.features, struct.sqnorms
+        alpha, n = state.alpha, feats.shape[0]
         x = self.r.prox(state.zbar, alpha)
         _require_finite(x, "prox of r")
         # a non-finite row turns its products into NaN without a warning;
@@ -438,7 +459,7 @@ class RankOnePpg:
                     step -= self.z0[rows]
                     sq += _require_finite_rows(step, "prox of g", lo)
                 self.z0 = None
-        self.w, self.fw, self.beta, self.moved = x, fx, beta, True
+        self.w, self.fw, self.beta = x, fx, beta
         state.zbar = x + (beta @ feats) * (1.0 / n)
         state.k += 1
         # the closed form is nonnegative in exact arithmetic, but at the
@@ -455,16 +476,16 @@ class RankOnePpg:
         return float(self.r.value(x)) \
             + float(np.mean(self.struct.losses(self.fw)))
 
-    def write_z(self):
-        """Write z_i = w + beta_i f_i into the state's z in place, a chunk
-        of rows at a time; z is left as it is when no sweep ran."""
-        if not self.moved:
-            return
-        z, feats = self.state.z, self.struct.features
-        for lo in range(0, z.shape[0], ROW_CHUNK):
-            rows = slice(lo, lo + ROW_CHUNK)
-            np.multiply(feats[rows], self.beta[rows, None], out=z[rows])
-            z[rows] += self.w
+    def finish(self):
+        """End the run: after a sweep the state's z becomes the builder of
+        z_i = w + beta_i f_i, a chunk of rows at a time; with no sweep a
+        zero start keeps its builder of zeros and a warm start is copied,
+        so the state never holds the caller's array."""
+        if self.state.k:
+            self.state.z = partial(_held_z, self.struct.features, self.beta,
+                                   self.w)
+        elif self.z0 is not None:
+            self.state.z = self.z0.copy()
 
 
 def rank_one_spi_block(x, struct, c, k0, idx):

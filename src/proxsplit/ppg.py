@@ -8,9 +8,9 @@ logged byte, is the same on every rerun.  Only z is stored across
 iterations, except on rank-one rows with no ridge folded into them (the
 split SVM and GLMs, with any r): a sweep sets every z_i to
 x_half + beta_i f_i, so :class:`kernels.RankOnePpg` holds z as x_half and
-n scalars and writes it out once, at the end.  There each recorded
-objective is taken from the sweep's product F x_half, where the other
-sweeps call :func:`core.objective`.
+n scalars, and the returned state builds z on first read.  There each
+recorded objective is taken from the sweep's product F x_half, where the
+other sweeps call :func:`core.objective`.
 """
 
 import math
@@ -273,9 +273,10 @@ def ppg_run(problem: ProblemSpec, opts: SolveOptions,
     Problems that :func:`kernels.rank_one_rows` serves to ppg (the split
     SVM and GLMs, with any r) sweep in scalar coordinates
     (:class:`kernels.RankOnePpg`): two products with the rows per sweep
-    and O(n + d) memory beside the z that the run returns, which is
-    written once, at the end.  Other problems run the row-blocked sweep
-    of :func:`ppg_step`.  The two agree to rounding, and
+    and O(n + d) memory.  No n x d z is made: a warm start is read where
+    it lies, and the returned ``state.z`` is built on first read, so a
+    caller that never reads it never pays for it.  Other problems run the
+    row-blocked sweep of :func:`ppg_step`.  The two agree to rounding, and
     ``log.metadata["sweep"]`` says which ran: ``rank-one``, ``batched`` or
     ``per-term``.  A rank-one run's recorded objective comes from the
     sweep's own product with the rows (:meth:`kernels.RankOnePpg.objective`),
@@ -284,16 +285,15 @@ def ppg_run(problem: ProblemSpec, opts: SolveOptions,
     :func:`core.objective`.
     """
     alpha = resolve_alpha(problem, opts.alpha)
-    state = initial_state(problem, alpha, warm_start)
     xsum = np.zeros(problem.dim) if opts.ergodic else None
     fields = {"solver": "ppg", "alpha": alpha}
     struct = kernels.rank_one_rows(problem, "ppg")
     if struct is None:
+        state = initial_state(problem, alpha, warm_start)
         sweep, value = partial(_sweep_blocks, state, problem, True), None
     else:
-        sweeps = kernels.RankOnePpg(state, struct, problem.r,
-                                    warm=warm_start is not None)
-        sweep, value = sweeps.sweep, sweeps.objective
+        sweeps = kernels.RankOnePpg(problem, struct, alpha, warm_start)
+        state, sweep, value = sweeps.state, sweeps.sweep, sweeps.objective
         fields["sweep"] = "rank-one"
 
     def step():
@@ -307,7 +307,7 @@ def ppg_run(problem: ProblemSpec, opts: SolveOptions,
         problem, opts, step, math.sqrt(problem.n * problem.dim), fields,
         x_ref, value)
     if struct is not None:
-        sweeps.write_z()
+        sweeps.finish()
     x_out = problem.r.prox(state.zbar, alpha)
     return RunResult(x=x_out, log=log, converged=converged, state=state,
                      ergodic=_ergodic(xsum, state.k))

@@ -407,22 +407,24 @@ class TestSolve:
         assert meta["path"] == "per-term"
 
     def test_meta_pins_the_record(self, tmp_path):
-        # the solver's record plus the run's seed and the revision, with no
-        # placeholder for a key the solver does not record
+        # the solver's record plus the revision, with no placeholder for a
+        # key the solver does not record: only the sampled runs, which
+        # draw their indices from it, name a seed
         prob = _gen(tmp_path, kind="svm", sub="svm")
-        common = {"solver", "problem_kind", "n", "dim", "stop", "seed",
-                  "revision"}
+        common = {"solver", "problem_kind", "n", "dim", "stop", "revision"}
         want = {"ppg": common | {"alpha", "sweep"},
-                "sppg": common | {"alpha", "path", "resyncs"},
+                "sppg": common | {"alpha", "seed", "path", "resyncs"},
                 "admm": common | {"alpha", "sweep"},
-                "spi": common | {"c", "path"}}
+                "spi": common | {"c", "seed", "path"}}
         for algo, keys in want.items():
             metrics = tmp_path / f"{algo}.csv"
             assert main(["solve", "--problem", str(prob), "--algo", algo,
-                         "--max-iters", "6", "--metrics", str(metrics)]) == 0
+                         "--max-iters", "6", "--metrics", str(metrics),
+                         "--seed", "4"]) == 0
             meta = json.loads((tmp_path / f"{algo}.csv.meta.json").read_text())
             assert sorted(meta) == sorted(keys), algo
-            assert meta["solver"] == algo and meta["seed"] == 0
+            assert meta["solver"] == algo
+            assert meta.get("seed", 4) == 4, algo
             assert None not in (meta[k] for k in keys - {"revision"}), algo
 
     @pytest.mark.parametrize("kind,algo,path", [

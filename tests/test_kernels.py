@@ -602,22 +602,103 @@ class TestRankOnePpg:
                       SolveOptions(alpha=0.5, max_iters=3))
         assert res.log.metadata["sweep"] == "batched"
 
-    def test_allocates_no_n_by_d_array_beside_z(self):
-        # at the SVM desk shape the run's only n x d array is the z that
-        # initial_state makes, written once at the end in place
+    def test_allocates_no_n_by_d_array_beside_z(self, monkeypatch):
+        # a full run at the SVM desk shape (n=8192, d=128, 30 sweeps) holds
+        # z as x_half and n betas and makes no n x d array; the first read
+        # of state.z builds one, bitwise z_i = w + beta_i f_i in chunks
         import tracemalloc
         problem = tiny_svm(np.random.default_rng(0), n=8192, d=128)
-        opts = SolveOptions(alpha=10.0, max_iters=3)
+        opts = SolveOptions(alpha=10.0, max_iters=30)
+        nd_bytes = problem.n * problem.dim * 8
         ppg_run(problem, opts)
+        finished = []
+        finish = kernels.RankOnePpg.finish
+
+        def recording(self):
+            finished.append(self)
+            finish(self)
+
+        monkeypatch.setattr(kernels.RankOnePpg, "finish", recording)
         tracemalloc.start()
         try:
             res = ppg_run(problem, opts)
-            peak = tracemalloc.get_traced_memory()[1]
+            run_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            z = res.state.z
+            kept, read_peak = tracemalloc.get_traced_memory()
+            assert res.state.z is z
+            again = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert res.log.metadata["sweep"] == "rank-one"
-        assert peak < 1.1 * problem.n * problem.dim * 8
+        assert res.state.k == 30
+        assert run_peak < 0.1 * nd_bytes
+        assert nd_bytes <= kept - before and read_peak - before < 1.05 \
+            * nd_bytes
+        assert again == read_peak
+        (sweeps,) = finished
+        feats = problem.structure.features
+        want = np.empty_like(feats)
+        for lo in range(0, problem.n, kernels.ROW_CHUNK):
+            rows = slice(lo, lo + kernels.ROW_CHUNK)
+            want[rows] = feats[rows] * sweeps.beta[rows, None]
+            want[rows] += sweeps.w
+        assert np.array_equal(z, want)
 
+    @pytest.mark.parametrize("max_iters", [0, 3])
+    def test_state_never_aliases_the_warm_start(self, max_iters):
+        # the warm start is read where it lies: the run leaves it as it
+        # was, and the returned z does not change when the caller's does
+        problem = _rank_one_problem("logistic", 2, 40, 4)
+        warm_start = np.random.default_rng(3).standard_normal((40, 4))
+        keep = warm_start.copy()
+        res = ppg_run(problem, SolveOptions(alpha=1.0, max_iters=max_iters),
+                      warm_start=warm_start)
+        assert np.array_equal(warm_start, keep)
+        want = res.state.copy().z
+        warm_start += 1.0
+        assert res.state.k == max_iters
+        assert np.array_equal(res.state.z, want)
+        if not max_iters:
+            assert np.array_equal(res.state.z, keep)
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_copy_gives_the_built_z(self, read_first):
+        problem = _rank_one_problem("svm", 3, 40, 4)
+        res = ppg_run(problem, SolveOptions(alpha=10.0, max_iters=5))
+        if read_first:
+            res.state.z
+        dup = res.state.copy()
+        assert np.array_equal(dup.z, res.state.z)
+        assert dup.z is not res.state.z and dup.zbar is not res.state.zbar
+        assert np.array_equal(dup.zbar, res.state.zbar)
+        assert (dup.k, dup.alpha) == (res.state.k, res.state.alpha) == (5,
+                                                                          10.0)
+        dup.z[0] += 1.0
+        assert not np.array_equal(dup.z, res.state.z)
+
+    @pytest.mark.parametrize("first", ["ppg", "admm"])
+    @pytest.mark.parametrize("kind", ["svm", "logistic"])
+    def test_warm_start_chains_keep_their_iterates(self, kind, first):
+        # the chained run reads the first run's z where it lies; it gives
+        # bitwise what a run from a copy of that z gives, which is how the
+        # warm start was read before the start was left uncopied
+        problem = _rank_one_problem(kind, 5, 40, 4)
+        alpha = 10.0 if kind == "svm" else 1.0
+        opts = SolveOptions(alpha=alpha, max_iters=8, record_every=3)
+        run = ppg_run if first == "ppg" else consensus_admm_run
+        start = run(problem, opts).state.z
+        keep = start.copy()
+        chained = ppg_run(problem, opts, warm_start=start)
+        ref = ppg_run(problem, opts, warm_start=keep.copy())
+        assert chained.log.metadata["sweep"] == "rank-one"
+        assert np.array_equal(start, keep)
+        assert _row_values(chained) == _row_values(ref)
+        assert np.array_equal(chained.x, ref.x)
+        assert np.array_equal(chained.state.zbar, ref.state.zbar)
+        assert np.array_equal(chained.state.z, ref.state.z)
+        assert not np.shares_memory(chained.state.z, start)
 
     @pytest.mark.parametrize("r", ["problem's", "l1", "no value"])
     @pytest.mark.parametrize("warm", [False, True])
