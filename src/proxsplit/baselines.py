@@ -37,6 +37,13 @@ class DiminishingStep:
         return self.c / k
 
 
+def _refuse_ergodic(opts: SolveOptions, solver: str):
+    """Reject ``ergodic=True``, which only ppg and sppg honour."""
+    if opts.ergodic:
+        raise ValueError(f"{solver} returns no ergodic average; only ppg "
+                         "and sppg take ergodic=True")
+
+
 def _block_mean(problem: ProblemSpec, block_rows) -> np.ndarray:
     """Row mean of the n rows that ``block_rows(lo, hi)`` gives a sweep
     block at a time, summed by the reduce chunks in order as
@@ -60,6 +67,7 @@ def proximal_gradient_run(problem: ProblemSpec, opts: SolveOptions,
     steps are averaged with the same fixed-chunk reduction as the splitting
     solver, so on its domain the two produce matching iterates.
     """
+    _refuse_ergodic(opts, "proximal-gradient")
     if not problem.all_g_zero():
         raise ValueError("proximal-gradient requires every per-term "
                          "nonsmooth function to be zero")
@@ -96,6 +104,7 @@ def consensus_admm_run(problem: ProblemSpec, opts: SolveOptions,
     iteration the state is the splitting state z_i = u_i + zc, zbar its
     row mean, so ppg warm-started from it continues the run.
     """
+    _refuse_ergodic(opts, "consensus ADMM")
     if not problem.all_f_zero():
         raise ValueError("consensus ADMM requires every smooth term "
                          "to be zero")
@@ -147,6 +156,7 @@ def stochastic_prox_iteration_run(problem: ProblemSpec, step: DiminishingStep,
         raise TypeError("step must be a DiminishingStep (the diminishing "
                         "schedule is required; constant steps are the "
                         "splitting solvers' regime)")
+    _refuse_ergodic(opts, "stochastic proximal iteration")
     if not problem.all_f_zero():
         raise ValueError("stochastic proximal iteration requires every "
                          "smooth term to be zero")
@@ -194,6 +204,7 @@ def finito_run(problem: ProblemSpec, sampler, opts: SolveOptions,
     current table average.  Serves as the independent oracle for the
     stochastic splitting solver's smooth-only reduction.
     """
+    _refuse_ergodic(opts, "finito")
     if not problem.all_g_zero():
         raise ValueError("finito requires every per-term nonsmooth "
                          "function to be zero")

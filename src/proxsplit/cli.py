@@ -16,6 +16,11 @@ on the command line override the file.  Exit codes: 0 success, 1 error
 converge), reported on one line naming the term.  Every error is one
 ``error:`` line on stderr.
 
+``gen`` takes sizes of at least 1 (``--vertices`` at least 2) and makes
+``--out`` only once its arrays are made, so a failed ``gen`` leaves no
+directory.  A network lasso's ``params["theta"]`` is the builder's
+(vertices x block) ``targets``.
+
 Every run is reproducible from (config, seed): metrics files are written
 without wall-clock columns unless --timing is given, and every row mean is
 summed in chunks fixed at problem construction.
@@ -32,7 +37,7 @@ from typing import get_args
 import numpy as np
 
 from . import baselines, io, ppg, problems, sppg
-from .core import ProblemSpec, SmoothFn, SolverError, objective
+from .core import ProblemSpec, SolverError, objective
 
 GEN_KINDS = ("group-lasso", "svm", "fused-lasso", "network-lasso", "glm")
 ALGOS = ("ppg", "sppg", "prox-grad", "admm", "spi", "finito")
@@ -140,25 +145,15 @@ def load_problem(path: str, algo: str = "ppg") -> ProblemSpec:
         return problems.build_fused_lasso(a_mat, y, params["lam"],
                                           params["eps"])
     if kind == "network-lasso":
-        theta = np.asarray(params["theta"], dtype=float)
-        block = theta.shape[1]
-        losses = tuple(_quadratic_pull(theta[v]) for v in range(theta.shape[0]))
         return problems.build_network_lasso(
-            n_vertices=theta.shape[0], edges=params["edges"], losses=losses,
-            lambda1=params["lambda1"], lambda2=params["lambda2"],
-            block_dim=block)
+            params["theta"], params["edges"], params["lambda1"],
+            params["lambda2"])
     if kind == "glm":
         x_mat = io.read_dense_csv(files["X"])
         t_vec = io.read_dense_csv(files["T"]).ravel()
         return problems.build_glm(x_mat, t_vec,
                                   problems.glm_family(params["family"]))
     raise ValueError(f"unknown problem kind {kind!r}")
-
-
-def _quadratic_pull(target: np.ndarray) -> SmoothFn:
-    target = np.asarray(target, dtype=float)
-    return SmoothFn(value=lambda x: 0.5 * float(np.sum((x - target) ** 2)),
-                    gradient=lambda x: x - target, lipschitz=1.0)
 
 
 def _run(cfg: RunConfig, problem: ProblemSpec, seed: int | None = None,
@@ -314,22 +309,22 @@ def cmd_compare(args) -> int:
 #   fused-lasso    x alternates zero stretches and plateaus reached by
 #                  +/- eps ramps; A ~ N(0,1)^(n x d); y = A x + 0.05 N(0,1).
 #   network-lasso  G(V, p) random graph; two vertex communities with
-#                  distinct d-vector targets; quadratic pull losses.
+#                  distinct d-vector targets, the (V x d) theta of the pull.
 #   glm            X ~ N(0,1)/sqrt(d); responses drawn from the family's
 #                  model at a planted coefficient vector.
 
 
 def cmd_gen(args) -> int:
-    if args.kind == "network-lasso" and args.vertices < 2:
-        raise ValueError(f"--vertices must be at least 2, got {args.vertices}")
-    os.makedirs(args.out, exist_ok=True)
     rng = np.random.default_rng(args.seed)
     kind = args.kind
+    # each data file's writer, by name: --out is made only once every array
+    # is, so a recipe that fails leaves no directory behind
+    writers = {}
 
     def write_csvs(**mats):
         # each matrix to <name>.csv; returns the description's files entry
         for name, mat in mats.items():
-            io.write_dense_csv(os.path.join(args.out, f"{name}.csv"), mat)
+            writers[f"{name}.csv"] = partial(io.write_dense_csv, mat=mat)
         return {name: f"{name}.csv" for name in mats}
 
     if kind == "group-lasso":
@@ -354,7 +349,8 @@ def cmd_gen(args) -> int:
         feats /= np.linalg.norm(feats, axis=1, keepdims=True)
         flips = rng.random(n) < args.flip
         labels[flips] *= -1.0
-        io.write_libsvm(os.path.join(args.out, "data.libsvm"), feats, labels)
+        writers["data.libsvm"] = partial(io.write_libsvm, feats=feats,
+                                         labels=labels)
         files = {"data": "data.libsvm"}
         params = {"lam": args.lam, "dim": d}
     elif kind == "fused-lasso":
@@ -405,6 +401,9 @@ def cmd_gen(args) -> int:
         params = {"family": args.family}
     else:
         raise ValueError(f"unknown kind {kind!r}")
+    os.makedirs(args.out, exist_ok=True)
+    for name, write in writers.items():
+        write(os.path.join(args.out, name))
     with open(os.path.join(args.out, "problem.json"), "w",
               encoding="utf-8") as fh:
         json.dump({"kind": kind, "dim": d, "files": files, "params": params,
@@ -415,6 +414,17 @@ def cmd_gen(args) -> int:
 
 
 # -- argument parsing -----------------------------------------------------------
+
+def _int_at_least(low: int):
+    """An argparse type: an int of at least ``low``."""
+    def parse(text):
+        if int(text) >= low:
+            return int(text)
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+
+    parse.__name__ = "int"  # for argparse's "invalid int value" message
+    return parse
+
 
 class _Parser(argparse.ArgumentParser):
     """Raises a usage error for ``main`` to report as exit code 1, since
@@ -434,16 +444,16 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("kind", choices=GEN_KINDS)
     g.add_argument("--out", required=True)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--m", type=int, default=300)
-    g.add_argument("--n", type=int, default=3)
-    g.add_argument("--d", type=int, default=42)
+    g.add_argument("--m", type=_int_at_least(1), default=300)
+    g.add_argument("--n", type=_int_at_least(1), default=3)
+    g.add_argument("--d", type=_int_at_least(1), default=42)
     g.add_argument("--lambda1", type=float, default=0.1)
     g.add_argument("--lambda2", type=float, default=0.5)
     g.add_argument("--lam", type=float, default=0.1)
     g.add_argument("--eps", type=float, default=0.1)
     g.add_argument("--flip", type=float, default=0.0)
     g.add_argument("--margin", type=float, default=1.0)
-    g.add_argument("--vertices", type=int, default=8)
+    g.add_argument("--vertices", type=_int_at_least(2), default=8)
     g.add_argument("--edge-prob", dest="edge_prob", type=float, default=0.4)
     g.add_argument("--family", default="gaussian",
                    choices=("gaussian", "logistic", "poisson"))

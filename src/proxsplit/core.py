@@ -159,9 +159,10 @@ class ProblemSpec:
     dim : int
         Dimension d of the decision variable.
     n : int
-        Number of (f_i, g_i) term pairs; any entry may be the zero function.
+        Number of (f_i, g_i) term pairs, ``len(g)``: derived at
+        construction, not an argument; any entry may be the zero function.
     r, f, g :
-        Function handles; ``f`` and ``g`` must each hold exactly n entries.
+        Function handles; ``g`` must hold at least one and ``f`` exactly n.
         ``f`` is kept as a tuple.  ``g`` may be any immutable sequence of
         n handles, kept as given: a rank-one problem's builds each handle
         when it is indexed (:func:`~proxsplit.kernels.rank_one_terms`).  A
@@ -211,7 +212,7 @@ class ProblemSpec:
     """
 
     dim: int
-    n: int
+    n: int = dataclasses.field(init=False)
     r: ProxFn
     f: tuple
     g: Sequence
@@ -233,14 +234,16 @@ class ProblemSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
         object.__setattr__(self, "f", tuple(self.f))
         if isinstance(self.g, MutableSequence) \
                 or not isinstance(self.g, Sequence):
             object.__setattr__(self, "g", tuple(self.g))
-        if len(self.f) != self.n or len(self.g) != self.n:
-            raise ValueError("f and g must each hold exactly n terms")
+        if not self.g:
+            raise ValueError("g must hold at least one term")
+        if len(self.f) != len(self.g):
+            raise ValueError(f"f must hold as many terms as g: f holds "
+                             f"{len(self.f)}, g holds {len(self.g)}")
+        object.__setattr__(self, "n", len(self.g))
         object.__setattr__(self, "reduce_chunks", min(self.n, 16))
         object.__setattr__(self, "_f_zero",
                            all(fn.is_zero for fn in self.f))
@@ -340,7 +343,11 @@ def _checked(arr: np.ndarray, shape: tuple, name: str) -> np.ndarray:
     unless it has ``shape`` and only finite entries."""
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
+    # the sum makes no mask the size of arr; a NaN or inf entry, or a sum
+    # that overflows, makes it non-finite, and only then are entries scanned
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = arr.sum()
+    if not math.isfinite(total) and not np.isfinite(arr).all():
         raise ValueError(f"{name} has non-finite entries")
     return arr
 

@@ -272,7 +272,7 @@ def rank_one_problem(struct, r: ProxFn, kind: str) -> ProblemSpec:
     :func:`rank_one_objective`."""
     n, d = struct.features.shape
     return ProblemSpec(
-        dim=d, n=n, r=r, f=(zero_smooth(),) * n, g=rank_one_terms(struct),
+        dim=d, r=r, f=(zero_smooth(),) * n, g=rank_one_terms(struct),
         kind=kind, structure=struct,
         batched_g_prox=partial(rank_one_prox, struct),
         batched_objective=partial(rank_one_objective, struct))

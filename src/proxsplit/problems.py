@@ -55,7 +55,7 @@ def recast_symmetric(r: ProxFn, fs: Sequence[SmoothFn], gs: Sequence[ProxFn],
         raise ValueError(f"recast would create {n * m} terms (cap {cap})")
     f_terms = tuple(fs[i] for i in range(n) for _ in range(m))
     g_terms = tuple(gs[j] for _ in range(n) for j in range(m))
-    return ProblemSpec(dim=dim, n=n * m, r=r, f=f_terms, g=g_terms,
+    return ProblemSpec(dim=dim, r=r, f=f_terms, g=g_terms,
                        kind="recast-symmetric")
 
 
@@ -74,7 +74,7 @@ def recast_weighted(r: ProxFn, fs: Sequence[SmoothFn], gs: Sequence[ProxFn],
     f_terms = tuple(scale_smooth(fn, cf) for fn in fs) + (zero_smooth(),) * m
     g_terms = tuple(zero_prox() for _ in range(n)) + tuple(
         scale_prox(fn, cg) for fn in gs)
-    return ProblemSpec(dim=dim, n=n + m, r=r, f=f_terms, g=g_terms,
+    return ProblemSpec(dim=dim, r=r, f=f_terms, g=g_terms,
                        kind="recast-weighted")
 
 
@@ -160,6 +160,14 @@ def _shrink_groups(vals, ids, count, thr):
         vals[:] = np.where(np.isnan(nrm), np.nan, 0.0)[ids]
 
 
+def _require_finite_entries(**arrays):
+    """Raise ValueError naming the first non-finite entry of an array."""
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            at = ", ".join(map(str, np.argwhere(~np.isfinite(arr))[0]))
+            raise ValueError(f"{name} has a non-finite entry at ({at})")
+
+
 def build_group_lasso(a_mat: np.ndarray, b: np.ndarray, lambda1: float,
                       partition: GroupPartition,
                       alpha: float | None = None) -> ProblemSpec:
@@ -182,10 +190,7 @@ def build_group_lasso(a_mat: np.ndarray, b: np.ndarray, lambda1: float,
     if b.shape != (m,):
         raise ValueError("b must have one entry per row of A")
     # the factorization would reject it without naming the input
-    for name, arr in (("A", a_mat), ("b", b)):
-        if not np.all(np.isfinite(arr)):
-            at = ", ".join(map(str, np.argwhere(~np.isfinite(arr))[0]))
-            raise ValueError(f"{name} has a non-finite entry at ({at})")
+    _require_finite_entries(A=a_mat, b=b)
     if not 0.0 <= lambda1 < np.inf:
         raise ValueError("lambda1 must be nonnegative and finite")
     partition.validate_dim(d)
@@ -257,7 +262,7 @@ def build_group_lasso(a_mat: np.ndarray, b: np.ndarray, lambda1: float,
         make_g(cc[ends[i]:ends[i + 1]], gid[ends[i]:ends[i + 1]] - firsts[i],
                len(colls[i]))
         for i in range(n))
-    return ProblemSpec(dim=d, n=n, r=r, f=(zero_smooth(),) * n, g=g_terms,
+    return ProblemSpec(dim=d, r=r, f=(zero_smooth(),) * n, g=g_terms,
                        kind="group-lasso", batched_g_prox=batched_g_prox,
                        batched_objective=batched_objective)
 
@@ -409,7 +414,7 @@ def build_fused_lasso(a_mat: np.ndarray, y: np.ndarray, lam: float,
             return float("inf")
         return 0.5 * float(np.mean((a_mat @ x - y) ** 2))
 
-    return ProblemSpec(dim=d, n=2 * n, r=r, f=f_terms, g=g_terms,
+    return ProblemSpec(dim=d, r=r, f=f_terms, g=g_terms,
                        kind="fused-lasso", batched_g_prox=batched_g_prox,
                        batched_f_grad=batched_f_grad,
                        batched_objective=batched_objective)
@@ -479,67 +484,70 @@ def greedy_edge_coloring(n_vertices: int, edges) -> EdgeColoring:
     return EdgeColoring(classes=tuple(tuple(cls) for cls in classes))
 
 
-def build_network_lasso(n_vertices: int, edges, losses: Sequence[SmoothFn],
-                        lambda1: float, lambda2: float, block_dim: int,
+def build_network_lasso(targets: np.ndarray, edges, lambda1: float,
+                        lambda2: float,
                         coloring: EdgeColoring | None = None) -> ProblemSpec:
     """Per-vertex estimation with sparsity and edgewise agreement penalties.
 
-    minimize sum_v [lambda1*||x_v||_1 + loss_v(x_v)]
+    minimize sum_v [lambda1*||x_v||_1 + 0.5*||x_v - theta_v||^2]
              + lambda2 * sum_{(u,v) in E} ||x_u - x_v||_2
 
-    The variable is the stacked (|V|*block_dim)-vector.  Edges are split
-    into matchings by color; color c contributes one term whose nonsmooth
-    part couples disjoint vertex pairs (so its prox is exact: shrink each
+    Row v of the (|V| x block) array ``targets`` is theta_v, and the
+    variable is the stacked (|V|*block)-vector.  Edges are split into
+    matchings by color; color c contributes one term whose nonsmooth part
+    couples disjoint vertex pairs (so its prox is exact: shrink each
     pair's difference, keep the sum) with weight C*lambda2, and whose
-    smooth part is the full loss sum, so the 1/C average restores the
-    original objective.  Self-loops and endpoints outside [0, n_vertices)
-    are rejected, also with a caller's ``coloring``.
+    smooth part is the whole quadratic pull, so the 1/C average restores
+    the original objective.  ``targets`` must be a nonempty 2-D array of
+    finite entries.  Self-loops and endpoints outside [0, |V|) are
+    rejected, also with a caller's ``coloring``.
     """
-    edges = _vertex_pairs(n_vertices, edges)
+    targets = np.asarray(targets, dtype=float)
+    if targets.ndim != 2 or not targets.size:
+        raise ValueError("targets must be a nonempty (vertices x block) "
+                         f"array, got shape {targets.shape}")
+    _require_finite_entries(targets=targets)
+    edges = _vertex_pairs(len(targets), edges)
     if coloring is None:
-        coloring = greedy_edge_coloring(n_vertices, edges)
+        coloring = greedy_edge_coloring(len(targets), edges)
     coloring.verify_partition(edges)
-    if len(losses) != n_vertices:
-        raise ValueError("one loss per vertex required")
     for name, weight in (("lambda1", lambda1), ("lambda2", lambda2)):
         if not 0.0 <= weight < np.inf:
             raise ValueError(f"{name} must be nonnegative and finite")
     n_colors = len(coloring.classes)
     lam3 = n_colors * lambda2
-    dim = n_vertices * block_dim
+    flat = targets.ravel()
 
-    def blk(v):
-        return slice(v * block_dim, (v + 1) * block_dim)
+    def pull_value(x):
+        # the vertices' half squared distances, summed in vertex order
+        diff = x.reshape(targets.shape) - targets
+        return sum((0.5 * np.sum(diff ** 2, axis=1)).tolist())
 
-    total_loss = SmoothFn(
-        value=lambda x: sum(losses[v].value(x[blk(v)])
-                            for v in range(n_vertices)),
-        gradient=lambda x: np.concatenate(
-            [losses[v].gradient(x[blk(v)]) for v in range(n_vertices)]),
-        lipschitz=max(l.lipschitz for l in losses))
+    pull = SmoothFn(value=pull_value, gradient=lambda x: x - flat,
+                    lipschitz=1.0)
 
     # one edge's penalty lam3*||x_u - x_v||_2, as a function of x_u - x_v
     edge = ProxFn(prox=lambda w, a: soft_threshold_vector(w, a * lam3))
 
     def make_g(cls):
         def prox(x0, a):
-            out = np.array(x0, dtype=float, copy=True)
+            # a color is a matching, so each vertex's row is read unchanged
+            out = np.array(x0, dtype=float, copy=True).reshape(targets.shape)
             for (u, v) in cls:
-                out[blk(u)], out[blk(v)] = prox_pair_diff(
-                    edge, x0[blk(u)], x0[blk(v)], a)
-            return out
+                out[u], out[v] = prox_pair_diff(edge, out[u], out[v], a)
+            return out.ravel()
 
         def value(x):
+            rows = x.reshape(targets.shape)
             return lam3 * sum(
-                float(np.linalg.norm(x[blk(u)] - x[blk(v)])) for (u, v) in cls)
+                float(np.linalg.norm(rows[u] - rows[v])) for (u, v) in cls)
 
         return ProxFn(prox=prox, value=value)
 
     r = ProxFn(prox=lambda x0, a: soft_threshold_scalar(x0, a * lambda1),
                value=lambda x: lambda1 * float(np.abs(x).sum()))
     return ProblemSpec(
-        dim=dim, n=n_colors, r=r,
-        f=tuple(total_loss for _ in range(n_colors)),
+        dim=flat.size, r=r, f=(pull,) * n_colors,
         g=tuple(make_g(cls) for cls in coloring.classes),
         kind="network-lasso")
 

@@ -82,7 +82,7 @@ def lasso_problem(rng, m=8, d=6, lam=0.1):
                value=lambda x: lam * float(np.abs(x).sum()))
     f = tuple(make_quadratic_term(a_mat[i], y[i]) for i in range(m))
     g = tuple(zero_prox() for _ in range(m))
-    return ProblemSpec(dim=d, n=m, r=r, f=f, g=g, kind="lasso")
+    return ProblemSpec(dim=d, r=r, f=f, g=g, kind="lasso")
 
 
 def prox_only_problem(rng, n=4, d=3):
@@ -130,5 +130,5 @@ def simple_problem(terms_g, dim=1, r=None, terms_f=None):
     n = max(len(terms_g), len(terms_f or []))
     g = list(terms_g) + [zero_prox()] * (n - len(terms_g))
     f = list(terms_f or []) + [zero_smooth()] * (n - len(terms_f or []))
-    return ProblemSpec(dim=dim, n=n, r=r if r is not None else zero_prox(),
+    return ProblemSpec(dim=dim, r=r if r is not None else zero_prox(),
                        f=tuple(f), g=tuple(g))

@@ -330,7 +330,7 @@ def test_criterion_6_linear_convergence():
     fs = tuple(make_quadratic_term(a_mat[i], y[i]) for i in range(n))
     r = ProxFn(prox=lambda x0, t: prox_scaled_sq_norm(x0, mu, t),
                value=lambda x: 0.5 * mu * float(x @ x))
-    problem = ProblemSpec(dim=d, n=n, r=r, f=fs,
+    problem = ProblemSpec(dim=d, r=r, f=fs,
                           g=tuple(zero_prox() for _ in range(n)))
     alpha = 1.0 / problem.lipschitz_bound()
     ref = ppg_run(problem, SolveOptions(alpha=alpha, max_iters=60000,

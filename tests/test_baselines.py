@@ -314,22 +314,38 @@ def _failing(term, n, kind):
     return simple_problem([], dim=2, terms_f=f)
 
 
-@pytest.mark.parametrize("solver", ["admm", "spi", "prox-grad", "finito"])
-def test_raising_handle_names_term(solver):
-    # a SolverError from inside a per-term handle carries the term index
+def _failing_run(solver, ergodic=False):
+    """A 20-iteration run of baseline ``solver`` on a :func:`_failing`
+    problem of its class, whose term 2 raises."""
     kind = "prox" if solver in ("admm", "spi") else "gradient"
     problem = _failing(2, 4, kind)
-    opts = SolveOptions(alpha=0.5, max_iters=20)
-    run = {
+    opts = SolveOptions(alpha=0.5, max_iters=20, ergodic=ergodic)
+    return {
         "admm": lambda: consensus_admm_run(problem, opts),
         "spi": lambda: stochastic_prox_iteration_run(
             problem, DiminishingStep(1.0), IndexSampler(0, 4), opts),
         "prox-grad": lambda: proximal_gradient_run(problem, opts),
         "finito": lambda: finito_run(problem, IndexSampler(0, 4), opts),
     }[solver]
+
+
+@pytest.mark.parametrize("solver", ["admm", "spi", "prox-grad", "finito"])
+def test_raising_handle_names_term(solver):
+    # a SolverError from inside a per-term handle carries the term index
     with pytest.raises(ConvergenceError,
                        match=r"^inner solve failed \(term 2\)$"):
-        run()
+        _failing_run(solver)()
+
+
+@pytest.mark.parametrize("solver, name", [
+    ("admm", "consensus ADMM"), ("spi", "stochastic proximal iteration"),
+    ("prox-grad", "proximal-gradient"), ("finito", "finito")])
+def test_ergodic_refused(solver, name):
+    # these keep no average and used to return ergodic=None without a
+    # word; the failing term shows that the refusal comes before any step
+    with pytest.raises(ValueError, match=f"^{name} returns no ergodic "
+                                         "average; only ppg and sppg"):
+        _failing_run(solver, ergodic=True)()
 
 
 @pytest.mark.parametrize("solver, shape", [("spi-kernel", (4,)),

@@ -26,7 +26,7 @@ def _baseline_problem(algo):
         f = [make_quadratic_term(rng.standard_normal(2),
                                  float(rng.standard_normal()))
              for _ in range(3)]
-    return ProblemSpec(dim=dim, n=3, r=zero_prox(), f=f, g=g)
+    return ProblemSpec(dim=dim, r=zero_prox(), f=f, g=g)
 
 
 def _gen(tmp_path, *extra, kind="group-lasso", seed=0, sub="prob"):
@@ -80,6 +80,26 @@ class TestGen:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--vertices" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, flag, value, message", [
+        ("svm", "--n", "0", "--n: must be at least 1, got 0"),
+        ("glm", "--d", "0", "--d: must be at least 1, got 0"),
+        ("fused-lasso", "--n", "0", "--n: must be at least 1, got 0"),
+        ("group-lasso", "--m", "0", "--m: must be at least 1, got 0"),
+        ("glm", "--n", "two", "--n: invalid int value: 'two'"),
+        ("group-lasso", "--d", "5", "dim too small"),
+    ])
+    def test_unusable_size_exit_one(self, tmp_path, capsys, kind, flag,
+                                    value, message):
+        # sizes of 0 used to write a problem.json that solve rejects, and
+        # a recipe that failed left an empty --out directory
+        out = tmp_path / "prob"
+        code = main(["gen", kind, flag, value, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
     def test_group_lasso_shape_of_record(self, tmp_path):

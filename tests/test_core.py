@@ -1,18 +1,19 @@
 """Problem model: residual map examples against the 1-D grid oracle,
 objective evaluation, the signed gap surrogate, and handle validation."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import abs_prox_fn, grid_prox_scalar, make_quadratic_term, \
-    simple_problem
+    simple_problem, tiny_svm
 from proxsplit.core import (ConvergenceError, NumericalError, ProblemSpec,
-                            ProxFn, SmoothFn, SolverState, chunked_row_mean,
-                            initial_state, objective, objective_gap,
-                            residual_map, verify_batched, verify_smooth_fn,
-                            zero_prox, zero_smooth)
+                            ProxFn, SmoothFn, SolverState, _checked,
+                            chunked_row_mean, initial_state, objective,
+                            objective_gap, residual_map, verify_batched,
+                            verify_smooth_fn, zero_prox, zero_smooth)
 
 
 def state_for(problem, z, alpha):
@@ -230,14 +231,30 @@ class TestValidators:
 
 class TestProblemSpec:
     def test_term_count_checked(self):
-        with pytest.raises(ValueError):
-            ProblemSpec(dim=2, n=2, r=zero_prox(), f=(zero_smooth(),),
+        with pytest.raises(ValueError, match="^f must hold as many terms as "
+                                             "g: f holds 1, g holds 2$"):
+            ProblemSpec(dim=2, r=zero_prox(), f=(zero_smooth(),),
                         g=(zero_prox(), zero_prox()))
 
     def test_positive_dims(self):
         with pytest.raises(ValueError):
-            ProblemSpec(dim=0, n=1, r=zero_prox(), f=(zero_smooth(),),
+            ProblemSpec(dim=0, r=zero_prox(), f=(zero_smooth(),),
                         g=(zero_prox(),))
+
+    def test_empty_g_rejected(self):
+        with pytest.raises(ValueError, match="^g must hold at least one"):
+            ProblemSpec(dim=2, r=zero_prox(), f=(), g=())
+
+    def test_n_counts_the_terms(self, rng):
+        problem = simple_problem([zero_prox()] * 3, dim=2)
+        assert problem.n == 3 and problem.reduce_chunks == 3
+        with pytest.raises(TypeError):
+            ProblemSpec(dim=2, n=3, r=zero_prox(), f=problem.f, g=problem.g)
+        # replace, as the benchmark's tracer calls it, counts them again
+        fewer = replace(problem, f=problem.f[:2], g=problem.g[:2])
+        assert fewer.n == 2 and fewer.reduce_chunks == 2
+        svm = tiny_svm(rng, n=5, d=3)
+        assert svm.n == 5 and replace(svm, kind="copy").n == 5
 
     def test_warm_start_shape(self):
         problem = simple_problem([zero_prox()], dim=2)
@@ -254,6 +271,32 @@ class TestProblemSpec:
         # same chunk count must give bitwise equal results on repeat calls
         z = rng.standard_normal((23, 3))
         assert np.array_equal(chunked_row_mean(z, 7), chunked_row_mean(z, 7))
+
+
+class TestChecked:
+    def test_makes_no_array_sized_mask(self):
+        # np.isfinite(arr).all() made an n x d bool mask (1 MB here)
+        arr = np.ones((8192, 128))
+        tracemalloc.start()
+        try:
+            assert _checked(arr, arr.shape, "warm_start") is arr
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * arr.nbytes
+
+    @pytest.mark.parametrize("fill, ok", [(np.nan, False), (np.inf, False),
+                                          (-np.inf, False), (1e308, True)])
+    def test_nonfinite_entries_named(self, fill, ok):
+        # finite entries whose sum overflows (1e308 each) still pass
+        arr = np.full((6, 4), 1e308) if ok else np.zeros((6, 4))
+        arr[4, 1] = fill
+        if ok:
+            assert _checked(arr, (6, 4), "z0") is arr
+        else:
+            with pytest.raises(ValueError,
+                               match="^z0 has non-finite entries$"):
+                _checked(arr, (6, 4), "z0")
 
 
 class TestVerifyBatched:

@@ -802,12 +802,12 @@ class TestLazyTermHandles:
     def test_other_sequences_are_kept_as_tuples(self):
         handles = [zero_prox(), abs_prox_fn()]
         for g in (handles, iter(handles), (h for h in handles)):
-            problem = ProblemSpec(dim=1, n=2, r=zero_prox(),
+            problem = ProblemSpec(dim=1, r=zero_prox(),
                                   f=[zero_smooth()] * 2, g=g)
             assert isinstance(problem.g, tuple)
             assert isinstance(problem.f, tuple)
             assert problem.g == tuple(handles)
-        assert ProblemSpec(dim=1, n=2, r=zero_prox(), f=[zero_smooth()] * 2,
+        assert ProblemSpec(dim=1, r=zero_prox(), f=[zero_smooth()] * 2,
                            g=[zero_prox()] * 2).all_g_zero()
 
 

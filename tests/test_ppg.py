@@ -206,8 +206,8 @@ class TestRunBehavior:
         r = ProxFn(prox=lambda x0, a: prox_scaled_sq_norm(x0, mu, a),
                    value=lambda x: 0.5 * mu * float(x @ x))
         from proxsplit.core import ProblemSpec
-        problem = ProblemSpec(dim=problem_base.dim, n=problem_base.n, r=r,
-                              f=problem_base.f, g=problem_base.g)
+        problem = ProblemSpec(dim=problem_base.dim, r=r, f=problem_base.f,
+                              g=problem_base.g)
         alpha = 1.0 / problem.lipschitz_bound()
         ref = ppg_run(problem, SolveOptions(alpha=alpha, max_iters=4000,
                                             record_every=4000))
@@ -259,7 +259,7 @@ class TestStronglyConvexSingleTerm:
         fn = make_quadratic_term(np.array([1.0, 0.4]), 0.8)
         r = ProxFn(prox=lambda x0, a: prox_scaled_sq_norm(x0, 0.3, a),
                    value=lambda x: 0.15 * float(x @ x))
-        problem = ProblemSpec(dim=2, n=1, r=r, f=(fn,), g=(zero_prox(),))
+        problem = ProblemSpec(dim=2, r=r, f=(fn,), g=(zero_prox(),))
         alpha = 1.0 / problem.lipschitz_bound()
         ref = ppg_run(problem, SolveOptions(alpha=alpha, max_iters=8000,
                                             record_every=8000))
@@ -337,7 +337,7 @@ class TestOptions:
                 reads.append(1)
                 return 2.0
 
-        problem = core.ProblemSpec(dim=2, n=3, r=zero_prox(),
+        problem = core.ProblemSpec(dim=2, r=zero_prox(),
                                    f=[Term() for _ in range(3)],
                                    g=[zero_prox()] * 3)
         assert len(reads) == 3

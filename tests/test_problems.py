@@ -9,8 +9,9 @@ import pytest
 
 from conftest import (GLM_GRID_AQ, GLM_GRID_RESPONSES, GLM_GRID_S0,
                       make_quadratic_term)
-from proxsplit.core import (NumericalError, SmoothFn, objective,
-                            verify_batched, verify_problem, zero_prox)
+from proxsplit.core import (NumericalError, ProblemSpec, SmoothFn,
+                            objective, verify_batched, verify_problem,
+                            zero_prox)
 from proxsplit.ppg import SolveOptions, ppg_run
 from proxsplit.problems import (EdgeColoring, GroupPartition, SvmData,
                                 build_fused_lasso, build_glm,
@@ -670,25 +671,18 @@ class TestEdgeColoring:
             assert len(coloring.classes) <= 2 * deg.max() - 1
 
     def test_builder_rejects_stale_coloring(self, rng):
-        losses = [_pull(rng.standard_normal(1)) for _ in range(3)]
+        targets = rng.standard_normal((3, 1))
         stale = greedy_edge_coloring(3, [(0, 1)])
         with pytest.raises(ValueError, match="cover"):
-            build_network_lasso(3, [(0, 1), (1, 2)], losses, lambda1=0.1,
-                                lambda2=0.1, block_dim=1, coloring=stale)
-
-
-def _pull(target):
-    target = np.asarray(target, dtype=float)
-    return SmoothFn(value=lambda x: 0.5 * float(np.sum((x - target) ** 2)),
-                    gradient=lambda x: x - target, lipschitz=1.0)
+            build_network_lasso(targets, [(0, 1), (1, 2)], lambda1=0.1,
+                                lambda2=0.1, coloring=stale)
 
 
 class TestNetworkLasso:
     def test_zero_coupling_decouples(self, rng):
         targets = rng.standard_normal((3, 2))
-        losses = [_pull(t) for t in targets]
-        problem = build_network_lasso(3, [(0, 1), (1, 2)], losses,
-                                      lambda1=0.1, lambda2=0.0, block_dim=2)
+        problem = build_network_lasso(targets, [(0, 1), (1, 2)],
+                                      lambda1=0.1, lambda2=0.0)
         res = ppg_run(problem, SolveOptions(max_iters=2000,
                                             record_every=2000))
         for v in range(3):
@@ -697,9 +691,8 @@ class TestNetworkLasso:
             assert np.allclose(res.x[2 * v:2 * v + 2], want, atol=1e-6)
 
     def test_two_vertices_strong_coupling_agree(self):
-        losses = [_pull([0.0]), _pull([1.0])]
-        problem = build_network_lasso(2, [(0, 1)], losses, lambda1=0.01,
-                                      lambda2=5.0, block_dim=1)
+        problem = build_network_lasso([[0.0], [1.0]], [(0, 1)], lambda1=0.01,
+                                      lambda2=5.0)
         res = ppg_run(problem, SolveOptions(max_iters=4000,
                                             record_every=4000))
         assert abs(res.x[0] - res.x[1]) <= 1e-4
@@ -714,10 +707,9 @@ class TestNetworkLasso:
 
     def test_identical_losses_all_equal(self, rng):
         target = rng.standard_normal(2)
-        losses = [_pull(target) for _ in range(4)]
-        problem = build_network_lasso(4, [(0, 1), (1, 2), (2, 3), (3, 0)],
-                                      losses, lambda1=0.05, lambda2=0.7,
-                                      block_dim=2)
+        problem = build_network_lasso(np.tile(target, (4, 1)),
+                                      [(0, 1), (1, 2), (2, 3), (3, 0)],
+                                      lambda1=0.05, lambda2=0.7)
         res = ppg_run(problem, SolveOptions(max_iters=3000,
                                             record_every=3000))
         blocks = res.x.reshape(4, 2)
@@ -729,9 +721,9 @@ class TestNetworkLasso:
         # a * n_colors * lambda2; vertices off the color stay
         n_v, block, lam2 = 5, 3, 0.4
         edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (4, 1)]
-        losses = [_pull(rng.standard_normal(block)) for _ in range(n_v)]
-        problem = build_network_lasso(n_v, edges, losses, lambda1=0.1,
-                                      lambda2=lam2, block_dim=block)
+        targets = rng.standard_normal((n_v, block))
+        problem = build_network_lasso(targets, edges, lambda1=0.1,
+                                      lambda2=lam2)
         classes = greedy_edge_coloring(n_v, edges).classes
         assert problem.n == len(classes) > 1
         for a in (0.05, 0.7, 30.0):  # 30 closes every difference
@@ -748,10 +740,54 @@ class TestNetworkLasso:
                 got = g.prox(x0, a)
                 assert np.allclose(got, want.ravel(), rtol=1e-14, atol=1e-14)
 
+    @pytest.mark.parametrize("block", [1, 5, 40])
+    def test_pull_matches_per_vertex_reference(self, rng, block):
+        # the stacked pull against one 0.5*||x_v - theta_v||^2 per vertex,
+        # summed in vertex order, with the same color terms: bitwise
+        n_v = 9
+        edges = [(v, (v + 1) % n_v) for v in range(n_v)] + [(0, 4), (2, 7)]
+        targets = 3.0 * rng.standard_normal((n_v, block))
+        problem = build_network_lasso(targets, edges, lambda1=0.2,
+                                      lambda2=0.3)
+
+        def blk(v):
+            return slice(v * block, (v + 1) * block)
+
+        ref_pull = SmoothFn(
+            value=lambda x: sum(
+                0.5 * float(np.sum((x[blk(v)] - targets[v]) ** 2))
+                for v in range(n_v)),
+            gradient=lambda x: np.concatenate(
+                [x[blk(v)] - targets[v] for v in range(n_v)]),
+            lipschitz=1.0)
+        ref = ProblemSpec(dim=n_v * block, r=problem.r,
+                          f=(ref_pull,) * problem.n, g=problem.g)
+        assert problem.dim == n_v * block and problem.n > 1
+        assert all(fi is problem.f[0] for fi in problem.f)
+        assert problem.lipschitz_bound() == 1.0
+        for scale in (1e-3, 1.0, 1e3):
+            x = scale * rng.standard_normal(n_v * block)
+            assert objective(x, problem) == objective(x, ref)
+            assert problem.f[0].value(x) == ref_pull.value(x)
+            assert np.array_equal(problem.f[0].gradient(x),
+                                  ref_pull.gradient(x))
+
+    @pytest.mark.parametrize("targets, message", [
+        (np.zeros(6), r"^targets must be a nonempty \(vertices x block\) "
+                      r"array, got shape \(6,\)$"),
+        (np.zeros((0, 2)), r"got shape \(0, 2\)$"),
+        (np.zeros((3, 0)), r"got shape \(3, 0\)$"),
+        ([[0.0, 1.0], [2.0, np.nan], [np.inf, 0.0]],
+         r"^targets has a non-finite entry at \(1, 1\)$"),
+    ])
+    def test_bad_targets_rejected(self, targets, message):
+        with pytest.raises(ValueError, match=message):
+            build_network_lasso(targets, [(0, 1)], lambda1=0.1, lambda2=0.3)
+
     def test_invariant_suite(self, rng):
-        losses = [_pull(rng.standard_normal(2)) for _ in range(3)]
-        problem = build_network_lasso(3, [(0, 1), (1, 2)], losses,
-                                      lambda1=0.1, lambda2=0.3, block_dim=2)
+        targets = rng.standard_normal((3, 2))
+        problem = build_network_lasso(targets, [(0, 1), (1, 2)],
+                                      lambda1=0.1, lambda2=0.3)
         verify_problem(problem, rng, n_pairs=100)
 
     @pytest.mark.parametrize("weights,name", [
@@ -759,24 +795,22 @@ class TestNetworkLasso:
         ((np.inf, 0.3), "lambda1"), ((0.1, np.nan), "lambda2"),
         ((0.1, -0.3), "lambda2")])
     def test_bad_weight_rejected(self, rng, weights, name):
-        losses = [_pull(rng.standard_normal(2)) for _ in range(3)]
+        targets = rng.standard_normal((3, 2))
         with pytest.raises(ValueError, match=f"^{name} must be"):
-            build_network_lasso(3, [(0, 1), (1, 2)], losses,
-                                lambda1=weights[0], lambda2=weights[1],
-                                block_dim=2)
-
+            build_network_lasso(targets, [(0, 1), (1, 2)],
+                                lambda1=weights[0], lambda2=weights[1])
 
     @pytest.mark.parametrize("edge", [(0, -2), (0, 5), (3, 1)])
     @pytest.mark.parametrize("colored", [False, True])
     def test_edge_out_of_range_rejected(self, rng, edge, colored):
         # with a caller's coloring, (0, -2) used to act as edge (0, 1) and
         # (0, 5) to fail at the first prox with a broadcast error
-        losses = [_pull(rng.standard_normal(2)) for _ in range(3)]
+        targets = rng.standard_normal((3, 2))
         coloring = EdgeColoring(classes=((edge,),)) if colored else None
         with pytest.raises(ValueError,
                            match=r"^edge \(%d, %d\) out of range$" % edge):
-            build_network_lasso(3, [edge], losses, lambda1=0.1,
-                                lambda2=0.3, block_dim=2, coloring=coloring)
+            build_network_lasso(targets, [edge], lambda1=0.1, lambda2=0.3,
+                                coloring=coloring)
 
 
 class TestGlm:
