@@ -343,11 +343,7 @@ def _checked(arr: np.ndarray, shape: tuple, name: str) -> np.ndarray:
     unless it has ``shape`` and only finite entries."""
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    # the sum makes no mask the size of arr; a NaN or inf entry, or a sum
-    # that overflows, makes it non-finite, and only then are entries scanned
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = arr.sum()
-    if not math.isfinite(total) and not np.isfinite(arr).all():
+    if _nonfinite_entry(arr) is not None:
         raise ValueError(f"{name} has non-finite entries")
     return arr
 
@@ -373,8 +369,40 @@ def chunked_row_mean(z: np.ndarray, n_chunks: int) -> np.ndarray:
     return total / z.shape[0]
 
 
+def _sum_of_squares(arr: np.ndarray) -> float:
+    """The sum of squares of ``arr``'s entries, copying nothing: one BLAS
+    dot (``np.vdot``, which raises no overflow warning) over its memory
+    when it is contiguous in either order or 1-D, else an ``einsum``
+    through numpy's buffer."""
+    if arr.ndim != 1:
+        if not arr.flags.forc:
+            axes = list(range(arr.ndim))
+            return float(np.einsum(arr, axes, arr, axes, []))
+        arr = arr.ravel(order="K")
+    return float(np.vdot(arr, arr))
+
+
+def _nonfinite_entry(arr: np.ndarray, sumsq: float | None = None):
+    """The library's one finiteness test: None when every entry of ``arr``
+    is finite, else the index of its first non-finite entry in C order.
+
+    One reduction tests the whole array: its sum of squares ``sumsq``
+    (:func:`_sum_of_squares` when not given), which a NaN or inf entry
+    makes non-finite.  Only a non-finite sum, which squares that overflow
+    also give, scans the entries, to confirm a bad one and to name it; so
+    a finite array costs one dot, with no mask and no copy of ``arr``.
+    """
+    arr = np.asarray(arr)
+    if math.isfinite(_sum_of_squares(arr) if sumsq is None else sumsq):
+        return None
+    bad = np.argwhere(~np.isfinite(arr))
+    return tuple(map(int, bad[0])) if len(bad) else None
+
+
 def _require_finite(arr: np.ndarray, what: str):
-    if not np.all(np.isfinite(arr)):
+    """Raise :class:`NumericalError` naming ``what`` unless every entry of
+    ``arr`` is finite (:func:`_nonfinite_entry`)."""
+    if _nonfinite_entry(arr) is not None:
         raise NumericalError(f"non-finite values from {what}")
 
 
@@ -390,24 +418,15 @@ def _call_term(fn: Callable, i: int, what: str, *args) -> np.ndarray:
     return out
 
 
-def _name_bad_row(block: np.ndarray, what: str, lo: int = 0):
-    """Raise :class:`NumericalError` naming the first non-finite row of a
-    block that holds rows lo..; return when every entry is finite."""
-    bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
-    if bad.size:
-        raise NumericalError(
-            f"non-finite values from {what} (term {lo + bad[0]})")
-
-
 def _require_finite_rows(block: np.ndarray, what: str, lo: int = 0) -> float:
     """Like :func:`_require_finite` on every row of a block that holds
     rows lo.., naming the first bad one; returns the block's sum of
-    squares.  That one sum tests the whole block; only a non-finite sum
-    (a NaN or inf entry, or squares that overflow) scans the rows."""
-    flat = block.reshape(-1)
-    sq = float(np.dot(flat, flat))
-    if not math.isfinite(sq):
-        _name_bad_row(block, what, lo)
+    squares, the reduction that :func:`_nonfinite_entry` tests."""
+    sq = _sum_of_squares(block)
+    bad = _nonfinite_entry(block, sq)
+    if bad is not None:
+        raise NumericalError(
+            f"non-finite values from {what} (term {lo + bad[0]})")
     return sq
 
 

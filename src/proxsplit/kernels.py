@@ -39,9 +39,8 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .core import (ConvergenceError, NumericalError, ProblemSpec, ProxFn,
-                   RidgeProx, SolverState, _checked, _name_bad_row,
-                   _require_finite, _require_finite_rows, chunked_row_mean,
-                   zero_smooth)
+                   RidgeProx, SolverState, _checked, _require_finite,
+                   _require_finite_rows, chunked_row_mean, zero_smooth)
 from .prox import _glm_roots, glm_root
 
 __all__ = ["HingeStructure", "GlmStructure", "rank_one_problem",
@@ -445,7 +444,7 @@ class RankOnePpg:
             else:
                 s = 2.0 * fx - np.einsum("ij,ij->i", feats, self.z0)
             beta = struct.betas(s, alpha)
-            _name_bad_row(beta[:, None], "prox of g")
+            _require_finite_rows(beta[:, None], "prox of g")
             if self.z0 is None:
                 db, dx = beta - self.beta, x - self.w
                 sq = (n * float(dx @ dx) + 2.0 * float(db @ (fx - self.fw))

@@ -14,8 +14,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from .core import ProblemSpec, ProxFn, SmoothFn, ridge_prox, scale_prox, \
-    scale_smooth, zero_prox, zero_smooth
+from .core import ProblemSpec, ProxFn, SmoothFn, _nonfinite_entry, \
+    ridge_prox, scale_prox, scale_smooth, zero_prox, zero_smooth
 from .kernels import GlmStructure, HingeStructure, rank_one_problem
 from .prox import (CachedQuadraticProx, ScalarFn, prox_pair_diff,
                    prox_quadratic, soft_threshold_scalar,
@@ -163,9 +163,10 @@ def _shrink_groups(vals, ids, count, thr):
 def _require_finite_entries(**arrays):
     """Raise ValueError naming the first non-finite entry of an array."""
     for name, arr in arrays.items():
-        if not np.all(np.isfinite(arr)):
-            at = ", ".join(map(str, np.argwhere(~np.isfinite(arr))[0]))
-            raise ValueError(f"{name} has a non-finite entry at ({at})")
+        at = _nonfinite_entry(arr)
+        if at is not None:
+            raise ValueError(f"{name} has a non-finite entry at "
+                             f"({', '.join(map(str, at))})")
 
 
 def build_group_lasso(a_mat: np.ndarray, b: np.ndarray, lambda1: float,
@@ -319,7 +320,7 @@ def _project_pairs(x: np.ndarray, eps: float, start: int):
     d = x.shape[-1]
     u = x[..., start:d - 1:2]
     v = x[..., start + 1:d:2]
-    w = np.clip(v - u, -eps, eps)
+    w = (v - u).clip(-eps, eps)
     total = u + v
     u[...] = 0.5 * (total - w)
     v[...] = 0.5 * (total + w)
@@ -499,8 +500,9 @@ def build_network_lasso(targets: np.ndarray, edges, lambda1: float,
     pair's difference, keep the sum) with weight C*lambda2, and whose
     smooth part is the whole quadratic pull, so the 1/C average restores
     the original objective.  ``targets`` must be a nonempty 2-D array of
-    finite entries.  Self-loops and endpoints outside [0, |V|) are
-    rejected, also with a caller's ``coloring``.
+    finite entries, and ``edges`` must hold at least one edge.  Self-loops
+    and endpoints outside [0, |V|) are rejected, also with a caller's
+    ``coloring``.
     """
     targets = np.asarray(targets, dtype=float)
     if targets.ndim != 2 or not targets.size:
@@ -508,6 +510,8 @@ def build_network_lasso(targets: np.ndarray, edges, lambda1: float,
                          f"array, got shape {targets.shape}")
     _require_finite_entries(targets=targets)
     edges = _vertex_pairs(len(targets), edges)
+    if not edges:
+        raise ValueError("edges must hold at least one edge")
     if coloring is None:
         coloring = greedy_edge_coloring(len(targets), edges)
     coloring.verify_partition(edges)

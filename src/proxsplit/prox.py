@@ -20,7 +20,8 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.lapack import dtrtrs as _dtrtrs
 
-from .core import ConvergenceError, NumericalError
+from .core import (ConvergenceError, NumericalError, _nonfinite_entry,
+                   _require_finite)
 
 __all__ = [
     "Interval",
@@ -202,7 +203,7 @@ def prox_hinge(x0: np.ndarray, a: np.ndarray, y: float,
     q = float(a @ a)
     if q == 0.0:
         raise ValueError("a must be nonzero")
-    if not math.isfinite(q) and not np.isfinite(a).all():
+    if _nonfinite_entry(a, q) is not None:
         # NaN out, for the caller to report by term, without the warnings
         # that the products with a non-finite row would raise
         return np.full(x0.shape, np.nan)
@@ -238,12 +239,18 @@ class CachedQuadraticProx:
         a_mat = np.asarray(a_mat, dtype=float)
         b = np.asarray(b, dtype=float)
         d = a_mat.shape[1]
-        m = np.eye(d) + alpha * (a_mat.T @ a_mat)
+        # a step so large that alpha*A'A or alpha*A'b overflows is
+        # reported as the prox of r, not as numpy's overflow warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = np.eye(d) + alpha * (a_mat.T @ a_mat)
+            atb = alpha * (a_mat.T @ b)
+        _require_finite(m, "prox of r")
+        _require_finite(atb, "prox of r")
         try:
             chol = np.linalg.cholesky(m)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"Cholesky factorization failed: {exc}")
-        return cls(chol=chol, atb=alpha * (a_mat.T @ b), alpha=alpha)
+        return cls(chol=chol, atb=atb, alpha=alpha)
 
 
 def prox_quadratic(cache: CachedQuadraticProx, v: np.ndarray) -> np.ndarray:
@@ -256,7 +263,7 @@ def prox_quadratic(cache: CachedQuadraticProx, v: np.ndarray) -> np.ndarray:
     ``ValueError``, as its ``check_finite`` did.
     """
     rhs = cache.atb + v
-    if not np.isfinite(rhs).all():
+    if _nonfinite_entry(rhs) is not None:
         raise ValueError("array must not contain infs or NaNs")
     upper = cache.chol.T
     y, info = _dtrtrs(upper, rhs, lower=0, trans=1, overwrite_b=1)

@@ -320,6 +320,19 @@ class TestSolve:
         assert err.startswith("error:") and "NumericalError" in err
         assert "(term 3)" in err
 
+    def test_overflowing_group_lasso_step_exit_three(self, tmp_path,
+                                                     capsys):
+        # the factor of I + alpha*A'A overflows: this printed numpy's
+        # RuntimeWarnings and exited 1 with "array must not contain infs
+        # or NaNs"
+        prob = _gen(tmp_path)
+        code = main(["solve", "--problem", str(prob), "--algo", "ppg",
+                     "--alpha", "1e308", "--max-iters", "5",
+                     "--metrics", str(tmp_path / "m.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == \
+            "error: NumericalError: non-finite values from prox of r\n"
+
     @pytest.mark.parametrize("kind,param", [("fused-lasso", "lam"),
                                             ("fused-lasso", "eps"),
                                             ("svm", "lam")])

@@ -549,6 +549,31 @@ def test_sweep_allocates_no_n_by_d_temporary():
         assert peak < whole / 4
 
 
+def test_fortran_ordered_warm_start_is_checked_in_place():
+    # the finiteness test is one reduction over the start's memory: a
+    # Fortran-ordered start is not copied to C order to be tested.
+    # initial_state keeps its own copy of z (in the start's order), and
+    # ppg on rank-one rows reads the start where it lies
+    import tracemalloc
+    from conftest import tiny_svm
+    rng = np.random.default_rng(0)
+    problem = tiny_svm(rng, n=4096, d=128)
+    whole = problem.n * problem.dim * 8
+    start = np.asfortranarray(rng.standard_normal((problem.n, problem.dim)))
+    for run, kept in (
+            (lambda: initial_state(problem, 10.0, start), whole),
+            (lambda: ppg_run(problem, SolveOptions(alpha=10.0, max_iters=1),
+                             warm_start=start), 0)):
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - kept < whole / 4
+
+
 def test_reference_solvers_allocate_no_n_by_d_temporary():
     # at the SVM desk shape, ADMM's only n x d arrays are its x and u, and
     # prox-grad makes none: both take the term points a sweep block at a

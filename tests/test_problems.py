@@ -191,6 +191,19 @@ class TestGroupLasso:
                                                         stagger=1))
         verify_problem(problem, rng, n_pairs=150)
 
+    @pytest.mark.parametrize("prewarm", [False, True])
+    def test_overflowing_step_names_the_prox_of_r(self, rng, prewarm):
+        # alpha*A'A overflows: the factorization leaked two RuntimeWarnings
+        # and the run failed with "array must not contain infs or NaNs"
+        a_mat = rng.standard_normal((30, 8))
+        b = rng.standard_normal(30)
+        part = GroupPartition(collections=(((0, 1, 2), (3, 4)),))
+        with pytest.raises(NumericalError,
+                           match="^non-finite values from prox of r$"):
+            problem = build_group_lasso(a_mat, b, 0.1, part,
+                                        alpha=1e308 if prewarm else None)
+            ppg_run(problem, SolveOptions(alpha=1e308, max_iters=2))
+
     def test_cached_factorization_tracks_alpha(self, rng):
         # the quadratic prox cache is keyed by the step size: calling with a
         # new alpha must rebuild rather than reuse the stale factor
@@ -783,6 +796,16 @@ class TestNetworkLasso:
     def test_bad_targets_rejected(self, targets, message):
         with pytest.raises(ValueError, match=message):
             build_network_lasso(targets, [(0, 1)], lambda1=0.1, lambda2=0.3)
+
+    @pytest.mark.parametrize("colored", [False, True])
+    def test_no_edges_rejected(self, rng, colored):
+        # the edgeless problem used to fail in ProblemSpec with "g must
+        # hold at least one term", which names nothing passed here
+        coloring = EdgeColoring(classes=()) if colored else None
+        with pytest.raises(ValueError,
+                           match="^edges must hold at least one edge$"):
+            build_network_lasso(rng.standard_normal((3, 2)), [],
+                                lambda1=0.1, lambda2=0.3, coloring=coloring)
 
     def test_invariant_suite(self, rng):
         targets = rng.standard_normal((3, 2))

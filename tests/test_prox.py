@@ -7,7 +7,8 @@ import scipy.linalg
 
 from conftest import (GLM_GRID_AQ, GLM_GRID_RESPONSES, GLM_GRID_S0,
                       grid_prox_scalar, prox_objective)
-from proxsplit.core import ConvergenceError, ProxFn, verify_prox_fn
+from proxsplit.core import (ConvergenceError, NumericalError, ProxFn,
+                            verify_prox_fn)
 from proxsplit.prox import (CachedQuadraticProx, Interval, ScalarFn,
                             _glm_roots, glm_root, hinge_scalar,
                             prox_affine_1d, prox_glm_1d, prox_hinge,
@@ -387,8 +388,29 @@ class TestProxQuadratic:
                                               rng.standard_normal(8), 0.5)
         v = rng.standard_normal(4)
         v[2] = bad
-        with pytest.raises(ValueError, match="infs or NaNs"):
+        with pytest.raises(ValueError,
+                           match="^array must not contain infs or NaNs$"):
             prox_quadratic(cache, v)
+
+    def test_input_whose_squares_overflow_accepted(self, rng):
+        # the finiteness test's sum of squares overflows at 1e200; only a
+        # scan of the entries may reject the input, and it finds none
+        a = rng.standard_normal((8, 4))
+        b = rng.standard_normal(8)
+        cache = CachedQuadraticProx.from_data(a, b, 0.5)
+        v = 1e200 * rng.standard_normal(4)
+        u = prox_quadratic(cache, v)
+        lhs = (np.eye(4) + 0.5 * a.T @ a) @ u
+        assert np.abs(lhs - (cache.atb + v)).max() <= \
+            1e-12 * np.abs(v).max()
+
+    def test_factor_that_overflows_names_the_prox_of_r(self, rng):
+        # alpha*A'A overflowed with two RuntimeWarnings, and the first prox
+        # then failed with the ValueError above, which names nothing
+        with pytest.raises(NumericalError,
+                           match="^non-finite values from prox of r$"):
+            CachedQuadraticProx.from_data(rng.standard_normal((8, 4)),
+                                          rng.standard_normal(8), 1e308)
 
 
 class TestProxGlm:

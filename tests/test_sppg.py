@@ -356,3 +356,57 @@ class TestRunBehavior:
                        IndexSampler(0, 3))
         assert res.state.alpha == 0.7
         assert res.log.metadata["alpha"] == 0.7
+
+
+def _problem_whose_term_1_gives(what):
+    """Three terms on R^3 whose term 1 (or r, for "inf prox of r") returns
+    what ``what`` names; the other terms are finite."""
+    from proxsplit.core import ProxFn, SmoothFn
+    g, f, r = [abs_prox_fn(0.0)] * 3, [], None
+    if what == "inf gradient, clipped by the prox":
+        f = [make_quadratic_term(np.ones(3), 0.0),
+             SmoothFn(value=lambda x: 0.0,
+                      gradient=lambda x: np.full_like(x, np.inf),
+                      lipschitz=1.0)]
+        g[1] = ProxFn(prox=lambda x0, a: np.clip(x0, -1.0, 1.0))
+    elif what == "nan prox of g":
+        g[1] = ProxFn(prox=lambda x0, a: np.full_like(x0, np.nan))
+    elif what == "inf prox of r":
+        r = ProxFn(prox=lambda x0, a: np.full_like(x0, np.inf))
+    else:
+        # finite, but the squares overflow the finiteness test's reduction
+        g[1] = ProxFn(prox=lambda x0, a: np.full_like(x0, 1e200))
+    return simple_problem(g, dim=3, r=r, terms_f=f)
+
+
+def _sppg_step_on_term_1(problem):
+    state = initial_state(problem, 0.25)
+    sppg_step(state, problem, SequenceSampler([1]))
+    return state
+
+
+def _ppg_sweeps(problem):
+    return ppg_run(problem, SolveOptions(alpha=0.25, max_iters=2)).state
+
+
+class TestPerTermChecks:
+    """sppg's single-term step and ppg's per-term sweep test every handle's
+    output with the one finiteness rule, and name what failed."""
+
+    @pytest.mark.parametrize("run", [_sppg_step_on_term_1, _ppg_sweeps])
+    @pytest.mark.parametrize("what, message", [
+        ("inf gradient, clipped by the prox",
+         r"^non-finite values from gradient of f \(term 1\)$"),
+        ("nan prox of g", r"^non-finite values from prox of g \(term 1\)$"),
+        ("inf prox of r", r"^non-finite values from prox of r$")])
+    def test_nonfinite_output_named(self, run, what, message):
+        from proxsplit.core import NumericalError
+        with pytest.raises(NumericalError, match=message):
+            run(_problem_whose_term_1_gives(what))
+
+    @pytest.mark.parametrize("run", [_sppg_step_on_term_1, _ppg_sweeps])
+    def test_output_whose_squares_overflow_accepted(self, run):
+        # its sum of squares is inf, so the entries are scanned: all finite
+        state = run(_problem_whose_term_1_gives("1e200 prox of g"))
+        assert np.isfinite(state.z).all()
+        assert np.abs(state.z[1]).max() >= 1e199
