@@ -30,6 +30,18 @@ import numpy as np
 # ppg sweeps of the 2000-term, d=100 fused lasso took 29.9 ms in 3 blocks
 # and 31.9 ms in one, within their 3 ms spread.
 SWEEP_BLOCK_BYTES = 512 * 1024
+# Rows per piece of work inside a sweep block: the one bound on a batched
+# hook's temporaries (rank_one_prox's row update, the fused lasso's
+# gradient step and pair projection) and the chunk of the z that
+# kernels.RankOnePpg reads or builds.  Sweep blocks can be large:
+# _row_blocks rounds its count down, so a z under twice SWEEP_BLOCK_BYTES
+# (a 2000 x 50 GLM's, 800 KB) is one block, as are the whole arrays of
+# residual_map and verify_batched.  The fused lasso's pair projection
+# writes its rows in place, but through three temporaries of half their
+# entries (see problems._project_pairs), so it is chunked too.  The spi
+# kernel takes its drawn indices into Python lists this many steps at a
+# time.
+ROW_CHUNK = 256
 
 __all__ = [
     "SolverError",
@@ -75,13 +87,20 @@ class SmoothFn:
 
     ``lipschitz`` is an upper bound L on the gradient's Lipschitz constant;
     0.0 means "no curvature" (e.g. the zero function) and step-size
-    validation skips terms that report it.
+    validation skips terms that report it.  A NaN or negative bound is
+    rejected; an infinite one (a bound that overflowed) is kept, and
+    step-size validation refuses it.
     """
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     lipschitz: float = 0.0
     is_zero: bool = False
+
+    def __post_init__(self):
+        if not self.lipschitz >= 0.0:
+            raise ValueError("lipschitz must be nonnegative, got "
+                             f"{self.lipschitz}")
 
 
 @dataclass(frozen=True)
@@ -188,14 +207,20 @@ class ProblemSpec:
         ``batched_g_prox(V, a, lo)[k] == g[lo + k].prox(V[k], a)``; ``lo``
         defaults to 0, so a whole n x d ``V`` needs no offset.  ``V`` is
         a scratch array of the caller's, so the hook may overwrite and
-        return it; any array it returns is the caller's to modify.
+        return it; any array it returns is the caller's to modify.  The
+        builders' hooks make no temporary larger than ``ROW_CHUNK`` rows
+        of ``V``, so a sweep holds z, one scratch block and no more than
+        that beside; the one exception is the group lasso's, which gathers
+        a block's grouped entries at once, its rows being its few
+        collections.
     batched_f_grad :
         Optional vectorized gradient step for a block of smooth terms at
         one point: ``batched_f_grad(V, x, a, lo)`` subtracts
         ``a * f[lo + k].gradient(x)`` from row k of the caller's scratch
         block ``V``, in place, and returns nothing; ``lo`` defaults to 0.
         Stepping ``V`` in place, rather than returning a gradient block,
-        keeps the sweep free of temporaries the size of ``V``.
+        and ``ROW_CHUNK`` rows at a time keeps the sweep free of
+        temporaries larger than that many rows of ``V``.
     batched_objective :
         Optional vectorized evaluation of the term sum
         (1/n) sum_i (f_i(x) + g_i(x)) at one point, equal to the

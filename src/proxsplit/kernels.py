@@ -38,8 +38,8 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .core import (ConvergenceError, NumericalError, ProblemSpec, ProxFn,
-                   RidgeProx, SolverState, _checked, _require_finite,
+from .core import (ROW_CHUNK, ConvergenceError, NumericalError, ProblemSpec,
+                   ProxFn, RidgeProx, SolverState, _checked, _require_finite,
                    _require_finite_rows, chunked_row_mean, zero_smooth)
 from .prox import _glm_roots, glm_root
 
@@ -52,12 +52,6 @@ __all__ = ["HingeStructure", "GlmStructure", "rank_one_problem",
 # that grow as SPPG_RUN**2 * d plus a scalar recurrence of SPPG_RUN steps;
 # runs of 32 to 64 rows were fastest at d=128, and 256 was slower.
 SPPG_RUN = 32
-# Rows per in-place update of rank_one_prox, which bounds its temporary,
-# and per chunk of the z that RankOnePpg reads or builds.
-# Sweep blocks can be large: core._row_blocks rounds its count down, so a
-# z under twice core.SWEEP_BLOCK_BYTES (a 2000 x 50 GLM's, 800 KB) is one
-# block, as are the whole arrays of core.residual_map and verify_batched.
-ROW_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -223,17 +217,19 @@ def rank_one_terms(struct) -> Sequence:
 
 
 def _distinct_runs(order, limit):
-    """(start, end) bounds that cut ``order`` into consecutive runs of at
-    most ``limit`` distinct entries; a repeated entry starts the next run."""
+    """(start, end) bounds that cut the index array ``order`` into
+    consecutive runs of at most ``limit`` distinct entries; a repeated
+    entry starts the next run.  Only one window of ``limit`` entries is a
+    Python list at a time."""
     start = 0
     while start < len(order):
-        end, seen = start, set()
-        stop = min(len(order), start + limit)
-        while end < stop and order[end] not in seen:
-            seen.add(order[end])
-            end += 1
-        yield start, end
-        start = end
+        seen = set()
+        for i in order[start:start + limit].tolist():
+            if i in seen:
+                break
+            seen.add(i)
+        yield start, start + len(seen)
+        start += len(seen)
 
 
 def rank_one_prox(struct, v, alpha, lo=0):
@@ -336,7 +332,7 @@ def rank_one_sppg_block(z, zbar, struct, alpha, idx, ridge, xsum=None):
     # a non-finite row turns its products into NaN without a warning; the
     # recurrence then stops there and names the term
     with np.errstate(invalid="ignore", over="ignore"):
-        for start, end in _distinct_runs(idx.tolist(), SPPG_RUN):
+        for start, end in _distinct_runs(idx, SPPG_RUN):
             rows = idx[start:end]
             size = end - start
             f = feats[rows]
@@ -495,23 +491,28 @@ def rank_one_spi_block(x, struct, c, k0, idx):
     Mutates x in place.  A non-finite update raises
     :class:`NumericalError` naming its term, with the steps before it
     applied; a :class:`ConvergenceError` from ``beta`` gets the row's term
-    index appended.
+    index appended.  The rows' indices, squared norms and constants are
+    read into Python lists ``ROW_CHUNK`` steps at a time.
     """
     feats, rule, ridge = struct.features, struct.beta, struct.ridge
-    q, cs = struct.sqnorms[idx].tolist(), struct.targets[idx].tolist()
     # a non-finite row turns its products into NaN without a warning; the
     # loop then stops there and names the term
     with np.errstate(invalid="ignore", over="ignore"):
         try:
-            for t, i in enumerate(idx.tolist()):
-                ak = c / (k0 + t + 1.0)
-                shr = 1.0 / (1.0 + ak * ridge)
-                xs = x * shr
-                b = rule(float(feats[i] @ xs), q[t], cs[t], ak * shr)
-                if not math.isfinite(b):
-                    raise NumericalError(
-                        f"non-finite values from prox of g (term {i})")
-                x[:] = xs + b * feats[i]
+            for lo in range(0, len(idx), ROW_CHUNK):
+                rows = idx[lo:lo + ROW_CHUNK]
+                for t, i, q, ci in zip(
+                        range(lo, lo + len(rows)), rows.tolist(),
+                        struct.sqnorms[rows].tolist(),
+                        struct.targets[rows].tolist()):
+                    ak = c / (k0 + t + 1.0)
+                    shr = 1.0 / (1.0 + ak * ridge)
+                    xs = x * shr
+                    b = rule(float(feats[i] @ xs), q, ci, ak * shr)
+                    if not math.isfinite(b):
+                        raise NumericalError(
+                            f"non-finite values from prox of g (term {i})")
+                    x[:] = xs + b * feats[i]
         except ConvergenceError as exc:
             exc.args = (f"{exc} (term {i})",)
             raise

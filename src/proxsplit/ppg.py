@@ -224,13 +224,19 @@ def resolve_alpha(problem: ProblemSpec, alpha: float | None) -> float:
 
     Defaults to 1/L.  With every f_i zero any finite alpha > 0 converges,
     so the default is 1.0 without comment; smooth terms without a bound
-    also get 1.0, with a warning.  A non-finite alpha and steps at or
+    also get 1.0, with a warning.  An infinite L (a bound that
+    overflowed) admits no step, so it gives no default either.  A
+    non-finite alpha and steps at or
     beyond 2/L are rejected; steps at or beyond 1.5/L only draw a warning
     (convergence is still guaranteed below 2/L, the tighter constant is
     what the rate analysis uses).
     """
     lip = problem.lipschitz_bound()
     if alpha is None:
+        if lip == math.inf:
+            raise ValueError("the Lipschitz bound L of the smooth terms is "
+                             "infinite, so no step size is below 2/L; "
+                             "rescale the data")
         if lip > 0:
             return 1.0 / lip
         if not problem.all_f_zero():

@@ -14,8 +14,9 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from .core import ProblemSpec, ProxFn, SmoothFn, _nonfinite_entry, \
-    ridge_prox, scale_prox, scale_smooth, zero_prox, zero_smooth
+from .core import ROW_CHUNK, ProblemSpec, ProxFn, SmoothFn, \
+    _nonfinite_entry, ridge_prox, scale_prox, scale_smooth, zero_prox, \
+    zero_smooth
 from .kernels import GlmStructure, HingeStructure, rank_one_problem
 from .prox import (CachedQuadraticProx, ScalarFn, prox_pair_diff,
                    prox_quadratic, soft_threshold_scalar,
@@ -316,14 +317,25 @@ def build_svm(data: SvmData, fold_ridge: bool = False) -> ProblemSpec:
 def _project_pairs(x: np.ndarray, eps: float, start: int):
     """Project, in place along the last axis, each disjoint pair
     (x_j, x_{j+1}) for j = start, start+2, ... onto |x_{j+1} - x_j| <= eps:
-    clip the pair's difference, keep its sum."""
+    clip the pair's difference w, keep its sum t, so the pair becomes
+    (0.5 (t - w), 0.5 (t + w)).  The strided views of the pairs are read
+    twice and written once each, the fewest passes over them: numpy
+    buffers an operation on them unless a row's pairs span the whole row,
+    and an in-place form that stepped them six times took half as long
+    again.  Its temporaries, three arrays of half x's entries, are why a
+    caller with many rows projects them ``ROW_CHUNK`` at a time."""
     d = x.shape[-1]
     u = x[..., start:d - 1:2]
     v = x[..., start + 1:d:2]
-    w = (v - u).clip(-eps, eps)
+    w = v - u
+    w.clip(-eps, eps, out=w)
     total = u + v
-    u[...] = 0.5 * (total - w)
-    v[...] = 0.5 * (total + w)
+    low = total - w
+    low *= 0.5
+    u[...] = low
+    total += w
+    total *= 0.5
+    v[...] = total
 
 
 def build_fused_lasso(a_mat: np.ndarray, y: np.ndarray, lam: float,
@@ -340,8 +352,11 @@ def build_fused_lasso(a_mat: np.ndarray, y: np.ndarray, lam: float,
     averaged loss equal to the original.  The indicator admits a relative
     slack of 1e-9 when reporting values so that prox outputs at the
     boundary do not read as infeasible.  Full sweeps take every term's
-    gradient step from one product ``A @ x`` and project all rows' pairs
-    at once; single-term steps use the per-term handles.
+    gradient step from one product ``A @ x`` and project the pairs of a
+    sweep block's rows, ``ROW_CHUNK`` rows at a time, so the hooks make no
+    temporary larger than that; single-term steps use the per-term
+    handles.  A bound a_i'a_i that overflows is kept as inf, for
+    step-size validation to refuse.
     """
     a_mat = np.asarray(a_mat, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -377,7 +392,8 @@ def build_fused_lasso(a_mat: np.ndarray, y: np.ndarray, lam: float,
 
         return ProxFn(prox=prox, value=value)
 
-    f_terms = tuple(make_f(i) for i in range(n)) * 2
+    with np.errstate(over="ignore"):
+        f_terms = tuple(make_f(i) for i in range(n)) * 2
     g_terms = (make_g(0),) * n + (make_g(1),) * n
 
     # Terms i and n + i share the data row a_i.  The residuals A x - y
@@ -392,21 +408,25 @@ def build_fused_lasso(a_mat: np.ndarray, y: np.ndarray, lam: float,
             last = np.array(x, dtype=float, copy=True), a_mat @ x - y
         return last[1]
 
+    def chunks(lo, hi):
+        # terms lo..hi-1, ROW_CHUNK at a time: (t0, t1, side) with side 0
+        # below n and 1 from n on (data row t - n, pairs from 1)
+        for t0, t1, side in ((lo, min(hi, n), 0), (max(lo, n), hi, 1)):
+            for c0 in range(t0, t1, ROW_CHUNK):
+                yield c0, min(c0 + ROW_CHUNK, t1), side
+
     def batched_f_grad(v, x, a, lo=0):
         res = residual(x)
-        hi = lo + v.shape[0]
-        # the block's terms below n, then those from n on (data row t - n)
-        for t0, t1, shift in ((lo, min(hi, n), 0), (max(lo, n), hi, n)):
-            if t0 < t1:
-                rows = slice(t0 - shift, t1 - shift)
-                step = res[rows, None] * a_mat[rows]
-                step *= a
-                v[t0 - lo:t1 - lo] -= step
+        for t0, t1, side in chunks(lo, lo + v.shape[0]):
+            rows = slice(t0 - side * n, t1 - side * n)
+            step = res[rows, None] * a_mat[rows]
+            step *= a
+            v[t0 - lo:t1 - lo] -= step
+            del step  # freed before the next chunk's is made
 
     def batched_g_prox(v, a, lo=0):
-        split = min(max(n - lo, 0), v.shape[0])
-        _project_pairs(v[:split], eps, 0)
-        _project_pairs(v[split:], eps, 1)
+        for t0, t1, side in chunks(lo, lo + v.shape[0]):
+            _project_pairs(v[t0 - lo:t1 - lo], eps, side)
         return v
 
     def batched_objective(x):

@@ -333,6 +333,27 @@ class TestSolve:
         assert capsys.readouterr().err == \
             "error: NumericalError: non-finite values from prox of r\n"
 
+    @pytest.mark.parametrize("algo", ["ppg", "sppg"])
+    def test_overflowing_gradient_bound_exit_one(self, tmp_path, capsys,
+                                                 algo):
+        # rows near 1e200 make a_i'a_i overflow to inf: numpy warned, 1/L
+        # gave alpha 0.0 and the first sweep raised ZeroDivisionError
+        from proxsplit.io import read_dense_csv, write_dense_csv
+        prob = tmp_path / "fl"
+        assert main(["gen", "fused-lasso", "--out", str(prob), "--n", "20",
+                     "--d", "6", "--seed", "0"]) == 0
+        write_dense_csv(prob / "A.csv", read_dense_csv(prob / "A.csv") * 1e200)
+        metrics = tmp_path / "m.csv"
+        capsys.readouterr()
+        code = main(["solve", "--problem", str(prob / "problem.json"),
+                     "--algo", algo, "--metrics", str(metrics)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: the Lipschitz bound L")
+        assert "rescale the data" in err
+        assert not metrics.exists()
+
     @pytest.mark.parametrize("kind,param", [("fused-lasso", "lam"),
                                             ("fused-lasso", "eps"),
                                             ("svm", "lam")])

@@ -355,6 +355,26 @@ class TestOptions:
             warnings.simplefilter("error")
             assert resolve_alpha(problem, None) == 1.0
 
+    @pytest.mark.parametrize("lip", [math.nan, -1.0])
+    def test_nan_or_negative_lipschitz_bound_rejected(self, lip):
+        # NaN was read as a missing bound (alpha 1.0 with a warning) and
+        # -1.0 passed with no message at all
+        with pytest.raises(ValueError, match="^lipschitz must be "
+                                             "nonnegative"):
+            SmoothFn(value=lambda x: 0.0, gradient=np.zeros_like,
+                     lipschitz=lip)
+
+    def test_default_alpha_refuses_infinite_bound(self, rng):
+        # a bound that overflowed: 1/inf gave alpha 0.0, and the first
+        # sweep divided by it
+        term = SmoothFn(value=lambda x: 0.0, gradient=np.zeros_like,
+                        lipschitz=math.inf)
+        problem = simple_problem([abs_prox_fn(1.0)], terms_f=[term])
+        with pytest.raises(ValueError, match="infinite.*rescale"):
+            resolve_alpha(problem, None)
+        with pytest.raises(ValueError, match="infinite"):
+            ppg_run(problem, SolveOptions(max_iters=1))
+
     def test_default_alpha_warns_for_unbounded_smooth_term(self):
         # a nonzero f that reports no Lipschitz bound keeps the warning
         unbounded = SmoothFn(value=lambda x: float(np.sum(x ** 4)),
@@ -547,6 +567,33 @@ def test_sweep_allocates_no_n_by_d_temporary():
         finally:
             tracemalloc.stop()
         assert peak < whole / 4
+
+
+def test_fused_lasso_sweep_holds_one_scratch_block():
+    # the fused lasso's twin of the test above: a sweep and a probe hold
+    # one scratch block, and its hooks' gradient step and pair projection
+    # make temporaries of at most ROW_CHUNK rows, never one of a block
+    import tracemalloc
+    from proxsplit.problems import build_fused_lasso
+    rng = np.random.default_rng(0)
+    problem = build_fused_lasso(rng.standard_normal((1000, 100)),
+                                rng.standard_normal(1000), 0.1, 0.1)
+    n, d = problem.n, problem.dim
+    blocks = core._row_blocks(n, d, problem.reduce_chunks,
+                              core.SWEEP_BLOCK_BYTES)
+    assert len(blocks) > 1
+    scratch = max(hi - lo for lo, hi, _ in blocks) * d * 8
+    bound = scratch + 2 * core.ROW_CHUNK * d * 8 + 0.1e6
+    state = initial_state(problem, resolve_alpha(problem, None))
+    for advance in (True, False):
+        core._sweep_blocks(state, problem, advance)
+        tracemalloc.start()
+        try:
+            core._sweep_blocks(state, problem, advance)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 def test_fortran_ordered_warm_start_is_checked_in_place():

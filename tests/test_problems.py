@@ -586,6 +586,66 @@ class TestFusedLasso:
         assert problem.batched_g_prox(v, 0.5) is v
 
     @staticmethod
+    def _pairs_formula(x, eps, start):
+        # the projection's closed form, a fresh array per step: clip the
+        # difference w, then 0.5 (t -/+ w) for the pair's sum t
+        d = x.shape[-1]
+        u = x[..., start:d - 1:2]
+        v = x[..., start + 1:d:2]
+        w = np.clip(v - u, -eps, eps)
+        total = u + v
+        u[...] = 0.5 * (total - w)
+        v[...] = 0.5 * (total + w)
+
+    @pytest.mark.parametrize("shape", [(7,), (8,), (5, 7), (5, 8)])
+    @pytest.mark.parametrize("start", [0, 1])
+    @pytest.mark.parametrize("eps", [0.0, 0.3, np.inf])
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_pair_projection_is_the_formula_bitwise(self, rng, shape, start,
+                                                    eps, nan):
+        from proxsplit.problems import _project_pairs
+        x = rng.standard_normal(shape)
+        x[..., :6] = [0.0, -0.0, -0.0, 0.0, -0.0, -0.0]  # signed zeros
+        if nan:
+            x[..., start + 3] = np.nan
+        want = x.copy()
+        self._pairs_formula(want, eps, start)
+        got = x.copy()
+        _project_pairs(got, eps, start)
+        assert got.tobytes() == want.tobytes()
+        if nan:
+            # the pair stays NaN, so the sweep's finiteness check names
+            # its term
+            assert np.isnan(got[..., start + 2:start + 4]).all()
+
+    def test_hooks_over_many_row_chunks_are_bitwise_exact(self, rng):
+        # a block of 450 terms from 150 on crosses ROW_CHUNK boundaries
+        # and the switch from odd to even pairs at term n = 300
+        from proxsplit.core import ROW_CHUNK
+        a_mat, y = rng.standard_normal((300, 7)), rng.standard_normal(300)
+        problem = build_fused_lasso(a_mat, y, 0.1, 0.2)
+        lo, a = 150, 0.7
+        v = rng.standard_normal((problem.n - lo, 7))
+        assert v.shape[0] > ROW_CHUNK
+        got = v.copy()
+        assert problem.batched_g_prox(got, a, lo) is got
+        want = np.array([problem.g[lo + k].prox(row, a)
+                         for k, row in enumerate(v)])
+        assert got.tobytes() == want.tobytes()
+        x = rng.standard_normal(7)
+        res = np.concatenate([a_mat @ x - y] * 2)[lo:]
+        want = v - res[:, None] * np.concatenate([a_mat] * 2)[lo:] * a
+        got = v.copy()
+        problem.batched_f_grad(got, x, a, lo)
+        assert got.tobytes() == want.tobytes()
+
+    def test_overflowing_lipschitz_bound_is_inf_without_a_warning(self):
+        # pytest turns numpy's "overflow encountered" into an error
+        problem = build_fused_lasso(np.full((2, 4), 1e200), np.zeros(2),
+                                    0.1, 0.2)
+        assert problem.lipschitz_bound() == math.inf
+
+    @staticmethod
     def _fused_pair(rng, n=30, d=12, eps=0.2):
         problem = build_fused_lasso(rng.standard_normal((n, d)),
                                     rng.standard_normal(n), 0.05, eps)

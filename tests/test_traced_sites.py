@@ -10,6 +10,7 @@ this suite and not only a benchmark run.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,9 @@ def _load(name):
 
 tracer = _load("tracer")
 workloads = _load("workloads")
+# the harness imports the tracer by its top-level name
+sys.modules.setdefault("tracer", tracer)
+harness = _load("harness")
 
 
 @pytest.mark.parametrize("kind", ["svm", "glm"])
@@ -160,3 +164,19 @@ def test_benchmark_workload_runs_and_passes_its_gates(tmp_path, name):
     assert results
     assert {job: msgs for job, msgs in workload.gates(results, probs).items()
             if msgs} == {}
+
+
+def test_fused_lasso_jobs_peak_at_z_plus_one_scratch_block(tmp_path):
+    # the benchmark's own allocation measure, on its fused-lasso jobs: each
+    # job holds z, one sweep block of scratch and hook temporaries of at
+    # most ROW_CHUNK rows, so no block-sized temporary comes back unseen
+    workload = workloads.WORKLOADS["fused-lasso"]
+    probs = workload.setup(0, str(tmp_path))
+    problem = probs["main"]
+    n, d = problem.n, problem.dim
+    blocks = core._row_blocks(n, d, problem.reduce_chunks,
+                              core.SWEEP_BLOCK_BYTES)
+    bound = (n + max(hi - lo for lo, hi, _ in blocks)
+             + 2 * core.ROW_CHUNK) * d * 8 / 1e6 + 0.1
+    for job in workload.jobs(0):
+        assert harness.truncated_pass([job], probs, True) < bound, job.name
