@@ -116,43 +116,60 @@ def _options(cfg: RunConfig) -> ppg.SolveOptions:
 
 # -- problem descriptions ------------------------------------------------------
 
+def _required(table: dict, key: str, path: str, prefix: str = ""):
+    """``table[key]``, the field ``prefix + key`` of the description file
+    ``path``; a missing field raises ValueError naming the file and it."""
+    if key not in table:
+        raise ValueError(f"{path}: missing {prefix}{key}")
+    return table[key]
+
+
 def load_problem(path: str, algo: str = "ppg") -> ProblemSpec:
     """Build the ProblemSpec a description file denotes.
 
     The SVM kind is built in its prox-only form (ridge folded into every
-    term) when the target algorithm requires a zero global term.
+    term) when the target algorithm requires a zero global term.  A
+    missing field raises ValueError naming the file and the field, such as
+    ``problem.json: missing params.family``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         desc = json.load(fh)
+    if not isinstance(desc, dict):
+        raise ValueError(f"{path}: a problem description is a JSON object")
+    files, params = desc.get("files", {}), desc.get("params", {})
+    for section, table in (("files", files), ("params", params)):
+        if not isinstance(table, dict):
+            raise ValueError(f"{path}: {section} must be a JSON object")
     base = os.path.dirname(os.path.abspath(path))
-    files = {k: os.path.join(base, v) for k, v in desc.get("files", {}).items()}
-    params = desc.get("params", {})
-    kind = desc.get("kind")
+    files = {k: os.path.join(base, v) for k, v in files.items()}
+    kind = _required(desc, "kind", path)
+    file = partial(_required, files, path=path, prefix="files.")
+    param = partial(_required, params, path=path, prefix="params.")
     if kind == "group-lasso":
-        a_mat = io.read_dense_csv(files["A"])
-        b = io.read_dense_csv(files["b"]).ravel()
+        a_mat = io.read_dense_csv(file("A"))
+        b = io.read_dense_csv(file("b")).ravel()
         part = problems.GroupPartition(collections=tuple(
-            tuple(tuple(g) for g in coll) for coll in params["groups"]))
-        return problems.build_group_lasso(a_mat, b, params["lambda1"], part)
+            tuple(tuple(g) for g in coll) for coll in param("groups")))
+        return problems.build_group_lasso(a_mat, b, param("lambda1"), part)
     if kind == "svm":
-        feats, labels = io.read_libsvm(files["data"], dim=params.get("dim"))
+        feats, labels = io.read_libsvm(file("data"), dim=params.get("dim"))
         data = problems.SvmData(features=feats, labels=labels,
-                                lam=params["lam"])
+                                lam=param("lam"))
         return problems.build_svm(data, fold_ridge=(algo == "spi"))
     if kind == "fused-lasso":
-        a_mat = io.read_dense_csv(files["A"])
-        y = io.read_dense_csv(files["y"]).ravel()
-        return problems.build_fused_lasso(a_mat, y, params["lam"],
-                                          params["eps"])
+        a_mat = io.read_dense_csv(file("A"))
+        y = io.read_dense_csv(file("y")).ravel()
+        return problems.build_fused_lasso(a_mat, y, param("lam"),
+                                          param("eps"))
     if kind == "network-lasso":
         return problems.build_network_lasso(
-            params["theta"], params["edges"], params["lambda1"],
-            params["lambda2"])
+            param("theta"), param("edges"), param("lambda1"),
+            param("lambda2"))
     if kind == "glm":
-        x_mat = io.read_dense_csv(files["X"])
-        t_vec = io.read_dense_csv(files["T"]).ravel()
+        x_mat = io.read_dense_csv(file("X"))
+        t_vec = io.read_dense_csv(file("T")).ravel()
         return problems.build_glm(x_mat, t_vec,
-                                  problems.glm_family(params["family"]))
+                                  problems.glm_family(param("family")))
     raise ValueError(f"unknown problem kind {kind!r}")
 
 

@@ -61,11 +61,20 @@ def _parse_float(cell: str, lineno: int, path):
             f"{path}:{lineno}: non-numeric cell {cell!r}") from None
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def read_dense_csv(path) -> np.ndarray:
     """Rectangular numeric CSV -> (m, d) array.
 
-    A non-numeric first line is treated as a header and skipped; blank
-    lines are ignored; ragged rows and bad cells raise with line numbers.
+    A first line none of whose cells is a number is a header and is
+    skipped; blank lines are ignored; ragged rows and bad cells, a bad
+    cell of a first line that holds a number too, raise with line numbers.
     """
     rows = []
     width = None
@@ -78,10 +87,9 @@ def read_dense_csv(path) -> np.ndarray:
             cells = line.split(",")
             if not seen_first:
                 seen_first = True
-                try:
-                    rows.append([float(c) for c in cells])
-                except ValueError:
-                    continue  # non-numeric first line: header
+                if not any(map(_is_number, cells)):
+                    continue  # header
+                rows.append([_parse_float(c, lineno, path) for c in cells])
                 width = len(cells)
                 continue
             if width is not None and len(cells) != width:
@@ -153,10 +161,12 @@ def read_libsvm(path, dim: int | None = None):
 
 def write_libsvm(path, feats, labels) -> None:
     """Dense rows and labels to :func:`read_libsvm`'s format: an integral
-    label without a fraction, and the nonzero features only."""
+    label without a fraction, any other (a non-finite one too) in 17
+    significant digits, and the nonzero features only."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for row, lab in zip(feats, labels):
-            cells = [format(lab, ".0f" if lab == int(lab) else ".17g")]
+            integral = float(lab).is_integer()
+            cells = [format(lab, ".0f" if integral else ".17g")]
             cells += [f"{j + 1}:{format(v, '.17g')}"
                       for j, v in enumerate(row) if v != 0.0]
             fh.write(" ".join(cells) + "\n")

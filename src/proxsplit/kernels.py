@@ -18,10 +18,12 @@ alone (:func:`core.ridge_prox`).
 :func:`rank_one_sppg_block` takes each
 run of up to ``SPPG_RUN`` consecutive distinct sppg rows with three BLAS
 products and a scalar recurrence of ``beta``, in place of a dozen small
-vector operations per step; :class:`RankOnePpg` takes ppg's full sweeps
-over the same rows in scalar coordinates, with no pass over z and no z
-until one is read, taking each recorded objective from the sweep's own
-F x; and
+vector operations per step; :func:`rank_one_probe` takes one splitting
+step's betas and residual at a held z from the structure, a chunk of rows
+at a time, for sppg's residual probe and a warm-started ppg's first
+sweep; :class:`RankOnePpg` takes ppg's full sweeps over the same rows in
+scalar coordinates, with no pass over z and no z until one is read,
+taking each recorded objective from the sweep's own F x; and
 :func:`rank_one_spi_block` is the spi baseline's loop of ``beta`` steps.
 The per-term handles remain the reference path; the kernels agree with
 them to floating-point rounding, not bitwise, because their sums associate
@@ -45,8 +47,8 @@ from .prox import _glm_roots, glm_root
 
 __all__ = ["HingeStructure", "GlmStructure", "rank_one_problem",
            "rank_one_rows", "rank_one_terms", "rank_one_prox",
-           "rank_one_objective", "rank_one_sppg_block", "RankOnePpg",
-           "rank_one_spi_block"]
+           "rank_one_objective", "rank_one_sppg_block", "rank_one_probe",
+           "RankOnePpg", "rank_one_spi_block"]
 
 # Rows per run of the numpy sppg block.  A run costs a few BLAS products
 # that grow as SPPG_RUN**2 * d plus a scalar recurrence of SPPG_RUN steps;
@@ -373,6 +375,35 @@ def rank_one_sppg_block(z, zbar, struct, alpha, idx, ridge, xsum=None):
                     f"non-finite values from prox of g (term {rows[b]})")
 
 
+def rank_one_probe(struct, z, x, alpha):
+    """One splitting step of rank-one rows with no folded ridge at a held
+    z, taken from the structure without moving z: with x the prox-r point
+    (finite), row i's term point is x + beta_i f_i, the betas of
+    ``struct.betas`` at s_i = f_i.(2x - z_i) = 2 f_i'x - f_i'z_i, from one
+    product and one row-dot ``einsum``.  Returns ``(F x, beta, sq)``, sq
+    the sum of squares of the steps beta_i f_i + x - z_i, taken a
+    ``ROW_CHUNK`` of rows at a time, so nothing the size of z is made.  A
+    non-finite beta or step raises :class:`NumericalError` naming its
+    term.
+    """
+    feats = struct.features
+    # a non-finite row turns its products into NaN without a warning; its
+    # beta is then NaN and names the term
+    with np.errstate(invalid="ignore", over="ignore"):
+        fx = feats @ x
+        beta = struct.betas(2.0 * fx - np.einsum("ij,ij->i", feats, z),
+                            alpha)
+        _require_finite_rows(beta[:, None], "prox of g")
+        sq = 0.0
+        for lo in range(0, feats.shape[0], ROW_CHUNK):
+            rows = slice(lo, lo + ROW_CHUNK)
+            step = feats[rows] * beta[rows, None]
+            step += x
+            step -= z[rows]
+            sq += _require_finite_rows(step, "prox of g", lo)
+    return fx, beta, sq
+
+
 def _held_z(feats, beta, w):
     """The z that :class:`RankOnePpg` holds, z_i = w + beta_i f_i, built a
     chunk of rows at a time."""
@@ -398,9 +429,9 @@ class RankOnePpg:
     two products with F and O(n + d) further work, with no pass over z.
     A zero start is the formula with w = 0 and beta = 0, and its zbar is
     zeros.  A warm start is checked where it lies and read through its row
-    mean, then by the first sweep through the row dots f_i.z_i and its
-    exact residual, a chunk of rows at a time; it is neither copied nor
-    written.
+    mean, then by the first sweep through :func:`rank_one_probe`, the row
+    dots f_i.z_i and its exact residual a chunk of rows at a time; it is
+    neither copied nor written.
 
     ``state`` is the run's, made here; each :meth:`sweep` sets its ``zbar``
     and counts the iteration, :meth:`objective` takes the recorded
@@ -431,29 +462,20 @@ class RankOnePpg:
         alpha, n = state.alpha, feats.shape[0]
         x = self.r.prox(state.zbar, alpha)
         _require_finite(x, "prox of r")
-        # a non-finite row turns its products into NaN without a warning;
-        # its beta is then NaN and names the term
-        with np.errstate(invalid="ignore", over="ignore"):
-            fx = feats @ x
-            if self.z0 is None:
-                s = 2.0 * fx - self.fw - self.beta * q
-            else:
-                s = 2.0 * fx - np.einsum("ij,ij->i", feats, self.z0)
-            beta = struct.betas(s, alpha)
-            _require_finite_rows(beta[:, None], "prox of g")
-            if self.z0 is None:
+        if self.z0 is not None:
+            fx, beta, sq = rank_one_probe(struct, self.z0, x, alpha)
+            self.z0 = None
+        else:
+            # a non-finite row turns its products into NaN without a
+            # warning; its beta is then NaN and names the term
+            with np.errstate(invalid="ignore", over="ignore"):
+                fx = feats @ x
+                beta = struct.betas(2.0 * fx - self.fw - self.beta * q,
+                                    alpha)
+                _require_finite_rows(beta[:, None], "prox of g")
                 db, dx = beta - self.beta, x - self.w
                 sq = (n * float(dx @ dx) + 2.0 * float(db @ (fx - self.fw))
                       + float((db * db) @ q))
-            else:
-                sq = 0.0
-                for lo in range(0, n, ROW_CHUNK):
-                    rows = slice(lo, lo + ROW_CHUNK)
-                    step = feats[rows] * beta[rows, None]
-                    step += x
-                    step -= self.z0[rows]
-                    sq += _require_finite_rows(step, "prox of g", lo)
-                self.z0 = None
         self.w, self.fw, self.beta = x, fx, beta
         state.zbar = x + (beta @ feats) * (1.0 / n)
         state.k += 1

@@ -98,6 +98,21 @@ def _advance_block(state: SolverState, problem: ProblemSpec, struct, block,
             xsum += x_half
 
 
+def _probe(state: SolverState, problem: ProblemSpec, struct):
+    """``(||p(z)||, x_half)`` at the state, which is left unchanged: from
+    :func:`kernels.rank_one_probe` when ``struct`` is the structure
+    ``kernels.rank_one_rows(problem, "ppg")`` gave (rank-one rows with no
+    folded ridge, any r), so no scratch copy of z is made; else from the
+    row-blocked sweep."""
+    if struct is None:
+        return _sweep_blocks(state, problem, advance=False)
+    alpha = state.alpha
+    x_half = problem.r.prox(state.zbar, alpha)
+    _require_finite(x_half, "prox of r")
+    sq = kernels.rank_one_probe(struct, state.z, x_half, alpha)[2]
+    return math.sqrt(sq) / alpha, x_half
+
+
 def sppg_step(state: SolverState, problem: ProblemSpec, sampler,
               compute_residual: bool = False):
     """Draw one index, advance in place, optionally report the residual.
@@ -105,12 +120,13 @@ def sppg_step(state: SolverState, problem: ProblemSpec, sampler,
     The residual needs a full O(nd) evaluation, so by default the report is
     None and runs only request it on their recording cadence.  A drawn
     index that is not an integer in [0, n) raises ValueError, and the
-    state is left unchanged.  The step takes the path :func:`sppg_run`
-    takes on the same problem.
+    state is left unchanged.  The step and the residual probe take the
+    paths :func:`sppg_run` takes on the same problem.
     """
     report = None
     if compute_residual:
-        resid, x_half = _sweep_blocks(state, problem, advance=False)
+        resid, x_half = _probe(state, problem,
+                               kernels.rank_one_rows(problem, "ppg"))
         report = _report(problem, state.k, resid, x_half,
                          state.k / problem.n)
     block = _checked_draws(sampler.take(1), problem.n, state.k)
@@ -137,16 +153,22 @@ def sppg_run(problem: ProblemSpec, opts: SolveOptions, sampler,
 
     One epoch is n steps.  The recording cadence defaults to once per
     epoch, which keeps the amortized per-step cost at O(d).  Problems that
-    :func:`kernels.rank_one_rows` finds served run through the blocked
-    rank-one kernel :func:`kernels.rank_one_sppg_block`; the update rule
-    is identical, and the problem alone decides it: ``log.metadata["path"]``
-    says which ran, ``kernel`` or ``per-term``.  With ``opts.ergodic`` the
-    run also returns the average of every step's prox-r point.
+    :func:`kernels.rank_one_rows` finds served for ``"sppg"`` step through
+    the blocked rank-one kernel :func:`kernels.rank_one_sppg_block`; the
+    update rule is identical, and the problem alone decides it:
+    ``log.metadata["path"]`` says which ran, ``kernel`` or ``per-term``.
+    The residual probe of each recorded row takes its betas and steps from
+    the structure (:func:`kernels.rank_one_probe`) on every problem served
+    for ``"ppg"``, which adds an L1 or other r to those, and otherwise runs
+    the row-blocked sweep, whose scratch block may be the whole of z.
+    With ``opts.ergodic`` the run also returns the average of every step's
+    prox-r point.
     """
     alpha = resolve_alpha(problem, opts.alpha)
     state = initial_state(problem, alpha, warm_start)
     n = problem.n
     struct = kernels.rank_one_rows(problem, "sppg")
+    probe_struct = kernels.rank_one_rows(problem, "ppg")
     xsum = np.zeros(problem.dim) if opts.ergodic else None
     resyncs = 0
 
@@ -157,7 +179,7 @@ def sppg_run(problem: ProblemSpec, opts: SolveOptions, sampler,
             resyncs += _resync(state, problem)
 
     log, converged, _ = _sampled_loop(
-        problem, opts, sampler, lambda k: _sweep_blocks(state, problem, False),
+        problem, opts, sampler, lambda k: _probe(state, problem, probe_struct),
         advance, math.sqrt(n * problem.dim), {
             "solver": "sppg", "alpha": alpha,
             "path": "per-term" if struct is None else "kernel"}, x_ref)

@@ -575,6 +575,44 @@ class TestSolve:
         assert capsys.readouterr().err == \
             "error: A has a non-finite entry at (3, 2)\n"
 
+    @pytest.mark.parametrize("kind, section, key", [
+        ("glm", "params", "family"), ("glm", "files", "X"),
+        ("group-lasso", "params", "lambda1"), ("svm", "files", "data"),
+        ("glm", None, "kind")])
+    def test_missing_field_named_exit_one(self, tmp_path, capsys, kind,
+                                          section, key):
+        # a missing field used to end in "error: 'family'" or "error: 'X'"
+        extra = {"glm": ("--n", "8", "--family", "logistic"),
+                 "svm": ("--n", "8")}.get(kind, ())
+        prob = _gen(tmp_path, *extra, kind=kind, sub="p")
+        desc = json.loads(prob.read_text())
+        del (desc if section is None else desc[section])[key]
+        prob.write_text(json.dumps(desc))
+        code = main(["solve", "--problem", str(prob), "--max-iters", "5",
+                     "--metrics", str(tmp_path / "m.csv")])
+        assert code == 1
+        field = key if section is None else f"{section}.{key}"
+        assert capsys.readouterr().err == \
+            f"error: {prob}: missing {field}\n"
+        assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda desc: [desc], "a problem description is a JSON object"),
+        (lambda desc: {**desc, "files": ["X.csv"]},
+         "files must be a JSON object"),
+        (lambda desc: {**desc, "params": "logistic"},
+         "params must be a JSON object")])
+    def test_description_of_wrong_shape_exit_one(self, tmp_path, capsys,
+                                                 edit, message):
+        # these ended in an AttributeError traceback
+        prob = _gen(tmp_path, "--n", "8", "--family", "logistic", kind="glm",
+                    sub="p")
+        prob.write_text(json.dumps(edit(json.loads(prob.read_text()))))
+        code = main(["solve", "--problem", str(prob), "--max-iters", "5",
+                     "--metrics", str(tmp_path / "m.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {prob}: {message}\n"
+
     def test_unknown_config_field_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"problemo": "x"}))

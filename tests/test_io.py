@@ -24,6 +24,17 @@ class TestDenseCsv:
         p.write_text("colA,colB\n1,2\n3,4\n")
         assert np.array_equal(read_dense_csv(p), [[1.0, 2.0], [3.0, 4.0]])
 
+    @pytest.mark.parametrize("text, cell", [("1.0,2.0,abc\n3,4,5\n", "abc"),
+                                            ("x,2\n3,4\n", "x")])
+    def test_first_row_with_a_bad_cell_rejected(self, tmp_path, text, cell):
+        # a first line that holds a number is data, not a header: it used
+        # to be dropped without a word
+        p = tmp_path / "m.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            read_dense_csv(p)
+        assert str(exc.value) == f"{p}:1: non-numeric cell {cell!r}"
+
     def test_crlf_accepted(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_bytes(b"1,2\r\n3,4\r\n")
@@ -153,6 +164,19 @@ class TestLibsvm:
         back_f, back_l = read_libsvm(p, dim=7)
         assert np.array_equal(back_f, feats)
         assert np.array_equal(back_l, labels)
+
+
+    def test_nonfinite_labels_round_trip(self, tmp_path):
+        # an integral test of int(label) raised OverflowError on inf and
+        # ValueError on NaN
+        labels = np.array([np.inf, -np.inf, np.nan, 2.0, 0.5])
+        p = tmp_path / "d.libsvm"
+        write_libsvm(p, np.eye(5), labels)
+        assert p.read_text().split("\n")[:4] == ["inf 1:1", "-inf 2:1",
+                                                 "nan 3:1", "2 4:1"]
+        feats, back = read_libsvm(p, dim=5)
+        assert np.array_equal(feats, np.eye(5))
+        assert np.array_equal(back, labels, equal_nan=True)
 
 
 class TestMetrics:

@@ -893,3 +893,114 @@ class TestAnyR:
         assert _rel(fast.state.zbar, ref.state.zbar) <= 1e-12
         for a, b in zip(fast.log.rows, ref.log.rows):
             assert a.objective == pytest.approx(b.objective, rel=1e-12)
+
+
+def _probe_problem(name):
+    """The problems whose sppg residual probe runs from the structure:
+    hinge rows with a ridge r, the three GLM families, and rank-one rows
+    with an L1 r, which sppg steps per term."""
+    kind, _, r = name.partition("-")
+    problem = _rank_one_problem(kind, 12, 600, 5)
+    return _l1(problem) if r == "l1" else problem
+
+
+class TestStructureProbe:
+    """sppg's residual probe on rank-one rows with no folded ridge takes
+    its betas and steps from the structure (kernels.rank_one_probe), a
+    ROW_CHUNK of rows at a time, and must give what the row-blocked
+    sweep gives."""
+
+    @pytest.mark.parametrize("name", ["svm", "logistic", "poisson",
+                                      "gaussian", "svm-l1", "logistic-l1"])
+    def test_matches_row_blocked_probe(self, name):
+        from proxsplit.core import _sweep_blocks
+        from proxsplit.sppg import _probe
+        problem = _probe_problem(name)
+        struct = kernels.rank_one_rows(problem, "ppg")
+        assert struct is problem.structure
+        # 600 rows span three row chunks, the last one short
+        assert problem.n > 2 * kernels.ROW_CHUNK
+        alpha = 10.0 if problem.kind == "svm" else 1.0
+        for seed in range(3):
+            z = np.random.default_rng(seed).standard_normal((600, 5))
+            state = initial_state(problem, alpha, z)
+            keep = state.copy()
+            resid, x_half = _probe(state, problem, struct)
+            want, want_x = _sweep_blocks(state, problem, False)
+            assert np.array_equal(x_half, want_x)
+            assert resid == pytest.approx(want, rel=1e-12)
+            assert np.array_equal(state.z, keep.z)
+            assert np.array_equal(state.zbar, keep.zbar)
+            assert state.k == keep.k
+
+    @pytest.mark.parametrize("name", ["svm", "logistic", "svm-l1"])
+    def test_runs_and_single_steps_take_the_structure_probe(
+            self, monkeypatch, name):
+        problem = _probe_problem(name)
+        calls = []
+        probe = kernels.rank_one_probe
+
+        def counted(*args):
+            calls.append(args[0])
+            return probe(*args)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("batched_g_prox called")
+
+        monkeypatch.setattr(kernels, "rank_one_probe", counted)
+        problem = dataclasses.replace(problem, batched_g_prox=refuse)
+        opts = SolveOptions(alpha=1.0, max_iters=2 * problem.n + 7,
+                            record_every=problem.n // 2)
+        res = sppg_run(problem, opts, IndexSampler(4, problem.n))
+        assert len(calls) == len(res.log.rows) == 6
+        assert all(s is problem.structure for s in calls)
+        state = initial_state(problem, 1.0)
+        _, report = sppg_step(state, problem, IndexSampler(4, problem.n),
+                              compute_residual=True)
+        assert len(calls) == 7
+        assert report.residual_norm == res.log.rows[0].residual_norm
+
+    def test_folded_ridge_keeps_the_row_blocked_probe(self, monkeypatch,
+                                                      rng):
+        def refuse(*args, **kwargs):
+            raise AssertionError("rank_one_probe called")
+
+        monkeypatch.setattr(kernels, "rank_one_probe", refuse)
+        problem = tiny_svm(rng, n=40, d=4, fold_ridge=True)
+        res = sppg_run(problem, SolveOptions(alpha=1.0, max_iters=80),
+                       IndexSampler(0, 40))
+        assert len(res.log.rows) == 3
+
+    @pytest.mark.parametrize("name", ["svm", "logistic", "logistic-l1"])
+    @pytest.mark.parametrize("bad", [0, 300, 599])
+    def test_nan_feature_row_named_by_its_term(self, name, bad):
+        problem = _probe_problem(name)
+        feats = problem.structure.features.copy()
+        feats[bad, 1] = np.nan
+        struct = dataclasses.replace(problem.structure, features=feats)
+        problem = kernels.rank_one_problem(struct, problem.r, problem.kind)
+        state = initial_state(problem, 1.0)
+        message = rf"^non-finite values from prox of g \(term {bad}\)$"
+        with pytest.raises(NumericalError, match=message):
+            sppg_step(state, problem, SequenceSampler([0]),
+                      compute_residual=True)
+        assert state.k == 0 and not state.z.any()
+        with pytest.raises(NumericalError, match=message):
+            kernels.rank_one_probe(struct, state.z, np.ones(5), 1.0)
+
+    def test_nonfinite_step_named_by_its_term(self):
+        # every beta is finite (a hinge beta is clipped to [0, alpha]), but
+        # row 301's step x - z_301 overflows: the chunk's sum of squares is
+        # the check, and it names the row
+        feats = np.random.default_rng(4).uniform(-0.5, 0.5, (600, 5))
+        struct = kernels.HingeStructure(features=feats, labels=np.ones(600))
+        x = np.zeros(5)
+        x[0] = 1e307
+        z = np.zeros((600, 5))
+        z[301, 0] = -1.75e308
+        s = 2.0 * (feats @ x) - np.einsum("ij,ij->i", feats, z)
+        assert np.isfinite(struct.betas(s, 1.0)).all()
+        with pytest.raises(NumericalError,
+                           match=r"^non-finite values from prox of g "
+                                 r"\(term 301\)$"):
+            kernels.rank_one_probe(struct, z, x, 1.0)

@@ -51,13 +51,13 @@ def test_sweep_and_epoch_hit_the_traced_sites(rng, kind):
                       sppg.IndexSampler(0, 40))
     calls = tr.calls
     assert calls["ppg.run"] == 1 and calls["sppg.run"] == 1
-    # the sppg probes before and after its epoch; the ppg sweep takes its
-    # betas from the structure, not from the batched hook
-    assert calls["problems.batched_g_prox"] == 2
+    # the ppg sweep and the sppg probes before and after its epoch take
+    # their betas from the structure, not from the batched hook
+    assert calls["problems.batched_g_prox"] == 0
     assert calls["kernels.hinge_sppg_block"] >= 1
     assert tr.counts["kernels.hinge_sppg_block.steps"] == 40
     assert calls["sppg.take"] >= 1 and calls["core.objective"] == 2
-    # the probes run the sweep's block loop, not the whole-array reference
+    # the probes take no whole-array reference
     assert "core.residual_map" not in calls
     assert "problems.g_prox" not in calls
 
@@ -180,3 +180,24 @@ def test_fused_lasso_jobs_peak_at_z_plus_one_scratch_block(tmp_path):
              + 2 * core.ROW_CHUNK) * d * 8 / 1e6 + 0.1
     for job in workload.jobs(0):
         assert harness.truncated_pass([job], probs, True) < bound, job.name
+
+
+# n-vectors of float64 that a probe of GLM rows may hold beside z: the
+# vectorized root of GlmStructure.betas keeps a 9 x n work array, a 4 x n
+# int16 array and about a dozen n-vector temporaries per round
+GLM_PROBE_VECTORS = 32
+
+
+def test_glm_sppg_job_peaks_at_z_plus_one_row_chunk(tmp_path):
+    # the benchmark's own allocation measure, on glm-logistic's sppg job:
+    # its residual probe takes the betas and steps from the structure, a
+    # ROW_CHUNK of rows at a time, so the job holds z, one chunk of steps
+    # and O(n) numbers, and no scratch block that is the whole of z
+    workload = workloads.WORKLOADS["glm-logistic"]
+    probs = workload.setup(7, str(tmp_path))
+    problem = probs["main"]
+    n, d = problem.n, problem.dim
+    assert n * d * 8 < 2 * core.SWEEP_BLOCK_BYTES  # z is one sweep block
+    bound = ((n + core.ROW_CHUNK) * d + GLM_PROBE_VECTORS * n) * 8 / 1e6
+    (job,) = [job for job in workload.jobs(7) if job.name == "sppg"]
+    assert harness.truncated_pass([job], probs, True) < bound
