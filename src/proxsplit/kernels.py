@@ -43,7 +43,7 @@ import numpy as np
 from .core import (ROW_CHUNK, ConvergenceError, NumericalError, ProblemSpec,
                    ProxFn, RidgeProx, SolverState, _checked, _require_finite,
                    _require_finite_rows, chunked_row_mean, zero_smooth)
-from .prox import _glm_roots, glm_root
+from .prox import _glm_roots, _require_elementwise, glm_root
 
 __all__ = ["HingeStructure", "GlmStructure", "rank_one_problem",
            "rank_one_rows", "rank_one_terms", "rank_one_prox",
@@ -112,13 +112,21 @@ class HingeStructure(_Rows):
 class GlmStructure(_Rows):
     """Marks a problem as generalized-linear-model rows and nothing else:
     term i is A(f_i'x) - t_i f_i'x for the cumulant A with handles
-    ``value`` and ``deriv`` that map arrays elementwise, and no ridge.
+    ``value``, ``deriv`` and ``variance`` (A''(t) = V(A'(t)), as in
+    :class:`prox.ScalarFn`), and no ridge.  Each handle must map arrays
+    elementwise; construction raises ``ValueError`` naming a missing or
+    scalar-only one.
     """
 
     responses: np.ndarray
     deriv: Callable
     value: Callable
+    variance: Callable | None = None
     ridge: ClassVar[float] = 0.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        _require_elementwise(self)
 
     @property
     def targets(self) -> np.ndarray:
@@ -128,11 +136,11 @@ class GlmStructure(_Rows):
     def betas(self, s, alpha, lo=0):
         """beta = (t - s)/q of rows lo..lo+len(s) at s_i = f_i'v, with t
         the root of t + alpha*q*(A'(t) - t_i) = s by
-        :func:`prox._glm_roots`: the safeguarded secant rule of
-        :func:`prox.glm_root`, one vectorized evaluation of A' per round
-        for all unsolved rows.  A zero data row gives 0; a row whose input,
-        data or response is not finite gives NaN, for the caller to report
-        by index."""
+        :func:`prox._glm_roots`: the safeguarded Newton steps of
+        :func:`prox.glm_root`, one vectorized evaluation of A' and V per
+        round for all unsolved rows.  A zero data row gives 0; a row whose
+        input, data or response is not finite gives NaN, for the caller to
+        report by index."""
         q = self.sqnorms[lo:lo + len(s)]
         resp = self.responses[lo:lo + len(s)]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -143,22 +151,23 @@ class GlmStructure(_Rows):
             # views, not copies, when every row has a root to solve
             sel = rows if rows.size < s.size else slice(None)
             root = _glm_roots(s[sel], aq[sel], resp[sel], self.deriv,
-                              rows + lo)
+                              self.variance, rows + lo)
             beta[sel] = (root - s[sel]) / q[sel]
         return beta
 
     def beta(self, s, q, c, alpha):
         """One row's beta = (t - s)/q at s = f_i'v, for q = ||f_i||^2 and
-        response c, with t the root of :func:`prox.glm_root`.  A zero data
-        row gives 0; a non-finite s, alpha*q or c gives NaN, for the caller
-        to report.  A steep cumulant may overflow inside the root, so the
-        caller runs it with overflow warnings off."""
+        response c, with t the root of :func:`prox.glm_root` by safeguarded
+        Newton steps in scalar arithmetic.  A zero data row gives 0; a
+        non-finite s, alpha*q or c gives NaN, for the caller to report.  A
+        steep cumulant may overflow inside the root, so the caller runs it
+        with overflow warnings off."""
         if not q:
             return 0.0
         aq = alpha * q
         if not (math.isfinite(s) and math.isfinite(aq) and math.isfinite(c)):
             return math.nan
-        return (glm_root(s, aq, c, self.deriv) - s) / q
+        return (glm_root(s, aq, c, self.deriv, self.variance) - s) / q
 
     def losses(self, s, rows=slice(None)):
         """A(s_i) - t_i s_i of the given rows (all by default)."""

@@ -4,12 +4,14 @@ Everything here evaluates prox_{a*h}(x0) = argmin_u h(u) + ||u - x0||^2/(2a)
 for specific families of h.  Operators are pure, reentrant, and return fresh
 arrays.  One-dimensional reductions (affine compositions, generalized linear
 model terms) solve a scalar strongly convex subproblem, unless the scalar
-function has a closed-form prox.  One safeguarded secant rule,
-:func:`_regula_falsi`, finds every such root, on a derivative or on any
-subgradient selection: :func:`glm_root` runs it one term at a time, and
-:func:`_glm_roots` applies it to all rows at once.  Each root is bracketed
-without a search: the subproblem's optimality function has slope at least
-1, so its value at the starting point bounds the distance to the root.
+function has a closed-form prox.  Each root is bracketed without a search:
+the subproblem's optimality function psi has slope at least 1, so its value
+at the starting point bounds the distance to the root.  A generalized
+linear model's root takes safeguarded Newton steps, whose curvature comes
+from the family's variance function: :func:`glm_root` runs them one term at
+a time, and :func:`_glm_roots` applies the same rule to all rows at once.
+A subgradient selection has no curvature, so :func:`prox_affine_1d` finds
+its root by the safeguarded secant rule :func:`_regula_falsi`.
 """
 
 import math
@@ -46,9 +48,9 @@ _BETA_TOL = 1e-12
 # the largest float: the far end of a bracket whose first value overflowed
 _BIG = sys.float_info.max
 # steps of a 1-D prox root, per row on every path: about 64 bisections in
-# the asinh scale shrink any finite bracket to a few floats, and the stall
-# rule lets few secant steps fail between them (the steepest GLM rows take
-# 66 steps)
+# the asinh scale shrink any finite bracket to a few floats, and the
+# safeguards let few secant or Newton steps fail between them (the
+# steepest GLM rows take 66 secant or 57 Newton steps)
 _ROOT_CAP = 200
 
 
@@ -70,18 +72,43 @@ class ScalarFn:
 
     At least one of ``prox`` or ``subgrad`` must be supplied: the prox
     handle (``prox(t0, tau)`` evaluating prox_{tau*f}(t0)) gives an exact
-    inner solve, otherwise the safeguarded root solve of :func:`glm_root`
-    runs on any subgradient selection.  ``deriv`` marks the function
-    differentiable; the generalized-linear-model prox requires it.
+    inner solve, otherwise the safeguarded secant rule of
+    :func:`_regula_falsi` runs on any subgradient selection.  ``deriv``
+    marks the function differentiable.  The generalized-linear-model prox
+    takes f as a cumulant A and requires ``deriv`` and ``variance``: the
+    variance function V of the family, with A''(t) = V(A'(t)), which gives
+    its Newton steps their curvature.
     """
 
     value: Callable[[float], float] | None = None
     subgrad: Callable[[float], float] | None = None
     prox: Callable[[float, float], float] | None = None
     deriv: Callable[[float], float] | None = None
+    variance: Callable[[float], float] | None = None
 
     def any_subgrad(self):
         return self.subgrad if self.subgrad is not None else self.deriv
+
+
+def _require_elementwise(a1d, names=("value", "deriv", "variance")):
+    """Reject a cumulant (a :class:`ScalarFn`, or anything with the same
+    handle attributes) that lacks one of the named handles or whose handle
+    does not map arrays elementwise: the all-rows prox and objective
+    evaluate them on whole arrays."""
+    probe = np.array([-1.0, 0.0, 2.0])
+    for name in names:
+        fn = getattr(a1d, name)
+        if fn is None:
+            raise ValueError(f"the cumulant must supply a {name} handle")
+        try:
+            out = np.asarray(fn(probe), dtype=float)
+            ok = out.shape == probe.shape and np.allclose(
+                out, [fn(float(t)) for t in probe], rtol=1e-12, atol=0.0)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ValueError(f"the cumulant's {name} handle must map an "
+                             "array elementwise")
 
 
 def soft_threshold_scalar(x, lam: float):
@@ -139,8 +166,8 @@ def prox_affine_1d(a: np.ndarray, f1d: ScalarFn, x0: np.ndarray,
     collapses to one scalar problem: beta minimizes
     alpha*f(a'x0 + beta*||a||^2) + (||a||^2/2)*beta^2.  Without a prox
     handle, t = a'x0 + beta*||a||^2 is the root of
-    t - a'x0 + alpha*||a||^2*sub(t), found by :func:`glm_root`; it raises
-    :class:`ConvergenceError` when a'x0 is not finite.
+    t - a'x0 + alpha*||a||^2*sub(t), found by :func:`_regula_falsi`; it
+    raises :class:`ConvergenceError` when a'x0 is not finite.
     """
     a = np.asarray(a, dtype=float)
     x0 = np.asarray(x0, dtype=float)
@@ -155,7 +182,7 @@ def prox_affine_1d(a: np.ndarray, f1d: ScalarFn, x0: np.ndarray,
         sub = f1d.any_subgrad()
         if sub is None:
             raise ValueError("f1d needs a prox or subgradient handle")
-        beta = (glm_root(s0, alpha * q, 0.0, sub) - s0) / q
+        beta = (_subgradient_root(s0, alpha * q, sub) - s0) / q
     return x0 + beta * a
 
 
@@ -280,8 +307,10 @@ def prox_glm_1d(x0: np.ndarray, xi: np.ndarray, ti: float, a1d: ScalarFn,
     A(xi'b) - ti*xi'b for a convex differentiable cumulant A.
 
     Reduces along xi to the scalar root t + alpha*q*(A'(t) - ti) = s0,
-    solved to 1e-12 by the safeguarded method of :func:`glm_root`; xi = 0
-    makes the term constant and x0 is returned unchanged.
+    solved to 1e-12 by the safeguarded Newton steps of :func:`glm_root`,
+    which take the cumulant's ``variance`` handle; a cumulant without one,
+    or with one that does not map arrays elementwise, raises ``ValueError``.
+    xi = 0 makes the term constant and x0 is returned unchanged.
     """
     xi = np.asarray(xi, dtype=float)
     x0 = np.asarray(x0, dtype=float)
@@ -290,35 +319,90 @@ def prox_glm_1d(x0: np.ndarray, xi: np.ndarray, ti: float, a1d: ScalarFn,
         return x0.copy()
     if a1d.deriv is None:
         raise ValueError("a1d must supply a derivative handle")
+    _require_elementwise(a1d, ("variance",))
     s0 = float(xi @ x0)
     # glm_root handles a steep cumulant's overflow itself
     with np.errstate(over="ignore"):
-        t = glm_root(s0, alpha * q, ti, a1d.deriv)
+        t = glm_root(s0, alpha * q, ti, a1d.deriv, a1d.variance)
     return x0 + ((t - s0) / q) * xi
 
 
-def glm_root(s0: float, aq: float, ti: float, deriv) -> float:
-    """Root of psi(t) = t - s0 + aq*(deriv(t) - ti) for a nondecreasing
-    ``deriv`` (the derivative of a convex cumulant, or a subgradient
-    selection of any convex function, which may jump), to 1e-12.
+def glm_root(s0: float, aq: float, ti: float, deriv, variance) -> float:
+    """Root of psi(t) = t - s0 + aq*(deriv(t) - ti), to 1e-12, for the
+    derivative ``deriv`` = A' of a convex cumulant whose variance function
+    ``variance`` gives its curvature, A''(t) = V(A'(t)).
 
     psi' >= 1, so the root lies between s0 and s0 - psi(s0), and
-    |psi(t)| <= 1e-12 bounds |t - root| by 1e-12.  The far end is clipped
-    to the float range, so when psi(s0) overflows (a steep cumulant) it is
-    the largest float on the root's side.  A safeguarded secant method
-    (:func:`_regula_falsi`) runs on this bracket; it stops at
-    |psi(t)| <= 1e-12, or when the interval known to hold the root is at
-    most 1e-12 wide or the bracket holds no float between its ends.
+    |psi(t)| <= 1e-12 bounds |t - root| by 1e-12.  That far end is clipped
+    to the float range and never evaluated.  Each step starts from the
+    last evaluated point u, s0 first: the Newton step
+    u - psi(u)/(1 + aq*V(A'(u))), which reuses u's A'(u).  It must land in
+    the interval known to hold the root, off the evaluated ends, and move
+    at most half as far as the step before last (the safeguard of
+    ``rtsafe``, Press et al., *Numerical Recipes*, section 9.4); otherwise
+    the step bisects that interval in the asinh scale, as
+    :func:`_regula_falsi` does.  The rule stops at |psi(t)| <= 1e-12, or
+    when that interval is at most 1e-12 wide or the bracket holds no float
+    between its ends.  A wrong ``variance`` costs steps, not the root.
     Raises :class:`ConvergenceError` when s0, aq or ti is not finite, when
     psi(s0) is NaN, or when the step cap is hit.
     """
+    u, mu = s0, float(deriv(s0))
+    p = u - s0 + aq * (mu - ti)
+    if not (math.isfinite(s0) and math.isfinite(aq)
+            and math.isfinite(ti)) or math.isnan(p):
+        raise ConvergenceError("could not bracket the 1-D prox subproblem")
+    # the bracket [lo, hi] and psi at its ends; an end not yet evaluated
+    # is the float range's and counts as infinite, so [a, b] below runs
+    # from s0 to s0 - psi(s0) after the first evaluation
+    lo, plo, hi, phi = -_BIG, -math.inf, _BIG, math.inf
+    last, half = math.inf, math.inf  # half: of the step before last
+    for _ in range(_ROOT_CAP):
+        if abs(p) <= _BETA_TOL:
+            return u
+        if p < 0.0:
+            lo, plo = u, p
+        else:
+            hi, phi = u, p
+        a = hi - phi if hi - phi > lo else lo
+        b = lo - plo if lo - plo < hi else hi
+        if not b - a > _BETA_TOL:
+            break
+        t = u - p / (1.0 + aq * float(variance(mu)))
+        if not (a <= t <= b and lo < t < hi and abs(t - u) <= half):
+            t = _asinh_midpoint(a, b)
+            if not lo < t < hi:
+                break  # no float left between the ends
+        half, last = 0.5 * last, abs(t - u)
+        u = t
+        mu = float(deriv(u))
+        p = u - s0 + aq * (mu - ti)
+    else:
+        raise ConvergenceError(f"1-D prox root exceeded {_ROOT_CAP} steps")
+    return 0.5 * (a + b)
+
+
+def _asinh_midpoint(a: float, b: float) -> float:
+    """The midpoint of [a, b] in the asinh scale, which is arithmetic near
+    zero and geometric far from it; the plain midpoint where that rounds
+    onto or past an end."""
+    t = math.sinh(0.5 * (math.asinh(a) + math.asinh(b)))
+    return t if a < t < b else 0.5 * (a + b)
+
+
+def _subgradient_root(s0: float, aq: float, sub) -> float:
+    """Root of psi(t) = t - s0 + aq*sub(t) for a nondecreasing ``sub`` (a
+    subgradient selection of a convex function, which may jump), to 1e-12,
+    by :func:`_regula_falsi` on the bracket from s0 to s0 - psi(s0), whose
+    far end is clipped to the float range.  Raises
+    :class:`ConvergenceError` when s0 or aq is not finite or psi(s0) is NaN.
+    """
 
     def psi(t):
-        return t - s0 + aq * (float(deriv(t)) - ti)
+        return t - s0 + aq * float(sub(t))
 
-    p0 = aq * (float(deriv(s0)) - ti)
-    if not (math.isfinite(s0) and math.isfinite(aq)
-            and math.isfinite(ti)) or math.isnan(p0):
+    p0 = aq * float(sub(s0))
+    if not (math.isfinite(s0) and math.isfinite(aq)) or math.isnan(p0):
         raise ConvergenceError("could not bracket the 1-D prox subproblem")
     if p0 == 0.0:
         return s0
@@ -372,9 +456,7 @@ def _regula_falsi(psi, lo: float, plo: float, hi: float,
                 t = b
         secant = lo < t < hi
         if not secant:
-            t = math.sinh(0.5 * (math.asinh(a) + math.asinh(b)))
-            if not a < t < b:
-                t = 0.5 * (a + b)
+            t = _asinh_midpoint(a, b)
             if not lo < t < hi:
                 break  # no float left between the ends
             owed = max(owed - 1, 0)
@@ -404,108 +486,111 @@ def _regula_falsi(psi, lo: float, plo: float, hi: float,
     return 0.5 * (a + b)
 
 
-def _glm_roots(s0, aq, t, deriv, rows) -> np.ndarray:
+def _glm_roots(s0, aq, t, deriv, variance, rows) -> np.ndarray:
     """Roots of psi(u) = u - s0 + aq*(deriv(u) - t), one per entry, for a
-    ``deriv`` that maps arrays elementwise; ``rows`` maps entries to term
-    indices for error messages.  The all-rows GLM prox
+    ``deriv`` and ``variance`` that map arrays elementwise; ``rows`` maps
+    entries to term indices for error messages.  The all-rows GLM prox
     (:meth:`kernels.GlmStructure.betas`) solves its rows with it.
 
-    Each row takes the bracket of :func:`glm_root` and the steps and stops
-    of :func:`_regula_falsi`, by masked updates: one vectorized psi
-    evaluation per round serves every unsolved row, and a row leaves the
-    working arrays once it stops, so the few slow rows cost little.
-    Raises :class:`ConvergenceError` naming the term when psi(s0) is NaN or
-    a row is unsolved after ``_ROOT_CAP`` rounds.
+    Each row takes the bracket, steps and stops of :func:`glm_root`, by
+    masked updates: one vectorized evaluation of psi and V per round serves
+    every unsolved row, and a row leaves the working arrays once it stops,
+    so the few slow rows cost little.  Raises :class:`ConvergenceError`
+    naming the term when psi(s0) is NaN or a row is unsolved after
+    ``_ROOT_CAP`` steps.
     """
-    p0 = aq * (deriv(s0) - t)
-    if np.isnan(p0).any():
+    # one column per unsolved row: its bracket and the values at its ends
+    # (an end not yet evaluated as in glm_root), its constants, the point
+    # last evaluated, and the lengths of the last step and half the one
+    # before it
+    root = np.empty_like(s0)
+    work = np.empty((10, s0.size))
+    lo, hi, plo, phi, c, k, r, u, last, half = work
+    lo.fill(-_BIG)
+    hi.fill(_BIG)
+    plo.fill(-np.inf)
+    phi.fill(np.inf)
+    c[:], k[:], r[:], u[:] = s0, aq, t, s0
+    last.fill(np.inf)
+    half.fill(np.inf)
+    at = np.arange(s0.size)  # the entries still unsolved
+
+    def evaluate():
+        # psi at u, and the Newton step from u; new arrays, since deriv
+        # and variance may return their argument
+        mu = deriv(u)
+        step = k * variance(mu)
+        step += 1.0
+        p = mu - r
+        del mu
+        p *= k
+        p += u - c
+        np.divide(p, step, out=step)
+        np.subtract(u, step, out=step)
+        return p, step
+
+    p, nxt = evaluate()
+    if np.isnan(p).any():
         raise ConvergenceError("could not bracket the 1-D prox subproblem "
-                               f"(term {rows[np.argmax(np.isnan(p0))]})")
-    root = s0.copy()
-    at = np.flatnonzero(p0 != 0.0)  # the entries still unsolved
-    # one column per unsolved row: in ``work`` its bracket, end values,
-    # interpolation values and constants; in ``count`` its Illinois side
-    # and stall state (missed, owed, wait), small integers
-    work = np.empty((9, at.size))
-    count = np.zeros((4, at.size), dtype=np.int16)
-    count[3] = 1  # wait: a first stall owes one bisection
-    lo, hi, plo, phi, flo, fhi, c, k, r = work
-    c[:], k[:], r[:], p = s0[at], aq[at], t[at], p0[at]
-    t1 = np.clip(c - p, -_BIG, _BIG)
-    p1 = t1 - c + k * (deriv(t1) - r)
-    up = p < 0.0  # s0 lies below the root
-    lo[:] = np.where(up, c, t1)
-    hi[:] = np.where(up, t1, c)
-    plo[:] = flo[:] = np.where(up, p, p1)
-    phi[:] = fhi[:] = np.where(up, p1, p)
-    del p0, p, t1, p1, up
+                               f"(term {rows[np.argmax(np.isnan(p))]})")
     for _ in range(_ROOT_CAP):
-        if not at.size:
-            return root
-        lo, hi, plo, phi, flo, fhi, c, k, r = work
-        side, missed, owed, wait = count
+        below = p < 0.0
+        above = ~below  # a NaN psi moves hi, as in glm_root
+        for end, val, moved in ((lo, plo, below), (hi, phi, above)):
+            np.putmask(end, moved, u)
+            np.putmask(val, moved, p)
+        solved = np.abs(p) <= _BETA_TOL
+        del below, above, p  # not held through the step
         # in place where it saves a temporary; fmax and fmin pass over a
-        # NaN bound, as the scalar comparisons do, and a NaN step stays NaN
+        # NaN bound, as the scalar comparisons do
         a = hi - phi
         np.fmax(a, lo, out=a)
         b = lo - plo
         np.fmin(b, hi, out=b)
-        u = hi - lo
-        u /= fhi - flo
-        u *= flo
-        np.subtract(lo, u, out=u)
-        np.maximum(u, a, out=u)
-        np.minimum(u, b, out=u)
-        secant = ((owed == 0) & (flo > -np.inf) & (fhi < np.inf)
-                  & (lo < u) & (u < hi))
-        if not secant.all():
-            g = np.sinh(0.5 * (np.arcsinh(a) + np.arcsinh(b)))
-            u = np.where(secant, u,
-                         np.where((a < g) & (g < b), g, 0.5 * (a + b)))
-            np.putmask(owed, ~secant & (owed > 0), owed - 1)
-        # a row whose [a, b] is narrow or holds no float between the ends
-        # stops at the midpoint of [a, b]
-        go = (b - a > _BETA_TOL) & (lo < u) & (u < hi)
+        # the Newton step, where it lands in [a, b], off the evaluated
+        # ends, and moves at most half as far as the step before last
+        newton = (a <= nxt) & (nxt <= b) & (lo < nxt) & (nxt < hi)
+        step = nxt - u
+        np.abs(step, out=step)
+        newton &= step <= half
+        newton |= solved
+        del step
+        # the other unsolved rows bisect [a, b] in the asinh scale, on
+        # copies of their few entries
+        bis = np.flatnonzero(~newton)
+        ab, bb = a[bis], b[bis]
+        g = np.arcsinh(ab)
+        g += np.arcsinh(bb)
+        g *= 0.5
+        np.sinh(g, out=g)
+        np.putmask(g, ~((ab < g) & (g < bb)), 0.5 * (ab + bb))
+        nxt[bis] = g
+        del ab, bb, g
+        # a row stops at u when |psi| is small, and at the midpoint of
+        # [a, b] when that is narrow or holds no float between the ends
+        go = (b - a > _BETA_TOL) & (lo < nxt) & (nxt < hi)
+        stop = np.flatnonzero(~(go | solved))
+        nxt[stop] = 0.5 * (a[stop] + b[stop])
+        del a, b
+        np.putmask(nxt, solved, u)
+        go &= ~solved  # a NaN psi goes on
+        np.multiply(last, 0.5, out=half)
+        np.subtract(nxt, u, out=last)
+        np.abs(last, out=last)
+        u[:] = nxt
+        del nxt, solved
         if not go.all():
-            np.putmask(u, ~go, 0.5 * (a + b))
-            if not go.any():
-                root[at] = u
-                return root
-        del a, b  # not held through the evaluation
-        p = deriv(u) - r  # a new array: deriv may return its argument
-        p *= k
-        p += u - c
-        # the stall rule, on rows that took a secant step
-        gain = secant & (np.abs(p) <= 0.5 * np.minimum(-plo, phi))
-        miss = secant & ~gain
-        stall = miss & (missed > 0)
-        np.putmask(missed, secant, miss & ~stall)
-        np.putmask(owed, stall, wait)
-        np.putmask(wait, stall, 2 * wait)
-        np.putmask(wait, gain, 1)
-        # the Illinois rule: an end kept twice in a row has its value halved
-        below = p < 0.0
-        above = ~below
-        np.putmask(fhi, below & (side < 0), 0.5 * fhi)
-        np.putmask(flo, above & (side > 0), 0.5 * flo)
-        for end, val, interp, moved in ((lo, plo, flo, below),
-                                        (hi, phi, fhi, above)):
-            np.putmask(end, moved, u)
-            np.putmask(val, moved, p)
-            np.putmask(interp, moved, p)
-        side[:] = 1 - 2 * below
-        keep = go & ~(np.abs(p) <= _BETA_TOL)  # a NaN psi goes on
-        if not keep.all():
-            root[at[~keep]] = u[~keep]
+            root[at[~go]] = u[~go]
             # in place, one row at a time, so that no second copy is held
-            kept = np.flatnonzero(keep)
-            for row in (*work, *count, at):
+            kept = np.flatnonzero(go)
+            for row in (*work, at):
                 row[:kept.size] = row.take(kept)
-            work, count = work[:, :kept.size], count[:, :kept.size]
+            work = work[:, :kept.size]
             at = at[:kept.size]
-        del u, p  # not held through the next round
-    if not at.size:
-        return root
+            lo, hi, plo, phi, c, k, r, u, last, half = work
+        if not at.size:
+            return root
+        p, nxt = evaluate()
     raise ConvergenceError(f"1-D prox root exceeded {_ROOT_CAP} steps "
                            f"(term {rows[at[0]]})")
 

@@ -839,6 +839,34 @@ class TestLazyTermHandles:
                            g=[zero_prox()] * 2).all_g_zero()
 
 
+class TestGlmStructureHandles:
+    """A GLM structure takes a cumulant whose value, derivative and
+    variance handles each map arrays elementwise, and refuses any other."""
+
+    def test_missing_variance_rejected(self):
+        rows = tiny_glm(np.random.default_rng(0), "logistic").structure
+        with pytest.raises(ValueError, match="must supply a variance handle"):
+            kernels.GlmStructure(features=rows.features,
+                                 responses=rows.responses,
+                                 deriv=rows.deriv, value=rows.value)
+
+    def test_scalar_only_variance_rejected(self):
+        rows = tiny_glm(np.random.default_rng(0), "logistic").structure
+        with pytest.raises(ValueError,
+                           match="variance handle must map an array"):
+            dataclasses.replace(rows, variance=lambda mu: float(mu))
+
+
+def test_glm_betas_of_zero_rows_only(rng):
+    # no row has a root to solve, so the all-rows root gets empty arrays
+    fam = glm_family("logistic")
+    struct = kernels.GlmStructure(features=np.zeros((3, 2)),
+                                  responses=np.ones(3), deriv=fam.deriv,
+                                  value=fam.value, variance=fam.variance)
+    assert np.array_equal(struct.betas(rng.standard_normal(3), 1.0),
+                          np.zeros(3))
+
+
 def _l1_problem(kind, built):
     """A rank-one problem with r = 0.05 ||x||_1: built by
     ``kernels.rank_one_problem`` from a fresh structure, or by swapping r
@@ -853,7 +881,8 @@ def _l1_problem(kind, built):
     else:
         struct = kernels.GlmStructure(features=rows.features,
                                       responses=rows.responses,
-                                      deriv=rows.deriv, value=rows.value)
+                                      deriv=rows.deriv, value=rows.value,
+                                      variance=rows.variance)
     return kernels.rank_one_problem(struct, abs_prox_fn(weight=0.05),
                                     base.kind)
 

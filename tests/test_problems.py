@@ -1040,13 +1040,19 @@ class TestGlm:
         with pytest.raises(NumericalError, match=r"\(term 4\)"):
             ppg_run(problem, SolveOptions(alpha=1.0, max_iters=3))
 
-    @pytest.mark.parametrize("handle", ["value", "deriv"])
+    @pytest.mark.parametrize("handle", ["value", "deriv", "variance"])
     def test_scalar_only_cumulant_rejected(self, handle):
         fam = glm_family("poisson")
         scalar_only = dataclasses.replace(
             fam, **{handle: lambda t: math.exp(t)})
         with pytest.raises(ValueError, match="elementwise"):
             build_glm(np.ones((2, 2)), np.ones(2), scalar_only)
+
+    def test_cumulant_without_variance_rejected(self):
+        # the roots take their Newton steps' curvature from the variance
+        fam = dataclasses.replace(glm_family("poisson"), variance=None)
+        with pytest.raises(ValueError, match="must supply a variance handle"):
+            build_glm(np.ones((2, 2)), np.ones(2), fam)
 
     def test_poisson_prox_survives_steep_inputs(self, rng):
         # exponential cumulants overflow above the root; with psi(s0) = inf

@@ -1,6 +1,8 @@
 """Operator library: frozen examples, brute-force oracles, and the firm
 nonexpansiveness property every prox must satisfy."""
 
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,13 +12,12 @@ from conftest import (GLM_GRID_AQ, GLM_GRID_RESPONSES, GLM_GRID_S0,
 from proxsplit.core import (ConvergenceError, NumericalError, ProxFn,
                             verify_prox_fn)
 from proxsplit.prox import (CachedQuadraticProx, Interval, ScalarFn,
-                            _glm_roots, glm_root, hinge_scalar,
+                            _glm_roots, _regula_falsi, glm_root, hinge_scalar,
                             prox_affine_1d, prox_glm_1d, prox_hinge,
-                            prox_pair_diff, prox_pair_sum,
-                            prox_quadratic, prox_scaled_sq_norm,
-                            prox_sum_coupling, project_interval,
-                            soft_threshold_matrix, soft_threshold_scalar,
-                            soft_threshold_vector)
+                            prox_pair_diff, prox_pair_sum, prox_quadratic,
+                            prox_scaled_sq_norm, prox_sum_coupling,
+                            project_interval, soft_threshold_matrix,
+                            soft_threshold_scalar, soft_threshold_vector)
 
 
 class TestSoftThresholdScalar:
@@ -431,6 +432,23 @@ class TestProxGlm:
             want = x0 + ((t - float(xi @ x0)) / q) * xi
             assert np.allclose(out, want, atol=1e-9)
 
+    def test_cumulant_without_variance_rejected(self):
+        import dataclasses
+        from proxsplit.problems import glm_family
+        fam = dataclasses.replace(glm_family("logistic"), variance=None)
+        with pytest.raises(ValueError, match="must supply a variance handle"):
+            prox_glm_1d(np.ones(2), np.ones(2), 1.0, fam, 1.0)
+
+    def test_scalar_only_variance_rejected(self):
+        import dataclasses
+        import math
+        from proxsplit.problems import glm_family
+        fam = dataclasses.replace(glm_family("logistic"),
+                                  variance=lambda mu: math.sqrt(mu))
+        with pytest.raises(ValueError,
+                           match="variance handle must map an array"):
+            prox_glm_1d(np.ones(2), np.ones(2), 1.0, fam, 1.0)
+
     def test_zero_row_unchanged(self, rng):
         from proxsplit.problems import glm_family
         x0 = rng.standard_normal(3)
@@ -480,7 +498,8 @@ class TestProxGlm:
         # against a bisection run down to adjacent floats; s0 - psi(s0)
         # spans from 1e-6 to 1e12 across the grid
         from proxsplit.problems import glm_family
-        deriv = glm_family(family).deriv
+        fam = glm_family(family)
+        deriv = fam.deriv
 
         def reference(s0, aq, ti):
             def psi(t):
@@ -502,7 +521,7 @@ class TestProxGlm:
             for s0 in (-30.0, -1.0, 0.3, 5.0, 40.0):
                 for aq in (1e-6, 1e-2, 1.0, 1e2, 1e6):
                     for ti in (0.0, 1.0, 3.0):
-                        t = glm_root(s0, aq, ti, deriv)
+                        t = glm_root(s0, aq, ti, deriv, fam.variance)
                         lo, hi = reference(s0, aq, ti)
                         assert lo - 1e-12 <= t <= hi + 1e-12, (s0, aq, ti)
 
@@ -518,7 +537,7 @@ class TestProxGlm:
                 return np.exp(t)
 
             with np.errstate(over="ignore"):
-                t = glm_root(s0, 1.0, 1.0, deriv)
+                t = glm_root(s0, 1.0, 1.0, deriv, lambda mu: mu)
             assert len(calls) <= 50, s0
             assert abs(t - math.log(s0 + 1.0 - t)) <= 1e-12 * (1.0 + abs(t))
 
@@ -587,14 +606,28 @@ class TestLogisticDerivative:
         # |psi| / psi' under the exact derivative is the distance to the
         # root to first order, which the root rule brings under 1e-12
         from proxsplit.problems import glm_family
-        deriv = glm_family("logistic").deriv
-        one = glm_root(s0, aq, 0.0, deriv)
+        fam = glm_family("logistic")
+        one = glm_root(s0, aq, 0.0, fam.deriv, fam.variance)
         rows = _glm_roots(np.array([s0]), np.array([aq]), np.array([0.0]),
-                          deriv, np.array([0]))
+                          fam.deriv, fam.variance, np.array([0]))
         for t in (one, rows[0]):
             d = _exact_logistic_deriv(t)
             psi = t - s0 + aq * d
             assert abs(psi) <= 1e-12 * (1.0 + aq * d * (1.0 - d))
+
+
+def _glm_grid(family, rng):
+    """Every ``GLM_GRID_*`` row of a family, then 500 drawn rows:
+    columns s0, aq and the response."""
+    grid = [(s0, aq, ti) for s0 in GLM_GRID_S0 for aq in GLM_GRID_AQ
+            for ti in GLM_GRID_RESPONSES[family]]
+    m = 500
+    drawn = np.column_stack([
+        rng.standard_normal(m) * 10.0 ** rng.uniform(-1.0, 2.0, m),
+        10.0 ** rng.uniform(-4.0, 4.0, m),
+        rng.integers(0, 2, m) if family == "logistic"
+        else rng.uniform(-3.0 if family == "gaussian" else 0.0, 3.0, m)])
+    return np.vstack([np.array(grid), drawn])
 
 
 class TestGlmRootRule:
@@ -604,54 +637,143 @@ class TestGlmRootRule:
     @pytest.mark.parametrize("row", _STEEP_LOGISTIC)
     def test_steep_logistic_rows_take_few_evaluations(self, row):
         from proxsplit.problems import glm_family
-        deriv = glm_family("logistic").deriv
-        scalar, calls = _counted(deriv)
+        fam = glm_family("logistic")
+        scalar, calls = _counted(fam.deriv)
         with np.errstate(over="ignore"):
-            t = glm_root(*row, scalar)
+            t = glm_root(*row, scalar, fam.variance)
         assert len(calls) <= 70
-        vector, vcalls = _counted(deriv)
+        vector, vcalls = _counted(fam.deriv)
         with np.errstate(over="ignore", invalid="ignore"):
             u = _glm_roots(*(np.array([x]) for x in row), vector,
-                           np.array([0]))
+                           fam.variance, np.array([0]))
         assert len(vcalls) <= 70
         assert abs(u[0] - t) <= 1e-11 * (1.0 + abs(row[0]))
 
     @pytest.mark.parametrize("family", sorted(GLM_GRID_RESPONSES))
     def test_all_rows_match_per_term_roots(self, rng, family):
         from proxsplit.problems import glm_family
-        deriv = glm_family(family).deriv
-        grid = [(s0, aq, ti) for s0 in GLM_GRID_S0 for aq in GLM_GRID_AQ
-                for ti in GLM_GRID_RESPONSES[family]]
-        m = 500
-        drawn = np.column_stack([
-            rng.standard_normal(m) * 10.0 ** rng.uniform(-1.0, 2.0, m),
-            10.0 ** rng.uniform(-4.0, 4.0, m),
-            rng.integers(0, 2, m) if family == "logistic"
-            else rng.uniform(-3.0 if family == "gaussian" else 0.0, 3.0, m)])
-        cases = np.vstack([np.array(grid), drawn])
+        fam = glm_family(family)
+        cases = _glm_grid(family, rng)
         s0, aq, ti = cases.T.copy()
         with np.errstate(over="ignore", invalid="ignore"):
-            got = _glm_roots(s0, aq, ti, deriv, np.arange(s0.size))
-            want = np.array([glm_root(*c, deriv) for c in cases])
+            got = _glm_roots(s0, aq, ti, fam.deriv, fam.variance,
+                             np.arange(s0.size))
+            want = np.array([glm_root(*c, fam.deriv, fam.variance)
+                             for c in cases])
         assert np.all(np.abs(got - want) <= 1e-11 * (1.0 + np.abs(s0)))
+
+    @pytest.mark.parametrize("wrong", ["zero", "100x", "0.01x"])
+    @pytest.mark.parametrize("family", sorted(GLM_GRID_RESPONSES))
+    def test_safeguard_finds_the_root_under_a_wrong_variance(
+            self, rng, family, wrong):
+        # the curvature only proposes steps: the bracket, bisection and
+        # stops still solve every row, to the root the true variance gives
+        from proxsplit.problems import glm_family
+        fam = glm_family(family)
+        scale = {"zero": 0.0, "100x": 100.0, "0.01x": 0.01}[wrong]
+
+        def variance(mu):
+            return scale * fam.variance(mu)
+
+        cases = _glm_grid(family, rng)
+        s0, aq, ti = cases.T.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _glm_roots(s0, aq, ti, fam.deriv, fam.variance,
+                              np.arange(s0.size))
+            got = _glm_roots(s0, aq, ti, fam.deriv, variance,
+                             np.arange(s0.size))
+            one = np.array([glm_root(*c, fam.deriv, variance)
+                            for c in cases])
+        # each root is within 1e-12 of the exact one, so two roots are
+        # within twice that of each other
+        bound = 2e-12 * (1.0 + np.abs(s0))
+        assert np.all(np.abs(got - want) <= bound)
+        assert np.all(np.abs(one - want) <= bound)
+
+    @pytest.mark.parametrize("family", sorted(GLM_GRID_RESPONSES))
+    def test_variance_is_the_cumulants_curvature(self, family):
+        # V(A'(t)) = A''(t), against a central difference of A'.  Above
+        # t = 0 the logistic A'(t) rounds near 1, so its difference is
+        # taken at -t (its A'' is even); above t = 20 the rounding of A'(t)
+        # itself moves mu*(1 - mu) by more than 1e-6 (6e-4 at t = 30)
+        from proxsplit.problems import glm_family
+        fam = glm_family(family)
+        t = np.linspace(-30.0, 20.0 if family == "logistic" else 30.0, 201)
+        at = -np.abs(t) if family == "logistic" else t
+        h = 1e-5 * (1.0 + np.abs(t))
+        central = (fam.deriv(at + h) - fam.deriv(at - h)) / (2.0 * h)
+        got = fam.variance(fam.deriv(t))
+        assert np.all(np.abs(got - central) <= 1e-6 * np.abs(central))
+
+    @staticmethod
+    def _betas_calls(rows, scale, rng):
+        """Calls of A' in one ``betas`` call on the rows at alpha = 1, at
+        inputs from a random v of the given scale."""
+        import dataclasses
+        deriv, calls = _counted(rows.deriv)
+        rows = dataclasses.replace(rows, deriv=deriv)
+        v = scale * rng.standard_normal(rows.features.shape)
+        calls.clear()
+        beta = rows.betas(np.einsum("ij,ij->i", rows.features, v), 1.0)
+        assert np.all(np.isfinite(beta))
+        return len(calls)
 
     def test_gen_glm_rows_take_few_rounds(self):
         # rows like `proxsplit gen glm --family logistic` at alpha = 1:
-        # the bracket costs two evaluations and secant steps solve every
-        # row in about five rounds, where bisection to 1e-12 takes over 40
-        import dataclasses
+        # safeguarded steps solve every row in a few rounds, where
+        # bisection to 1e-12 takes over 40
         from conftest import tiny_glm
         rows = tiny_glm(np.random.default_rng(7), "logistic", n=2000,
                         d=50).structure
-        deriv, calls = _counted(rows.deriv)
-        rows = dataclasses.replace(rows, deriv=deriv)
         rng = np.random.default_rng(0)
         for scale in (0.0, 0.3, 1.0, 3.0):
-            v = scale * rng.standard_normal(rows.features.shape)
-            calls.clear()
-            beta = rows.betas(np.einsum("ij,ij->i", rows.features, v), 1.0)
-            assert np.all(np.isfinite(beta))
-            assert len(calls) <= 8, scale
+            assert self._betas_calls(rows, scale, rng) <= 8, scale
+
+    def test_gen_glm_rows_take_newton_rounds(self):
+        # the same rows: one evaluation at s0 and Newton steps from it,
+        # where the secant rule took about five
+        from conftest import tiny_glm
+        rows = tiny_glm(np.random.default_rng(7), "logistic", n=2000,
+                        d=50).structure
+        rng = np.random.default_rng(0)
+        for scale in (0.0, 0.3, 1.0, 3.0):
+            assert self._betas_calls(rows, scale, rng) <= 5, scale
+
+
+_AFFINE_SUBGRADIENTS = {
+    "hinge": hinge_scalar(1.0).subgrad,
+    "abs": lambda t: float(np.sign(t)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_AFFINE_SUBGRADIENTS))
+def test_affine_subgradient_roots_stay_regula_falsi(name, rng):
+    # a subgradient has no curvature, so the affine prox keeps the secant
+    # rule: its output bytes equal those of _regula_falsi on the bracket
+    # from s0 to s0 - psi(s0)
+    sub = _AFFINE_SUBGRADIENTS[name]
+    for _ in range(200):
+        a = rng.standard_normal(4) * 10.0 ** rng.uniform(-2.0, 2.0)
+        x0 = rng.standard_normal(4) * 10.0 ** rng.uniform(-2.0, 2.0)
+        alpha = 10.0 ** rng.uniform(-3.0, 3.0)
+        q = float(a @ a)
+        s0, aq = float(a @ x0), alpha * q
+
+        def psi(t):
+            return t - s0 + aq * float(sub(t))
+
+        p0 = aq * float(sub(s0))
+        t1 = min(max(s0 - p0, -sys.float_info.max), sys.float_info.max)
+        if p0 == 0.0:
+            t = s0
+        elif p0 < 0.0:
+            t = _regula_falsi(psi, s0, p0, t1, psi(t1))
+        else:
+            t = _regula_falsi(psi, t1, psi(t1), s0, p0)
+        want = x0 + ((t - s0) / q) * a
+        got = prox_affine_1d(a, ScalarFn(subgrad=sub), x0, alpha)
+        assert got.tobytes() == want.tobytes()
+
 
 def _operator_zoo(rng):
     """Each library operator wrapped over a flat vector for the firm

@@ -183,8 +183,10 @@ def test_fused_lasso_jobs_peak_at_z_plus_one_scratch_block(tmp_path):
 
 
 # n-vectors of float64 that a probe of GLM rows may hold beside z: the
-# vectorized root of GlmStructure.betas keeps a 9 x n work array, a 4 x n
-# int16 array and about a dozen n-vector temporaries per round
+# vectorized root of GlmStructure.betas keeps a 10 x n work array, its
+# roots and row indices, and about four n-vector temporaries per round
+# plus copies of the rows that bisect (18 n-vectors at its peak on the
+# seed-7 rows), and betas holds about four more
 GLM_PROBE_VECTORS = 32
 
 
