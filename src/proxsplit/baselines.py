@@ -137,20 +137,30 @@ def consensus_admm_run(problem: ProblemSpec, opts: SolveOptions,
     return RunResult(x=zc, log=log, converged=converged, state=state)
 
 
+def _spi_step(prox, x, ak, weight):
+    """spi's step on one term whose prox is ``prox``: the prox of r + g_i
+    at step ak for r the ridge (weight/2)||x||^2, which is
+    prox_{ak shr g_i}(shr x) with shr = 1/(1 + ak*weight)."""
+    shr = 1.0 / (1.0 + ak * weight)
+    return prox(shr * x, ak * shr)
+
+
 def stochastic_prox_iteration_run(problem: ProblemSpec, step: DiminishingStep,
                                   sampler, opts: SolveOptions,
                                   x0: np.ndarray | None = None,
                                   x_ref: np.ndarray | None = None) -> RunResult:
-    """One prox of a sampled term per step with step sizes c/k.
+    """One prox of r plus a sampled term per step with step sizes a_k = c/k.
 
-    Requires a prox-only problem (every smooth term and the global term
-    zero); the diminishing schedule is the defining feature, so a constant
-    step configuration is rejected by type.  Problems whose rank-one rows
-    :func:`kernels.rank_one_rows` serves to spi (folded SVM, GLM) take their
-    steps through :func:`kernels.rank_one_spi_block`;
+    Requires every smooth term zero and r zero or a ridge (w/2)||x||^2
+    (:func:`kernels.ridge_weight`); the diminishing schedule is the
+    defining feature, so a constant step configuration is rejected by
+    type.  Each step is the prox of r + g_i at step a_k
+    (:func:`_spi_step`), so w = 0 steps on g_i alone.  Problems whose
+    rank-one rows :func:`kernels.rank_one_rows` serves to spi (SVM, GLM)
+    take their steps through :func:`kernels.rank_one_spi_block`;
     ``log.metadata["path"]`` says which ran: ``kernel`` or ``per-term``.
-    The residual is the unadvanced sweep (:func:`core._sweep_blocks`) at
-    z_i = x with step a_k, over sqrt(n).
+    The residual is the norm of every term's step from x, taken a sweep
+    block of rows at a time, over a_k sqrt(n).
     """
     if not isinstance(step, DiminishingStep):
         raise TypeError("step must be a DiminishingStep (the diminishing "
@@ -160,34 +170,43 @@ def stochastic_prox_iteration_run(problem: ProblemSpec, step: DiminishingStep,
     if not problem.all_f_zero():
         raise ValueError("stochastic proximal iteration requires every "
                          "smooth term to be zero")
-    if not problem.r.is_zero:
-        raise ValueError("stochastic proximal iteration requires the "
-                         "global term to be zero")
-    x = np.zeros(problem.dim) if x0 is None \
-        else _checked_input(x0, (problem.dim,), "x0")
+    weight = kernels.ridge_weight(problem.r)
+    if weight is None:
+        raise ValueError("stochastic proximal iteration requires r to be "
+                         "zero or a ridge (core.ridge_prox)")
+    n, d = problem.n, problem.dim
+    x = np.zeros(d) if x0 is None else _checked_input(x0, (d,), "x0")
     struct = kernels.rank_one_rows(problem, "spi")
 
     def advance(k, block):
         nonlocal x
         if struct is not None:
-            kernels.rank_one_spi_block(x, struct, step.c, k, block)
+            kernels.rank_one_spi_block(x, struct, step.c, k, block, weight)
         else:
             for t, i in enumerate(block):
                 i = int(i)
-                x = _call_term(problem.g[i].prox, i, "prox of g", x,
-                               step.at(k + t + 1))
+                x = _call_term(_spi_step, i, "prox of g", problem.g[i].prox,
+                               x, step.at(k + t + 1), weight)
 
     def probe(k):
-        # with r zero, each row's sweep point 2 x_half - z_i is x and its
-        # step prox_{a_k g_i}(x) - x; over sqrt(n) the norm is a mean over
-        # terms, and sqrt(d) below makes it per entry
-        z = np.broadcast_to(x, (problem.n, problem.dim))
-        resid, x_half = _sweep_blocks(
-            SolverState(z, x, step.at(max(k, 1))), problem, advance=False)
-        return resid / math.sqrt(problem.n), x_half
+        # every term's step prox_{a_k shr g_i}(shr x) - x, a sweep block
+        # at a time; over sqrt(n) the norm is a mean over terms, and
+        # sqrt(d) below makes it per entry
+        ak = step.at(max(k, 1))
+        shr = 1.0 / (1.0 + ak * weight)
+        blocks = _row_blocks(n, d, problem.reduce_chunks,
+                             core.SWEEP_BLOCK_BYTES)
+        scratch = np.empty((max(hi - lo for lo, hi, _ in blocks), d))
+        sumsq = 0.0
+        for lo, hi, _ in blocks:
+            v = np.multiply(x, shr, out=scratch[:hi - lo])
+            delta = _block_points(x, v, lo, problem, ak * shr)
+            delta -= x
+            sumsq += _require_finite_rows(delta, "prox of g", lo)
+        return math.sqrt(sumsq) / ak / math.sqrt(n), x
 
     log, converged, steps = _sampled_loop(
-        problem, opts, sampler, probe, advance, math.sqrt(problem.dim), {
+        problem, opts, sampler, probe, advance, math.sqrt(d), {
             "solver": "spi", "c": step.c,
             "path": "per-term" if struct is None else "kernel"}, x_ref)
     state = SolverState(z=x[None, :].copy(), zbar=x.copy(), alpha=step.c,

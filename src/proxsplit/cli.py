@@ -31,7 +31,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, fields
-from functools import lru_cache, partial
+from functools import partial
 from typing import get_args
 
 import numpy as np
@@ -124,13 +124,10 @@ def _required(table: dict, key: str, path: str, prefix: str = ""):
     return table[key]
 
 
-def load_problem(path: str, algo: str = "ppg") -> ProblemSpec:
-    """Build the ProblemSpec a description file denotes.
-
-    The SVM kind is built in its prox-only form (ridge folded into every
-    term) when the target algorithm requires a zero global term.  A
-    missing field raises ValueError naming the file and the field, such as
-    ``problem.json: missing params.family``.
+def load_problem(path: str) -> ProblemSpec:
+    """Build the ProblemSpec a description file denotes; every algorithm
+    runs the same problem.  A missing field raises ValueError naming the
+    file and the field, such as ``problem.json: missing params.family``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         desc = json.load(fh)
@@ -155,7 +152,7 @@ def load_problem(path: str, algo: str = "ppg") -> ProblemSpec:
         feats, labels = io.read_libsvm(file("data"), dim=params.get("dim"))
         data = problems.SvmData(features=feats, labels=labels,
                                 lam=param("lam"))
-        return problems.build_svm(data, fold_ridge=(algo == "spi"))
+        return problems.build_svm(data)
     if kind == "fused-lasso":
         a_mat = io.read_dense_csv(file("A"))
         y = io.read_dense_csv(file("y")).ravel()
@@ -221,7 +218,7 @@ def _write_outputs(cfg: RunConfig, result: ppg.RunResult):
 
 def cmd_solve(args) -> int:
     cfg = _config_from(args.config, args)
-    problem = load_problem(cfg.problem, cfg.algo)
+    problem = load_problem(cfg.problem)
     result = _run(cfg, problem)
     _write_outputs(cfg, result)
     final = result.log.rows[-1]
@@ -280,22 +277,19 @@ def cmd_compare(args) -> int:
     if len(prob_paths) != 1:
         raise ValueError("all configurations must reference the same "
                          "problem file")
-    # the problem in each algorithm's form, built once
-    load = lru_cache(maxsize=None)(partial(load_problem, cfgs[0].problem))
-    ref_problem = load("ppg")
+    problem = load_problem(cfgs[0].problem)
     # each budget in sweeps; the sampled solvers count single-term steps,
     # n to a sweep, rounded up
-    budget = max(-(-c.max_iters // ref_problem.n)
+    budget = max(-(-c.max_iters // problem.n)
                  if c.algo in ("sppg", "spi", "finito") else c.max_iters
                  for c in cfgs)
     ref_iters = args.ref_iters if args.ref_iters else 10 * budget
-    ref = ppg.ppg_run(ref_problem, ppg.SolveOptions(max_iters=ref_iters,
-                                                    record_every=ref_iters))
+    ref = ppg.ppg_run(problem, ppg.SolveOptions(max_iters=ref_iters,
+                                                record_every=ref_iters))
     x_star = ref.x
     lines = [MERGED_HEADER]
     seen = {}
     for cfg in cfgs:
-        problem = load(cfg.algo)
         label = cfg.algo
         seen[label] = seen.get(label, 0) + 1
         if seen[label] > 1:

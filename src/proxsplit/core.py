@@ -18,17 +18,19 @@ import numpy as np
 # Bytes of z per block of the row-blocked sweep (:func:`_sweep_blocks`; see
 # :func:`_row_blocks` for how z is split).  It serves ppg off the rank-one
 # path, proximal-gradient and ADMM, and the residual probes of the sampled
-# solvers (sppg, spi, Finito).  A block's rows of z, the scratch block and
-# the rows' data then stay in a 2 MiB L2 between the sweep's stages, and
-# the scratch block bounds a probe's peak memory.  On a shared 2-vCPU Xeon
-# with 2 MiB of L2 per core (one BLAS thread, medians of 25 interleaved
-# rounds), an sppg probe of the n=8192, d=128 split SVM took 7.0 ms in 16
-# blocks of 512 KiB, 7.0 ms in 8 of 1 MiB, 7.6 ms in 4 of 2 MiB and 8.1 ms
-# as one 8 MiB block, with a round-to-round spread of about 0.6 ms; its
-# tracemalloc peak was 0.82, 1.32, 2.33 and 8.38 MiB.  The spi probe of
-# the folded form read 7.2, 7.3, 7.8 and 8.5 ms with the same peaks.  10
-# ppg sweeps of the 2000-term, d=100 fused lasso took 29.9 ms in 3 blocks
-# and 31.9 ms in one, within their 3 ms spread.
+# solvers (sppg off the rank-one path, Finito, and spi, which runs the
+# same blocks at its one iterate).  A block's rows of z, the scratch block
+# and the rows' data then stay in a 2 MiB L2 between the sweep's stages,
+# and the scratch block bounds a probe's peak memory.  On a shared 2-vCPU
+# Xeon with 2 MiB of L2 per core (one BLAS thread, medians of 25
+# interleaved rounds), an sppg probe of the n=8192, d=128 SVM took 7.0 ms
+# in 16 blocks of 512 KiB, 7.0 ms in 8 of 1 MiB, 7.6 ms in 4 of 2 MiB and
+# 8.1 ms as one 8 MiB block, with a round-to-round spread of about 0.6 ms;
+# its tracemalloc peak was 0.82, 1.32, 2.33 and 8.38 MiB.  The spi probe
+# of the same rows, its points shrunk by the ridge, read 7.2, 7.3, 7.8 and
+# 8.5 ms with the same peaks.  10 ppg sweeps of the 2000-term, d=100 fused
+# lasso took 29.9 ms in 3 blocks and 31.9 ms in one, within their 3 ms
+# spread.
 SWEEP_BLOCK_BYTES = 512 * 1024
 # Rows per piece of work inside a sweep block: the one bound on a batched
 # hook's temporaries (rank_one_prox's row update, the fused lasso's

@@ -11,9 +11,9 @@ for either kind.  :func:`rank_one_problem` builds the problem, for any r:
 its per-term handles (:func:`rank_one_terms`, a sequence that builds term
 i's handle only when it is indexed, so the batched hooks and the kernels
 pay for none), ``batched_g_prox`` (:func:`rank_one_prox`) and
-``batched_objective`` (:func:`rank_one_objective`).  A structure's
-``ridge`` is a ridge folded into the terms; a ridge in r is stated by r
-alone (:func:`core.ridge_prox`).
+``batched_objective`` (:func:`rank_one_objective`).  A ridge is stated by
+r alone (:func:`core.ridge_prox`), and :func:`ridge_weight` is where the
+stepping kernels read it.
 :func:`rank_one_rows` is the one rule for which problems a kernel serves.
 :func:`rank_one_sppg_block` takes each
 run of up to ``SPPG_RUN`` consecutive distinct sppg rows with three BLAS
@@ -25,9 +25,10 @@ sweep; :class:`RankOnePpg` takes ppg's full sweeps over the same rows in
 scalar coordinates, with no pass over z and no z until one is read,
 taking each recorded objective from the sweep's own F x; and
 :func:`rank_one_spi_block` is the spi baseline's loop of ``beta`` steps.
-The per-term handles remain the reference path; the kernels agree with
-them to floating-point rounding, not bitwise, because their sums associate
-differently.
+The per-term handles remain the reference path; the sppg and ppg kernels
+agree with them to floating-point rounding, not bitwise, because their
+sums associate differently, and the spi kernel takes the per-term step in
+the same arithmetic.
 """
 
 import importlib.util
@@ -36,7 +37,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from operator import index, mul
-from typing import Callable, ClassVar
+from typing import Callable
 
 import numpy as np
 
@@ -46,9 +47,9 @@ from .core import (ROW_CHUNK, ConvergenceError, NumericalError, ProblemSpec,
 from .prox import _glm_roots, _require_elementwise, glm_root
 
 __all__ = ["HingeStructure", "GlmStructure", "rank_one_problem",
-           "rank_one_rows", "rank_one_terms", "rank_one_prox",
-           "rank_one_objective", "rank_one_sppg_block", "rank_one_probe",
-           "RankOnePpg", "rank_one_spi_block"]
+           "rank_one_rows", "ridge_weight", "rank_one_terms",
+           "rank_one_prox", "rank_one_objective", "rank_one_sppg_block",
+           "rank_one_probe", "RankOnePpg", "rank_one_spi_block"]
 
 # Rows per run of the numpy sppg block.  A run costs a few BLAS products
 # that grow as SPPG_RUN**2 * d plus a scalar recurrence of SPPG_RUN steps;
@@ -71,14 +72,10 @@ class _Rows:
 
 @dataclass(frozen=True)
 class HingeStructure(_Rows):
-    """Marks a problem as hinge-loss rows, each with the ridge
-    (``ridge``/2)||x||^2 folded into it: the prox-only form used by the
-    stochastic proximal iteration baseline.  The default 0 folds none, as
-    in the split form, whose r states the ridge.
-    """
+    """Marks a problem as hinge-loss rows: term i is max(1 - y_i f_i'x, 0)
+    for the +/-1 ``labels`` y_i."""
 
     labels: np.ndarray
-    ridge: float = 0.0
 
     @property
     def targets(self) -> np.ndarray:
@@ -113,7 +110,7 @@ class GlmStructure(_Rows):
     """Marks a problem as generalized-linear-model rows and nothing else:
     term i is A(f_i'x) - t_i f_i'x for the cumulant A with handles
     ``value``, ``deriv`` and ``variance`` (A''(t) = V(A'(t)), as in
-    :class:`prox.ScalarFn`), and no ridge.  Each handle must map arrays
+    :class:`prox.ScalarFn`).  Each handle must map arrays
     elementwise; construction raises ``ValueError`` naming a missing or
     scalar-only one.
     """
@@ -122,7 +119,6 @@ class GlmStructure(_Rows):
     deriv: Callable
     value: Callable
     variance: Callable | None = None
-    ridge: ClassVar[float] = 0.0
 
     def __post_init__(self):
         super().__post_init__()
@@ -178,16 +174,13 @@ def _term_prox(struct, i, x0, a):
     """The prox of term i of :func:`rank_one_terms`."""
     f = struct.features[i]
     with np.errstate(over="ignore", invalid="ignore"):
-        shr = 1.0 / (1.0 + a * struct.ridge)
-        xs = x0 * shr
-        return xs + struct.beta(float(f @ xs), float(struct.sqnorms[i]),
-                                float(struct.targets[i]), a * shr) * f
+        return x0 + struct.beta(float(f @ x0), float(struct.sqnorms[i]),
+                                float(struct.targets[i]), a) * f
 
 
 def _term_value(struct, i, x):
     """The value of term i of :func:`rank_one_terms`."""
-    loss = float(struct.losses(float(struct.features[i] @ x), i))
-    return loss + 0.5 * struct.ridge * float(x @ x) if struct.ridge else loss
+    return float(struct.losses(float(struct.features[i] @ x), i))
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,10 +212,9 @@ def rank_one_terms(struct) -> Sequence:
     indices, and a slice gives a tuple of its terms' handles.
 
     The prox of term i at x0 with step a moves x0 along f_i by the beta of
-    s = f_i'x0.  When a ridge is folded into the terms, x0 and the step
-    are first shrunk by 1/(1 + a*ridge), and the value adds ridge/2 ||x||^2
-    to phi_i(f_i'x).  A row whose beta is NaN gives a NaN point, without a
-    warning, for the caller to report by term.
+    s = f_i'x0, and its value is phi_i(f_i'x).  A row whose beta is NaN
+    gives a NaN point, without a warning, for the caller to report by
+    term.
     """
     return _TermHandles(struct)
 
@@ -246,16 +238,10 @@ def _distinct_runs(order, limit):
 def rank_one_prox(struct, v, alpha, lo=0):
     """The prox of the row terms lo..lo+len(v) at once: row k of ``v``
     moves to v_k + beta_k f_(lo+k), with the betas of ``struct.betas`` at
-    s_k = f_(lo+k)'v_k.  When a ridge is folded into the terms, ``v`` is
-    first shrunk by shr = 1/(1 + alpha*ridge) and the betas taken at step
-    alpha*shr, as in :func:`rank_one_terms`.  ``v`` is overwritten and
-    returned; a row with a NaN beta comes back NaN.
+    s_k = f_(lo+k)'v_k.  ``v`` is overwritten and returned; a row with a
+    NaN beta comes back NaN.
     """
     feats = struct.features[lo:lo + v.shape[0]]
-    if struct.ridge:
-        shr = 1.0 / (1.0 + alpha * struct.ridge)
-        v *= shr
-        alpha *= shr
     beta = struct.betas(np.einsum("ij,ij->i", feats, v), alpha, lo)
     for k in range(0, v.shape[0], ROW_CHUNK):
         v[k:k + ROW_CHUNK] += beta[k:k + ROW_CHUNK, None] \
@@ -264,10 +250,8 @@ def rank_one_prox(struct, v, alpha, lo=0):
 
 
 def rank_one_objective(struct, x) -> float:
-    """The term mean of rank-one rows: mean_i phi_i(f_i'x), plus
-    ridge/2 ||x||^2 when a ridge is folded into the terms."""
-    loss = float(np.mean(struct.losses(struct.features @ x)))
-    return loss + 0.5 * struct.ridge * float(x @ x) if struct.ridge else loss
+    """The term mean of rank-one rows: mean_i phi_i(f_i'x)."""
+    return float(np.mean(struct.losses(struct.features @ x)))
 
 
 def rank_one_problem(struct, r: ProxFn, kind: str) -> ProblemSpec:
@@ -284,24 +268,28 @@ def rank_one_problem(struct, r: ProxFn, kind: str) -> ProblemSpec:
         batched_objective=partial(rank_one_objective, struct))
 
 
+def ridge_weight(r: ProxFn) -> float | None:
+    """The weight w of an r that the stepping kernels (sppg and spi) model
+    as the shrink 1/(1 + alpha*w): a :class:`core.RidgeProx`'s ``weight``,
+    0 for a zero r, and None for any other r."""
+    if isinstance(r, RidgeProx):
+        return r.weight
+    return 0.0 if r.is_zero else None
+
+
 def rank_one_rows(problem: ProblemSpec, kernel: str):
     """The structure that the rank-one ``kernel`` (``"ppg"``, ``"sppg"``
     or ``"spi"``) steps ``problem`` through, or None for the generic path.
 
-    A kernel serves a problem with a structure and every f_i zero whose
-    r and folded ridge it models: :class:`RankOnePpg` (``"ppg"``) takes
-    the prox of any r and models no folded ridge;
-    :func:`rank_one_sppg_block` (``"sppg"``) models no folded ridge and an
-    r that is zero or a ridge (:class:`core.RidgeProx`), whose weight is
-    its shrink; :func:`rank_one_spi_block` (``"spi"``) models a folded
-    ridge and r zero.
+    A kernel serves a problem with a structure and every f_i zero, under
+    two rules: :class:`RankOnePpg` (``"ppg"``) takes the prox of any r;
+    the stepping kernels :func:`rank_one_sppg_block` (``"sppg"``) and
+    :func:`rank_one_spi_block` (``"spi"``) serve an r that is zero or a
+    ridge, whose weight (:func:`ridge_weight`) they model as a shrink.
     """
-    s, r = problem.structure, problem.r
-    if s is None or not problem.all_f_zero():
-        return None
-    served = {"ppg": not s.ridge,
-              "sppg": not s.ridge and (r.is_zero or isinstance(r, RidgeProx)),
-              "spi": r.is_zero}[kernel]
+    s = problem.structure
+    served = s is not None and problem.all_f_zero() and (
+        kernel == "ppg" or ridge_weight(problem.r) is not None)
     return s if served else None
 
 
@@ -311,8 +299,8 @@ def rank_one_sppg_block(z, zbar, struct, alpha, idx, ridge, xsum=None):
 
     ``struct`` gives the rows f_i (``features``), their squared norms
     (``sqnorms``), the row constants (``targets``) and ``beta``, the
-    scalar rule that tells hinge from GLM rows; it folds no ridge, and r
-    is the ridge (``ridge``/2)||x||^2, 0 for a zero r.  A step on row i sets
+    scalar rule that tells hinge from GLM rows; r is the ridge
+    (``ridge``/2)||x||^2, 0 for a zero r.  A step on row i sets
     z_i = w + beta_i f_i and moves zbar by the change over n, where
     w = shrink*zbar and shrink = 1/(1 + alpha*ridge).  Over a run of
     distinct rows k = 0..B-1 with rows z0_k and f_k at its start,
@@ -385,8 +373,8 @@ def rank_one_sppg_block(z, zbar, struct, alpha, idx, ridge, xsum=None):
 
 
 def rank_one_probe(struct, z, x, alpha):
-    """One splitting step of rank-one rows with no folded ridge at a held
-    z, taken from the structure without moving z: with x the prox-r point
+    """One splitting step of rank-one rows at a held z, taken from the
+    structure without moving z: with x the prox-r point
     (finite), row i's term point is x + beta_i f_i, the betas of
     ``struct.betas`` at s_i = f_i.(2x - z_i) = 2 f_i'x - f_i'z_i, from one
     product and one row-dot ``einsum``.  Returns ``(F x, beta, sq)``, sq
@@ -425,8 +413,8 @@ def _held_z(feats, beta, w):
 
 
 class RankOnePpg:
-    """Full ppg sweeps over rank-one rows with no folded ridge, for any r
-    (see :func:`rank_one_rows`), in scalar coordinates.
+    """Full ppg sweeps over rank-one rows, for any r (see
+    :func:`rank_one_rows`), in scalar coordinates.
 
     A sweep sets every z_i to x + beta_i f_i, with x the prox of r at zbar,
     whatever z_i was.  So after one sweep z is held as the last x (``w``,
@@ -514,18 +502,18 @@ class RankOnePpg:
             self.state.z = self.z0.copy()
 
 
-def rank_one_spi_block(x, struct, c, k0, idx):
-    """Diminishing-step proximal iteration on rank-one rows, with r zero
-    (see :func:`rank_one_rows`): step k on
-    row i shrinks x by 1/(1 + a_k*ridge) and moves it along f_i by
-    ``struct.beta``, with step sizes a_k = c/k and k continuing from k0.
-    Mutates x in place.  A non-finite update raises
-    :class:`NumericalError` naming its term, with the steps before it
-    applied; a :class:`ConvergenceError` from ``beta`` gets the row's term
-    index appended.  The rows' indices, squared norms and constants are
-    read into Python lists ``ROW_CHUNK`` steps at a time.
+def rank_one_spi_block(x, struct, c, k0, idx, ridge):
+    """Diminishing-step proximal iteration on rank-one rows, with r the
+    ridge (``ridge``/2)||x||^2, 0 for a zero r (see :func:`rank_one_rows`):
+    step k on row i shrinks x by shr = 1/(1 + a_k*ridge) and moves it
+    along f_i by ``struct.beta`` at step a_k*shr, with step sizes
+    a_k = c/k and k continuing from k0.  Mutates x in place.  A non-finite
+    update raises :class:`NumericalError` naming its term, with the steps
+    before it applied; a :class:`ConvergenceError` from ``beta`` gets the
+    row's term index appended.  The rows' indices, squared norms and
+    constants are read into Python lists ``ROW_CHUNK`` steps at a time.
     """
-    feats, rule, ridge = struct.features, struct.beta, struct.ridge
+    feats, rule = struct.features, struct.beta
     # a non-finite row turns its products into NaN without a warning; the
     # loop then stops there and names the term
     with np.errstate(invalid="ignore", over="ignore"):

@@ -5,10 +5,10 @@ one gradient per term, and advances every row of z, one cache-sized block of
 rows at a time; the average is rebuilt from the fixed-chunk reduction's
 chunk sums as the blocks finish, so its summation order, and with it every
 logged byte, is the same on every rerun.  Only z is stored across
-iterations, except on rank-one rows with no ridge folded into them (the
-split SVM and GLMs, with any r): a sweep sets every z_i to
-x_half + beta_i f_i, so :class:`kernels.RankOnePpg` holds z as x_half and
-n scalars, and the returned state builds z on first read.  There each
+iterations, except on rank-one rows (the SVM and GLMs, with any r): a
+sweep sets every z_i to x_half + beta_i f_i, so
+:class:`kernels.RankOnePpg` holds z as x_half and n scalars, and the
+returned state builds z on first read.  There each
 recorded objective is taken from the sweep's product F x_half, where the
 other sweeps call :func:`core.objective`.
 """
@@ -276,8 +276,8 @@ def ppg_run(problem: ProblemSpec, opts: SolveOptions,
     Returns the prox-r point of the final state, the metrics log, and (when
     requested) the ergodic average of the prox-r points.
 
-    Problems that :func:`kernels.rank_one_rows` serves to ppg (the split
-    SVM and GLMs, with any r) sweep in scalar coordinates
+    Problems that :func:`kernels.rank_one_rows` serves to ppg (the SVM
+    and GLMs, with any r) sweep in scalar coordinates
     (:class:`kernels.RankOnePpg`): two products with the rows per sweep
     and O(n + d) memory.  No n x d z is made: a warm start is read where
     it lies, and the returned ``state.z`` is built on first read, so a

@@ -297,19 +297,17 @@ class SvmData:
 def build_svm(data: SvmData, fold_ridge: bool = False) -> ProblemSpec:
     """Hinge-loss classifier (lam/2)*||x||^2 + mean_i max(1 - y_i a_i'x, 0).
 
-    Default form: the ridge is the global term (:func:`core.ridge_prox`,
-    whose prox is a uniform shrink) and each hinge row is one nonsmooth
-    term with a closed-form prox.  ``fold_ridge=True`` instead folds the
-    ridge into every term (the :class:`HingeStructure`'s ``ridge``) and
-    leaves the global term zero, which is the prox-only form required by
-    the diminishing-step baseline; both forms have identical objectives.
-    :func:`kernels.rank_one_problem` builds the problem from its
-    :class:`HingeStructure`, in either form.
+    The ridge is the global term (:func:`core.ridge_prox`, whose prox is a
+    uniform shrink) and each hinge row is one nonsmooth term with a
+    closed-form prox; :func:`kernels.rank_one_problem` builds the problem
+    from its :class:`HingeStructure`.  Every solver runs this one form;
+    the stochastic proximal iteration baseline reads the ridge from r.
+    ``fold_ridge`` has no effect: the problem is the same either way, and
+    the keyword stays only until the benchmark's svm-desk setup stops
+    passing it (ROADMAP item 1).
     """
-    structure = HingeStructure(features=data.features, labels=data.labels,
-                               ridge=data.lam if fold_ridge else 0.0)
-    r = zero_prox() if fold_ridge else ridge_prox(data.lam)
-    return rank_one_problem(structure, r, "svm")
+    structure = HingeStructure(features=data.features, labels=data.labels)
+    return rank_one_problem(structure, ridge_prox(data.lam), "svm")
 
 
 # -- fused lasso ----------------------------------------------------------------

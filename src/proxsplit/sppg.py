@@ -86,9 +86,8 @@ def _advance_block(state: SolverState, problem: ProblemSpec, struct, block,
     :func:`kernels.rank_one_rows` gave, else one :func:`_advance_one` per
     index.  Each step's prox-r point is added to ``xsum`` when given."""
     if struct is not None:
-        # r is zero or a ridge (core.RidgeProx), as the kernel requires
         kernels.rank_one_sppg_block(state.z, state.zbar, struct, state.alpha,
-                                    block, getattr(problem.r, "weight", 0.0),
+                                    block, kernels.ridge_weight(problem.r),
                                     xsum=xsum)
         state.k += block.size
         return
@@ -101,9 +100,9 @@ def _advance_block(state: SolverState, problem: ProblemSpec, struct, block,
 def _probe(state: SolverState, problem: ProblemSpec, struct):
     """``(||p(z)||, x_half)`` at the state, which is left unchanged: from
     :func:`kernels.rank_one_probe` when ``struct`` is the structure
-    ``kernels.rank_one_rows(problem, "ppg")`` gave (rank-one rows with no
-    folded ridge, any r), so no scratch copy of z is made; else from the
-    row-blocked sweep."""
+    ``kernels.rank_one_rows(problem, "ppg")`` gave (rank-one rows, any
+    r), so no scratch copy of z is made; else from the row-blocked
+    sweep."""
     if struct is None:
         return _sweep_blocks(state, problem, advance=False)
     alpha = state.alpha

@@ -6,14 +6,16 @@ lines as they complete.
 """
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
 from conftest import grid_prox_scalar, lasso_problem, make_quadratic_term, \
     simple_problem
-from proxsplit.baselines import (DiminishingStep, consensus_admm_run,
-                                 finito_run, proximal_gradient_run,
+from proxsplit.baselines import (DiminishingStep, _spi_step,
+                                 consensus_admm_run, finito_run,
+                                 proximal_gradient_run,
                                  stochastic_prox_iteration_run)
 from proxsplit.core import (ProblemSpec, ProxFn, initial_state,
                             objective, verify_prox_fn, zero_prox)
@@ -79,14 +81,13 @@ def test_criterion_1_prox_oracle_suite(rng):
         return rng.standard_normal(k) * 2.0
 
     # the per-term handles that the SVM and GLM builders derive from their
-    # structures, on tiny problems: split and folded hinge rows and
-    # logistic rows
+    # structures, on tiny problems: hinge rows, alone and in spi's step
+    # with the ridge of r, and logistic rows
     rows, dim, ridge = 6, 3, 0.3
     feats = rng.standard_normal((rows, dim))
     labels = np.where(rng.random(rows) < 0.5, 1.0, -1.0)
     svm_split = build_svm(SvmData(feats, labels, lam=ridge))
-    svm_folded = build_svm(SvmData(feats, labels, lam=ridge),
-                           fold_ridge=True)
+    assert svm_split.r.weight == ridge
     responses = rng.uniform(0.0, 1.0, rows)
     glm = build_glm(feats, responses, glm_family("logistic"))
 
@@ -144,13 +145,14 @@ def test_criterion_1_prox_oracle_suite(rng):
         if not along_row(svm_split.g[i].prox(x3, alpha), f,
                          grid_prox_scalar(hinge_i, s0, alpha * q), x3, 1.0):
             failures.append("svm_split_term")
-        # with the ridge folded in, f'u solves the scalar prox of
-        # h(t) + ridge t^2/(2q) at step alpha*q, and the rest of x0 shrinks
-        t_fold = grid_prox_scalar(
+        # spi's step on the term with the ridge of r: f'u solves the
+        # scalar prox of h(t) + ridge t^2/(2q) at step alpha*q, and the
+        # rest of x0 shrinks
+        t_ridge = grid_prox_scalar(
             lambda s: hinge_i(s) + ridge * s * s / (2.0 * q), s0, alpha * q)
-        if not along_row(svm_folded.g[i].prox(x3, alpha), f, t_fold, x3,
-                         1.0 / (1.0 + alpha * ridge)):
-            failures.append("svm_folded_term")
+        if not along_row(_spi_step(svm_split.g[i].prox, x3, alpha, ridge),
+                         f, t_ridge, x3, 1.0 / (1.0 + alpha * ridge)):
+            failures.append("svm_spi_step")
         t_logit = grid_prox_scalar(
             lambda s: np.logaddexp(0.0, s) - responses[i] * s, s0, alpha * q)
         if not along_row(glm.g[i].prox(x3, alpha), f, t_logit, x3, 1.0):
@@ -201,7 +203,8 @@ def test_criterion_1_prox_oracle_suite(rng):
         "glm": (5, lambda x0, t: prox_glm_1d(
             x0, xi5, 0.4, glm_family("logistic"), t)),
         "svm_split_term": (dim, svm_split.g[1].prox),
-        "svm_folded_term": (dim, svm_folded.g[1].prox),
+        "svm_spi_step": (dim, partial(_spi_step, svm_split.g[1].prox,
+                                      weight=ridge)),
         "glm_term": (dim, glm.g[1].prox),
     }
     ne_failures = []
@@ -402,13 +405,12 @@ def test_criterion_8_svm_experiment(svm_desk):
         if obj_s_first is None:
             obj_s_first = objective(res_s.x, problem)
     parity = abs(obj_s_first - obj_p) / abs(obj_p)
-    folded = build_svm(data, fold_ridge=True)
     spi_means = {}
     for c in (1.0, 4.0, 16.0, 64.0, 256.0):
         errs = []
         for seed in range(10):
             res = stochastic_prox_iteration_run(
-                folded, DiminishingStep(c), IndexSampler(seed, n),
+                problem, DiminishingStep(c), IndexSampler(seed, n),
                 SolveOptions(max_iters=epochs * n, record_every=epochs * n))
             errs.append(float(np.sum((res.x - x_star) ** 2)))
         spi_means[c] = float(np.mean(errs))

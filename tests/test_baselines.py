@@ -13,7 +13,7 @@ from proxsplit.baselines import (DiminishingStep, consensus_admm_run,
                                  finito_run, proximal_gradient_run,
                                  stochastic_prox_iteration_run)
 from proxsplit.core import (ConvergenceError, ProxFn, SmoothFn, objective,
-                            zero_prox)
+                            ridge_prox, zero_prox)
 from proxsplit.ppg import SolveOptions, ppg_run
 from proxsplit.sppg import IndexSampler, sppg_run
 
@@ -160,11 +160,24 @@ class TestStochasticProxIteration:
             stochastic_prox_iteration_run(smooth, DiminishingStep(1.0),
                                           IndexSampler(0, smooth.n),
                                           SolveOptions(max_iters=1))
-        svm = tiny_svm(rng)  # carries the ridge as the global term
-        with pytest.raises(ValueError, match="global"):
-            stochastic_prox_iteration_run(svm, DiminishingStep(1.0),
-                                          IndexSampler(0, svm.n),
+        # an r that is neither zero nor a ridge, here an L1 term
+        l1 = dataclasses.replace(tiny_svm(rng), r=abs_prox_fn(weight=0.05))
+        with pytest.raises(ValueError,
+                           match="requires r to be zero or a ridge"):
+            stochastic_prox_iteration_run(l1, DiminishingStep(1.0),
+                                          IndexSampler(0, l1.n),
                                           SolveOptions(max_iters=1))
+
+    def test_ridge_in_r_is_stepped_per_term(self):
+        # |x - 1| + (w/2) x^2 with w = 2 is least at x = 1/2; the per-term
+        # path takes each step as the prox of g at the shrunk point and step
+        problem = dataclasses.replace(
+            simple_problem([abs_prox_fn(1.0)], dim=1), r=ridge_prox(2.0))
+        res = stochastic_prox_iteration_run(
+            problem, DiminishingStep(5.0), IndexSampler(0, 1),
+            SolveOptions(max_iters=500))
+        assert res.log.metadata["path"] == "per-term"
+        assert abs(res.x[0] - 0.5) <= 1e-6
 
     def test_single_term_converges(self):
         problem = simple_problem([abs_prox_fn(1.0)], dim=1)
@@ -174,7 +187,7 @@ class TestStochasticProxIteration:
         assert abs(res.x[0] - 1.0) <= 1e-6
 
     def test_seed_reproducibility(self, rng):
-        problem = tiny_svm(rng, fold_ridge=True)
+        problem = tiny_svm(rng)
         runs = [stochastic_prox_iteration_run(
             problem, DiminishingStep(2.0), IndexSampler(5, problem.n),
             SolveOptions(max_iters=200)).x for _ in range(2)]
@@ -358,8 +371,7 @@ def test_x0_of_wrong_shape_rejected(rng, solver, shape):
         problem = lasso_problem(rng, m=4, d=3)
         run = partial(proximal_gradient_run, problem, opts)
     else:
-        problem = (tiny_svm(rng, n=4, d=3, fold_ridge=True)
-                   if solver == "spi-kernel" else prox_only_problem(rng))
+        problem = (tiny_svm(rng, n=4, d=3) if solver == "spi-kernel" else prox_only_problem(rng))
         run = partial(stochastic_prox_iteration_run, problem,
                       DiminishingStep(1.0), IndexSampler(0, problem.n), opts)
     assert problem.dim == 3

@@ -8,6 +8,7 @@ import pytest
 
 from proxsplit import cli
 from proxsplit.cli import ALGOS, main
+from proxsplit.core import RidgeProx
 from proxsplit.io import read_metrics_csv
 
 
@@ -191,10 +192,13 @@ class TestSolve:
         assert err.startswith("error:") and "tol" in err
         assert not metrics.exists()
 
-    def test_spi_runs_on_folded_svm(self, tmp_path):
+    def test_spi_runs_on_the_svm(self, tmp_path):
+        # spi runs the one SVM form, whose ridge is r
         out = tmp_path / "svm"
         assert main(["gen", "svm", "--out", str(out), "--n", "30",
                      "--d", "5", "--seed", "2"]) == 0
+        problem = cli.load_problem(str(out / "problem.json"))
+        assert isinstance(problem.r, RidgeProx)
         code = main(["solve", "--problem", str(out / "problem.json"),
                      "--algo", "spi", "--max-iters", "60", "--spi-c", "1.0",
                      "--metrics", str(tmp_path / "m.csv")])
@@ -439,7 +443,7 @@ class TestSolve:
     def test_iters_counts_steps_taken(self, tmp_path, capsys, monkeypatch,
                                       algo):
         problem = _baseline_problem(algo)
-        monkeypatch.setattr(cli, "load_problem", lambda path, algo: problem)
+        monkeypatch.setattr(cli, "load_problem", lambda path: problem)
         code = main(["solve", "--problem", "unused.json", "--algo", algo,
                      "--max-iters", "50",
                      "--metrics", str(tmp_path / "m.csv")])
@@ -502,8 +506,7 @@ class TestSolve:
         # the problem has the hook
         if kind is None:
             problem = _baseline_problem(algo)
-            monkeypatch.setattr(cli, "load_problem",
-                                lambda path, algo: problem)
+            monkeypatch.setattr(cli, "load_problem", lambda path: problem)
             prob = "unused.json"
         else:
             prob = str(_gen(tmp_path, kind=kind, sub=kind))
@@ -747,14 +750,14 @@ class TestCompare:
         assert "reference from 210 iterations" in capsys.readouterr().out
 
     def test_each_solver_form_loaded_once(self, tmp_path, monkeypatch):
-        # every configuration names the same file; the reference and each
-        # configuration loaded it again, six loads for these five
+        # every configuration names the same file, and every algorithm runs
+        # its one form: the reference and all five runs share one load
         loads = []
         load = cli.load_problem
 
-        def counted(path, algo="ppg"):
-            loads.append(algo)
-            return load(path, algo)
+        def counted(path):
+            loads.append(path)
+            return load(path)
 
         monkeypatch.setattr(cli, "load_problem", counted)
         out = tmp_path / "svm"
@@ -767,7 +770,7 @@ class TestCompare:
                                           "admm"))]
         assert main(["compare", *cfgs, "--out", str(tmp_path / "o.csv"),
                      "--ref-iters", "50"]) == 0
-        assert loads == ["ppg", "sppg", "spi", "admm"]
+        assert loads == [str(out / "problem.json")]
 
     def test_multi_seed_aggregation(self, tmp_path):
         prob = _gen(tmp_path)

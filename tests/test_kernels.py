@@ -72,8 +72,10 @@ def _sppg_pair(monkeypatch, problem, sampler, iters, record_every,
 
 def _spi_pair(monkeypatch, problem, record_every):
     """spi through the rank-one kernel against the same problem without its
-    structure hint or batched prox: the kernel takes every step, and x and
-    the recorded rows agree to 1e-12 relative."""
+    structure hint or batched prox: the kernel takes every step, which is
+    the per-term step g_i.prox(shr x, a_k shr) in the same arithmetic, so x
+    agrees bitwise; the recorded rows, whose probes take s = f_i'v by a
+    batched or a per-row product, agree to 1e-12 relative."""
     n = problem.n
     opts = SolveOptions(max_iters=10 * n + 3, record_every=record_every)
 
@@ -89,7 +91,7 @@ def _spi_pair(monkeypatch, problem, record_every):
     assert sum(calls) == opts.max_iters
     assert fast.log.metadata["path"] == "kernel"
     assert generic.log.metadata["path"] == "per-term"
-    assert _rel(fast.x, generic.x) <= 1e-12
+    assert fast.x.tobytes() == generic.x.tobytes()
     assert _rel(_row_values(fast), _row_values(generic)) <= 1e-12
 
 
@@ -121,8 +123,7 @@ def _nonfinite_row_case(problem, bad, generic_error):
     with pytest.raises(NumericalError,
                        match=rf"prox of g \(term {bad}\)$"):
         kernels.rank_one_sppg_block(state.z, state.zbar, problem.structure,
-                                    1.0, seq, getattr(problem.r, "weight",
-                                                      0.0))
+                                    1.0, seq, kernels.ridge_weight(problem.r))
     assert _rel(state.z, ref.z) <= 1e-12
     assert _rel(state.zbar, ref.zbar) <= 1e-12
     for p in (problem, generic):
@@ -154,8 +155,8 @@ class TestNumpyHingeAgreement:
     @pytest.mark.parametrize("record_every", [None, 7])
     @pytest.mark.parametrize("n", [1, 5, 48])
     def test_spi_matches_per_term_prox(self, monkeypatch, n, record_every):
-        _spi_pair(monkeypatch, tiny_svm(np.random.default_rng(n), n=n, d=4,
-                                        fold_ridge=True), record_every)
+        _spi_pair(monkeypatch, tiny_svm(np.random.default_rng(n), n=n, d=4),
+                  record_every)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_row_inside_a_run(self):
@@ -176,8 +177,7 @@ class TestNumpyHingeAgreement:
         feats = rng.standard_normal((n, d))
         feats[bad] = np.inf
         labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-        problem = build_svm(SvmData(feats, labels, lam=0.1),
-                            fold_ridge=True)
+        problem = build_svm(SvmData(feats, labels, lam=0.1))
         for p in (problem, dataclasses.replace(problem, structure=None)):
             with pytest.raises(NumericalError,
                                match=rf"prox of g \(term {bad}\)"):
@@ -191,25 +191,15 @@ class TestNumpyHingeAgreement:
         # it raises, and x keeps the steps before it
         feats = np.random.default_rng(7).standard_normal((8, 3))
         feats[3] = np.nan
-        struct = kernels.HingeStructure(features=feats, labels=np.ones(8),
-                                        ridge=0.1)
+        struct = kernels.HingeStructure(features=feats, labels=np.ones(8))
         seq = np.array([0, 5, 1, 3, 2])
         x, want = np.zeros(3), np.zeros(3)
-        kernels.rank_one_spi_block(want, struct, 2.0, 4, seq[:3])
+        kernels.rank_one_spi_block(want, struct, 2.0, 4, seq[:3], 0.1)
         with pytest.raises(NumericalError,
                            match=r"^non-finite values from prox of g "
                                  r"\(term 3\)$"):
-            kernels.rank_one_spi_block(x, struct, 2.0, 4, seq)
+            kernels.rank_one_spi_block(x, struct, 2.0, 4, seq, 0.1)
         assert np.any(want) and x.tobytes() == want.tobytes()
-
-    def test_folded_structure_skips_sppg_kernel(self, monkeypatch, rng):
-        # the ridge sits in every term, not in r, so sppg runs per term
-        problem = tiny_svm(rng, n=16, d=4, fold_ridge=True)
-        calls = _counting(monkeypatch, "rank_one_sppg_block")
-        res = sppg_run(problem, SolveOptions(alpha=1.0, max_iters=32),
-                       IndexSampler(3, 16))
-        assert calls == []
-        assert res.log.metadata["path"] == "per-term"
 
     def test_zero_row_is_reported(self):
         # SvmData rejects zero rows; a hand-built structure divides by zero
@@ -237,7 +227,7 @@ def test_kernels_hold_no_list_of_the_drawn_block(kernel):
     import tracemalloc
     from conftest import tiny_svm
     rng = np.random.default_rng(0)
-    problem = tiny_svm(rng, n=1000, d=3, fold_ridge=kernel == "spi")
+    problem = tiny_svm(rng, n=1000, d=3)
     struct = problem.structure
     idx = rng.integers(0, problem.n, 20_000)
     z, zbar, x = np.zeros((problem.n, problem.dim)), np.zeros(3), np.zeros(3)
@@ -247,7 +237,8 @@ def test_kernels_hold_no_list_of_the_drawn_block(kernel):
             kernels.rank_one_sppg_block(z, zbar, struct, 1.0, idx,
                                         problem.r.weight)
         else:
-            kernels.rank_one_spi_block(x, struct, 1.0, 0, idx)
+            kernels.rank_one_spi_block(x, struct, 1.0, 0, idx,
+                                       problem.r.weight)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -364,7 +355,7 @@ class TestNumpyGlmAgreement:
                                         problem.structure, 1.0, seq, 0.0)
         with pytest.raises(ConvergenceError, match=r"steps \(term 4\)$"):
             kernels.rank_one_spi_block(np.zeros(3), problem.structure, 2.0,
-                                       0, seq)
+                                       0, seq, 0.0)
 
 
 def _with_smooth_term(problem):
@@ -375,12 +366,10 @@ def _with_smooth_term(problem):
     return dataclasses.replace(problem, f=tuple(f))
 
 
-def _folded_without_ridge(rng):
-    split = tiny_svm(rng, n=12, d=3)
-    rows = split.structure
-    struct = kernels.HingeStructure(features=rows.features,
-                                    labels=rows.labels)
-    return kernels.rank_one_problem(struct, zero_prox(), "svm")
+def _svm_without_ridge(rng):
+    """Hinge rows with r zero: the SVM's terms and no ridge."""
+    rows = tiny_svm(rng, n=12, d=3).structure
+    return kernels.rank_one_problem(rows, zero_prox(), "svm")
 
 
 def _l1(problem):
@@ -389,28 +378,23 @@ def _l1(problem):
     return dataclasses.replace(problem, r=abs_prox_fn(weight=0.05))
 
 
-# problem, and whether the ppg, sppg and spi kernels serve it
+# problem, whether RankOnePpg serves it, and whether the stepping kernels
+# (sppg and spi) serve it: the two rules of kernels.rank_one_rows
 _RULE_TABLE = {
-    "split-svm": (lambda rng: tiny_svm(rng), True, True, False),
-    "folded-svm": (lambda rng: tiny_svm(rng, fold_ridge=True), False, False,
-                   True),
-    "gaussian": (lambda rng: tiny_glm(rng, "gaussian"), True, True, True),
-    "logistic": (lambda rng: tiny_glm(rng, "logistic"), True, True, True),
-    "poisson": (lambda rng: tiny_glm(rng, "poisson"), True, True, True),
+    "split-svm": (lambda rng: tiny_svm(rng), True, True),
+    "gaussian": (lambda rng: tiny_glm(rng, "gaussian"), True, True),
+    "logistic": (lambda rng: tiny_glm(rng, "logistic"), True, True),
+    "poisson": (lambda rng: tiny_glm(rng, "poisson"), True, True),
     "split-svm-smooth-f": (lambda rng: _with_smooth_term(tiny_svm(rng)),
-                           False, False, False),
+                           False, False),
     "no-structure": (lambda rng: dataclasses.replace(
-        tiny_svm(rng), structure=None), False, False, False),
-    # ridge 0 sits nowhere, so the sppg kernel models it exactly too
-    "folded-svm-no-ridge": (_folded_without_ridge, True, True, True),
-    # ppg takes the prox of any r; sppg models only a zero or ridge r
-    "split-svm-l1-r": (lambda rng: _l1(tiny_svm(rng)), True, False, False),
+        tiny_svm(rng), structure=None), False, False),
+    # a zero r is a ridge of weight 0, which the stepping kernels model too
+    "svm-zero-r": (_svm_without_ridge, True, True),
+    # ppg takes the prox of any r; sppg and spi model only a zero or ridge r
+    "split-svm-l1-r": (lambda rng: _l1(tiny_svm(rng)), True, False),
     "logistic-l1-r": (lambda rng: _l1(tiny_glm(rng, "logistic")), True,
-                      False, False),
-    # a ridge both folded into the terms and in r: no kernel models both
-    "folded-svm-ridge-r": (lambda rng: dataclasses.replace(
-        tiny_svm(rng, fold_ridge=True), r=ridge_prox(0.2)), False, False,
-        False),
+                      False),
 }
 
 
@@ -426,18 +410,18 @@ class TestKernelRule:
 
     @pytest.mark.parametrize("name", sorted(_RULE_TABLE))
     def test_rule_table(self, rng, name):
-        make, *verdicts = _RULE_TABLE[name]
+        make, ppg_served, stepping_served = _RULE_TABLE[name]
         problem = make(rng)
-        for kernel, served in zip(("ppg", "sppg", "spi"), verdicts):
+        for kernel, served in (("ppg", ppg_served), ("sppg", stepping_served),
+                               ("spi", stepping_served)):
             got = kernels.rank_one_rows(problem, kernel)
             assert got is (problem.structure if served else None)
 
-    @pytest.mark.parametrize("name", ["split-svm-l1-r", "logistic-l1-r",
-                                      "folded-svm-ridge-r"])
+    @pytest.mark.parametrize("name", ["split-svm-l1-r", "logistic-l1-r"])
     def test_new_r_matches_the_generic_run(self, rng, name):
         # ppg and sppg on these problems give what the same problem gives
         # with its structure and batched hooks removed
-        make, ppg_served, _, _ = _RULE_TABLE[name]
+        make, ppg_served, _ = _RULE_TABLE[name]
         problem = make(rng)
         opts = SolveOptions(alpha=0.5, max_iters=40, record_every=3)
         ppg_path = "rank-one" if ppg_served else "batched"
@@ -451,9 +435,8 @@ class TestKernelRule:
             assert _rel(fast.state.z, ref.state.z) <= 1e-12
             assert _rel(_row_values(fast), _row_values(ref)) <= 1e-12
 
-    def test_folded_structure_without_ridge_runs_both_kernels(
-            self, monkeypatch, rng):
-        problem = _folded_without_ridge(rng)
+    def test_svm_with_zero_r_runs_both_kernels(self, monkeypatch, rng):
+        problem = _svm_without_ridge(rng)
         calls = _counting(monkeypatch, "rank_one_sppg_block")
         res = sppg_run(problem, SolveOptions(alpha=1.0, max_iters=24),
                        IndexSampler(3, 12))
@@ -476,10 +459,9 @@ class TestKernelRule:
         assert _rel(state.zbar, ref.zbar) <= 1e-12
 
 
-@pytest.mark.parametrize("kind", ["svm", "svm-folded", "logistic"])
+@pytest.mark.parametrize("kind", ["svm", "logistic"])
 def test_row_norms_derived_from_features(rng, kind):
-    problem = (tiny_glm(rng, kind) if kind == "logistic"
-               else tiny_svm(rng, fold_ridge=kind == "svm-folded"))
+    problem = tiny_glm(rng, kind) if kind == "logistic" else tiny_svm(rng)
     rows = problem.structure
     assert np.array_equal(rows.sqnorms,
                           np.einsum("ij,ij->i", rows.features, rows.features))
@@ -489,16 +471,20 @@ def test_row_norms_derived_from_features(rng, kind):
 
 
 def test_split_ridge_is_stated_only_in_r(rng):
-    split, folded = tiny_svm(rng), tiny_svm(rng, fold_ridge=True)
+    split = tiny_svm(rng)
     assert isinstance(split.r, RidgeProx) and split.r.weight == 0.1
-    assert split.structure.ridge == 0.0
-    assert folded.r.is_zero and folded.structure.ridge == 0.1
+    assert kernels.ridge_weight(split.r) == 0.1
+    for struct in (split.structure, tiny_glm(rng, "logistic").structure):
+        assert not hasattr(struct, "ridge")
+    assert kernels.ridge_weight(zero_prox()) == 0.0
+    assert kernels.ridge_weight(abs_prox_fn(weight=0.05)) is None
     # an r rebuilt around a wrapped prox, as a tracer does, keeps its
-    # weight, and with it the sppg kernel
+    # weight, and with it the sppg and spi kernels
     wrapped = dataclasses.replace(
         split, r=dataclasses.replace(split.r, prox=split.r.prox))
     assert wrapped.r.weight == 0.1
-    assert kernels.rank_one_rows(wrapped, "sppg") is split.structure
+    for kernel in ("sppg", "spi"):
+        assert kernels.rank_one_rows(wrapped, kernel) is split.structure
     x = np.random.default_rng(2).standard_normal(3)
     assert np.array_equal(split.r.prox(x, 2.0), x / (1.0 + 2.0 * 0.1))
 
@@ -619,7 +605,7 @@ class TestRankOnePpg:
         assert all(math.isfinite(v) and v >= 0.0 for v in resid)
         assert resid[-1] <= 1e-14 * resid[0]
 
-    @pytest.mark.parametrize("name", ["folded-svm", "split-svm-smooth-f"])
+    @pytest.mark.parametrize("name", ["split-svm-smooth-f"])
     def test_other_problems_keep_the_row_blocked_sweep(self, monkeypatch,
                                                        rng, name):
         def refuse(*args, **kwargs):
@@ -775,7 +761,7 @@ class TestLazyTermHandles:
     """A rank-one problem's g builds term i's handle when it is indexed,
     and that handle is the one the per-term path always had."""
 
-    @pytest.fixture(params=["split-svm", "folded-svm", "logistic"])
+    @pytest.fixture(params=["split-svm", "logistic"])
     def problem(self, request):
         return _RULE_TABLE[request.param][0](np.random.default_rng(4))
 
@@ -802,7 +788,7 @@ class TestLazyTermHandles:
             with pytest.raises(IndexError):
                 problem.g[bad]
 
-    @pytest.mark.parametrize("name", ["split-svm", "folded-svm", "logistic"])
+    @pytest.mark.parametrize("name", ["split-svm", "logistic"])
     def test_building_makes_no_handle(self, monkeypatch, name):
         made, make = [], kernels.ProxFn
 
@@ -934,8 +920,8 @@ def _probe_problem(name):
 
 
 class TestStructureProbe:
-    """sppg's residual probe on rank-one rows with no folded ridge takes
-    its betas and steps from the structure (kernels.rank_one_probe), a
+    """sppg's residual probe on rank-one rows takes its betas and steps
+    from the structure (kernels.rank_one_probe), a
     ROW_CHUNK of rows at a time, and must give what the row-blocked
     sweep gives."""
 
@@ -988,17 +974,6 @@ class TestStructureProbe:
                               compute_residual=True)
         assert len(calls) == 7
         assert report.residual_norm == res.log.rows[0].residual_norm
-
-    def test_folded_ridge_keeps_the_row_blocked_probe(self, monkeypatch,
-                                                      rng):
-        def refuse(*args, **kwargs):
-            raise AssertionError("rank_one_probe called")
-
-        monkeypatch.setattr(kernels, "rank_one_probe", refuse)
-        problem = tiny_svm(rng, n=40, d=4, fold_ridge=True)
-        res = sppg_run(problem, SolveOptions(alpha=1.0, max_iters=80),
-                       IndexSampler(0, 40))
-        assert len(res.log.rows) == 3
 
     @pytest.mark.parametrize("name", ["svm", "logistic", "logistic-l1"])
     @pytest.mark.parametrize("bad", [0, 300, 599])

@@ -408,17 +408,15 @@ class TestRowBlockedSweep:
             "per-term": dataclasses.replace(svm, batched_g_prox=None),
             "per-term-smooth": dataclasses.replace(
                 fused, batched_g_prox=None, batched_f_grad=None),
-            # the ridge folded into the terms: the prox shrinks each row
-            "svm-folded": tiny_svm(rng, n=40, d=4, fold_ridge=True),
         }
 
     @staticmethod
     def _budget(problem, rows):
         return rows * 8 * problem.dim
 
-    @pytest.mark.parametrize("kind", ["svm", "svm-folded", "glm",
-                                      "group-lasso", "fused-lasso",
-                                      "per-term", "per-term-smooth"])
+    @pytest.mark.parametrize("kind", ["svm", "glm", "group-lasso",
+                                      "fused-lasso", "per-term",
+                                      "per-term-smooth"])
     def test_several_blocks_match_one(self, monkeypatch, kind):
         problem = self._problems(np.random.default_rng(3))[kind]
         opts = SolveOptions(alpha=resolve_alpha(problem, None), max_iters=6)
@@ -447,8 +445,7 @@ class TestRowBlockedSweep:
                 assert a.residual_norm == pytest.approx(b.residual_norm,
                                                         rel=1e-13)
 
-    @pytest.mark.parametrize("kind", ["svm", "svm-folded", "fused-lasso",
-                                      "per-term-smooth"])
+    @pytest.mark.parametrize("kind", ["svm", "fused-lasso", "per-term-smooth"])
     def test_probe_leaves_state_and_matches_sweep(self, monkeypatch, kind):
         problem = self._problems(np.random.default_rng(4))[kind]
         monkeypatch.setattr(core, "SWEEP_BLOCK_BYTES",
@@ -650,15 +647,16 @@ def test_reference_solvers_allocate_no_n_by_d_temporary():
 
 
 def test_spi_probe_allocates_no_n_by_d_temporary():
-    # spi's residual probe on the folded SVM at the desk shape runs the
-    # sweep's block loop: no whole-array temporary of the moved points
+    # spi's residual probe on the SVM at the desk shape runs the sweep's
+    # block loop, each point shrunk by the ridge of r: no whole-array
+    # temporary of the moved points
     import tracemalloc
     from conftest import tiny_svm
     from proxsplit.baselines import (DiminishingStep,
                                      stochastic_prox_iteration_run)
     from proxsplit.sppg import IndexSampler
     rng = np.random.default_rng(0)
-    problem = tiny_svm(rng, n=8192, d=128, fold_ridge=True)
+    problem = tiny_svm(rng, n=8192, d=128)
     x0 = rng.standard_normal(problem.dim)
 
     def probe():

@@ -71,7 +71,6 @@ def _sampled_runs(rng, n):
     smooth = simple_problem([], dim=2, terms_f=[
         make_quadratic_term(rng.standard_normal(2), 0.0) for _ in range(n)])
     svm = tiny_svm(rng, n=n)
-    folded = tiny_svm(rng, n=n, fold_ridge=True)
     step = DiminishingStep(1.0)
     return {
         "sppg": lambda s, o: sppg_run(prox_only, o, s),
@@ -79,7 +78,7 @@ def _sampled_runs(rng, n):
         "spi": lambda s, o: stochastic_prox_iteration_run(
             prox_only, step, s, o),
         "spi-hinge": lambda s, o: stochastic_prox_iteration_run(
-            folded, step, s, o),
+            svm, step, s, o),
         "finito": lambda s, o: finito_run(smooth, s, replace(o, alpha=None)),
     }
 

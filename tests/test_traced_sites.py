@@ -4,7 +4,8 @@ The tracer wraps library functions and problem handles by name, and the
 jobs call the solvers with fixed arguments.  These tests load both files
 unchanged: they trace one ppg sweep, one sppg epoch and one spi run on tiny
 SVM and GLM problems, run the ppg job at both thread arguments it is
-given, and run every workload's jobs once through its gates, so renaming a
+given, build svm-desk's spi problem with the argument its setup passes,
+and run every workload's jobs once through its gates, so renaming a
 traced name, removing an argument the jobs pass or breaking a job fails
 this suite and not only a benchmark run.
 """
@@ -13,6 +14,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import tiny_glm, tiny_svm
@@ -84,7 +86,7 @@ def test_spi_runs_on_the_traced_kernel_site(rng, kind):
     # (the fifth positional argument is the index block) and expects no
     # per-term prox; its probes run the sweep's block loop through the
     # batched prox, one block per probe on this tiny problem
-    problem = (tiny_svm(rng, n=40, d=4, fold_ridge=True) if kind == "svm"
+    problem = (tiny_svm(rng, n=40, d=4) if kind == "svm"
                else tiny_glm(rng, "logistic", n=40, d=4))
     steps = 3 * problem.n + 7
     tr = tracer.Tracer()
@@ -152,6 +154,28 @@ def test_ppg_job_thread_argument_is_inert(rng, tmp_path):
         io.write_metrics_csv(result.log, path)
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_svm_fold_ridge_argument_is_inert(rng):
+    # the benchmark's svm-desk setup passes fold_ridge=True for its spi
+    # job; build_svm must accept it and build the one form, whose ridge is
+    # r, and spi must run that problem through its kernel
+    feats = rng.standard_normal((12, 3))
+    labels = np.where(rng.random(12) < 0.5, 1.0, -1.0)
+    data = problems.SvmData(feats, labels, lam=0.1)
+    folded, default = (problems.build_svm(data, fold_ridge=True),
+                       problems.build_svm(data))
+    assert isinstance(folded.r, core.RidgeProx) and folded.r.weight == 0.1
+    assert not hasattr(folded.structure, "ridge")
+    for name in ("features", "labels"):
+        assert np.array_equal(getattr(folded.structure, name),
+                              getattr(default.structure, name))
+    for kernel in ("ppg", "sppg", "spi"):
+        assert kernels.rank_one_rows(folded, kernel) is folded.structure
+    spi_job, = [job for job in workloads.svm_desk_jobs(0)
+                if job.name == "spi"]
+    result = spi_job.run({"folded": folded})
+    assert result.log.metadata["path"] == "kernel"
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
